@@ -3,9 +3,21 @@
 ``run_2d_ucb`` buys one unit per round: bids are resampled once up front,
 every agent supplies one unit to seed an empirical quality estimate, and each
 later round goes to the capacity-feasible agent with the best optimistic
-score ``R * q_hat_plus - H(alpha)``.  The first non-positive best score ends
-the whole auction.  Payments follow the resampling transformation: bid cost
-per unit, plus the ``1/mu`` premium when the agent's beta moved.
+score ``R * (q_hat + width(t) / sqrt(n_i)) - H(alpha)``, where
+``width(t) = sqrt(c ln t)`` (``c = 1/2`` by default, ``c = 2`` is UCB1's wide
+bonus) and ties go to the lowest index.  The first non-positive best score
+ends the whole auction.  Payments follow the resampling transformation: bid
+cost per unit, plus the ``1/mu`` premium when the agent's beta moved.
+
+The round loop decides every round with that one scalar rule.  It visits
+only the agents still below capacity, reads rewards and widths through
+``memoryview`` (Python ints and floats, no numpy scalars), and takes the
+widths from one lazily grown table per bonus scale built with ``math.log``
+and ``math.sqrt``, which ``run_ucb_batch`` reads too, so both runners see the
+same bits at every budget.  Its cost is a fixed amount per round, whatever
+the instance.  A loop that advanced a long-running leader in numpy blocks
+was faster still, but its cost followed the number of leader changes, which
+differs threefold between instances.  Trace scores are Python floats.
 
 ``run_eps_separated`` is the explore-then-commit baseline: a fixed number of
 round-robin exploration units, then one shot of the optimal auction run with
@@ -22,13 +34,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .model import Bid, MarketConfig, RewardRealization
 from .optimal import MechanismOutcome, run_2d_opt
-from .resample import ResampleDraw, self_resample, transform_premium
+from .resample import ResampleDraw, child_seeds, self_resample, transform_premium
 
 __all__ = [
     "UcbState",
@@ -43,7 +55,8 @@ __all__ = [
 
 
 def compute_ucb_index(q_hat: float, n_i: int, t: int) -> float:
-    """Optimistic quality estimate ``q_hat + sqrt(2 ln(t) / n_i)``, uncapped.
+    """Optimistic quality estimate ``q_hat + sqrt(2 ln(t) / n_i)``, uncapped
+    (UCB1's wide bonus, ``bonus_scale=2.0`` in ``run_2d_ucb``).
 
     Agents never yet procured get the initialization value 1.
     """
@@ -55,7 +68,8 @@ def compute_ucb_index(q_hat: float, n_i: int, t: int) -> float:
 def compute_ucb_index_conservative(q_hat: float, n_i: int, t: int) -> float:
     """Narrower bonus variant ``q_hat + sqrt(ln(t) / (2 n_i))``.
 
-    This is the learning mechanism's default: with reward scales tens of
+    This is the learning mechanism's default (``bonus_scale=0.5`` in
+    ``run_2d_ucb``): with reward scales tens of
     times the cost range, the wide bonus keeps every score optimistic long
     past the point where the estimates separate, and the learner then trails
     even the explore-then-commit baselines at realistic budgets.  The narrow
@@ -71,14 +85,11 @@ def compute_ucb_index_conservative(q_hat: float, n_i: int, t: int) -> float:
 @dataclass
 class UcbState:
     """Learning state: per-agent procurement counts, successes, empirical
-    qualities, and the current round.  ``index`` holds each agent's
-    optimistic index as of its most recent procurement (scores used for
-    selection are recomputed fresh every round)."""
+    qualities, and the current round."""
 
     n_units: list[int]
     successes: list[int]
     q_hat: list[float]
-    index: list[float]
     round: int
 
 
@@ -116,11 +127,9 @@ def _resolve_draws(bids, distributions, mu, seed, draws):
         if len(draws) != len(bids):
             raise ValueError("need one resample draw per bid")
         return list(draws)
-    seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = seed_seq.spawn(len(bids))
     return [
         self_resample(bid.cost, dist.cost_bounds, mu, child)
-        for bid, dist, child in zip(bids, distributions, children)
+        for bid, dist, child in zip(bids, distributions, child_seeds(seed, len(bids)))
     ]
 
 
@@ -134,6 +143,23 @@ def _ucb_payments(bids, distributions, draws, counts, mu) -> np.ndarray:
     return payments
 
 
+# Bonus widths ``sqrt(c ln t)`` by bonus scale ``c``, shared by every run in
+# the process and grown on demand to the largest budget seen.
+_WIDTHS: dict[float, np.ndarray] = {}
+
+
+def _bonus_widths(bonus_scale: float, n_rounds: int) -> np.ndarray:
+    """Widths ``sqrt(bonus_scale * ln t)`` for every round ``t < n_rounds``
+    (entry 0 is unused), always built with ``math.log`` and ``math.sqrt`` so
+    that every caller sees the same bits whatever its budget."""
+    widths = _WIDTHS.get(bonus_scale, np.full(1, math.nan))
+    if len(widths) < n_rounds:
+        grown = (math.sqrt(bonus_scale * math.log(t)) for t in range(len(widths), n_rounds))
+        widths = np.concatenate([widths, np.fromiter(grown, float, n_rounds - len(widths))])
+        _WIDTHS[bonus_scale] = widths
+    return widths
+
+
 def run_2d_ucb(
     config: MarketConfig,
     bids: Sequence[Bid],
@@ -143,7 +169,7 @@ def run_2d_ucb(
     *,
     resample_draws: Sequence[ResampleDraw] | None = None,
     record_trace: bool = True,
-    index_fn: Callable[[float, int, int], float] = compute_ucb_index_conservative,
+    bonus_scale: float = 0.5,
     regularity_grid: int = 64,
 ) -> tuple[MechanismOutcome, RunTrace | None]:
     """One full learning auction over ``config.units`` rounds.
@@ -151,8 +177,9 @@ def run_2d_ucb(
     Requires ``units >= n_agents`` so the seeding pass is feasible.  The
     reported auctioneer utility is realized (reward scale times observed
     successes, minus payments), not the expectation under the true qualities,
-    which the mechanism never sees.  ``index_fn`` selects the exploration
-    bonus; the narrow form is the default (see its docstring).
+    which the mechanism never sees.  ``bonus_scale`` is ``c`` in the
+    exploration width ``sqrt(c ln t)``: the narrow 0.5 is the default (see
+    ``compute_ucb_index_conservative``), 2.0 gives UCB1's wide bonus.
     """
     n = config.n_agents
     n_rounds = config.units
@@ -164,6 +191,8 @@ def run_2d_ucb(
         raise ValueError(
             f"realization must be {n}x{n_rounds}, got {realization.table.shape!r}"
         )
+    if not 0.0 <= bonus_scale < math.inf:
+        raise ValueError(f"bonus_scale must be finite and >= 0, got {bonus_scale}")
     for i, dist in enumerate(config.distributions):
         if not dist.check_regularity(regularity_grid):
             raise ValueError(f"distribution of agent {i} is not regular")
@@ -171,14 +200,15 @@ def run_2d_ucb(
     draws = _resolve_draws(bids, config.distributions, mu, seed, resample_draws)
     reward_scale = config.reward_scale
     h = [
-        dist.virtual_cost(draw.alpha, bid.capacity)
+        float(dist.virtual_cost(draw.alpha, bid.capacity))
         for dist, draw, bid in zip(config.distributions, draws, bids)
     ]
     caps = [bid.capacity for bid in bids]
-    rows = [realization.table[i] for i in range(n)]
+    # memoryviews index to Python ints
+    rows = [memoryview(realization.table[i]) for i in range(n)]
 
-    state = UcbState([0] * n, [0] * n, [0.0] * n, [1.0] * n, n)
-    counts, succ, q_hat, index = state.n_units, state.successes, state.q_hat, state.index
+    state = UcbState([0] * n, [0] * n, [0.0] * n, n)
+    counts, succ, q_hat = state.n_units, state.successes, state.q_hat
     trace = RunTrace() if record_trace else None
 
     # Seeding pass: one unit from every agent unconditionally (capacity
@@ -199,45 +229,34 @@ def run_2d_ucb(
     # a score must be a function of (estimate, samples, round) alone, never of
     # when the agent was last procured, or the allocation loses its
     # cost-monotonicity.
-    if index_fn is compute_ucb_index_conservative:
-        bonus_scale = 0.5
-    elif index_fn is compute_ucb_index:
-        bonus_scale = 2.0
-    else:
-        bonus_scale = None
+    widths = memoryview(_bonus_widths(bonus_scale, n_rounds))  # yields Python floats
     inv_sqrt = [1.0 / math.sqrt(c) if c else 0.0 for c in counts]
+    live = [j for j in range(n) if counts[j] < caps[j]]
     for t in range(n, n_rounds):
+        width = widths[t]
         best = -math.inf
         pick = -1
-        if bonus_scale is not None:
-            width = math.sqrt(bonus_scale * math.log(t))
-            for j in range(n):
-                if counts[j] < caps[j]:
-                    s = reward_scale * (q_hat[j] + width * inv_sqrt[j]) - h[j]
-                    if s > best:
-                        best = s
-                        pick = j
-        else:
-            for j in range(n):
-                if counts[j] < caps[j]:
-                    s = reward_scale * index_fn(q_hat[j], counts[j], t) - h[j]
-                    if s > best:
-                        best = s
-                        pick = j
+        for j in live:
+            s = reward_scale * (q_hat[j] + width * inv_sqrt[j]) - h[j]
+            if s > best:
+                best = s
+                pick = j
         if pick < 0:
             break  # every agent at reported capacity
         if best <= 0.0:
             if trace is not None:
                 trace.steps.append(TraceStep(t, None, None, best))
             break  # no future units for anyone
-        r = int(rows[pick][counts[pick]])
+        c = counts[pick]
+        r = rows[pick][c]
         succ[pick] += r
-        counts[pick] += 1
-        q_hat[pick] = succ[pick] / counts[pick]
-        inv_sqrt[pick] = 1.0 / math.sqrt(counts[pick])
-        index[pick] = index_fn(q_hat[pick], counts[pick], t)
+        counts[pick] = c = c + 1
+        q_hat[pick] = succ[pick] / c
+        inv_sqrt[pick] = 1.0 / math.sqrt(c)
         if trace is not None:
             trace.steps.append(TraceStep(t, pick, r, best))
+        if c == caps[pick]:
+            live.remove(pick)
     state.round = n_rounds
 
     payments = _ucb_payments(bids, config.distributions, draws, counts, mu)
@@ -278,8 +297,9 @@ def run_ucb_batch(
     stopped = np.zeros(samples, dtype=bool)
     rows = np.arange(samples)
 
+    widths = memoryview(_bonus_widths(0.5, n_rounds))
     for t in range(n, n_rounds):
-        width = math.sqrt(0.5 * math.log(t))
+        width = widths[t]
         scores = reward_scale * (q_hat + width * inv_sqrt) - h
         masked = np.where(counts < caps, scores, -np.inf)
         pick = np.argmax(masked, axis=1)

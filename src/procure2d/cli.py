@@ -28,6 +28,7 @@ from .harness import (
 )
 from .model import (
     AgentType,
+    Bid,
     MarketConfig,
     sample_reward_realization,
     uniform_type_distribution,
@@ -133,7 +134,7 @@ def _cmd_plot(args) -> int:
 def _cmd_verify(args) -> int:
     config = _load_config(args)
     seed = np.random.SeedSequence([config.master_seed, 99])
-    resample_seed, instance_seed, bic_seed = seed.spawn(3)
+    resample_seed, instance_seed, bic_seed, iia_seed = seed.spawn(4)
     reports = []
 
     reports.append(audits.audit_resampler(
@@ -195,13 +196,34 @@ def _cmd_verify(args) -> int:
     reports.append(audits.audit_stochastic_bic(
         batch, types[0].cost, types[0].capacity, grid, name="ucb-stochastic-truthfulness"
     ))
-    reports.append(audits.audit_iia([0, 1, 2], [0, 1, 2], 0))
+    reports.append(_iia_report(config, iia_seed))
 
     failed = False
     for report in reports:
         print(report.line())
         failed = failed or (not report.passed and not report.inconclusive)
     return 1 if failed else 0
+
+
+def _iia_report(config: ExperimentConfig, seed: np.random.SeedSequence):
+    """IIA audit on the winner sequences of two learning runs over one
+    realization and one resampling seed that differ only in agent 0's bid.
+    Agent 0 gets the highest quality and the moved bid caps it at one unit,
+    so that the runs usually part: a cost change alone rarely reorders
+    scores worth ``R * q`` within thirty rounds."""
+    rng = np.random.default_rng(seed)
+    n, units = 3, 30
+    costs = rng.uniform(config.cost_lo, config.cost_hi, n)
+    capacities = rng.integers(5, 16, n)
+    qualities = np.sort(rng.uniform(config.quality_lo, config.quality_hi, n))[::-1]
+    dist = uniform_type_distribution(config.cost_lo, config.cost_hi, 1, 15)
+    market = MarketConfig(units, config.reward_scale, (dist,) * n)
+    realization = sample_reward_realization(qualities, units, rng)
+    bids = [Bid(float(c), int(k)) for c, k in zip(costs, capacities)]
+    moved = [Bid(float(rng.uniform(config.cost_lo, config.cost_hi)), 1)]
+    _, base = run_2d_ucb(market, bids, realization, config.mu, seed)
+    _, perturbed = run_2d_ucb(market, moved + bids[1:], realization, config.mu, seed)
+    return audits.audit_iia(base.agents(), perturbed.agents(), changed_agent=0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -265,16 +265,20 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRow
     """Run the full grid and reduce to one row per (mechanism, budget).
 
     Deterministic for a fixed config regardless of ``threads``: cells are
-    computed independently and reduced in a fixed order.
+    computed independently and reduced in a fixed order.  ``threads`` must be
+    at least 1; more workers than cells or CPUs are never started.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     cells = [(l_index, ts) for l_index in range(len(config.l_grid))
              for ts in range(config.type_samples)]
+    workers = min(threads, len(cells), os.cpu_count() or 1)
     results: dict[tuple[int, int], dict[str, np.ndarray]] = {}
-    if threads <= 1:
+    if workers <= 1:
         for l_index, ts in cells:
             results[(l_index, ts)] = _run_cell(config, l_index, ts)
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(_run_cell, config, l_index, ts): (l_index, ts)
                 for l_index, ts in cells

@@ -47,6 +47,22 @@ def _check_mu(mu: float) -> float:
     return float(mu)
 
 
+def child_seeds(seed, n: int) -> list[np.random.SeedSequence]:
+    """Per-bid child seeds of ``seed`` (anything ``SeedSequence`` accepts, or
+    a ``SeedSequence``).
+
+    Child ``i`` equals the ``i``-th child of the first ``spawn(n)`` on a fresh
+    sequence, but is derived without spawning: ``spawn`` advances the
+    sequence it is called on, so a caller reusing one ``SeedSequence`` would
+    get different draws on every call.
+    """
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return [
+        np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (i,), pool_size=seq.pool_size)
+        for i in range(n)
+    ]
+
+
 def self_resample(bid_cost: float, bounds: tuple[float, float], mu: float, seed) -> ResampleDraw:
     """Draw ``(alpha, beta)`` for one bid.  Deterministic given ``seed``.
 
@@ -150,11 +166,9 @@ def transform_allocate_and_pay(
     if len(cost_highs) != n:
         raise ValueError("need one cost_hi per bid")
     if draws is None:
-        seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        children = seed_seq.spawn(n)
         draws = [
             self_resample(bid.cost, (bid.cost, float(hi)), mu, child)
-            for bid, hi, child in zip(bids, cost_highs, children)
+            for bid, hi, child in zip(bids, cost_highs, child_seeds(seed, n))
         ]
     elif len(draws) != n:
         raise ValueError("need one resample draw per bid")

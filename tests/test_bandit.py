@@ -265,7 +265,7 @@ def test_wide_bonus_switch_changes_run():
     narrow_out, _ = run_2d_ucb(m, bids, table, 0.1, 0, resample_draws=pinned(bids))
     wide_out, _ = run_2d_ucb(
         m, bids, table, 0.1, 0,
-        resample_draws=pinned(bids), index_fn=compute_ucb_index,
+        resample_draws=pinned(bids), bonus_scale=2.0,
     )
     # both allocate the full budget; the wider bonus explores more
     assert narrow_out.allocation.sum() == wide_out.allocation.sum() == 20

@@ -93,6 +93,17 @@ def test_missing_config_is_a_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_simulate_rejects_thread_count_below_one(conf_file, tmp_path, capsys, threads):
+    out_dir = tmp_path / "out"
+    assert main(
+        ["simulate", "--config", str(conf_file), "--out", str(out_dir), "--threads", threads]
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "threads" in err and err.count("\n") == 1
+    assert not (out_dir / "results.csv").exists()
+
+
 def test_malformed_bids_is_a_clean_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("agent,cost\n0,0.2\n")

@@ -1,5 +1,6 @@
 import math
 import xml.etree.ElementTree as ET
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from procure2d import (
     render_results_svg,
     run_experiment,
 )
+from procure2d import harness
 from procure2d.harness import _run_cell, write_config
 
 TINY = ExperimentConfig(
@@ -120,6 +122,37 @@ class TestRunExperiment:
         emit_results(rows_serial, a, tmp_path / "a.svg")
         emit_results(rows_parallel, b, tmp_path / "b.svg")
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "threads, cpus, workers", [(64, 8, 4), (3, 8, 3), (64, 2, 2), (2, 1, None)]
+    )
+    def test_worker_count_clamped_to_cells_and_cpus(self, monkeypatch, threads, cpus, workers):
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        rows = run_experiment(TINY, threads=threads)  # TINY has 4 cells
+        assert started == ([] if workers is None else [workers])
+        assert rows == run_experiment(TINY, threads=1)
+
+    def test_thread_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="threads"):
+            run_experiment(TINY, threads=0)
 
     def test_single_agent_degenerate_instance_by_hand(self):
         # Perfect quality, capacity pinned to the budget: the benchmark pays

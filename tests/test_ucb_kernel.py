@@ -1,0 +1,155 @@
+"""``run_2d_ucb`` against the reference round loop in ``tests/oracles.py``."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import scalar_ucb_run
+
+from procure2d import (
+    Bid,
+    MarketConfig,
+    ResampleDraw,
+    RewardRealization,
+    audit_iia,
+    run_2d_ucb,
+    run_eps_separated,
+    uniform_type_distribution,
+)
+
+DIST = uniform_type_distribution(0.0, 1.0, 0, 6000)
+
+
+def assert_matches_oracle(market, bids, table, draws, bonus_scale):
+    mu = 0.1
+    outcome, trace = run_2d_ucb(
+        market, bids, table, mu, 0, resample_draws=draws, bonus_scale=bonus_scale
+    )
+    expected, expected_trace = scalar_ucb_run(market, bids, table, mu, draws, bonus_scale)
+    assert outcome.allocation.tolist() == expected.allocation.tolist()
+    assert outcome.payments.tolist() == expected.payments.tolist()
+    assert outcome.auctioneer_utility == expected.auctioneer_utility
+    assert trace.steps == expected_trace.steps
+    for step in trace.steps:
+        assert step.agent is None or type(step.agent) is int
+        assert step.reward is None or type(step.reward) is int
+        assert step.g_hat is None or type(step.g_hat) is float
+    untraced, none = run_2d_ucb(
+        market, bids, table, mu, 0, resample_draws=draws, bonus_scale=bonus_scale,
+        record_trace=False,
+    )
+    assert none is None
+    assert untraced.allocation.tolist() == expected.allocation.tolist()
+    return trace
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 4))
+    units = draw(st.one_of(st.integers(n, 200), st.integers(1000, 5000)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    qualities = rng.uniform(0.0, 1.0, n)
+    if draw(st.booleans()):
+        qualities[0] = 0.97  # one clearly best agent: long leader runs
+    table = (rng.random((n, units)) < qualities[:, None]).astype(np.uint8)
+    costs = [draw(st.floats(0.0, 1.0)) for _ in range(n)]
+    caps = [draw(st.one_of(st.integers(0, 40), st.integers(0, units))) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        # identical agents 0 and 1: every score of theirs ties exactly
+        costs[1], caps[1], table[1] = costs[0], caps[0], table[0]
+    reward_scale = draw(st.sampled_from([30.0, 3.0, 1.0]))
+    draws = []
+    for cost in costs:
+        moved = draw(st.booleans())
+        beta = draw(st.floats(cost, 1.0)) if moved else cost
+        alpha = draw(st.floats(beta, 1.0)) if moved else cost
+        draws.append(ResampleDraw(alpha, beta))
+    market = MarketConfig(units, reward_scale, (DIST,) * n)
+    bids = [Bid(c, k) for c, k in zip(costs, caps)]
+    return market, bids, RewardRealization(table), draws
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(instances(), st.sampled_from([0.5, 2.0]))
+def test_kernel_matches_scalar_loop(instance, bonus_scale):
+    assert_matches_oracle(*instance, bonus_scale)
+
+
+def two_agent_case(units, caps, reward_scale=30.0, costs=(0.2, 0.6)):
+    rng = np.random.default_rng(units)
+    table = np.vstack([
+        (rng.random(units) < 0.95).astype(np.uint8),
+        (rng.random(units) < 0.3).astype(np.uint8),
+    ])
+    market = MarketConfig(units, reward_scale, (DIST, DIST))
+    bids = [Bid(costs[0], caps[0]), Bid(costs[1], caps[1])]
+    return market, bids, RewardRealization(table), [ResampleDraw(c, c) for c in costs]
+
+
+@pytest.mark.parametrize("bonus_scale", [0.5, 2.0])
+def test_long_leader_runs(bonus_scale):
+    case = two_agent_case(5000, (5000, 5000))
+    trace = assert_matches_oracle(*case, bonus_scale)
+    assert trace.agents().count(0) > 2500
+
+
+def test_leader_capacity_binds_mid_run():
+    case = two_agent_case(5000, (1500, 5000))
+    trace = assert_matches_oracle(*case, 0.5)
+    agents = trace.agents()
+    assert agents.count(0) == 1500
+    last = len(agents) - 1 - agents[::-1].index(0)
+    assert agents[last - 100 : last + 1] == [0] * 101  # it was winning when capacity bound
+
+
+def test_non_positive_score_stops_the_run():
+    # A small reward scale: the leader's bonus decays until its score drops
+    # to zero in the middle of a long run, which ends the auction.
+    case = two_agent_case(5000, (5000, 5000), reward_scale=1.0, costs=(0.5, 0.9))
+    trace = assert_matches_oracle(*case, 0.5)
+    stop = trace.steps[-1]
+    assert stop.agent is None and stop.g_hat <= 0.0 and stop.round < 4000
+    assert trace.steps[-2].agent == 0
+
+
+@pytest.mark.parametrize("bonus_scale", [0.5, 2.0])
+def test_exact_ties_go_to_the_lower_index(bonus_scale):
+    # Identical agents with identical reward rows: whenever their counts are
+    # equal their scores tie exactly, and agent 0 takes the round.
+    units = 400
+    table = np.ones((2, units), dtype=np.uint8)
+    market = MarketConfig(units, 30.0, (DIST, DIST))
+    bids = [Bid(0.3, units), Bid(0.3, units)]
+    draws = [ResampleDraw(0.3, 0.3)] * 2
+    trace = assert_matches_oracle(market, bids, RewardRealization(table), draws, bonus_scale)
+    assert trace.agents() == [0, 1] * (units // 2)
+
+
+def test_zero_capacity_agent_is_never_procured():
+    case = two_agent_case(3000, (0, 3000))
+    trace = assert_matches_oracle(*case, 0.5)
+    assert 0 not in trace.agents()
+
+
+def test_same_seed_sequence_gives_the_same_run():
+    market = MarketConfig(40, 30.0, (DIST,) * 3)
+    bids = [Bid(0.2, 20), Bid(0.4, 20), Bid(0.3, 20)]
+    rng = np.random.default_rng(8)
+    table = RewardRealization((rng.random((3, 40)) < 0.7).astype(np.uint8))
+    seed = np.random.SeedSequence(12345)
+    first, _ = run_2d_ucb(market, bids, table, 0.9, seed)
+    second, _ = run_2d_ucb(market, bids, table, 0.9, seed)
+    fresh, _ = run_2d_ucb(market, bids, table, 0.9, np.random.SeedSequence(12345))
+    assert first.payments.tolist() == second.payments.tolist() == fresh.payments.tolist()
+    assert first.allocation.tolist() == second.allocation.tolist()
+    eps_first, _ = run_eps_separated(market, bids, table, 6, 0.9, seed)
+    eps_second, _ = run_eps_separated(market, bids, table, 6, 0.9, seed)
+    assert eps_first.payments.tolist() == eps_second.payments.tolist()
+    assert seed.n_children_spawned == 0
+
+
+def test_iia_fails_when_first_divergence_excludes_the_changed_agent():
+    report = audit_iia([0, 1, 2, 1, 0], [0, 1, 2, 2, 0], changed_agent=0)
+    assert not report.passed and not report.inconclusive
+    assert report.witness == {"round": 3, "from": 1, "to": 2}
