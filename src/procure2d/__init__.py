@@ -27,9 +27,6 @@ from .audits import (
 from .bandit import (
     RunTrace,
     TraceStep,
-    UcbState,
-    compute_ucb_index,
-    compute_ucb_index_conservative,
     run_2d_ucb,
     run_eps_separated,
     run_ucb_batch,
@@ -84,7 +81,6 @@ __all__ = [
     "RunTrace",
     "TraceStep",
     "TypeDistribution",
-    "UcbState",
     "alloc_greedy",
     "auctioneer_utility",
     "audit_dsic",
@@ -94,8 +90,6 @@ __all__ = [
     "audit_offered_utility_expected",
     "audit_resampler",
     "audit_stochastic_bic",
-    "compute_ucb_index",
-    "compute_ucb_index_conservative",
     "emit_results",
     "integral_payment",
     "make_opt_probe",

@@ -24,7 +24,7 @@ from scipy import stats
 from .bandit import run_ucb_batch
 from .model import Bid, MarketConfig, TypeDistribution
 from .optimal import run_2d_opt
-from .resample import resample_batch
+from .resample import child_seeds, resample_batch, transform_premium
 
 __all__ = [
     "AuditReport",
@@ -180,8 +180,7 @@ def make_ucb_batch_utility(
     """
     n = config.n_agents
     q = np.asarray(true_qualities, dtype=float)
-    seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    realization_seed, rival_seed, dev_seed = seed_seq.spawn(3)
+    realization_seed, rival_seed, dev_seed = child_seeds(seed, 3)
 
     rng = np.random.default_rng(realization_seed)
     realizations = (
@@ -215,7 +214,7 @@ def make_ucb_batch_utility(
         mine = units[:, agent].astype(float)
         utility = (cost - true_cost) * mine
         if premium:
-            utility += np.where(beta > cost, mine * (cost_hi - cost) / mu, 0.0)
+            utility += transform_premium(mine, mu, cost, cost_hi, beta)
         return utility
 
     return batch_utility
@@ -495,8 +494,7 @@ def audit_resampler(
        KS).
     """
     lo, hi = bounds
-    seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    main_seed, couple_seed, fresh_seed = seed_seq.spawn(3)
+    main_seed, couple_seed, fresh_seed = child_seeds(seed, 3)
 
     alpha, beta = resample_batch(lo, hi, mu, samples, np.random.default_rng(main_seed))
     details: dict = {"samples": samples, "mu": mu}

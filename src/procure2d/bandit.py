@@ -7,7 +7,8 @@ score ``R * (q_hat + width(t) / sqrt(n_i)) - H(alpha)``, where
 ``width(t) = sqrt(c ln t)`` (``c = 1/2`` by default, ``c = 2`` is UCB1's wide
 bonus) and ties go to the lowest index.  The first non-positive best score
 ends the whole auction.  Payments follow the resampling transformation: bid
-cost per unit, plus the ``1/mu`` premium when the agent's beta moved.
+cost per unit, plus the ``1/mu`` premium when the agent's beta moved
+(``resample.transform_premium``, the rule every mechanism here pays by).
 
 The round loop decides every round with that one scalar rule.  It visits
 only the agents still below capacity, reads rewards and widths through
@@ -18,6 +19,11 @@ same bits at every budget.  Its cost is a fixed amount per round, whatever
 the instance.  A loop that advanced a long-running leader in numpy blocks
 was faster still, but its cost followed the number of leader changes, which
 differs threefold between instances.  Trace scores are Python floats.
+
+The narrow ``c = 1/2`` is the default because the reward scale is tens of
+times the cost range: under UCB1's wide bonus the scores stay optimistic
+long after the estimates separate, and the learner trails even the
+explore-then-commit baselines (see ``run_2d_ucb``).
 
 ``run_eps_separated`` is the explore-then-commit baseline: a fixed number of
 round-robin exploration units, then one shot of the optimal auction run with
@@ -43,54 +49,12 @@ from .optimal import MechanismOutcome, run_2d_opt
 from .resample import ResampleDraw, child_seeds, self_resample, transform_premium
 
 __all__ = [
-    "UcbState",
     "TraceStep",
     "RunTrace",
-    "compute_ucb_index",
-    "compute_ucb_index_conservative",
     "run_2d_ucb",
     "run_ucb_batch",
     "run_eps_separated",
 ]
-
-
-def compute_ucb_index(q_hat: float, n_i: int, t: int) -> float:
-    """Optimistic quality estimate ``q_hat + sqrt(2 ln(t) / n_i)``, uncapped
-    (UCB1's wide bonus, ``bonus_scale=2.0`` in ``run_2d_ucb``).
-
-    Agents never yet procured get the initialization value 1.
-    """
-    if n_i == 0:
-        return 1.0
-    return q_hat + math.sqrt(2.0 * math.log(t) / n_i)
-
-
-def compute_ucb_index_conservative(q_hat: float, n_i: int, t: int) -> float:
-    """Narrower bonus variant ``q_hat + sqrt(ln(t) / (2 n_i))``.
-
-    This is the learning mechanism's default (``bonus_scale=0.5`` in
-    ``run_2d_ucb``): with reward scales tens of
-    times the cost range, the wide bonus keeps every score optimistic long
-    past the point where the estimates separate, and the learner then trails
-    even the explore-then-commit baselines at realistic budgets.  The narrow
-    bonus restores the expected behavior (the learner approaching the
-    omniscient benchmark faster than every baseline) while keeping the
-    logarithmic exploration schedule.
-    """
-    if n_i == 0:
-        return 1.0
-    return q_hat + math.sqrt(math.log(t) / (2.0 * n_i))
-
-
-@dataclass
-class UcbState:
-    """Learning state: per-agent procurement counts, successes, empirical
-    qualities, and the current round."""
-
-    n_units: list[int]
-    successes: list[int]
-    q_hat: list[float]
-    round: int
 
 
 @dataclass(frozen=True)
@@ -133,16 +97,6 @@ def _resolve_draws(bids, distributions, mu, seed, draws):
     ]
 
 
-def _ucb_payments(bids, distributions, draws, counts, mu) -> np.ndarray:
-    payments = np.zeros(len(bids))
-    for i, (bid, draw) in enumerate(zip(bids, draws)):
-        payments[i] = bid.cost * counts[i]
-        if draw.beta > bid.cost:
-            cost_hi = distributions[i].cost_bounds[1]
-            payments[i] += transform_premium(float(counts[i]), mu, bid.cost, cost_hi)
-    return payments
-
-
 # Bonus widths ``sqrt(c ln t)`` by bonus scale ``c``, shared by every run in
 # the process and grown on demand to the largest budget seen.
 _WIDTHS: dict[float, np.ndarray] = {}
@@ -178,8 +132,13 @@ def run_2d_ucb(
     reported auctioneer utility is realized (reward scale times observed
     successes, minus payments), not the expectation under the true qualities,
     which the mechanism never sees.  ``bonus_scale`` is ``c`` in the
-    exploration width ``sqrt(c ln t)``: the narrow 0.5 is the default (see
-    ``compute_ucb_index_conservative``), 2.0 gives UCB1's wide bonus.
+    exploration width ``sqrt(c ln t)``.  The narrow 0.5 is the default: with
+    reward scales tens of times the cost range, UCB1's wide bonus (2.0) keeps
+    every score optimistic long past the point where the estimates separate,
+    and the learner then trails even the explore-then-commit baselines at
+    realistic budgets.  The narrow bonus keeps the logarithmic exploration
+    schedule and lets the learner approach the omniscient benchmark faster
+    than every baseline.
     """
     n = config.n_agents
     n_rounds = config.units
@@ -207,8 +166,7 @@ def run_2d_ucb(
     # memoryviews index to Python ints
     rows = [memoryview(realization.table[i]) for i in range(n)]
 
-    state = UcbState([0] * n, [0] * n, [0.0] * n, n)
-    counts, succ, q_hat = state.n_units, state.successes, state.q_hat
+    counts, succ, q_hat = [0] * n, [0] * n, [0.0] * n
     trace = RunTrace() if record_trace else None
 
     # Seeding pass: one unit from every agent unconditionally (capacity
@@ -257,11 +215,14 @@ def run_2d_ucb(
             trace.steps.append(TraceStep(t, pick, r, best))
         if c == caps[pick]:
             live.remove(pick)
-    state.round = n_rounds
 
-    payments = _ucb_payments(bids, config.distributions, draws, counts, mu)
+    units = np.array(counts, dtype=np.int64)
+    costs = np.array([bid.cost for bid in bids])
+    cost_highs = [dist.cost_bounds[1] for dist in config.distributions]
+    premium = transform_premium(units, mu, costs, cost_highs, [d.beta for d in draws])
+    payments = costs * units + premium
     utility = reward_scale * sum(succ) - float(payments.sum())
-    outcome = MechanismOutcome(np.array(counts, dtype=np.int64), payments, utility)
+    outcome = MechanismOutcome(units, payments, utility)
     return outcome, trace
 
 
@@ -391,14 +352,13 @@ def run_eps_separated(
     exploit = run_2d_opt(sub_config, q_hat, exploit_bids, regularity_grid=regularity_grid)
 
     counts = np.array([explored[i] + int(exploit.allocation[i]) for i in range(n)], dtype=np.int64)
-    payments = np.zeros(n)
+    costs = np.array([bid.cost for bid in bids])
+    cost_highs = [dist.cost_bounds[1] for dist in config.distributions]
+    premium = transform_premium(explored, mu, costs, cost_highs, [d.beta for d in draws])
+    payments = costs * explored + exploit.payments + premium
     total_succ = 0
     unit = spent
     for i in range(n):
-        payments[i] = bids[i].cost * explored[i] + exploit.payments[i]
-        if draws[i].beta > bids[i].cost and explored[i]:
-            cost_hi = config.distributions[i].cost_bounds[1]
-            payments[i] += transform_premium(float(explored[i]), mu, bids[i].cost, cost_hi)
         extra = int(exploit.allocation[i])
         succ_i = explore_succ[i] + int(rows[i][explored[i] : explored[i] + extra].sum())
         total_succ += succ_i

@@ -122,7 +122,6 @@ class TypeDistribution:
     joint_density: Callable[[float, int], float]
     cond_cdf: Callable[[float, int], float]
     cond_density: Callable[[float, int], float]
-    sampler: Callable[[np.random.Generator], tuple[float, int]] | None = None
     linear_h: tuple[float, float] | None = None
     known_regular: bool = False
     _regularity_cache: dict = field(default_factory=dict, repr=False)
@@ -275,12 +274,6 @@ class TypeDistribution:
                         f"(cost={c}, capacity={k}): {dens} vs {diff}"
                     )
 
-    def sample(self, rng: np.random.Generator) -> tuple[float, int]:
-        if self.sampler is None:
-            raise ValueError("distribution has no sampler attached")
-        cost, cap = self.sampler(rng)
-        return float(cost), int(cap)
-
 
 def uniform_type_distribution(
     cost_lo: float, cost_hi: float, cap_lo: int, cap_hi: int
@@ -311,19 +304,12 @@ def uniform_type_distribution(
     def cond_density(c: float, k: int) -> float:
         return 1.0 / width
 
-    def sampler(rng: np.random.Generator) -> tuple[float, int]:
-        return (
-            float(rng.uniform(cost_lo, cost_hi)),
-            int(rng.integers(cap_lo, cap_hi, endpoint=True)),
-        )
-
     return TypeDistribution(
         cost_bounds=(cost_lo, cost_hi),
         cap_bounds=(cap_lo, cap_hi),
         joint_density=joint_density,
         cond_cdf=cond_cdf,
         cond_density=cond_density,
-        sampler=sampler,
         linear_h=(-cost_lo, 2.0),
         known_regular=True,
     )
@@ -363,7 +349,7 @@ class RewardRealization:
         table = np.asarray(self.table)
         if table.ndim != 2:
             raise ValueError(f"realization table must be 2-D, got shape {table.shape}")
-        if table.size and not np.isin(table, (0, 1)).all():
+        if not ((table == 0) | (table == 1)).all():
             raise ValueError("realization table entries must be 0 or 1")
         table = table.astype(np.uint8)
         table.flags.writeable = False

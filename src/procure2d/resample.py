@@ -120,26 +120,19 @@ def resample_batch(
     return alpha, beta
 
 
-def transform_premium(
-    units: float,
-    mu: float,
-    bid_cost: float,
-    cost_hi: float,
-    density: Callable[[float], float] | None = None,
-    beta: float | None = None,
-) -> float:
-    """The ``1/mu``-scaled premium: ``units / (mu * F'(beta))``.
+def transform_premium(units, mu: float, bid_cost, cost_hi, beta):
+    """The ``1/mu``-scaled premium ``units * (cost_hi - bid_cost) / mu`` where
+    the resampled ``beta`` moved above the bid, else 0.
 
-    ``density`` is the conditional law of beta given that it moved; the
-    resampler's is uniform, ``F'(.) = 1/(cost_hi - bid_cost)``, which is the
-    default and reduces the premium to ``units * (cost_hi - bid_cost) / mu``.
+    This is the one payment rule of the transformation: every mechanism pays
+    ``bid_cost * units`` plus this premium.  Works on scalars (returning a
+    float) and on numpy arrays, elementwise.
     """
     mu = _check_mu(mu)
-    if density is None:
-        return units * (cost_hi - bid_cost) / mu
-    if beta is None:
-        raise ValueError("beta is required when a custom density is supplied")
-    return units / (mu * density(beta))
+    premium = np.where(
+        np.greater(beta, bid_cost), np.multiply(units, np.subtract(cost_hi, bid_cost)) / mu, 0.0
+    )
+    return premium if premium.ndim else float(premium)
 
 
 def transform_allocate_and_pay(
@@ -176,11 +169,9 @@ def transform_allocate_and_pay(
     alphas = np.array([d.alpha for d in draws])
     caps = np.array([bid.capacity for bid in bids], dtype=np.int64)
     units = np.asarray(alloc_rule(alphas, caps))
-    payments = np.zeros(n)
-    for i, (bid, draw) in enumerate(zip(bids, draws)):
-        payments[i] = bid.cost * units[i]
-        if draw.beta > bid.cost:
-            payments[i] += transform_premium(float(units[i]), mu, bid.cost, float(cost_highs[i]))
+    costs = np.array([bid.cost for bid in bids])
+    betas = np.array([d.beta for d in draws])
+    payments = costs * units + transform_premium(units, mu, costs, cost_highs, betas)
     return MechanismOutcome(
         units, payments, auctioneer_utility(units, payments, qualities, reward_scale)
     )

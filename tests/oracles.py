@@ -18,7 +18,6 @@ from procure2d import (
     MechanismOutcome,
     RunTrace,
     TraceStep,
-    transform_premium,
     uniform_type_distribution,
 )
 
@@ -131,6 +130,6 @@ def scalar_ucb_run(config, bids, realization, mu, draws, bonus_scale=0.5):
         payments[i] = bid.cost * counts[i]
         if draw.beta > bid.cost:
             cost_hi = config.distributions[i].cost_bounds[1]
-            payments[i] += transform_premium(float(counts[i]), mu, bid.cost, cost_hi)
+            payments[i] += float(counts[i]) * (cost_hi - bid.cost) / mu
     utility = reward_scale * sum(succ) - float(payments.sum())
     return MechanismOutcome(np.array(counts, dtype=np.int64), payments, utility), trace

@@ -241,6 +241,23 @@ class TestResamplerAudit:
         sigma = (0.3 * 0.7 / 50_000) ** 0.5
         assert abs(moved - 0.3) > 3 * sigma  # the discrepancy is detectable
 
+    def test_reused_seed_sequence_is_not_spent(self):
+        seq = np.random.SeedSequence(2024)
+        first = audit_resampler(0.5, (0.0, 1.0), 2000, seq)
+        second = audit_resampler(0.5, (0.0, 1.0), 2000, seq)
+        assert first.line() == second.line()
+        assert first.line() == audit_resampler(0.5, (0.0, 1.0), 2000, 2024).line()
+
+        types = [AgentType(0.35, 4, 0.8), AgentType(0.55, 4, 0.6)]
+        market = MarketConfig(10, 30.0, (DIST,) * 2)
+        bids = [t.truthful_bid() for t in types]
+        utilities = [
+            make_ucb_batch_utility(market, bids, 0, 0.35, [0.8, 0.6], 0.5, 200, seq)(0.2, 3)
+            for _ in range(2)
+        ]
+        assert np.array_equal(utilities[0], utilities[1])
+        assert seq.n_children_spawned == 0
+
 
 class TestReports:
     def test_line_and_text_block_formats(self):

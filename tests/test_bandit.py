@@ -9,8 +9,7 @@ from procure2d import (
     ResampleDraw,
     RewardRealization,
     audit_iia,
-    compute_ucb_index,
-    compute_ucb_index_conservative,
+    run_2d_opt,
     run_2d_ucb,
     run_eps_separated,
     run_ucb_batch,
@@ -28,21 +27,6 @@ def market(units, n):
 def pinned(bids):
     """Resampler draws frozen at the bid: no premium, alpha = reported cost."""
     return [ResampleDraw(b.cost, b.cost) for b in bids]
-
-
-class TestIndex:
-    def test_direct_value(self):
-        assert compute_ucb_index(0.7, 4, 100) == pytest.approx(2.2174264, abs=1e-6)
-
-    def test_unplayed_agent_initialized_to_one(self):
-        assert compute_ucb_index(0.0, 0, 10) == 1.0
-        assert compute_ucb_index_conservative(0.0, 0, 10) == 1.0
-
-    def test_bonus_vanishes_with_samples(self):
-        assert compute_ucb_index(0.6, 10**12, 100) == pytest.approx(0.6, abs=1e-5)
-
-    def test_conservative_bonus_is_smaller(self):
-        assert compute_ucb_index_conservative(0.5, 3, 50) < compute_ucb_index(0.5, 3, 50)
 
 
 class TestGoldenTrace:
@@ -348,6 +332,26 @@ class TestEpsSeparated:
         assert outcome.allocation.tolist() == [2, 2]
         assert outcome.payments[0] == pytest.approx(0.2 * 2 + 2 * (1.0 - 0.2) / 0.1)
         assert outcome.payments[1] == pytest.approx(0.9 * 2)
+
+    def test_payment_adds_explore_exploit_then_premium(self):
+        # Agent 0 explores two units, wins all six exploitation units and its
+        # beta moved.  At these numbers any other order of the three terms
+        # rounds to a different float.
+        m = market(10, 2)
+        bids = [Bid(0.43, 8), Bid(0.62, 8)]
+        table = RewardRealization(
+            np.vstack([np.ones(10, dtype=np.uint8), np.zeros(10, dtype=np.uint8)])
+        )
+        draws = [ResampleDraw(0.77, 0.6), ResampleDraw(0.62, 0.62)]
+        outcome, _ = run_eps_separated(m, bids, table, 4, 0.1, 0, resample_draws=draws)
+        assert outcome.allocation.tolist() == [8, 2]
+        exploit = run_2d_opt(market(6, 2), [1.0, 0.0], [Bid(0.77, 6), Bid(0.62, 6)])
+        explored, exploited = 0.43 * 2, float(exploit.payments[0])
+        premium = 2 * (1.0 - 0.43) / 0.1
+        assert explored + exploited + premium != explored + (exploited + premium)
+        assert explored + exploited + premium != explored + premium + exploited
+        assert outcome.payments[0] == explored + exploited + premium
+        assert outcome.payments[1] == 0.62 * 2 + float(exploit.payments[1])
 
     def test_exploitation_uses_frozen_estimates(self):
         # Agent 1 looks perfect during exploration, agent 0 worthless; the

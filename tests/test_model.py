@@ -255,6 +255,13 @@ class TestRewardRealization:
     def test_non_binary_entries_rejected(self):
         with pytest.raises(ValueError):
             RewardRealization(np.array([[0, 2]]))
+        for bad in (0.5, np.nan):
+            with pytest.raises(ValueError):
+                RewardRealization(np.array([[0.0, 1.0, bad]]))
+        # -1 and 256 wrap to 255 and 0 in uint8: rejected before the conversion
+        for bad in (-1, 256):
+            with pytest.raises(ValueError):
+                RewardRealization(np.array([[0, 1, bad]], dtype=np.int16))
 
     def test_conditional_cdf_shape_on_grid(self):
         dist = uniform_type_distribution(0.25, 2.0, 1, 4)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from procure2d import (
@@ -75,6 +77,23 @@ def test_batch_matches_scalar_in_distribution():
     assert stats.ks_2samp(s_beta[s_beta > 0.4], b_beta[b_beta > 0.4]).pvalue > 0.01
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.0, 10.0),
+    st.floats(0.0, 10.0),
+    st.floats(0.0, 0.99, exclude_min=True),
+    st.integers(0, 2**64 - 1),
+)
+def test_batch_of_one_equals_scalar_bit_for_bit(a, b, mu, entropy):
+    # The two resamplers are kept separately, for single bids and for large
+    # audits; with one draw and the same seed they must agree exactly.
+    bid, hi = min(a, b), max(a, b)
+    seed = np.random.SeedSequence(entropy)
+    draw = self_resample(bid, (0.0, hi), mu, seed)
+    alpha, beta = resample_batch(bid, hi, mu, 1, np.random.default_rng(seed))
+    assert (draw.alpha, draw.beta) == (float(alpha[0]), float(beta[0]))
+
+
 def test_invalid_mu_rejected():
     with pytest.raises(ValueError):
         self_resample(0.5, BOUNDS, 0.0, 1)
@@ -83,15 +102,10 @@ def test_invalid_mu_rejected():
 
 
 def test_premium_direct_evaluation():
-    assert transform_premium(3.0, 0.1, 0.2, 8.2) == pytest.approx(240.0)
-
-
-def test_premium_general_density_form():
-    # Supplying the uniform density explicitly reproduces the built-in value.
-    uniform_density = lambda beta: 1.0 / 0.8
-    direct = transform_premium(4.0, MU, 0.2, 1.0)
-    general = transform_premium(4.0, MU, 0.2, 1.0, density=uniform_density, beta=0.7)
-    assert general == pytest.approx(direct)
+    assert transform_premium(3.0, 0.1, 0.2, 8.2, 0.5) == pytest.approx(240.0)
+    assert transform_premium(3.0, 0.1, 0.2, 8.2, 0.2) == 0.0
+    premium = transform_premium(np.array([3, 3]), 0.1, 0.2, 8.2, np.array([0.5, 0.2]))
+    assert premium.tolist() == [transform_premium(3.0, 0.1, 0.2, 8.2, 0.5), 0.0]
 
 
 def test_transform_pays_no_premium_when_beta_stays():
