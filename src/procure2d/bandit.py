@@ -10,15 +10,25 @@ ends the whole auction.  Payments follow the resampling transformation: bid
 cost per unit, plus the ``1/mu`` premium when the agent's beta moved
 (``resample.transform_premium``, the rule every mechanism here pays by).
 
-The round loop decides every round with that one scalar rule.  It visits
-only the agents still below capacity, reads rewards and widths through
-``memoryview`` (Python ints and floats, no numpy scalars), and takes the
-widths from one lazily grown table per bonus scale built with ``math.log``
-and ``math.sqrt``, which ``run_ucb_batch`` reads too, so both runners see the
-same bits at every budget.  Its cost is a fixed amount per round, whatever
-the instance.  A loop that advanced a long-running leader in numpy blocks
-was faster still, but its cost followed the number of leader changes, which
-differs threefold between instances.  Trace scores are Python floats.
+The round loop makes the same decisions as that scalar rule in two phases.
+A full scan scores every agent still below capacity and buys one unit from
+the best.  A leader run then keeps buying from it, for at most
+``_LEADER_HORIZON`` further rounds, while its score beats both 0 and the
+best rival score at the run's last round.  While the leader alone is
+procured, a rival's estimate and sample count stay fixed, so its score moves
+only through the width, which never shrinks (``_bonus_widths`` checks this),
+and round-to-nearest float arithmetic is monotone in each operand: the
+rival's score at the last round bounds its score at every round before, and
+a leader above the bound is the strict maximum the full scan would pick.
+A leader change costs one extra pass over the rivals, about one round's
+work, so the cost stays a bounded amount per round whatever the instance;
+an earlier loop that advanced the leader in numpy blocks paid about 25 us
+per change, and its cost followed the number of leader changes, which
+differs threefold between instances.  Rewards and widths are read through
+``memoryview`` (Python ints and floats, no numpy scalars), the widths from
+one lazily grown table per bonus scale built with ``math.log`` and
+``math.sqrt``, which ``run_ucb_batch`` reads too, so both runners see the
+same bits at every budget.  Trace scores are Python floats.
 
 The narrow ``c = 1/2`` is the default because the reward scale is tens of
 times the cost range: under UCB1's wide bonus the scores stay optimistic
@@ -101,6 +111,14 @@ def _resolve_draws(bids, distributions, mu, seed, draws):
 # the process and grown on demand to the largest budget seen.
 _WIDTHS: dict[float, np.ndarray] = {}
 
+# Rounds a leader run in ``run_2d_ucb`` may cover past its full scan before
+# the rivals' bound is recomputed.  A longer horizon loosens the bound, so
+# more runs end early; a shorter one rescans more often.  On the ten default
+# budgets (one type sample, two realizations, master seeds 0 and 31) 64 left
+# 3.0-4.1% of the rounds to full scans, against 6.5-7.2% at 16 and 5.6-8.5%
+# at 256.
+_LEADER_HORIZON = 64
+
 
 def _bonus_widths(bonus_scale: float, n_rounds: int) -> np.ndarray:
     """Widths ``sqrt(bonus_scale * ln t)`` for every round ``t < n_rounds``
@@ -110,6 +128,9 @@ def _bonus_widths(bonus_scale: float, n_rounds: int) -> np.ndarray:
     if len(widths) < n_rounds:
         grown = (math.sqrt(bonus_scale * math.log(t)) for t in range(len(widths), n_rounds))
         widths = np.concatenate([widths, np.fromiter(grown, float, n_rounds - len(widths))])
+        # run_2d_ucb's leader runs are exact only if no width ever shrinks
+        if not (np.diff(widths[1:]) >= 0.0).all():
+            raise RuntimeError(f"bonus widths for scale {bonus_scale} are not non-decreasing")
         _WIDTHS[bonus_scale] = widths
     return widths
 
@@ -139,6 +160,10 @@ def run_2d_ucb(
     realistic budgets.  The narrow bonus keeps the logarithmic exploration
     schedule and lets the learner approach the omniscient benchmark faster
     than every baseline.
+
+    Deviation from the paper: an agent reporting capacity 0 is skipped in
+    the seeding pass, but the round loop still starts at round ``n``, so a
+    run buys at most ``units`` minus the number of such agents.
     """
     n = config.n_agents
     n_rounds = config.units
@@ -190,7 +215,9 @@ def run_2d_ucb(
     widths = memoryview(_bonus_widths(bonus_scale, n_rounds))  # yields Python floats
     inv_sqrt = [1.0 / math.sqrt(c) if c else 0.0 for c in counts]
     live = [j for j in range(n) if counts[j] < caps[j]]
-    for t in range(n, n_rounds):
+    t = n
+    while t < n_rounds:
+        # Full scan: the scalar rule over every agent below capacity.
         width = widths[t]
         best = -math.inf
         pick = -1
@@ -205,14 +232,45 @@ def run_2d_ucb(
             if trace is not None:
                 trace.steps.append(TraceStep(t, None, None, best))
             break  # no future units for anyone
+
+        # Leader run: ``pick`` takes round t, and every later round up to
+        # ``horizon`` in which its score beats ``floor``, the larger of 0 and
+        # the best rival score at ``horizon``, which bounds every rival's
+        # score until then (see the module docstring).  A leader above it is
+        # the strict maximum, whatever the tie order.  Any other round goes
+        # back to the full scan.
+        horizon = min(t + _LEADER_HORIZON, n_rounds - 1)
+        width = widths[horizon]
+        floor = 0.0
+        for j in live:
+            if j != pick:
+                s = reward_scale * (q_hat[j] + width * inv_sqrt[j]) - h[j]
+                if s > floor:
+                    floor = s
         c = counts[pick]
-        r = rows[pick][c]
-        succ[pick] += r
-        counts[pick] = c = c + 1
-        q_hat[pick] = succ[pick] / c
-        inv_sqrt[pick] = 1.0 / math.sqrt(c)
-        if trace is not None:
-            trace.steps.append(TraceStep(t, pick, r, best))
+        successes = succ[pick]
+        row = rows[pick]
+        h_pick = h[pick]
+        end = min(horizon + 1, t + caps[pick] - c)  # past horizon or capacity
+        s = best
+        while True:
+            r = row[c]
+            successes += r
+            c += 1
+            q = successes / c
+            inv = 1.0 / math.sqrt(c)
+            if trace is not None:
+                trace.steps.append(TraceStep(t, pick, r, s))
+            t += 1
+            if t == end:
+                break
+            s = reward_scale * (q + widths[t] * inv) - h_pick
+            if not s > floor:
+                break
+        counts[pick] = c
+        succ[pick] = successes
+        q_hat[pick] = q
+        inv_sqrt[pick] = inv
         if c == caps[pick]:
             live.remove(pick)
 

@@ -83,7 +83,8 @@ def test_simulate_seed_override(conf_file, tmp_path):
     c = tmp_path / "c"
     main(["simulate", "--config", str(conf_file), "--out", str(a)])
     main(["simulate", "--config", str(conf_file), "--out", str(b), "--seed", "7"])
-    main(["simulate", "--config", str(conf_file), "--out", str(c), "--seed", "8"])
+    with pytest.warns(UserWarning, match="cannot cover the budget"):
+        main(["simulate", "--config", str(conf_file), "--out", str(c), "--seed", "8"])
     assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
     assert (a / "results.csv").read_bytes() != (c / "results.csv").read_bytes()
 

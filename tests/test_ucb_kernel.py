@@ -8,6 +8,7 @@ from oracles import scalar_ucb_run
 
 from procure2d import (
     Bid,
+    ExperimentConfig,
     MarketConfig,
     ResampleDraw,
     RewardRealization,
@@ -16,6 +17,7 @@ from procure2d import (
     run_eps_separated,
     uniform_type_distribution,
 )
+from procure2d import bandit, harness
 
 DIST = uniform_type_distribution(0.0, 1.0, 0, 6000)
 
@@ -87,11 +89,93 @@ def two_agent_case(units, caps, reward_scale=30.0, costs=(0.2, 0.6)):
     return market, bids, RewardRealization(table), [ResampleDraw(c, c) for c in costs]
 
 
+def longest_streak(agents, agent):
+    longest = streak = 0
+    for a in agents:
+        streak = streak + 1 if a == agent else 0
+        longest = max(longest, streak)
+    return longest
+
+
 @pytest.mark.parametrize("bonus_scale", [0.5, 2.0])
 def test_long_leader_runs(bonus_scale):
     case = two_agent_case(5000, (5000, 5000))
     trace = assert_matches_oracle(*case, bonus_scale)
     assert trace.agents().count(0) > 2500
+
+
+@pytest.mark.parametrize("bonus_scale", [0.5, 2.0])
+def test_leader_streak_spans_several_horizons(bonus_scale):
+    case = two_agent_case(20_000, (20_000, 20_000))
+    trace = assert_matches_oracle(*case, bonus_scale)
+    assert longest_streak(trace.agents(), 0) > 4 * bandit._LEADER_HORIZON
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2])
+def test_harness_instances_match_scalar_loop(monkeypatch, master_seed):
+    # Five agents with the types, capacities, rewards and resample seeds that
+    # run_experiment draws at L = 20,000, the instances the paper's
+    # experiment runs.
+    calls = []
+
+    def record(market, bids, realization, mu, seed, **kwargs):
+        calls.append((market, bids, realization, mu, seed))
+        return run_2d_ucb(market, bids, realization, mu, seed, **kwargs)
+
+    monkeypatch.setattr(harness, "run_2d_ucb", record)
+    config = ExperimentConfig(l_grid=(20_000,), type_samples=1, realizations=1,
+                              master_seed=master_seed)
+    harness._run_cell(config, 0, 0)
+    ((market, bids, realization, mu, seed),) = calls
+    draws = bandit._resolve_draws(bids, market.distributions, mu, seed, None)
+    for bonus_scale in (0.5, 2.0):
+        trace = assert_matches_oracle(market, bids, realization, draws, bonus_scale)
+        assert len(set(trace.agents())) == 5
+        assert len(trace.steps) == 20_000
+
+
+def test_tie_with_the_bound_goes_to_the_lower_index():
+    # The identical agents of test_exact_ties_go_to_the_lower_index at an odd
+    # budget: agent 1 leads into the last round, where agent 0's bound ties
+    # its score exactly, and agent 0 takes the round.
+    units = 401
+    table = np.ones((2, units), dtype=np.uint8)
+    market = MarketConfig(units, 30.0, (DIST, DIST))
+    bids = [Bid(0.3, units), Bid(0.3, units)]
+    draws = [ResampleDraw(0.3, 0.3)] * 2
+    trace = assert_matches_oracle(market, bids, RewardRealization(table), draws, 0.5)
+    assert trace.agents()[-3:] == [0, 1, 0]
+
+
+def test_only_live_agent_runs_to_the_budget():
+    # Agent 1 is full after seeding, so the leader has no rival to bound.
+    case = two_agent_case(4000, (4000, 1))
+    trace = assert_matches_oracle(*case, 0.5)
+    assert trace.agents() == [0, 1] + [0] * 3998
+
+
+def test_only_live_agent_stops_on_non_positive_score():
+    case = two_agent_case(5000, (5000, 1), reward_scale=1.0, costs=(0.5, 0.9))
+    trace = assert_matches_oracle(*case, 0.5)
+    stop = trace.steps[-1]
+    assert stop.agent is None and stop.g_hat <= 0.0 and stop.round < 4000
+    assert trace.agents() == [0, 1] + [0] * (stop.round - 2)
+
+
+@pytest.mark.parametrize("bonus_scale", [0.5, 2.0])
+def test_bonus_widths_never_shrink(monkeypatch, bonus_scale):
+    # The leader-run bound rests on this; the table is grown from scratch so
+    # that its own check runs too.
+    monkeypatch.setattr(bandit, "_WIDTHS", {})
+    widths = bandit._bonus_widths(bonus_scale, 100_001)
+    assert len(widths) == 100_001
+    assert (np.diff(widths[1:]) >= 0.0).all()
+
+
+def test_shrinking_bonus_widths_are_refused(monkeypatch):
+    monkeypatch.setattr(bandit, "_WIDTHS", {0.5: np.array([np.nan, 0.0, 0.9, 0.8])})
+    with pytest.raises(RuntimeError, match="non-decreasing"):
+        bandit._bonus_widths(0.5, 10)
 
 
 def test_leader_capacity_binds_mid_run():
@@ -130,6 +214,14 @@ def test_zero_capacity_agent_is_never_procured():
     case = two_agent_case(3000, (0, 3000))
     trace = assert_matches_oracle(*case, 0.5)
     assert 0 not in trace.agents()
+
+
+def test_zero_capacity_agent_leaves_the_run_one_unit_short():
+    # The round loop still starts at round n, so the seeding unit the
+    # zero-capacity agent skipped is never bought.
+    case = two_agent_case(3000, (0, 3000))
+    outcome, _ = run_2d_ucb(*case[:3], 0.1, 0, resample_draws=case[3])
+    assert outcome.allocation.tolist() == [0, 2999]
 
 
 def test_same_seed_sequence_gives_the_same_run():
