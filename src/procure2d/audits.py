@@ -157,6 +157,10 @@ def make_ucb_units_probe(
     return probe
 
 
+# Samples per chunk of the reward-table draw in ``make_ucb_batch_utility``.
+_DRAW_CHUNK = 1000
+
+
 def make_ucb_batch_utility(
     config: MarketConfig,
     bids: Sequence[Bid],
@@ -182,10 +186,16 @@ def make_ucb_batch_utility(
     q = np.asarray(true_qualities, dtype=float)
     realization_seed, rival_seed, dev_seed = child_seeds(seed, 3)
 
+    # The same uniforms as one ``rng.random((samples, n, units))`` draw, taken
+    # in chunks of samples so that no float table of the full size is built.
     rng = np.random.default_rng(realization_seed)
-    realizations = (
-        rng.random((samples, n, config.units)) < q[None, :, None]
-    ).astype(np.uint8)
+    realizations = np.empty((samples, n, config.units), dtype=np.uint8)
+    uniforms = np.empty((min(samples, _DRAW_CHUNK), n, config.units))
+    for start in range(0, samples, _DRAW_CHUNK):
+        block = realizations[start : start + _DRAW_CHUNK]
+        chunk = uniforms[: len(block)]
+        rng.random(out=chunk)
+        np.less(chunk, q[:, None], out=block)
 
     rival_rng = np.random.default_rng(rival_seed)
     rival_h = np.empty((samples, n))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,28 @@ class TestStochasticBic:
         grid = DeviationGrid(np.linspace(0.0, 1.0, 5), (3,))
         report = audit_stochastic_bic(batch, agent.cost, agent.capacity, grid)
         assert report.passed, report.line()
+
+
+    @pytest.mark.parametrize("premium,cost,capacity,digest,total", [
+        (True, 0.35, 12, "405bcbe756d12dd7ccdf0f1f88c91df9", 18167.5),
+        (True, 0.9, 15, "bc3d14ff3253fc07086f21a046a5ad92", 20737.3),
+        (True, 0.0, 1, "4512e128032b65bfc2876f679f745519", 1635.0),
+        (False, 0.9, 15, "3b876e599127f2990ef7f1ab6d693fd5", 17559.300000000003),
+    ])
+    def test_batch_utilities_are_pinned(self, premium, cost, capacity, digest, total):
+        # Exact per-sample utilities at 2,500 samples, not a whole number of
+        # reward-table chunks.  Capacities (36) exceed the 30 units, so the
+        # agents compete and the units bought follow the reward draws.
+        types = [AgentType(0.35, 12, 0.8), AgentType(0.55, 10, 0.6), AgentType(0.5, 14, 0.7)]
+        market = MarketConfig(30, 30.0, (uniform_type_distribution(0.0, 1.0, 1, 15),) * 3)
+        batch = make_ucb_batch_utility(
+            market, [t.truthful_bid() for t in types], 0, 0.35,
+            [t.quality for t in types], 0.1, 2500, [7, 5], premium=premium,
+        )
+        utility = batch(cost, capacity)
+        assert utility.shape == (2500,) and utility.dtype == np.float64
+        assert hashlib.sha256(utility.tobytes()).hexdigest()[:32] == digest
+        assert float(utility.sum()) == total
 
 
 class TestResamplerAudit:

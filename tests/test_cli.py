@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from procure2d.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 BIDS = """agent,cost,capacity,quality
 0,0.2,3,0.8
@@ -110,6 +114,13 @@ def test_malformed_bids_is_a_clean_error(tmp_path, capsys):
     bad.write_text("agent,cost\n0,0.2\n")
     assert main(["opt", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_output_is_pinned(capsys):
+    # Every audit number of one verify run, byte for byte: a change to an
+    # audit, the batch UCB kernel or the reward-table draw shows here.
+    assert main(["verify", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify-seed-0.txt").read_text()
 
 
 def test_verify_subcommand_passes_and_prints_reports(capsys):

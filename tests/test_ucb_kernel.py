@@ -1,4 +1,7 @@
-"""``run_2d_ucb`` against the reference round loop in ``tests/oracles.py``."""
+"""``run_2d_ucb`` and ``run_ucb_batch`` against the reference round loop in
+``tests/oracles.py``."""
+
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from procure2d import (
     audit_iia,
     run_2d_ucb,
     run_eps_separated,
+    run_ucb_batch,
     uniform_type_distribution,
 )
 from procure2d import bandit, harness
@@ -245,3 +249,93 @@ def test_iia_fails_when_first_divergence_excludes_the_changed_agent():
     report = audit_iia([0, 1, 2, 1, 0], [0, 1, 2, 2, 0], changed_agent=0)
     assert not report.passed and not report.inconclusive
     assert report.witness == {"round": 3, "from": 1, "to": 2}
+
+
+def test_inverse_square_roots_match_math_sqrt(monkeypatch):
+    # Entry 0 stays 0.0, the value a zero-capacity agent keeps; the table is
+    # grown from scratch, in two steps, as both runners grow it.
+    monkeypatch.setattr(bandit, "_INV_SQRT", np.zeros(1))
+    bandit._inv_sqrt_counts(1000)
+    table = bandit._inv_sqrt_counts(100_001)
+    expected = [0.0] + [1.0 / math.sqrt(c) for c in range(1, 100_001)]
+    assert table.tolist() == expected
+    assert bandit._inv_sqrt_counts(10) is table
+
+
+def assert_batch_matches_oracle(reward_scale, alphas, caps, tables):
+    """Runs ``run_ucb_batch`` on stacked tables and ``scalar_ucb_run`` on each
+    sample with the same draws; returns the oracle's traces."""
+    samples, n, units = tables.shape
+    h = np.array([[DIST.virtual_cost(a, k) for a, k in zip(row, caps)] for row in alphas])
+    units_out, successes = run_ucb_batch(reward_scale, h, np.array(caps), tables)
+    assert units_out.shape == successes.shape == (samples, n)
+    assert units_out.dtype == successes.dtype == np.int64
+    market = MarketConfig(units, reward_scale, (DIST,) * n)
+    traces = []
+    for s in range(samples):
+        bids = [Bid(float(a), k) for a, k in zip(alphas[s], caps)]
+        draws = [ResampleDraw(float(a), float(a)) for a in alphas[s]]
+        expected, trace = scalar_ucb_run(market, bids, RewardRealization(tables[s]), 0.1, draws)
+        assert units_out[s].tolist() == expected.allocation.tolist(), s
+        assert successes[s].tolist() == [
+            int(tables[s, j, : units_out[s, j]].sum()) for j in range(n)
+        ], s
+        traces.append(trace)
+    return traces
+
+
+@st.composite
+def batch_instances(draw):
+    n = draw(st.integers(1, 5))
+    units = draw(st.integers(n, 60))
+    samples = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    qualities = rng.uniform(0.0, 1.0, n)
+    tables = (rng.random((samples, n, units)) < qualities[None, :, None]).astype(np.uint8)
+    if n >= 2 and draw(st.booleans()):
+        tables[:, 1] = tables[:, 0]  # agents 0 and 1 tie whenever their H does
+    # Resampled costs from a few values, so that H ties exactly across agents.
+    levels = draw(st.lists(st.sampled_from([0.05, 0.2, 0.35, 0.5, 0.9]), min_size=1, max_size=3))
+    alphas = rng.choice(levels, (samples, n))
+    caps = [draw(st.one_of(st.just(1), st.integers(1, 8), st.integers(1, units + 1)))
+            for _ in range(n)]
+    reward_scale = draw(st.sampled_from([30.0, 3.0, 1.0, 0.5]))
+    return reward_scale, alphas, caps, tables
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(batch_instances())
+def test_batch_kernel_matches_scalar_loop(instance):
+    assert_batch_matches_oracle(*instance)
+
+
+@pytest.mark.parametrize("block_rows", [bandit._BATCH_ROWS, 7])
+def test_batch_rows_stop_in_different_rounds_and_when_all_agents_are_full(
+    monkeypatch, block_rows
+):
+    # A small reward scale: rows stop on a non-positive score at rounds that
+    # depend on their rewards and costs.  Capacities sum to 17 of 40 units,
+    # so rows that never stop end with every agent full.  Agent 2 has
+    # capacity 1 and is full from the start.  At 7 rows a block the 300
+    # rows run in 43 blocks, the last one short.
+    monkeypatch.setattr(bandit, "_BATCH_ROWS", block_rows)
+    rng = np.random.default_rng(5)
+    samples, units = 300, 40
+    tables = (rng.random((samples, 3, units)) < np.array([0.9, 0.7, 0.8])[None, :, None])
+    alphas = rng.choice([0.2, 0.35, 0.5], (samples, 3))
+    traces = assert_batch_matches_oracle(1.0, alphas, [8, 8, 1], tables.astype(np.uint8))
+    stops = {t.steps[-1].round for t in traces if t.steps[-1].agent is None}
+    assert len(stops) >= 5
+    full = [t for t in traces if t.steps[-1].agent is not None]
+    assert full and all(len(t.steps) == 17 for t in full)
+    assert all(t.agents().count(2) == 1 for t in traces)
+
+
+def test_batch_kernel_breaks_exact_ties_toward_the_lower_index():
+    # Identical agents on all-ones rewards tie whenever their counts are
+    # equal, and the lowest index takes the round; agent 2's capacity of 7
+    # binds mid-run, after which agents 0 and 1 alternate.
+    tables = np.ones((4, 3, 30), dtype=np.uint8)
+    alphas = np.full((4, 3), 0.35)
+    traces = assert_batch_matches_oracle(30.0, alphas, [30, 30, 7], tables)
+    assert traces[0].agents() == [0, 1, 2] * 7 + [0, 1] * 4 + [0]
