@@ -27,6 +27,7 @@ from .audits import (
 from .bandit import (
     RunTrace,
     TraceStep,
+    UcbBuildError,
     run_2d_ucb,
     run_eps_separated,
     run_ucb_batch,
@@ -81,6 +82,7 @@ __all__ = [
     "RunTrace",
     "TraceStep",
     "TypeDistribution",
+    "UcbBuildError",
     "alloc_greedy",
     "auctioneer_utility",
     "audit_dsic",

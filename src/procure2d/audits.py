@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
-from .bandit import run_ucb_batch
+from .bandit import run_2d_ucb, run_ucb_batch
 from .model import Bid, MarketConfig, TypeDistribution
 from .optimal import run_2d_opt
 from .resample import child_seeds, resample_batch, transform_premium
@@ -142,8 +141,6 @@ def make_ucb_units_probe(
     from one agent with the reward table, rival bids, and resampling seed all
     held fixed (the seed couples the agent's resampled cost monotonically
     across its bid deviations)."""
-    from .bandit import run_2d_ucb
-
     bids = list(bids)
 
     def probe(cost: float, capacity: int) -> int:
@@ -503,6 +500,10 @@ def audit_resampler(
     4. Conditional on moving, beta is uniform on [bid, cost_hi] (one-sample
        KS).
     """
+    # Imported here: scipy takes longer to import than the rest of the
+    # package, and nothing else needs it.
+    from scipy import stats
+
     lo, hi = bounds
     main_seed, couple_seed, fresh_seed = child_seeds(seed, 3)
 

@@ -106,11 +106,11 @@ def _integer_grid(lo: int, hi: int, max_points: int) -> np.ndarray:
 class TypeDistribution:
     """Joint (cost, capacity) prior of one agent.
 
-    ``joint_density``, ``cond_cdf`` and ``cond_density`` are callables of
-    ``(cost, capacity)``; the conditional pair describes the cost law given
-    the capacity.  ``linear_h``, when present, states that the virtual cost is
-    capacity-independent and affine, ``H(c) = a + b*c``; the built-in uniform
-    family uses it for exact scoring and closed-form score inversion.
+    ``cond_cdf`` and ``cond_density`` are callables of ``(cost, capacity)``
+    that describe the cost law given the capacity.  ``linear_h``, when
+    present, states that the virtual cost is capacity-independent and
+    affine, ``H(c) = a + b*c``; the built-in uniform family uses it for
+    exact scoring and closed-form score inversion.
 
     Conditional callables must accept any integer capacity in
     ``[0, cap_bounds[1]]``: mechanisms evaluate them at residual capacities
@@ -119,7 +119,6 @@ class TypeDistribution:
 
     cost_bounds: tuple[float, float]
     cap_bounds: tuple[int, int]
-    joint_density: Callable[[float, int], float]
     cond_cdf: Callable[[float, int], float]
     cond_density: Callable[[float, int], float]
     linear_h: tuple[float, float] | None = None
@@ -291,12 +290,6 @@ def uniform_type_distribution(
     if not 0 <= cap_lo <= cap_hi:
         raise ValueError(f"need 0 <= cap_lo <= cap_hi, got [{cap_lo}, {cap_hi}]")
     width = cost_hi - cost_lo
-    n_caps = cap_hi - cap_lo + 1
-
-    def joint_density(c: float, k: int) -> float:
-        if cost_lo <= c <= cost_hi and cap_lo <= k <= cap_hi:
-            return 1.0 / (width * n_caps)
-        return 0.0
 
     def cond_cdf(c: float, k: int) -> float:
         return min(max((c - cost_lo) / width, 0.0), 1.0)
@@ -307,7 +300,6 @@ def uniform_type_distribution(
     return TypeDistribution(
         cost_bounds=(cost_lo, cost_hi),
         cap_bounds=(cap_lo, cap_hi),
-        joint_density=joint_density,
         cond_cdf=cond_cdf,
         cond_density=cond_density,
         linear_h=(-cost_lo, 2.0),

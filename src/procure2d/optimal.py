@@ -63,9 +63,14 @@ def _validate_instance(config: MarketConfig, qualities, bids: Sequence[Bid]) -> 
     return q
 
 
-def _require_regular(config: MarketConfig, grid_resolution: int) -> None:
+# Grid points per capacity at which every mechanism checks that a prior's
+# virtual cost is monotone (``TypeDistribution.check_regularity``).
+_REGULARITY_GRID = 64
+
+
+def _require_regular(config: MarketConfig) -> None:
     for i, dist in enumerate(config.distributions):
-        if not dist.check_regularity(grid_resolution):
+        if not dist.check_regularity(_REGULARITY_GRID):
             raise IrregularDistributionError(
                 f"distribution of agent {i} is not regular; the optimality and "
                 f"truthfulness guarantees are void"
@@ -85,8 +90,6 @@ def run_2d_opt(
     config: MarketConfig,
     qualities,
     bids: Sequence[Bid],
-    *,
-    regularity_grid: int = 64,
 ) -> MechanismOutcome:
     """Run the optimal known-quality auction on a bid profile.
 
@@ -95,7 +98,7 @@ def run_2d_opt(
     unit, capped at the winner's upper cost bound; units no competitor could
     absorb are paid at the upper bound.  Losers pay and receive nothing.
     """
-    _require_regular(config, regularity_grid)
+    _require_regular(config)
     q = _validate_instance(config, qualities, bids)
     n = config.n_agents
     reward_scale = config.reward_scale
@@ -130,8 +133,6 @@ def integral_payment(
     qualities,
     bids: Sequence[Bid],
     agent: int,
-    *,
-    regularity_grid: int = 64,
 ) -> float:
     """Payment to ``agent`` via the cost-integral identity.
 
@@ -142,7 +143,7 @@ def integral_payment(
     agent's, so the integral is an exact finite sum evaluated at segment
     midpoints.
     """
-    _require_regular(config, regularity_grid)
+    _require_regular(config)
     q = _validate_instance(config, qualities, bids)
     i = agent
     dist_i = config.distributions[i]

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from procure2d import bandit, cli, harness
 from procure2d.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parents[1] / "src"
 
 BIDS = """agent,cost,capacity,quality
 0,0.2,3,0.8
@@ -107,6 +112,52 @@ def test_simulate_rejects_thread_count_below_one(conf_file, tmp_path, capsys, th
     err = capsys.readouterr().err
     assert err.startswith("error:") and "threads" in err and err.count("\n") == 1
     assert not (out_dir / "results.csv").exists()
+
+
+def test_failed_build_is_a_clean_error(bids_file, tmp_path, capsys, monkeypatch):
+    # No compiler and nothing cached: the run cannot start.
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setattr(bandit, "_CC", str(tmp_path / "no-such-cc"))
+    monkeypatch.setattr(bandit, "_CACHE", str(cache))
+    monkeypatch.setattr(bandit, "_LIB", None)
+    out_dir = tmp_path / "out"
+    assert main(["ucb", str(bids_file), "--units", "10", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot build the UCB round loop") and err.count("\n") == 1
+    assert "no-such-cc" in err
+    assert not (out_dir / "trace.csv").exists()
+    assert not list(cache.iterdir())  # no half-written build left behind
+
+
+def _exhausted(*args, **kwargs):
+    raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (1, 10000000000)")
+
+
+def test_out_of_memory_in_ucb_is_a_clean_error(bids_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sample_reward_realization", _exhausted)
+    assert main(["ucb", str(bids_file), "--units", "10", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+
+
+def test_out_of_memory_in_simulate_is_a_clean_error(conf_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "sample_reward_realization", _exhausted)
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", str(conf_file), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert not (out_dir / "results.csv").exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    # Only the resampler audit needs scipy, which takes longer to import
+    # than the rest of the package; a fresh interpreter shows the cost.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, procure2d; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_malformed_bids_is_a_clean_error(tmp_path, capsys):

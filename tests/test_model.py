@@ -41,7 +41,6 @@ class TestVirtualCost:
         generic = TypeDistribution(
             cost_bounds=base.cost_bounds,
             cap_bounds=base.cap_bounds,
-            joint_density=base.joint_density,
             cond_cdf=base.cond_cdf,
             cond_density=base.cond_density,
         )
@@ -58,7 +57,6 @@ class TestVirtualCost:
         dist = TypeDistribution(
             cost_bounds=(0.0, 1.0),
             cap_bounds=(1, 2),
-            joint_density=lambda c, k: 0.0,
             cond_cdf=lambda c, k: c,
             cond_density=lambda c, k: 0.0,
         )
@@ -102,7 +100,6 @@ class TestScores:
         generic = TypeDistribution(
             cost_bounds=base.cost_bounds,
             cap_bounds=base.cap_bounds,
-            joint_density=base.joint_density,
             cond_cdf=base.cond_cdf,
             cond_density=base.cond_density,
         )
@@ -140,7 +137,6 @@ class TestRegularity:
         dist = TypeDistribution(
             cost_bounds=(0.0, 1.0),
             cap_bounds=(1, 3),
-            joint_density=lambda c, k: density(c, k) / 3.0,
             cond_cdf=cdf,
             cond_density=density,
         )
@@ -153,7 +149,6 @@ class TestRegularity:
         dist = TypeDistribution(
             cost_bounds=(0.0, 1.0),
             cap_bounds=(1, 4),
-            joint_density=lambda c, k: 1.0 / (4.0 * k),
             cond_cdf=lambda c, k: min(max(c, 0.0), 1.0),
             cond_density=lambda c, k: 1.0 / k,
         )
@@ -167,7 +162,6 @@ class TestRegularity:
         dist = TypeDistribution(
             cost_bounds=(0.0, 1.0),
             cap_bounds=(1, 2),
-            joint_density=lambda c, k: 0.0,
             cond_cdf=lambda c, k: c,
             cond_density=lambda c, k: 0.0,
         )
@@ -182,7 +176,6 @@ class TestDistributionValidation:
         dist = TypeDistribution(
             cost_bounds=(0.0, 1.0),
             cap_bounds=(1, 2),
-            joint_density=lambda c, k: 0.5,
             cond_cdf=lambda c, k: 0.5 * c,  # tops out at 0.5
             cond_density=lambda c, k: 0.5,
         )
@@ -193,7 +186,6 @@ class TestDistributionValidation:
         dist = TypeDistribution(
             cost_bounds=(0.0, 1.0),
             cap_bounds=(1, 2),
-            joint_density=lambda c, k: 1.0,
             cond_cdf=lambda c, k: c,
             cond_density=lambda c, k: 2.0,  # not the derivative of F
         )

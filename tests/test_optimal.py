@@ -79,7 +79,6 @@ def test_irregular_distribution_refused():
     irregular = TypeDistribution(
         cost_bounds=(0.0, 1.0),
         cap_bounds=(1, 3),
-        joint_density=lambda c, k: 1.0 / 3.0,
         cond_cdf=cdf,
         cond_density=lambda c, k: 0.1 if c < 0.5 else 1.9,
     )

@@ -1,0 +1,63 @@
+"""Building, caching and loading the compiled UCB round loop."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from procure2d import bandit, run_ucb_batch
+
+HERE = Path(__file__).parent
+
+# Runs one batch in a fresh interpreter against the cache in argv[1].
+BATCH_IN_CACHE = """
+import sys
+from procure2d import bandit
+from test_ucb_build import batch_case
+bandit._CACHE = sys.argv[1]
+units, successes = bandit.run_ucb_batch(*batch_case())
+print(units.tolist(), successes.tolist())
+"""
+
+
+def batch_case():
+    rng = np.random.default_rng(3)
+    tables = (rng.random((200, 3, 30)) < np.array([0.9, 0.7, 0.8])[None, :, None])
+    h = rng.choice([0.2, 0.5, 0.9], (200, 3))
+    return 30.0, h, np.array([10, 12, 9]), tables.astype(np.uint8)
+
+
+def test_cached_library_is_reused_without_the_compiler(tmp_path, monkeypatch):
+    expected = run_ucb_batch(*batch_case())
+    monkeypatch.setattr(bandit, "_CACHE", str(tmp_path))
+    monkeypatch.setattr(bandit, "_LIB", None)
+    bandit._library()
+    (built,) = tmp_path.iterdir()
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError(f"compiler invoked: {args}")
+
+    monkeypatch.setattr(bandit.subprocess, "run", no_compiler)
+    monkeypatch.setattr(bandit, "_LIB", None)
+    units, successes = run_ucb_batch(*batch_case())
+    assert units.tolist() == expected[0].tolist()
+    assert successes.tolist() == expected[1].tolist()
+    assert list(tmp_path.iterdir()) == [built]
+
+
+def test_processes_building_into_one_cache_at_once_agree(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(HERE.parent / "src"), str(HERE)]))
+    procs = [
+        subprocess.Popen([sys.executable, "-c", BATCH_IN_CACHE, str(tmp_path)], env=env,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    outputs = [proc.communicate(timeout=120) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], outputs
+    units, successes = run_ucb_batch(*batch_case())
+    expected = f"{units.tolist()} {successes.tolist()}\n"
+    assert [out for out, _ in outputs] == [expected, expected]
+    # One library, and no half-written build left behind.
+    assert [p.name for p in tmp_path.iterdir()] == [Path(bandit._library()._name).name]
