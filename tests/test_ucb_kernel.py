@@ -302,16 +302,25 @@ def test_batch_kernel_matches_scalar_loop(instance):
     assert_batch_matches_oracle(*instance)
 
 
-def test_batch_rows_stop_in_different_rounds_and_when_all_agents_are_full():
+@pytest.mark.parametrize("block_rows", [8192, 7])
+def test_batch_rows_stop_in_different_rounds_and_when_all_agents_are_full(block_rows):
     # A small reward scale: rows stop on a non-positive score at rounds that
     # depend on their rewards and costs.  Capacities sum to 17 of 40 units,
     # so rows that never stop end with every agent full.  Agent 2 has
-    # capacity 1 and is full from the start.
+    # capacity 1 and is full from the start.  The rows are also run in
+    # blocks of ``block_rows`` (at 7, 43 blocks, the last one short): a row's
+    # run must not depend on the rows stacked with it.
     rng = np.random.default_rng(5)
     samples, units = 300, 40
     tables = (rng.random((samples, 3, units)) < np.array([0.9, 0.7, 0.8])[None, :, None])
     alphas = rng.choice([0.2, 0.35, 0.5], (samples, 3))
     traces = assert_batch_matches_oracle(1.0, alphas, [8, 8, 1], tables.astype(np.uint8))
+    h = np.array([[DIST.virtual_cost(a, k) for a, k in zip(row, [8, 8, 1])] for row in alphas])
+    whole = run_ucb_batch(1.0, h, np.array([8, 8, 1]), tables)
+    blocks = [run_ucb_batch(1.0, h[i:i + block_rows], np.array([8, 8, 1]), tables[i:i + block_rows])
+              for i in range(0, samples, block_rows)]
+    for out, part in zip(whole, zip(*blocks)):
+        assert np.array_equal(out, np.concatenate(part))
     stops = {t.steps[-1].round for t in traces if t.steps[-1].agent is None}
     assert len(stops) >= 5
     full = [t for t in traces if t.steps[-1].agent is not None]
