@@ -17,12 +17,10 @@ from .audits import (
     audit_iia,
     audit_monotone_allocation,
     audit_offered_utility,
-    audit_offered_utility_expected,
     audit_resampler,
     audit_stochastic_bic,
     make_opt_probe,
     make_ucb_batch_utility,
-    make_ucb_units_probe,
 )
 from .bandit import (
     RunTrace,
@@ -59,7 +57,6 @@ from .resample import (
     ResampleDraw,
     resample_batch,
     self_resample,
-    transform_allocate_and_pay,
     transform_premium,
 )
 
@@ -89,14 +86,12 @@ __all__ = [
     "audit_iia",
     "audit_monotone_allocation",
     "audit_offered_utility",
-    "audit_offered_utility_expected",
     "audit_resampler",
     "audit_stochastic_bic",
     "emit_results",
     "integral_payment",
     "make_opt_probe",
     "make_ucb_batch_utility",
-    "make_ucb_units_probe",
     "parse_config",
     "read_bids_csv",
     "read_results_csv",
@@ -109,7 +104,6 @@ __all__ = [
     "run_ucb_batch",
     "sample_reward_realization",
     "self_resample",
-    "transform_allocate_and_pay",
     "transform_premium",
     "uniform_type_distribution",
 ]

@@ -4,8 +4,7 @@ Each audit probes a mechanism through a narrow functional interface (a probe
 mapping one agent's deviating bid to that agent's outcome) so the same
 machinery exercises the shipped mechanisms and deliberately broken ones.
 Reports carry the worst observed violation, the witness bid that produced it,
-and the sampling parameters, and serialize to a one-line record or a readable
-block.
+and the sampling parameters, and serialize to a one-line record.
 
 Statistical audits use paired common random numbers: identical reward tables
 and resampling draws across every deviation, so measured differences reflect
@@ -20,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bandit import run_2d_ucb, run_ucb_batch
+from .bandit import run_ucb_batch
 from .model import Bid, MarketConfig, TypeDistribution
 from .optimal import run_2d_opt
 from .resample import child_seeds, resample_batch, transform_premium
@@ -30,13 +29,11 @@ __all__ = [
     "DeviationGrid",
     "audit_monotone_allocation",
     "audit_offered_utility",
-    "audit_offered_utility_expected",
     "audit_dsic",
     "audit_stochastic_bic",
     "audit_resampler",
     "audit_iia",
     "make_opt_probe",
-    "make_ucb_units_probe",
     "make_ucb_batch_utility",
 ]
 
@@ -75,15 +72,6 @@ class AuditReport:
             + (f" {extras}" if extras else "")
             + witness
         )
-
-    def text_block(self) -> str:
-        lines = [f"audit: {self.name}", f"status: {self.status}",
-                 f"worst violation: {self.violation:.6g} (tolerance {self.tolerance:.6g})"]
-        for k, v in self.details.items():
-            lines.append(f"{k}: {v}")
-        if self.witness:
-            lines.append(f"witness: {self.witness}")
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -125,31 +113,6 @@ def make_opt_probe(
         trial[agent] = Bid(cost, capacity)
         outcome = run_2d_opt(config, qualities, trial)
         return int(outcome.allocation[agent]), float(outcome.payments[agent])
-
-    return probe
-
-
-def make_ucb_units_probe(
-    config: MarketConfig,
-    bids: Sequence[Bid],
-    realization,
-    agent: int,
-    mu: float,
-    seed,
-) -> Callable[[float, int], int]:
-    """Per-realization probe of the learning auction: total units procured
-    from one agent with the reward table, rival bids, and resampling seed all
-    held fixed (the seed couples the agent's resampled cost monotonically
-    across its bid deviations)."""
-    bids = list(bids)
-
-    def probe(cost: float, capacity: int) -> int:
-        trial = list(bids)
-        trial[agent] = Bid(cost, capacity)
-        outcome, _ = run_2d_ucb(
-            config, trial, realization, mu, seed, record_trace=False
-        )
-        return int(outcome.allocation[agent])
 
     return probe
 
@@ -229,6 +192,20 @@ def make_ucb_batch_utility(
 
 # -- audits -------------------------------------------------------------------
 
+# Round-off allowed in the exact audits: the premium's shape conditions and a
+# deviation's gain over truthful bidding.
+_ROUND_OFF = 1e-9
+# Allowed mismatch between the premium and the integral of the allocation.
+_INTEGRAL_TOL = 1e-6
+# Points of the coarse grid ``_step_integral`` scans before bisecting.
+_STEP_POINTS = 65
+# A stochastic deviation fails when its mean gain exceeds this many paired
+# standard errors; below ``_MIN_SAMPLES`` samples the verdict is inconclusive.
+_SE_MULT = 3.0
+_MIN_SAMPLES = 1000
+# Smallest KS p-value the resampler audit accepts.
+_SIGNIFICANCE = 0.01
+
 
 def audit_monotone_allocation(
     probe: Callable[[float, int], int], grid: DeviationGrid, name: str = "allocation-monotone"
@@ -253,14 +230,14 @@ def audit_monotone_allocation(
     )
 
 
-def _step_integral(fn: Callable[[float], float], lo: float, hi: float, coarse: int = 65) -> float:
+def _step_integral(fn: Callable[[float], float], lo: float, hi: float) -> float:
     """Exact integral of a monotone step function via jump bisection.
 
     Scans a coarse grid and bisects every cell whose endpoints differ down to
     width 1e-12; within a constant-valued cell monotonicity guarantees the
     function is constant throughout.
     """
-    xs = np.linspace(lo, hi, coarse)
+    xs = np.linspace(lo, hi, _STEP_POINTS)
     vals = [fn(float(x)) for x in xs]
     total = 0.0
     for a, b, fa, fb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
@@ -288,16 +265,14 @@ def audit_offered_utility(
     grid: DeviationGrid,
     cost_hi: float,
     *,
-    shape_tol: float = 1e-9,
-    integral_tol: float = 1e-6,
     name: str = "offered-utility",
 ) -> AuditReport:
     """The premium above bid cost must be non-negative, non-decreasing in the
     reported capacity, and must fall off with the reported cost exactly as
     the integral of the allocation (the payment-identity condition).
 
-    Violations of the two shape conditions count against ``shape_tol``; the
-    integral identity against ``integral_tol``.  The report's violation is
+    Violations of the two shape conditions count against ``_ROUND_OFF``;
+    the integral identity against ``_INTEGRAL_TOL``.  The report's violation is
     the worst excess over the applicable tolerance.
     """
 
@@ -320,88 +295,26 @@ def audit_offered_utility(
     by_cost: dict[float, list[tuple[int, float]]] = {}
     for k in grid.capacities:
         rho_top = rho(cost_hi, k)
-        note(-min(rho_top, 0.0) - shape_tol, -min(rho_top, 0.0), "nonneg_violation",
+        note(-min(rho_top, 0.0) - _ROUND_OFF, -min(rho_top, 0.0), "nonneg_violation",
              {"cost": cost_hi, "capacity": k})
         for c in grid.costs:
             c = float(c)
             value = rho(c, k)
-            note(-min(value, 0.0) - shape_tol, -min(value, 0.0), "nonneg_violation",
+            note(-min(value, 0.0) - _ROUND_OFF, -min(value, 0.0), "nonneg_violation",
                  {"cost": c, "capacity": k})
             by_cost.setdefault(c, []).append((k, value))
             integral = _step_integral(lambda z: probe(z, k)[0], c, cost_hi)
             mismatch = abs(value - rho_top - integral)
-            note(mismatch - integral_tol, mismatch, "integral_mismatch",
+            note(mismatch - _INTEGRAL_TOL, mismatch, "integral_mismatch",
                  {"cost": c, "capacity": k, "integral": integral})
     for c, pairs in by_cost.items():
         pairs.sort()
         for (k0, r0), (k1, r1) in zip(pairs[:-1], pairs[1:]):
             drop = r0 - r1
-            note(drop - shape_tol, max(drop, 0.0), "capacity_monotone_violation",
+            note(drop - _ROUND_OFF, max(drop, 0.0), "capacity_monotone_violation",
                  {"cost": c, "capacity_low": k0, "capacity_high": k1})
 
     return AuditReport(name, worst_excess, 0.0, witness=witness, details=detail)
-
-
-def audit_offered_utility_expected(
-    probes: Sequence[Callable[[float, int], tuple[int, float]]],
-    grid: DeviationGrid,
-    cost_hi: float,
-    *,
-    se_mult: float = 3.0,
-    shape_tol: float = 1e-9,
-    name: str = "offered-utility-expected",
-) -> AuditReport:
-    """Expectation-over-rivals form of the offered-utility audit.
-
-    ``probes`` holds one per-profile probe per sampled rival profile.  The
-    shape conditions are checked on the profile means; the payment-identity
-    residual is computed exactly per profile and its mean must sit within
-    ``se_mult`` standard errors of zero.  Expensive, hence separate from the
-    per-profile audit.
-    """
-    n_profiles = len(probes)
-    if n_profiles < 2:
-        raise ValueError("need at least two rival profiles for standard errors")
-    worst = 0.0
-    witness = None
-
-    def note(excess: float, info: dict):
-        nonlocal worst, witness
-        if excess > worst:
-            worst = excess
-            witness = info
-
-    mean_rho: dict[tuple[float, int], float] = {}
-    for k in grid.capacities:
-        rho_top = np.empty(n_profiles)
-        for p, probe in enumerate(probes):
-            units, payment = probe(cost_hi, k)
-            rho_top[p] = payment - cost_hi * units
-        for c in grid.costs:
-            c = float(c)
-            residuals = np.empty(n_profiles)
-            rhos = np.empty(n_profiles)
-            for p, probe in enumerate(probes):
-                units, payment = probe(c, k)
-                rhos[p] = payment - c * units
-                integral = _step_integral(lambda z: probe(z, k)[0], c, cost_hi)
-                residuals[p] = rhos[p] - rho_top[p] - integral
-            mean_rho[(c, k)] = float(rhos.mean())
-            note(-min(float(rhos.mean()), 0.0) - shape_tol,
-                 {"check": "nonneg_violation", "cost": c, "capacity": k})
-            se = float(residuals.std(ddof=1) / math.sqrt(n_profiles))
-            mismatch = abs(float(residuals.mean()))
-            note(mismatch - se_mult * se,
-                 {"check": "integral_mismatch", "cost": c, "capacity": k,
-                  "mean_residual": float(residuals.mean()), "stderr": se})
-    for c in (float(x) for x in grid.costs):
-        for k0, k1 in zip(grid.capacities[:-1], grid.capacities[1:]):
-            drop = mean_rho[(c, k0)] - mean_rho[(c, k1)]
-            note(drop - shape_tol,
-                 {"check": "capacity_monotone_violation", "cost": c,
-                  "capacity_low": k0, "capacity_high": k1})
-    return AuditReport(name, worst, 0.0, witness=witness,
-                       details={"profiles": n_profiles, "se_mult": se_mult})
 
 
 def audit_dsic(
@@ -410,11 +323,10 @@ def audit_dsic(
     true_capacity: int,
     grid: DeviationGrid,
     *,
-    tol: float = 1e-9,
     name: str = "dominant-strategy-truthfulness",
 ) -> AuditReport:
-    """No grid deviation may beat truthful bidding by more than ``tol``,
-    with the rival profile held fixed."""
+    """No grid deviation may beat truthful bidding by more than
+    ``_ROUND_OFF``, with the rival profile held fixed."""
     units_t, pay_t = probe(true_cost, true_capacity)
     u_truth = pay_t - true_cost * units_t
     worst = 0.0
@@ -431,7 +343,7 @@ def audit_dsic(
                            "deviation_utility": pay - true_cost * units,
                            "truthful_utility": u_truth}
     return AuditReport(
-        name, worst, tol, witness=witness,
+        name, worst, _ROUND_OFF, witness=witness,
         details={"truthful_utility": u_truth, "deviations": len(grid.costs) * len(grid.capacities)},
     )
 
@@ -442,12 +354,10 @@ def audit_stochastic_bic(
     true_capacity: int,
     grid: DeviationGrid,
     *,
-    se_mult: float = 3.0,
-    min_samples: int = 1000,
     name: str = "stochastic-truthfulness",
 ) -> AuditReport:
     """Mean truthful utility must not trail any deviation's mean by more than
-    ``se_mult`` paired standard errors.
+    ``_SE_MULT`` paired standard errors.
 
     ``batch_utility`` must reuse common random numbers across calls; the
     comparison is paired per sample.  Too few samples for the verdict is
@@ -465,7 +375,7 @@ def audit_stochastic_bic(
             diff = np.asarray(batch_utility(float(c), k), dtype=float) - u_truth
             mean = float(diff.mean())
             se = float(diff.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
-            excess = mean - se_mult * se
+            excess = mean - _SE_MULT * se
             worst_margin = min(worst_margin, -excess)
             if excess > worst:
                 worst = excess
@@ -473,10 +383,10 @@ def audit_stochastic_bic(
                            "stderr": se}
     return AuditReport(
         name, worst, 0.0, witness=witness,
-        details={"samples": samples, "se_mult": se_mult,
+        details={"samples": samples, "se_mult": _SE_MULT,
                  "truthful_mean": float(u_truth.mean()),
                  "worst_margin": worst_margin},
-        inconclusive=samples < min_samples,
+        inconclusive=samples < _MIN_SAMPLES,
     )
 
 
@@ -486,7 +396,6 @@ def audit_resampler(
     samples: int,
     seed,
     *,
-    significance: float = 0.01,
     name: str = "resampler-law",
 ) -> AuditReport:
     """The four distributional guarantees of the self-resampler.
@@ -550,7 +459,7 @@ def audit_resampler(
     cond_beta = beta[moved]
     ks_uniform = stats.kstest(cond_beta, "uniform", args=(lo, hi - lo))
     details["uniform_ks_pvalue"] = float(ks_uniform.pvalue)
-    fail(significance - ks_uniform.pvalue, {"check": "beta-uniformity",
+    fail(_SIGNIFICANCE - ks_uniform.pvalue, {"check": "beta-uniformity",
                                             "pvalue": float(ks_uniform.pvalue)})
 
     # 3. memorylessness on binned beta.  The conditional law of alpha carries
@@ -572,7 +481,7 @@ def audit_resampler(
         )
         ks = stats.ks_2samp(cond_alpha, fresh_alpha)
         memoryless_p.append(float(ks.pvalue))
-        fail(significance - ks.pvalue, {"check": "memorylessness",
+        fail(_SIGNIFICANCE - ks.pvalue, {"check": "memorylessness",
                                         "bin_center": float(center),
                                         "pvalue": float(ks.pvalue)})
     details["memoryless_ks_pvalues"] = memoryless_p

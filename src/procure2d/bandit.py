@@ -334,8 +334,7 @@ def run_eps_separated(
     seed,
     *,
     resample_draws: Sequence[ResampleDraw] | None = None,
-    record_trace: bool = True,
-) -> tuple[MechanismOutcome, RunTrace | None]:
+) -> MechanismOutcome:
     """Explore-then-commit baseline.
 
     Spreads ``explore_rounds`` units round-robin across agents regardless of
@@ -370,15 +369,12 @@ def run_eps_separated(
     draws = _resolve_draws(bids, config.distributions, mu, seed, resample_draws)
     reward_scale = config.reward_scale
     rows = [realization.table[i] for i in range(n)]
-    trace = RunTrace() if record_trace else None
 
     explored = [0] * n
     spent = 0
     i = 0
     while spent < explore_rounds:
         if explored[i] < caps[i]:
-            if trace is not None:
-                trace.steps.append(TraceStep(spent, i, int(rows[i][explored[i]]), None))
             explored[i] += 1
             spent += 1
         i = (i + 1) % n
@@ -400,22 +396,6 @@ def run_eps_separated(
     cost_highs = [dist.cost_bounds[1] for dist in config.distributions]
     premium = transform_premium(explored, mu, costs, cost_highs, [d.beta for d in draws])
     payments = costs * explored + exploit.payments + premium
-    total_succ = 0
-    unit = spent
-    for i in range(n):
-        extra = int(exploit.allocation[i])
-        succ_i = explore_succ[i] + int(rows[i][explored[i] : explored[i] + extra].sum())
-        total_succ += succ_i
-        if trace is not None:
-            g_hat = config.distributions[i].g_score(
-                float(q_hat[i]), reward_scale, draws[i].alpha, exploit_bids[i].capacity
-            ) if extra else None
-            for j in range(extra):
-                trace.steps.append(
-                    TraceStep(unit, i, int(rows[i][explored[i] + j]), g_hat)
-                )
-                unit += 1
-
+    total_succ = sum(int(rows[i][: counts[i]].sum()) for i in range(n))
     utility = reward_scale * total_succ - float(payments.sum())
-    outcome = MechanismOutcome(counts, payments, utility)
-    return outcome, trace
+    return MechanismOutcome(counts, payments, utility)

@@ -68,7 +68,7 @@ class ExperimentConfig:
     def __post_init__(self):
         checks = [
             (self.n >= 1, "market.n must be >= 1"),
-            (self.reward_scale > 0, "market.reward_scale must be > 0"),
+            (0 < self.reward_scale < math.inf, "market.reward_scale must be finite and > 0"),
             (0.0 < self.mu < 1.0, "ucb.mu must lie in (0, 1)"),
             (self.cost_lo < self.cost_hi, "market.cost_lo must be < market.cost_hi"),
             (0.0 <= self.quality_lo <= self.quality_hi <= 1.0,
@@ -120,8 +120,10 @@ class ResultRow:
     replications: int
 
     def __post_init__(self):
-        if self.stderr < 0:
-            raise ValueError("stderr must be >= 0")
+        if not math.isfinite(self.mean_utility_per_unit):
+            raise ValueError(f"mean utility must be finite, got {self.mean_utility_per_unit}")
+        if not 0 <= self.stderr < math.inf:
+            raise ValueError(f"stderr must be finite and >= 0, got {self.stderr}")
 
 
 _SECTION_FIELDS = {
@@ -252,10 +254,9 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
         )
         out["ucb"][r] = ucb_outcome.auctioneer_utility / units
         for v, (exponent, explore) in enumerate(zip(config.eps_exponents, explore_grid)):
-            eps_outcome, _ = run_eps_separated(
+            eps_outcome = run_eps_separated(
                 market, bids, realization, explore, config.mu,
                 np.random.SeedSequence([seed, _TAG_EPS, type_sample, l_index, r, v]),
-                record_trace=False,
             )
             out[f"eps-{_exponent_label(exponent)}"][r] = eps_outcome.auctioneer_utility / units
     return out

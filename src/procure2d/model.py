@@ -95,6 +95,10 @@ class Bid:
             raise ValueError(f"reported cost must be finite, got {self.cost}")
 
 
+# Width at which ``TypeDistribution.g_inverse`` stops bisecting.
+_BISECT_TOL = 1e-9
+
+
 def _integer_grid(lo: int, hi: int, max_points: int) -> np.ndarray:
     count = hi - lo + 1
     if count <= max_points:
@@ -169,20 +173,13 @@ class TypeDistribution:
         """Per-unit virtual surplus G = R*q - H(c, k)."""
         return reward_scale * quality - self.virtual_cost(cost, capacity)
 
-    def g_inverse(
-        self,
-        quality: float,
-        reward_scale: float,
-        score: float,
-        capacity: int,
-        tol: float = 1e-9,
-    ) -> float:
+    def g_inverse(self, quality: float, reward_scale: float, score: float, capacity: int) -> float:
         """The cost z solving G(z) = score, clamped to the upper cost bound.
 
         Scores below ``G(cost_hi)`` return ``cost_hi`` (the price cap used by
         the payment rule); scores above ``G(cost_lo)`` have no solution and
         raise ``ValueError``.  Closed form when ``linear_h`` is available,
-        bisection to absolute tolerance ``tol`` otherwise.
+        bisection to absolute tolerance ``_BISECT_TOL`` otherwise.
         """
         lo, hi = self.cost_bounds
         target = reward_scale * quality - score  # H(z) must equal this
@@ -200,7 +197,7 @@ class TypeDistribution:
         if target >= self.virtual_cost(hi, capacity):
             return hi
         a, b = lo, hi
-        while b - a > tol:
+        while b - a > _BISECT_TOL:
             mid = 0.5 * (a + b)
             if self.virtual_cost(mid, capacity) < target:
                 a = mid
@@ -319,8 +316,8 @@ class MarketConfig:
         _check_int(self.units, "units")
         if self.units < 0:
             raise ValueError(f"units must be >= 0, got {self.units}")
-        if not self.reward_scale > 0:
-            raise ValueError(f"reward_scale must be > 0, got {self.reward_scale}")
+        if not 0 < self.reward_scale < math.inf:
+            raise ValueError(f"reward_scale must be finite and > 0, got {self.reward_scale}")
         if len(self.distributions) < 1:
             raise ValueError("at least one agent distribution is required")
         object.__setattr__(self, "distributions", tuple(self.distributions))
@@ -364,7 +361,7 @@ def sample_reward_realization(qualities, n_units: int, seed) -> RewardRealizatio
     q = np.asarray(qualities, dtype=float)
     if q.ndim != 1:
         raise ValueError("qualities must be a vector")
-    if q.size and (q.min() < 0.0 or q.max() > 1.0):
+    if not ((q >= 0.0) & (q <= 1.0)).all():
         raise ValueError("qualities must lie in [0, 1]")
     n_units = _check_int(n_units, "n_units")
     if n_units < 0:

@@ -50,7 +50,7 @@ def _validate_instance(config: MarketConfig, qualities, bids: Sequence[Bid]) -> 
     n = config.n_agents
     if q.shape != (n,) or len(bids) != n:
         raise ValueError(f"expected {n} qualities and bids, got {q.shape} and {len(bids)}")
-    if q.size and (q.min() < 0.0 or q.max() > 1.0):
+    if not ((q >= 0.0) & (q <= 1.0)).all():
         raise ValueError("qualities must lie in [0, 1]")
     for i, (bid, dist) in enumerate(zip(bids, config.distributions)):
         lo, hi = dist.cost_bounds

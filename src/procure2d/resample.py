@@ -1,5 +1,4 @@
-"""Self-resampling bid perturbation and the truthfulness-preserving
-mechanism transformation.
+"""Self-resampling bid perturbation and the premium it makes mechanisms pay.
 
 The resampler maps a reported cost to a pair ``(alpha, beta)`` with
 ``cost_hi >= alpha >= beta >= bid``: with probability ``1 - mu`` both equal
@@ -9,25 +8,21 @@ and, whenever ``beta`` strictly exceeded the bid, pay a premium scaled by
 ``1/mu`` so that the premium's expectation equals the integral of the
 expected allocation over all higher cost bids.  That integral is exactly the
 surcharge a truthful payment rule owes, which is what makes the transformed
-mechanism truthful in expectation.
+mechanism truthful in expectation.  Each mechanism draws with
+``self_resample`` or ``resample_batch`` and pays by ``transform_premium``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
-
-from .model import Bid
-from .optimal import MechanismOutcome, auctioneer_utility
 
 __all__ = [
     "ResampleDraw",
     "self_resample",
     "resample_batch",
     "transform_premium",
-    "transform_allocate_and_pay",
 ]
 
 _MAX_RESAMPLE_ITERATIONS = 10**6
@@ -133,45 +128,3 @@ def transform_premium(units, mu: float, bid_cost, cost_hi, beta):
         np.greater(beta, bid_cost), np.multiply(units, np.subtract(cost_hi, bid_cost)) / mu, 0.0
     )
     return premium if premium.ndim else float(premium)
-
-
-def transform_allocate_and_pay(
-    alloc_rule: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    bids: Sequence[Bid],
-    cost_highs: Sequence[float],
-    mu: float,
-    seed,
-    *,
-    qualities,
-    reward_scale: float,
-    draws: Sequence[ResampleDraw] | None = None,
-) -> MechanismOutcome:
-    """Transform an allocation rule into a truthful-in-expectation mechanism.
-
-    Resamples every bid, allocates ``alloc_rule(alphas, capacities)``, and
-    pays each agent its bid cost per unit plus the premium whenever its beta
-    moved.  ``alloc_rule`` must be cost-monotone for the guarantee to hold
-    (audits can check this); any context it needs beyond costs and capacities
-    is expected to be closed over.  ``draws`` overrides the internal
-    resampling, for replay and testing.
-    """
-    n = len(bids)
-    if len(cost_highs) != n:
-        raise ValueError("need one cost_hi per bid")
-    if draws is None:
-        draws = [
-            self_resample(bid.cost, (bid.cost, float(hi)), mu, child)
-            for bid, hi, child in zip(bids, cost_highs, child_seeds(seed, n))
-        ]
-    elif len(draws) != n:
-        raise ValueError("need one resample draw per bid")
-
-    alphas = np.array([d.alpha for d in draws])
-    caps = np.array([bid.capacity for bid in bids], dtype=np.int64)
-    units = np.asarray(alloc_rule(alphas, caps))
-    costs = np.array([bid.cost for bid in bids])
-    betas = np.array([d.beta for d in draws])
-    payments = costs * units + transform_premium(units, mu, costs, cost_highs, betas)
-    return MechanismOutcome(
-        units, payments, auctioneer_utility(units, payments, qualities, reward_scale)
-    )

@@ -12,13 +12,10 @@ from procure2d import (
     audit_dsic,
     audit_monotone_allocation,
     audit_offered_utility,
-    audit_offered_utility_expected,
     audit_resampler,
     audit_stochastic_bic,
     make_opt_probe,
     make_ucb_batch_utility,
-    make_ucb_units_probe,
-    sample_reward_realization,
     uniform_type_distribution,
 )
 
@@ -69,18 +66,6 @@ class TestMonotoneAllocation:
         report = audit_monotone_allocation(lambda c, k: 3, grid)
         assert report.passed
 
-    def test_ucb_per_realization_probe_passes(self):
-        market, types = instance(2)
-        big_dist = uniform_type_distribution(0.0, 1.0, 1, 8)
-        market = MarketConfig(12, 30.0, (big_dist,) * 3)
-        types = [AgentType(0.3, 6, 0.8), AgentType(0.5, 6, 0.6), AgentType(0.7, 6, 0.9)]
-        bids = [t.truthful_bid() for t in types]
-        table = sample_reward_realization([t.quality for t in types], 12, 3)
-        probe = make_ucb_units_probe(market, bids, table, 0, 0.1, seed=5)
-        grid = DeviationGrid(np.linspace(0.0, 1.0, 11), (4, 6))
-        report = audit_monotone_allocation(probe, grid)
-        assert report.passed
-
 
 class TestOfferedUtility:
     def test_opt_satisfies_all_three_conditions(self):
@@ -109,21 +94,6 @@ class TestOfferedUtility:
         report = audit_offered_utility(flat, grid, 1.0)
         assert not report.passed
         assert report.details["integral_mismatch"] > 1e-3
-
-    def test_expected_form_passes_for_opt(self):
-        market, types = instance(6)
-        qualities = np.array([t.quality for t in types])
-        rng = np.random.default_rng(17)
-        probes = []
-        for _ in range(6):
-            rival_bids = [
-                Bid(float(rng.uniform(0, 1)), int(rng.integers(1, 6)))
-                for _ in types
-            ]
-            probes.append(make_opt_probe(market, qualities, rival_bids, 0))
-        grid = DeviationGrid(np.linspace(0.1, 0.9, 3), (2, 4))
-        report = audit_offered_utility_expected(probes, grid, 1.0)
-        assert report.passed, report.line()
 
 
 class TestDsic:
@@ -294,8 +264,6 @@ class TestReports:
         line = report.line()
         assert line.startswith("dominant-strategy-truthfulness status=pass")
         assert "tolerance=" in line
-        block = report.text_block()
-        assert "status: pass" in block
 
     def test_fail_iff_violation_exceeds_tolerance(self):
         from procure2d import AuditReport

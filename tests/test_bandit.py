@@ -283,32 +283,32 @@ class TestEpsSeparated:
         m = market(6, 2)
         bids = [Bid(0.2, 5), Bid(0.6, 5)]
         table = sample_reward_realization([0.9, 0.4], 6, 1)
-        outcome, _ = run_eps_separated(m, bids, table, 6, 0.1, 0, resample_draws=pinned(bids))
+        outcome = run_eps_separated(m, bids, table, 6, 0.1, 0, resample_draws=pinned(bids))
         assert outcome.allocation.tolist() == [3, 3]
         assert outcome.payments.tolist() == pytest.approx([0.2 * 3, 0.6 * 3])
 
+    # With explore_rounds == units every unit is an exploration unit, so the
+    # allocation is the per-agent exploration count.
     def test_round_robin_split(self):
-        m = market(12, 2)
-        bids = [Bid(0.3, 6), Bid(0.5, 6)]
-        table = sample_reward_realization([0.7, 0.7], 12, 2)
-        outcome, trace = run_eps_separated(m, bids, table, 4, 0.1, 0, resample_draws=pinned(bids))
-        explored = [s.agent for s in trace.steps[:4]]
-        assert explored == [0, 1, 0, 1]
+        m = market(5, 3)
+        bids = [Bid(0.3, 6), Bid(0.5, 6), Bid(0.4, 6)]
+        table = sample_reward_realization([0.7, 0.7, 0.7], 5, 2)
+        outcome = run_eps_separated(m, bids, table, 5, 0.1, 0, resample_draws=pinned(bids))
+        assert outcome.allocation.tolist() == [2, 2, 1]
 
     def test_round_robin_skips_exhausted_agents(self):
-        m = market(8, 2)
+        m = market(5, 2)
         bids = [Bid(0.3, 1), Bid(0.5, 7)]
-        table = sample_reward_realization([0.7, 0.7], 8, 3)
-        _, trace = run_eps_separated(m, bids, table, 5, 0.1, 0, resample_draws=pinned(bids))
-        explored = [s.agent for s in trace.steps[:5]]
-        assert explored == [0, 1, 1, 1, 1]
+        table = sample_reward_realization([0.7, 0.7], 5, 3)
+        outcome = run_eps_separated(m, bids, table, 5, 0.1, 0, resample_draws=pinned(bids))
+        assert outcome.allocation.tolist() == [1, 4]
 
     def test_explore_beyond_capacity_clips_with_warning(self):
         m = market(10, 2)
         bids = [Bid(0.3, 2), Bid(0.5, 2)]
         table = sample_reward_realization([0.7, 0.7], 10, 4)
         with pytest.warns(UserWarning, match="clipping"):
-            outcome, _ = run_eps_separated(
+            outcome = run_eps_separated(
                 m, bids, table, 9, 0.1, 0, resample_draws=pinned(bids)
             )
         assert outcome.allocation.tolist() == [2, 2]
@@ -327,7 +327,7 @@ class TestEpsSeparated:
         bids = [Bid(0.2, 4), Bid(0.9, 4)]
         table = RewardRealization(np.ones((2, 4), dtype=np.uint8))
         draws = [ResampleDraw(0.6, 0.5), ResampleDraw(0.9, 0.9)]
-        outcome, _ = run_eps_separated(m, bids, table, 4, 0.1, 0, resample_draws=draws)
+        outcome = run_eps_separated(m, bids, table, 4, 0.1, 0, resample_draws=draws)
         # two exploration units each, no exploitation budget left
         assert outcome.allocation.tolist() == [2, 2]
         assert outcome.payments[0] == pytest.approx(0.2 * 2 + 2 * (1.0 - 0.2) / 0.1)
@@ -343,7 +343,7 @@ class TestEpsSeparated:
             np.vstack([np.ones(10, dtype=np.uint8), np.zeros(10, dtype=np.uint8)])
         )
         draws = [ResampleDraw(0.77, 0.6), ResampleDraw(0.62, 0.62)]
-        outcome, _ = run_eps_separated(m, bids, table, 4, 0.1, 0, resample_draws=draws)
+        outcome = run_eps_separated(m, bids, table, 4, 0.1, 0, resample_draws=draws)
         assert outcome.allocation.tolist() == [8, 2]
         exploit = run_2d_opt(market(6, 2), [1.0, 0.0], [Bid(0.77, 6), Bid(0.62, 6)])
         explored, exploited = 0.43 * 2, float(exploit.payments[0])
@@ -361,7 +361,7 @@ class TestEpsSeparated:
         table = RewardRealization(
             np.vstack([np.zeros(10, dtype=np.uint8), np.ones(10, dtype=np.uint8)])
         )
-        outcome, _ = run_eps_separated(m, bids, table, 4, 0.1, 0, resample_draws=pinned(bids))
+        outcome = run_eps_separated(m, bids, table, 4, 0.1, 0, resample_draws=pinned(bids))
         assert outcome.allocation.tolist() == [2, 8]
 
 

@@ -160,6 +160,38 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("command", ["ucb", "opt"])
+def test_nan_quality_is_a_clean_error(tmp_path, capsys, command):
+    bids = tmp_path / "bids.csv"
+    bids.write_text(BIDS.replace("0.2,3,0.8", "0.2,3,nan"))
+    assert main([command, str(bids), "--units", "6", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "qualities" in err and err.count("\n") == 1
+
+
+def test_infinite_reward_scale_is_a_clean_error(bids_file, tmp_path, capsys):
+    conf = tmp_path / "inf.ini"
+    conf.write_text("[market]\nreward_scale = inf\n")
+    out_dir = tmp_path / "out"
+    assert main(["ucb", str(bids_file), "--config", str(conf), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "market.reward_scale" in err and err.count("\n") == 1
+    assert not (out_dir / "trace.csv").exists()
+
+
+def test_plot_refuses_nan_results(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text(
+        "mechanism,L,mean_utility_per_unit,stderr,replications\n"
+        "opt,1000,nan,nan,4\nucb,1000,1.5,0.1,4\n"
+    )
+    out_dir = tmp_path / "out"
+    assert main(["plot", str(results), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (out_dir / "results.svg").exists()
+
+
 def test_malformed_bids_is_a_clean_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("agent,cost\n0,0.2\n")

@@ -231,6 +231,11 @@ class TestEmission:
         with pytest.raises(ValueError):
             ResultRow("opt", 10, 1.0, -0.1, 4)
 
+    def test_non_finite_values_rejected(self):
+        for mean, stderr in [(np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan), (1.0, np.inf)]:
+            with pytest.raises(ValueError):
+                ResultRow("opt", 10, mean, stderr, 4)
+
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_results([], tmp_path / "r.csv", tmp_path / "r.svg")

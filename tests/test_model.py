@@ -220,12 +220,21 @@ class TestTypesAndBids:
         with pytest.raises(ValueError):
             MarketConfig(5, 30.0, ())
 
+    def test_market_config_rejects_non_finite_reward_scale(self, unit_uniform):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="reward_scale"):
+                MarketConfig(5, bad, (unit_uniform,))
+
 
 class TestRewardRealization:
     def test_extreme_qualities(self):
         table = sample_reward_realization([1.0, 0.0], 25, 7)
         assert table.table[0].sum() == 25
         assert table.table[1].sum() == 0
+
+    def test_nan_quality_rejected(self):
+        with pytest.raises(ValueError, match="qualities"):
+            sample_reward_realization([np.nan, 0.5], 5, 0)
 
     def test_binomial_concentration(self):
         table = sample_reward_realization([0.5], 10_000, 11)

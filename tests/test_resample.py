@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from procure2d import (
-    Bid,
     ResampleDraw,
-    alloc_greedy,
     resample_batch,
     self_resample,
-    transform_allocate_and_pay,
     transform_premium,
 )
 
@@ -108,40 +105,6 @@ def test_premium_direct_evaluation():
     assert premium.tolist() == [transform_premium(3.0, 0.1, 0.2, 8.2, 0.5), 0.0]
 
 
-def test_transform_pays_no_premium_when_beta_stays():
-    bids = [Bid(0.2, 3), Bid(0.5, 2)]
-    draws = [ResampleDraw(0.2, 0.2), ResampleDraw(0.5, 0.5)]
-    rule = lambda costs, caps: alloc_greedy(10.0 - costs, caps, 4)
-    outcome = transform_allocate_and_pay(
-        rule, bids, [1.0, 1.0], MU, 0,
-        qualities=[0.5, 0.5], reward_scale=30.0, draws=draws,
-    )
-    assert outcome.allocation.tolist() == [3, 1]
-    assert outcome.payments[0] == pytest.approx(0.2 * 3)
-    assert outcome.payments[1] == pytest.approx(0.5 * 1)
-
-
-def test_transform_premium_applied_when_beta_moves():
-    bids = [Bid(0.2, 3)]
-    draws = [ResampleDraw(0.6, 0.45)]
-    rule = lambda costs, caps: np.array([2])
-    outcome = transform_allocate_and_pay(
-        rule, bids, [1.0], MU, 0, qualities=[0.5], reward_scale=30.0, draws=draws,
-    )
-    assert outcome.payments[0] == pytest.approx(0.2 * 2 + 2 * (1.0 - 0.2) / MU)
-    # the rule must see the resampled cost, not the raw bid
-    seen = {}
-
-    def probe_rule(costs, caps):
-        seen["costs"] = costs.copy()
-        return np.array([1])
-
-    transform_allocate_and_pay(
-        probe_rule, bids, [1.0], MU, 0, qualities=[0.5], reward_scale=30.0, draws=draws,
-    )
-    assert seen["costs"].tolist() == [0.6]
-
-
 # -- premium expectation equals the allocation integral ----------------------
 #
 # Rivals pinned at the upper cost bound resample to themselves, so the
@@ -206,21 +169,3 @@ def test_expected_premium_matches_allocation_integral():
     stderr = premium.std(ddof=1) / math.sqrt(draws)
     assert abs(premium.mean() - exact) < 3 * stderr
 
-    # the vectorized premium is what the transformation actually pays
-    bids = [Bid(bid, cap), Bid(1.0, rival_caps[0]), Bid(1.0, rival_caps[1])]
-    qualities = [quality, 0.73, 0.71]
-    rule = lambda costs, caps: alloc_greedy(
-        reward_scale * np.array(qualities) - 2.0 * costs, caps, budget
-    )
-    for k in range(300):
-        sample = [
-            ResampleDraw(float(alpha[k]), float(beta[k])),
-            ResampleDraw(1.0, 1.0),
-            ResampleDraw(1.0, 1.0),
-        ]
-        outcome = transform_allocate_and_pay(
-            rule, bids, [1.0] * 3, MU, 0,
-            qualities=qualities, reward_scale=reward_scale, draws=sample,
-        )
-        assert outcome.allocation[0] == units[k]
-        assert outcome.payments[0] == pytest.approx(bid * units[k] + premium[k])

@@ -232,8 +232,8 @@ def test_same_seed_sequence_gives_the_same_run():
     fresh, _ = run_2d_ucb(market, bids, table, 0.9, np.random.SeedSequence(12345))
     assert first.payments.tolist() == second.payments.tolist() == fresh.payments.tolist()
     assert first.allocation.tolist() == second.allocation.tolist()
-    eps_first, _ = run_eps_separated(market, bids, table, 6, 0.9, seed)
-    eps_second, _ = run_eps_separated(market, bids, table, 6, 0.9, seed)
+    eps_first = run_eps_separated(market, bids, table, 6, 0.9, seed)
+    eps_second = run_eps_separated(market, bids, table, 6, 0.9, seed)
     assert eps_first.payments.tolist() == eps_second.payments.tolist()
     assert seed.n_children_spawned == 0
 
