@@ -7,6 +7,26 @@ import numpy as np
 __all__ = ["alloc_greedy"]
 
 
+def _score_order(scores) -> list[int]:
+    """Agent indices by non-increasing score, ties by ascending index."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+
+
+def _walk(order, scores, capacities, budget: int) -> list[int]:
+    """Units per agent from walking ``order``: each agent takes
+    ``min(capacity, remaining budget)``; the walk stops at the first negative
+    score or when the budget runs out."""
+    units = [0] * len(scores)
+    remaining = budget
+    for i in order:
+        if remaining <= 0 or scores[i] < 0.0:
+            break
+        take = min(capacities[i], remaining)
+        units[i] = take
+        remaining -= take
+    return units
+
+
 def alloc_greedy(scores, capacities, budget: int) -> np.ndarray:
     """Allocate up to ``budget`` units greedily by non-increasing score.
 
@@ -31,13 +51,6 @@ def alloc_greedy(scores, capacities, budget: int) -> np.ndarray:
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
 
-    units = np.zeros(scores.size, dtype=np.int64)
-    remaining = budget
-    order = np.lexsort((np.arange(scores.size), -scores))
-    for idx in order:
-        if remaining <= 0 or scores[idx] < 0.0:
-            break
-        take = min(int(caps[idx]), remaining)
-        units[idx] = take
-        remaining -= take
-    return units
+    scores = scores.tolist()
+    units = _walk(_score_order(scores), scores, caps.tolist(), budget)
+    return np.array(units, dtype=np.int64)

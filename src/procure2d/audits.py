@@ -138,8 +138,10 @@ def make_ucb_batch_utility(
     Returns a function (cost, capacity) -> per-sample utilities of ``agent``
     with true cost ``true_cost``.  Reward tables and rival resampling draws
     are drawn once and shared across calls; the deviating agent's resampler
-    is re-seeded identically per call, giving paired, monotone-coupled
-    samples across deviations.  ``premium=False`` strips the transformation
+    is seeded identically for every cost, giving paired, monotone-coupled
+    samples across deviations.  Its draw depends on the cost alone, so the
+    function keeps one draw per distinct cost it is called with and reuses
+    it for every capacity.  ``premium=False`` strips the transformation
     premium from the payment (the counterexample mechanism).
     """
     n = config.n_agents
@@ -172,10 +174,14 @@ def make_ucb_batch_utility(
     cost_hi = dist_a.cost_bounds[1]
     base_caps = np.array([b.capacity for b in bids], dtype=np.int64)
 
+    draws: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
     def batch_utility(cost: float, capacity: int) -> np.ndarray:
-        alpha, beta = resample_batch(
-            cost, cost_hi, mu, samples, np.random.default_rng(dev_seed)
-        )
+        if cost not in draws:
+            draws[cost] = resample_batch(
+                cost, cost_hi, mu, samples, np.random.default_rng(dev_seed)
+            )
+        alpha, beta = draws[cost]
         h = rival_h.copy()
         h[:, agent] = dist_a.virtual_cost_array(alpha, capacity)
         caps = base_caps.copy()

@@ -70,6 +70,8 @@ class ExperimentConfig:
             (self.n >= 1, "market.n must be >= 1"),
             (0 < self.reward_scale < math.inf, "market.reward_scale must be finite and > 0"),
             (0.0 < self.mu < 1.0, "ucb.mu must lie in (0, 1)"),
+            (math.isfinite(self.cost_lo) and math.isfinite(self.cost_hi),
+             "market.cost_lo and market.cost_hi must be finite"),
             (self.cost_lo < self.cost_hi, "market.cost_lo must be < market.cost_hi"),
             (0.0 <= self.quality_lo <= self.quality_hi <= 1.0,
              "market quality interval must satisfy 0 <= lo <= hi <= 1"),

@@ -3,7 +3,10 @@ with threshold payments.
 
 Winners are paid a critical price per unit: the highest cost they could have
 bid and still won that unit against the competition, capped at their upper
-cost bound.  ``integral_payment`` recomputes the same amount through the
+cost bound.  ``run_2d_opt`` sorts the agents by score once per auction; the
+allocation is one walk of that order, and each winner's rivals are priced by
+another walk of the same order over the residual capacities, with that
+winner left out.  ``integral_payment`` recomputes the same amount through the
 equivalent cost-integral form (bid cost times units, plus the integral of
 the allocation over all higher cost bids) by exact summation of the step
 function; the two routes agreeing is the main correctness check on the
@@ -12,12 +15,13 @@ payment rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .allocation import alloc_greedy
+from .allocation import _score_order, _walk, alloc_greedy
 from .model import Bid, IrregularDistributionError, MarketConfig
 
 __all__ = [
@@ -45,12 +49,13 @@ def auctioneer_utility(allocation, payments, qualities, reward_scale: float) -> 
     return float(np.dot(allocation, reward_scale * q) - payments.sum())
 
 
-def _validate_instance(config: MarketConfig, qualities, bids: Sequence[Bid]) -> np.ndarray:
+def _validate_instance(config: MarketConfig, qualities, bids: Sequence[Bid]) -> list[float]:
     q = np.asarray(qualities, dtype=float)
     n = config.n_agents
     if q.shape != (n,) or len(bids) != n:
         raise ValueError(f"expected {n} qualities and bids, got {q.shape} and {len(bids)}")
-    if not ((q >= 0.0) & (q <= 1.0)).all():
+    q = q.tolist()
+    if not all(0.0 <= x <= 1.0 for x in q):
         raise ValueError("qualities must lie in [0, 1]")
     for i, (bid, dist) in enumerate(zip(bids, config.distributions)):
         lo, hi = dist.cost_bounds
@@ -77,13 +82,14 @@ def _require_regular(config: MarketConfig) -> None:
             )
 
 
-def _scores(config: MarketConfig, q: np.ndarray, bids: Sequence[Bid]) -> np.ndarray:
-    return np.array(
-        [
-            dist.g_score(q[i], config.reward_scale, bids[i].cost, bids[i].capacity)
-            for i, dist in enumerate(config.distributions)
-        ]
-    )
+def _scores(config: MarketConfig, q: list[float], bids: Sequence[Bid]) -> list[float]:
+    scores = [
+        dist.g_score(q[i], config.reward_scale, bids[i].cost, bids[i].capacity)
+        for i, dist in enumerate(config.distributions)
+    ]
+    if not all(map(math.isfinite, scores)):
+        raise ValueError("scores must be finite")
+    return scores
 
 
 def run_2d_opt(
@@ -100,31 +106,36 @@ def run_2d_opt(
     """
     _require_regular(config)
     q = _validate_instance(config, qualities, bids)
-    n = config.n_agents
     reward_scale = config.reward_scale
-    caps = np.array([bid.capacity for bid in bids], dtype=np.int64)
+    caps = [bid.capacity for bid in bids]
     scores = _scores(config, q, bids)
-    units = alloc_greedy(scores, caps, config.units)
+    order = _score_order(scores)
+    units = _walk(order, scores, caps, config.units)
 
-    payments = np.zeros(n)
-    for i in range(n):
-        if units[i] == 0:
+    payments = [0.0] * len(units)
+    for i, won in enumerate(units):
+        if won == 0:
             continue
         dist_i = config.distributions[i]
         # Highest cost at which the winner still allocates: the upper cost
         # bound, shrunk to G_i^{-1}(0) when the winner's own score would turn
         # negative before reaching it.  Units beyond that bid are never won,
         # so they cannot be priced above it.
-        price_cap = dist_i.g_inverse(q[i], reward_scale, 0.0, bids[i].capacity)
-        residual = caps - units
+        price_cap = dist_i.g_inverse(q[i], reward_scale, 0.0, caps[i])
+        residual = [cap - taken for cap, taken in zip(caps, units)]
         residual[i] = 0
-        rival_units = alloc_greedy(scores, residual, int(units[i]))
-        pay = float(units[i] - rival_units.sum()) * price_cap
-        for k in np.flatnonzero(rival_units):
-            critical = dist_i.g_inverse(q[i], reward_scale, float(scores[k]), bids[i].capacity)
-            pay += float(rival_units[k]) * min(critical, price_cap)
+        rival_units = _walk(order, scores, residual, won)
+        pay = float(won - sum(rival_units)) * price_cap
+        # Summed over rivals in ascending index, not in score order: the
+        # payment's last bits depend on the order of the additions.
+        for k, taken in enumerate(rival_units):
+            if taken:
+                critical = dist_i.g_inverse(q[i], reward_scale, scores[k], caps[i])
+                pay += float(taken) * min(critical, price_cap)
         payments[i] = pay
 
+    units = np.array(units, dtype=np.int64)
+    payments = np.array(payments)
     return MechanismOutcome(units, payments, auctioneer_utility(units, payments, q, reward_scale))
 
 

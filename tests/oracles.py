@@ -133,3 +133,58 @@ def scalar_ucb_run(config, bids, realization, mu, draws, bonus_scale=0.5):
             payments[i] += float(counts[i]) * (cost_hi - bid.cost) / mu
     utility = reward_scale * sum(succ) - float(payments.sum())
     return MechanismOutcome(np.array(counts, dtype=np.int64), payments, utility), trace
+
+
+def greedy_units_numpy(scores, capacities, budget) -> np.ndarray:
+    """The greedy rule on numpy arrays: one ``np.lexsort`` by descending
+    score, ties by ascending index, then each agent in turn takes
+    ``min(capacity, remaining)`` until the budget is spent or a score is
+    negative.  The reference for ``alloc_greedy`` and ``run_2d_opt``."""
+    scores = np.asarray(scores, dtype=float)
+    caps = np.asarray(capacities)
+    units = np.zeros(scores.size, dtype=np.int64)
+    remaining = int(budget)
+    order = np.lexsort((np.arange(scores.size), -scores))
+    for idx in order:
+        if remaining <= 0 or scores[idx] < 0.0:
+            break
+        take = min(int(caps[idx]), remaining)
+        units[idx] = take
+        remaining -= take
+    return units
+
+
+def opt_auction_numpy(config, qualities, bids) -> MechanismOutcome:
+    """The optimal known-quality auction on numpy arrays, re-sorting the
+    scores for the allocation and again for every winner's rivals: the
+    reference that ``run_2d_opt`` must reproduce bit for bit (allocation,
+    payments and the buyer's utility)."""
+    q = np.asarray(qualities, dtype=float)
+    n = config.n_agents
+    reward_scale = config.reward_scale
+    caps = np.array([bid.capacity for bid in bids], dtype=np.int64)
+    scores = np.array(
+        [
+            dist.g_score(q[i], reward_scale, bids[i].cost, bids[i].capacity)
+            for i, dist in enumerate(config.distributions)
+        ]
+    )
+    units = greedy_units_numpy(scores, caps, config.units)
+
+    payments = np.zeros(n)
+    for i in range(n):
+        if units[i] == 0:
+            continue
+        dist_i = config.distributions[i]
+        price_cap = dist_i.g_inverse(q[i], reward_scale, 0.0, bids[i].capacity)
+        residual = caps - units
+        residual[i] = 0
+        rival_units = greedy_units_numpy(scores, residual, int(units[i]))
+        pay = float(units[i] - rival_units.sum()) * price_cap
+        for k in np.flatnonzero(rival_units):
+            critical = dist_i.g_inverse(q[i], reward_scale, float(scores[k]), bids[i].capacity)
+            pay += float(rival_units[k]) * min(critical, price_cap)
+        payments[i] = pay
+
+    utility = float(np.dot(units.astype(float), reward_scale * q) - payments.sum())
+    return MechanismOutcome(units, payments, utility)

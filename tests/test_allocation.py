@@ -3,7 +3,7 @@ import pytest
 
 from procure2d import alloc_greedy
 
-from oracles import brute_force_best_value
+from oracles import brute_force_best_value, greedy_units_numpy
 
 
 def test_worked_example():
@@ -43,6 +43,18 @@ def test_negative_capacity_rejected():
 def test_float_capacities_rejected():
     with pytest.raises(TypeError):
         alloc_greedy([1.0], np.array([2.0]), 3)
+
+
+def test_matches_numpy_reference_with_ties():
+    rng = np.random.default_rng(77)
+    for _ in range(500):
+        n = int(rng.integers(1, 8))
+        scores = rng.integers(-2, 3, n) * 0.5  # ties, zeros and negatives
+        caps = rng.integers(0, 4, n)
+        budget = int(rng.integers(0, 25))
+        units = alloc_greedy(scores, caps, budget)
+        assert units.dtype == np.int64
+        assert units.tolist() == greedy_units_numpy(scores, caps, budget).tolist()
 
 
 def test_matches_brute_force_on_random_instances():

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from procure2d import audits
 from procure2d import (
     AgentType,
     Bid,
@@ -175,6 +176,27 @@ class TestStochasticBic:
         report = audit_stochastic_bic(batch, agent.cost, agent.capacity, grid)
         assert report.inconclusive
         assert report.status == "inconclusive"
+
+    def test_one_resampler_draw_per_cost(self, monkeypatch):
+        # The deviating agent's draw depends on its cost alone: a sweep over
+        # two capacities draws once per cost, and gives exactly what an
+        # estimator built afresh for every call gives.
+        costs = []
+        draw = audits.resample_batch
+
+        def counted(cost, *args, **kwargs):
+            costs.append(cost)
+            return draw(cost, *args, **kwargs)
+
+        monkeypatch.setattr(audits, "resample_batch", counted)
+        batch, _, _ = self.make_batch(samples=1000)
+        costs.clear()  # the rivals' draws, taken when the estimator is built
+        sweep = [(c, k) for k in (2, 4) for c in (0.1, 0.5, 0.9)]
+        utilities = [batch(c, k) for c, k in sweep]
+        assert costs == [0.1, 0.5, 0.9]
+        for (c, k), got in zip(sweep, utilities):
+            fresh, _, _ = self.make_batch(samples=1000)
+            assert got.tobytes() == fresh(c, k).tobytes()
 
     def test_single_agent_near_degenerate_mu_ties(self):
         # Constant allocation: truth and every deviation tie in expectation.

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,24 @@ def test_infinite_reward_scale_is_a_clean_error(bids_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "market.reward_scale" in err and err.count("\n") == 1
     assert not (out_dir / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command,bound", [
+    ("simulate", "cost_hi = inf"),
+    ("ucb", "cost_hi = inf"),
+    ("verify", "cost_lo = -inf"),
+])
+def test_non_finite_cost_bound_is_a_clean_error(bids_file, tmp_path, capsys, command, bound):
+    conf = tmp_path / "bounds.ini"
+    conf.write_text(TINY_CONF.replace("n = 2", f"n = 2\n{bound}"))
+    bids = [str(bids_file)] if command == "ucb" else []
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, *bids, "--config", str(conf), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == "error: market.cost_lo and market.cost_hi must be finite\n"
+    assert caught == []
+    assert not out_dir.exists()
 
 
 def test_plot_refuses_nan_results(tmp_path, capsys):

@@ -82,6 +82,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="experiment.type_samples"):
             parse_config(path)
 
+    @pytest.mark.parametrize("bounds", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
+    def test_non_finite_cost_bounds_rejected(self, bounds):
+        with pytest.raises(ConfigError, match="market.cost_lo and market.cost_hi must be finite"):
+            ExperimentConfig(cost_lo=bounds[0], cost_hi=bounds[1])
+
     def test_descending_grid_rejected(self):
         with pytest.raises(ConfigError, match="ascending"):
             ExperimentConfig(l_grid=(100, 50))

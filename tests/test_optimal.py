@@ -13,7 +13,7 @@ from procure2d import (
     uniform_type_distribution,
 )
 
-from oracles import brute_force_best_value, random_small_instance
+from oracles import brute_force_best_value, opt_auction_numpy, random_small_instance
 
 
 @pytest.fixture
@@ -85,6 +85,53 @@ def test_irregular_distribution_refused():
     market = MarketConfig(2, 30.0, (irregular,))
     with pytest.raises(IrregularDistributionError):
         run_2d_opt(market, np.array([0.8]), [Bid(0.2, 2)])
+
+
+def test_matches_numpy_reference_bit_for_bit():
+    # In half the markets, costs and qualities on coarse grids make exact
+    # score ties and zero scores common; in the other half they are drawn
+    # freely, so that critical prices fall inside the cost range and the
+    # order in which a payment adds them shows in its last bits.  Scores run
+    # negative, capacities reach 0 and budgets run from 0 to past the total
+    # capacity.  One prior in four is curved, so that its score inverse
+    # bisects instead of using the closed form.
+    def cdf(c, k):
+        return 0.5 * (c + c * c)
+
+    curved = TypeDistribution((0.0, 1.0), (0, 5), cdf, lambda c, k: 0.5 + c)
+    uniform = uniform_type_distribution(0.0, 1.0, 0, 5)
+    rng = np.random.default_rng(2000)
+    seen = dict.fromkeys(["tie", "zero", "negative", "no_capacity", "no_budget", "slack"], 0)
+    for _ in range(2000):
+        n = int(rng.integers(1, 8))
+        reward_scale = float(rng.choice([2.0, 4.0, 30.0]))
+        dists = tuple(curved if rng.random() < 0.25 else uniform for _ in range(n))
+        caps = rng.integers(0, 6, n)
+        if rng.random() < 0.5:
+            qualities = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], n)
+            costs = rng.integers(0, 11, n) / 10
+        else:
+            qualities = rng.uniform(0.0, 1.0, n)
+            costs = rng.uniform(0.0, 1.0, n)
+        bids = [Bid(float(c), int(k)) for c, k in zip(costs, caps)]
+        market = MarketConfig(int(rng.integers(0, 36)), reward_scale, dists)
+
+        got = run_2d_opt(market, qualities, bids)
+        want = opt_auction_numpy(market, qualities, bids)
+        assert got.allocation.dtype == want.allocation.dtype
+        assert got.allocation.tobytes() == want.allocation.tobytes()
+        assert got.payments.tobytes() == want.payments.tobytes()
+        assert got.auctioneer_utility == want.auctioneer_utility
+
+        scores = [d.g_score(q, reward_scale, b.cost, b.capacity)
+                  for d, q, b in zip(dists, qualities, bids)]
+        seen["tie"] += len(set(scores)) < n
+        seen["zero"] += 0.0 in scores
+        seen["negative"] += min(scores) < 0.0
+        seen["no_capacity"] += any(b.capacity == 0 for b in bids)
+        seen["no_budget"] += market.units == 0
+        seen["slack"] += market.units > sum(b.capacity for b in bids)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_payments_match_integral_oracle_on_random_instances():
