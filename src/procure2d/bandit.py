@@ -15,10 +15,13 @@ times the cost range: under UCB1's wide bonus the scores stay optimistic
 long after the estimates separate, and the learner trails even the
 explore-then-commit baselines (see ``run_2d_ucb``).
 
-The rule has one implementation, the C function ``ucb_run`` in ``_ucb.c``:
-a seeding pass, then every round a full scan over the agents below
-capacity.  ``run_2d_ucb`` calls it once per auction, and ``run_ucb_batch``
-calls its loop over stacked reward tables (``ucb_batch``), for the
+The rule has one implementation, the round loop in ``_ucb.c``: a seeding
+pass, then every round a full scan over the agents below capacity.  The loop
+advances a block of a few independent auctions (lanes) together, round by
+round, so that the CPU overlaps their dependency chains; a lane whose
+auction stops drops out and the others go on.  ``run_2d_ucb`` calls it as a
+block of one lane (``ucb_run``), once per auction.  ``run_ucb_batch`` calls
+``ucb_batch``, which walks stacked reward tables in blocks of lanes, for the
 truthfulness audits, which run tens of thousands of 30-50-round auctions per
 deviated bid.  Both pass in the bonus widths and the ``1 / sqrt(n_i)`` table
 built here with ``math.log`` and ``math.sqrt``, and the C file is compiled
@@ -299,18 +302,35 @@ def run_ucb_batch(
     ``virtual_costs`` is (samples, n) of per-agent H values at the resampled
     costs, ``realizations`` is (samples, n, rounds) of Bernoulli outcomes.
     Returns (units, successes), each (samples, n).  Uses the default (narrow)
-    exploration bonus; every agent must have reported capacity >= 1.  Each
+    exploration bonus; every agent must have reported an integer capacity
+    >= 1, and every outcome must be 0 or 1 (booleans or integers).  Each
     sample runs the round loop of ``run_2d_ucb``, so the two make the same
-    decisions.
+    decisions; the C loop advances the samples in blocks of a few at a time.
     """
-    realizations = np.ascontiguousarray(realizations, dtype=np.uint8)
+    if not 0 < reward_scale < math.inf:
+        raise ValueError(f"reward_scale must be finite and > 0, got {reward_scale}")
+    realizations = np.asarray(realizations)
+    kind = realizations.dtype.kind
+    if kind not in "biu":
+        raise TypeError(f"realizations must hold 0/1 integers, got dtype {realizations.dtype}")
     samples, n, n_rounds = realizations.shape
+    if n < 1:
+        raise ValueError("batch runner needs at least one agent")
+    if realizations.size and kind != "b" and (
+        realizations.max() > 1 or (kind == "i" and realizations.min() < 0)
+    ):
+        raise ValueError("realizations must hold only 0 and 1")
+    realizations = np.ascontiguousarray(realizations, dtype=np.uint8)
     caps = np.ascontiguousarray(capacities, dtype=np.int64)
     h = np.ascontiguousarray(virtual_costs, dtype=float)
     if caps.shape != (n,) or h.shape != (samples, n):
         raise ValueError("shape mismatch between capacities, virtual costs, realizations")
+    if not np.array_equal(caps, capacities):
+        raise ValueError("capacities must be integers")
     if caps.min() < 1:
         raise ValueError("batch runner requires every reported capacity >= 1")
+    if not np.isfinite(h).all():
+        raise ValueError("virtual costs must be finite")
     if n_rounds < n:
         raise ValueError(f"rounds ({n_rounds}) must be >= number of agents ({n})")
 

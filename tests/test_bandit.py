@@ -278,6 +278,45 @@ def test_batch_runner_matches_scalar_exactly():
     assert (successes <= units).all()
 
 
+def _bad_batch_input(case):
+    """Arguments of ``run_ucb_batch`` with one input the C loop would misread."""
+    rng = np.random.default_rng(4)
+    tables = (rng.random((6, 3, 20)) < 0.7).astype(np.uint8)
+    h = np.full((6, 3), 0.6)
+    caps = np.array([5, 4, 4])
+    reward_scale = 30.0
+    if case == "nan-virtual-cost":
+        h[:, 0] = math.nan  # agent 0 would never be picked after seeding
+    elif case == "nan-reward-scale":
+        reward_scale = math.nan  # every row would stop after seeding
+    elif case == "float-table":
+        tables = tables * 0.9  # would be truncated to 0 by the uint8 cast
+    elif case == "table-of-twos":
+        tables = tables * 2  # successes would exceed units
+    elif case == "fractional-capacity":
+        caps = np.array([5.0, 4.0, 2.9])  # would be truncated to 2
+    elif case == "zero-agents":
+        tables, h, caps = tables[:, :0], h[:, :0], caps[:0]
+    return reward_scale, h, caps, tables
+
+
+BAD_BATCH_INPUTS = {
+    "nan-virtual-cost": (ValueError, "virtual costs must be finite"),
+    "nan-reward-scale": (ValueError, "reward_scale must be finite"),
+    "float-table": (TypeError, "0/1 integers"),
+    "table-of-twos": (ValueError, "only 0 and 1"),
+    "fractional-capacity": (ValueError, "capacities must be integers"),
+    "zero-agents": (ValueError, "at least one agent"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_BATCH_INPUTS))
+def test_batch_runner_refuses_input_it_would_misread(case):
+    error, message = BAD_BATCH_INPUTS[case]
+    with pytest.raises(error, match=message):
+        run_ucb_batch(*_bad_batch_input(case))
+
+
 class TestEpsSeparated:
     def test_pure_exploration(self):
         m = market(6, 2)

@@ -161,6 +161,19 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("argv, status, output", [
+    (["--help"], 0, "usage: procure2d"),
+    (["verify", "--seed", "x"], 2, "invalid int value: 'x'"),
+], ids=["help", "bad-argument"])
+def test_runs_as_a_module(argv, status, output):
+    # ``python -m procure2d`` from a checkout, where no console script exists.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "procure2d", *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == status
+    assert output in proc.stdout + proc.stderr
+
+
 @pytest.mark.parametrize("command", ["ucb", "opt"])
 def test_nan_quality_is_a_clean_error(tmp_path, capsys, command):
     bids = tmp_path / "bids.csv"

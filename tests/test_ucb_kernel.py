@@ -1,7 +1,10 @@
 """``run_2d_ucb`` and ``run_ucb_batch`` against the reference round loop in
 ``tests/oracles.py``."""
 
+import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,9 @@ from procure2d import (
 from procure2d import bandit, harness
 
 DIST = uniform_type_distribution(0.0, 1.0, 0, 6000)
+
+# Auctions the C loop advances together in one block.
+LANES = int(re.search(r"^#define LANES (\d+)$", Path(bandit._SOURCE).read_text(), re.M).group(1))
 
 
 def assert_matches_oracle(market, bids, table, draws, bonus_scale):
@@ -336,3 +342,90 @@ def test_batch_kernel_breaks_exact_ties_toward_the_lower_index():
     alphas = np.full((4, 3), 0.35)
     traces = assert_batch_matches_oracle(30.0, alphas, [30, 30, 7], tables)
     assert traces[0].agents() == [0, 1, 2] * 7 + [0, 1] * 4 + [0]
+
+
+def mixed_stop_batch(samples=300, units=40):
+    """Resampled costs and reward tables of three agents on which, at reward
+    scale 1, the learner stops on a non-positive score at many different
+    rounds, and never in other rows."""
+    rng = np.random.default_rng(5)
+    tables = (rng.random((samples, 3, units)) < np.array([0.9, 0.7, 0.8])[None, :, None])
+    alphas = rng.choice([0.2, 0.35, 0.5], (samples, 3))
+    return alphas, tables.astype(np.uint8)
+
+
+def virtual_costs(alphas, caps):
+    return np.array([[DIST.virtual_cost(a, k) for a, k in zip(row, caps)] for row in alphas])
+
+
+@pytest.mark.parametrize("samples", sorted({1, LANES - 1, LANES, LANES + 1, 2 * LANES + 1} - {0}))
+def test_batch_sizes_straddle_block_edges(samples):
+    # Every row equals the reference loop whatever block it falls in, and a
+    # short last block writes no row past the batch: the inputs and outputs
+    # handed to the C loop are the leading rows of larger arrays whose
+    # trailing rows are guards.
+    caps = [8, 8, 1]
+    alphas, tables = mixed_stop_batch(samples)
+    pad = ((0, LANES), (0, 0))
+    h = np.pad(virtual_costs(alphas, caps), pad, constant_values=math.nan)
+    table = np.pad(tables, pad + ((0, 0),), constant_values=1)
+    guarded = [np.full((samples + LANES, 3), -7, dtype=np.int64) for _ in range(2)]
+    bandit._library().ucb_batch(
+        samples, 3, 40, 1.0, h[:samples], np.array(caps, dtype=np.int64), table[:samples],
+        bandit._bonus_widths(0.5, 40), bandit._inv_sqrt_counts(41),
+        guarded[0][:samples], guarded[1][:samples],
+    )
+    assert (guarded[0][samples:] == -7).all() and (guarded[1][samples:] == -7).all()
+    assert_batch_matches_oracle(1.0, alphas, caps, tables)
+    units_out, successes = run_ucb_batch(1.0, h[:samples], np.array(caps), tables)
+    assert np.array_equal(guarded[0][:samples], units_out)
+    assert np.array_equal(guarded[1][:samples], successes)
+
+
+def stop_of(trace, units):
+    """How the reference run ended: ("score", round), ("budget", units) or
+    ("full", units bought)."""
+    last = trace.steps[-1]
+    if last.agent is None:
+        return "score", last.round
+    return ("budget" if len(trace.steps) == units else "full"), len(trace.steps)
+
+
+# The rows of one batch share capacities, so rows that never stop on a score
+# all run out of budget (capacities summing past the 40 rounds) or all fill
+# every agent (capacities summing to 17); each block puts them beside rows
+# that stop on a score at different rounds.
+@pytest.mark.parametrize("caps, other", [([30, 30, 1], "budget"), ([8, 8, 1], "full")],
+                         ids=["budget", "full"])
+def test_rows_ending_in_different_ways_share_a_block(caps, other):
+    alphas, tables = mixed_stop_batch()
+    stops = [stop_of(t, 40) for t in assert_batch_matches_oracle(1.0, alphas, caps, tables)]
+    by_round = sorted((r for r, (how, _) in enumerate(stops) if how == "score"),
+                      key=lambda r: stops[r][1])
+    ends = [r for r, (how, _) in enumerate(stops) if how == other]
+    early, late = by_round[0], by_round[-1]
+    assert stops[early][1] < stops[late][1] and len(ends) >= LANES
+    # Lane 0 stops first; the lanes after it go on to later rounds.
+    block = ([early, ends[0], late] + ends[1:])[:max(LANES, 3)]
+    assert {stops[r][0] for r in block} == {"score", other}
+    assert_batch_matches_oracle(1.0, alphas[block], caps, tables[block])
+    h = virtual_costs(alphas[block], caps)
+    units_out, successes = run_ucb_batch(1.0, h, np.array(caps), tables[block])
+    for perm in itertools.islice(itertools.permutations(range(len(block))), 24):
+        perm = list(perm)
+        permuted = run_ucb_batch(1.0, h[perm], np.array(caps), tables[block][perm])
+        assert np.array_equal(permuted[0], units_out[perm])
+        assert np.array_equal(permuted[1], successes[perm])
+
+
+def test_permuting_rows_permutes_the_outcome():
+    caps = [8, 8, 1]
+    alphas, tables = mixed_stop_batch(3 * LANES + 1)
+    h = virtual_costs(alphas, caps)
+    units_out, successes = run_ucb_batch(1.0, h, np.array(caps), tables)
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        perm = rng.permutation(len(h))
+        permuted = run_ucb_batch(1.0, h[perm], np.array(caps), tables[perm])
+        assert np.array_equal(permuted[0], units_out[perm])
+        assert np.array_equal(permuted[1], successes[perm])
