@@ -13,6 +13,19 @@
  * most of the CPU idle; the lanes of a block share no data, and the CPU
  * overlaps their chains.  ucb_batch walks stacked auctions in such blocks;
  * ucb_run is a block of one lane.
+ *
+ * The two keep their running best differently.  A block of one lane takes a
+ * new best through a conditional jump: in a long auction the same leader
+ * wins almost every round, so the CPU predicts the scan's outcome and starts
+ * the next round's table load and divide before the compares resolve.
+ * Replaying the 100 auctions of a run_experiment over the ten default
+ * budgets with 10 realizations (5.05M rounds, 2-core Xeon, gcc 12), the jump
+ * took 0.041-0.042 s against 0.140-0.146 s for the select (maxsd/cmova),
+ * with the same outcomes.  A block of lanes keeps the branch-free select:
+ * its short auctions change leader often, and its lanes already overlap
+ * their chains.  On the 172 batches of procure2d verify seeds 0-3 the select
+ * took 0.35-0.36 s, the jump in every block 0.58 s, and -fno-if-conversion
+ * on the whole file 0.58 s.
  */
 #include <math.h>
 #include <stdint.h>
@@ -40,13 +53,21 @@
  * stop_score[l] the non-positive best score that stopped it, or -inf when the
  * budget ran out or every agent was at its capacity.
  *
+ * branch picks how the scan keeps its best: 1 takes a new best through a
+ * jump, which the CPU predicts (ucb_run), 0 through a branch-free select
+ * (ucb_batch); see the top of the file.  An empty asm statement in the jump's
+ * body keeps it a jump: with a plain if, or __builtin_expect, gcc -O2 turns
+ * it back into the select.
+ *
  * Inline, so that the compiler specialises it in each caller: ucb_run's one
- * lane drops the lane loop, and ucb_batch's empty trace drops the trace
- * stores and frees their registers (about 15% of ucb_batch's time).
+ * lane drops the lane loop and keeps only the jump, and ucb_batch's empty
+ * trace drops the trace stores and frees their registers (about 15% of
+ * ucb_batch's time) and keeps only the select.  Choosing the form at run
+ * time, by lanes == 1, took 0.63-0.65 s on the verify batches above.
  */
-static inline void ucb_lanes(int64_t lanes, int64_t n, int64_t n_rounds, double reward_scale,
-                             const double *h, const int64_t *caps, const uint8_t *table,
-                             const double *widths, const double *inv_sqrt,
+static inline void ucb_lanes(int branch, int64_t lanes, int64_t n, int64_t n_rounds,
+                             double reward_scale, const double *h, const int64_t *caps,
+                             const uint8_t *table, const double *widths, const double *inv_sqrt,
                              int64_t *counts, int64_t *succ, double *q_hat, int64_t trace_len,
                              int64_t *picks, uint8_t *rewards, double *scores,
                              int64_t *stop, double *stop_score)
@@ -76,8 +97,16 @@ static inline void ucb_lanes(int64_t lanes, int64_t n, int64_t n_rounds, double 
             for (int64_t j = 0; j < n; j++) {
                 double s = reward_scale * (q[j] + width * inv_sqrt[c[j]]) - hl[j];
                 int better = c[j] < caps[j] && s > best;
-                best = better ? s : best;
-                pick = better ? j : pick;
+                if (branch) {
+                    if (better) {
+                        __asm__ volatile("" ::: "memory");
+                        best = s;
+                        pick = j;
+                    }
+                } else {
+                    best = better ? s : best;
+                    pick = better ? j : pick;
+                }
             }
             if (pick < 0 || best <= 0.0) {
                 /* every agent at reported capacity, or no future units for anyone */
@@ -120,7 +149,7 @@ int64_t ucb_run(int64_t n, int64_t n_rounds, double reward_scale,
     if (q_hat == NULL)
         return -1;
     int64_t stop;
-    ucb_lanes(1, n, n_rounds, reward_scale, h, caps, table, widths, inv_sqrt, counts, succ,
+    ucb_lanes(1, 1, n, n_rounds, reward_scale, h, caps, table, widths, inv_sqrt, counts, succ,
               q_hat, trace_len, picks, rewards, scores, &stop, stop_score);
     free(q_hat);
     return stop;
@@ -142,7 +171,7 @@ int ucb_batch(int64_t samples, int64_t n, int64_t n_rounds, double reward_scale,
     double stop_score[LANES];
     for (int64_t s = 0; s < samples; s += LANES) {
         int64_t lanes = samples - s < LANES ? samples - s : LANES;
-        ucb_lanes(lanes, n, n_rounds, reward_scale, h + s * n, caps, table + s * n * n_rounds,
+        ucb_lanes(0, lanes, n, n_rounds, reward_scale, h + s * n, caps, table + s * n * n_rounds,
                   widths, inv_sqrt, counts + s * n, succ + s * n, q_hat, 0, NULL, NULL, NULL,
                   stop, stop_score);
     }

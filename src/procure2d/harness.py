@@ -327,6 +327,21 @@ def emit_results(rows: list[ResultRow], csv_path, svg_path) -> None:
         fh.write(render_results_svg(rows))
 
 
+def _whole_rows(reader: csv.DictReader, path):
+    """The records of ``reader``, refusing a row with more or fewer fields
+    than the header (``DictReader`` would fill the gap with None, or file the
+    surplus under the key None)."""
+    for rec in reader:
+        if None in rec or None in rec.values():
+            got = sum(v is not None for k, v in rec.items() if k is not None)
+            got += len(rec.get(None, ()))
+            raise ValueError(
+                f"{path}, line {reader.line_num}: {got} fields, expected {len(reader.fieldnames)}"
+                f" ({','.join(reader.fieldnames)})"
+            )
+        yield rec
+
+
 def read_results_csv(path) -> list[ResultRow]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -340,7 +355,7 @@ def read_results_csv(path) -> list[ResultRow]:
                 float(rec["stderr"]),
                 int(rec["replications"]),
             )
-            for rec in reader
+            for rec in _whole_rows(reader, path)
         ]
 
 
@@ -457,7 +472,7 @@ def read_bids_csv(path) -> tuple[list[Bid], np.ndarray]:
         expected = ["agent", "cost", "capacity", "quality"]
         if reader.fieldnames != expected:
             raise ValueError(f"bids file must have header {','.join(expected)}")
-        for rec in reader:
+        for rec in _whole_rows(reader, path):
             agent = int(rec["agent"])
             if agent in records:
                 raise ValueError(f"duplicate agent id {agent} in bids file")

@@ -231,6 +231,36 @@ def test_malformed_bids_is_a_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["opt", "ucb"])
+@pytest.mark.parametrize("row, fields", [("1,0.5,5", 3), ("1,0.5,5,0.6,9", 5)],
+                         ids=["missing-field", "extra-field"])
+def test_bids_row_of_the_wrong_width_is_a_clean_error(tmp_path, capsys, command, row, fields):
+    bids = tmp_path / "bids.csv"
+    bids.write_text(BIDS.replace("1,0.5,5,0.6", row))
+    out_dir = tmp_path / "out"
+    assert main([command, str(bids), "--units", "6", "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bids}, line 3: {fields} fields, expected 4 (agent,cost,capacity,quality)\n"
+    )
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("row, fields", [("ucb,1000,1.5,0.1", 4), ("ucb,1000,1.5,0.1,4,4", 6)],
+                         ids=["missing-field", "extra-field"])
+def test_results_row_of_the_wrong_width_is_a_clean_error(tmp_path, capsys, row, fields):
+    results = tmp_path / "results.csv"
+    results.write_text(
+        f"mechanism,L,mean_utility_per_unit,stderr,replications\nopt,1000,2.0,0.1,4\n{row}\n"
+    )
+    out_dir = tmp_path / "out"
+    assert main(["plot", str(results), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {results}, line 3: {fields} fields, expected 5"
+        " (mechanism,L,mean_utility_per_unit,stderr,replications)\n"
+    )
+    assert not out_dir.exists()
+
+
 def test_verify_output_is_pinned(capsys):
     # Every audit number of one verify run, byte for byte: a change to an
     # audit, the batch UCB kernel or the reward-table draw shows here.

@@ -1,6 +1,7 @@
 """Building, caching and loading the compiled UCB round loop."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -61,3 +62,11 @@ def test_processes_building_into_one_cache_at_once_agree(tmp_path):
     assert [out for out, _ in outputs] == [expected, expected]
     # One library, and no half-written build left behind.
     assert [p.name for p in tmp_path.iterdir()] == [Path(bandit._library()._name).name]
+
+
+def test_source_compiles_without_warnings(tmp_path):
+    # The build flags plus every common warning, as errors.
+    command = shlex.split(bandit._CC) + bandit._CFLAGS + ["-Wall", "-Wextra", "-Werror"]
+    proc = subprocess.run(command + ["-o", str(tmp_path / "_ucb.so"), bandit._SOURCE],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -121,6 +121,32 @@ def test_leader_streak_spans_several_horizons(bonus_scale):
     assert longest_streak(trace.agents(), 0) > 256
 
 
+@pytest.mark.parametrize("bonus_scale", [0.5, 2.0])
+@pytest.mark.parametrize("caps", [(10_000, 10_000), (3000, 10_000)], ids=["open", "capped"])
+@pytest.mark.parametrize("rival_cost", [0.3, 0.3 + 1e-7], ids=["tied", "dearer"])
+def test_leader_changes_on_most_rounds(caps, rival_cost, bonus_scale):
+    # Every unit pays 1, so a purchase leaves the buyer's estimate at 1.0 and
+    # shrinks its bonus: the rival leads the next round.  With equal costs the
+    # scores tie exactly whenever the counts are equal; a rival dearer by
+    # 1e-7 never ties and still takes every other round.  ucb_run finds its
+    # best through a branch, and here that branch changes direction on most
+    # rounds.  Capped, agent 0 fills at 3000 units and agent 1 runs alone.
+    units = 10_000
+    market = MarketConfig(units, 30.0, (DIST, DIST))
+    bids = [Bid(0.3, caps[0]), Bid(rival_cost, caps[1])]
+    draws = [ResampleDraw(0.3, 0.3), ResampleDraw(rival_cost, rival_cost)]
+    table = RewardRealization(np.ones((2, units), dtype=np.uint8))
+    trace = assert_matches_oracle(market, bids, table, draws, bonus_scale)
+    agents = trace.agents()
+    assert len(agents) == units and agents.count(0) == min(caps[0], units // 2)
+    assert sum(a != b for a, b in zip(agents, agents[1:])) > units // 2
+    untraced, _ = run_2d_ucb(market, bids, table, 0.1, 0, resample_draws=draws,
+                             bonus_scale=bonus_scale, record_trace=False)
+    expected, _ = scalar_ucb_run(market, bids, table, 0.1, draws, bonus_scale)
+    assert untraced.payments.tolist() == expected.payments.tolist()
+    assert untraced.auctioneer_utility == expected.auctioneer_utility
+
+
 @pytest.mark.parametrize("master_seed", [0, 1, 2])
 def test_harness_instances_match_scalar_loop(monkeypatch, master_seed):
     # Five agents with the types, capacities, rewards and resample seeds that
