@@ -44,8 +44,6 @@ from .harness import (
 from .model import (
     AgentType,
     Bid,
-    DegenerateDistributionError,
-    IrregularDistributionError,
     MarketConfig,
     RewardRealization,
     TypeDistribution,
@@ -67,10 +65,8 @@ __all__ = [
     "AuditReport",
     "Bid",
     "ConfigError",
-    "DegenerateDistributionError",
     "DeviationGrid",
     "ExperimentConfig",
-    "IrregularDistributionError",
     "MarketConfig",
     "MechanismOutcome",
     "ResampleDraw",

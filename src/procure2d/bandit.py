@@ -60,7 +60,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import Bid, MarketConfig, RewardRealization
-from .optimal import MechanismOutcome, _require_regular, run_2d_opt
+from .optimal import MechanismOutcome, run_2d_opt
 from .resample import ResampleDraw, child_seeds, self_resample, transform_premium
 
 __all__ = [
@@ -252,7 +252,6 @@ def run_2d_ucb(
         )
     if not 0.0 <= bonus_scale < math.inf:
         raise ValueError(f"bonus_scale must be finite and >= 0, got {bonus_scale}")
-    _require_regular(config)
 
     draws = _resolve_draws(bids, config.distributions, mu, seed, resample_draws)
     reward_scale = config.reward_scale

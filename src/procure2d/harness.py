@@ -66,6 +66,7 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        labels = self.mechanism_labels()
         checks = [
             (self.n >= 1, "market.n must be >= 1"),
             (0 < self.reward_scale < math.inf, "market.reward_scale must be finite and > 0"),
@@ -85,6 +86,7 @@ class ExperimentConfig:
             (len(self.eps_exponents) >= 1, "eps.exponents must be non-empty"),
             (all(0 < e < 1 for e in self.eps_exponents),
              "eps.exponents must lie in (0, 1)"),
+            (len(set(labels)) == len(labels), "eps.exponents must give distinct labels"),
             (0.0 < self.cap_lower_frac <= 1.0, "capacity.lower_frac must lie in (0, 1]"),
             (self.master_seed >= 0, "experiment.master_seed must be >= 0"),
         ]
@@ -122,6 +124,10 @@ class ResultRow:
     replications: int
 
     def __post_init__(self):
+        if self.units < 1:
+            raise ValueError(f"L (units) must be >= 1, got {self.units}")
+        if self.replications < 1:
+            raise ValueError(f"replications must be >= 1, got {self.replications}")
         if not math.isfinite(self.mean_utility_per_unit):
             raise ValueError(f"mean utility must be finite, got {self.mean_utility_per_unit}")
         if not 0 <= self.stderr < math.inf:

@@ -6,17 +6,17 @@ the agent's fixed but unobserved quality.  The buyer values a successful unit
 at the reward scale R, so a unit from agent i is worth ``R * q_i`` in
 expectation.
 
-``TypeDistribution`` carries one agent's (cost, capacity) prior together with
-the virtual-cost machinery driving the auctions: the information-rent-adjusted
-cost ``H(c, k) = c + F(c|k) / f(c|k)``, the per-unit score ``G = R*q - H``,
-and the score inverse used to price threshold payments.
+``TypeDistribution`` carries one agent's (cost, capacity) prior as the
+virtual cost driving the auctions: the information-rent-adjusted cost
+``H(c, k) = c + F(c|k) / f(c|k)``, held in the closed form ``H(c) = a + b*c``
+with ``b > 0``, together with the per-unit score ``G = R*q - H`` and its
+closed-form inverse used to price threshold payments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,17 +28,7 @@ __all__ = [
     "RewardRealization",
     "uniform_type_distribution",
     "sample_reward_realization",
-    "DegenerateDistributionError",
-    "IrregularDistributionError",
 ]
-
-
-class DegenerateDistributionError(ValueError):
-    """Conditional cost density is zero or negative where positivity is required."""
-
-
-class IrregularDistributionError(ValueError):
-    """Virtual cost lacks the monotonicity the optimal auction relies on."""
 
 
 def _check_int(value, name: str) -> int:
@@ -95,39 +85,23 @@ class Bid:
             raise ValueError(f"reported cost must be finite, got {self.cost}")
 
 
-# Width at which ``TypeDistribution.g_inverse`` stops bisecting.
-_BISECT_TOL = 1e-9
-
-
-def _integer_grid(lo: int, hi: int, max_points: int) -> np.ndarray:
-    count = hi - lo + 1
-    if count <= max_points:
-        return np.arange(lo, hi + 1)
-    return np.unique(np.round(np.linspace(lo, hi, max_points)).astype(int))
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TypeDistribution:
-    """Joint (cost, capacity) prior of one agent.
+    """Joint (cost, capacity) prior of one agent, held as its virtual cost.
 
-    ``cond_cdf`` and ``cond_density`` are callables of ``(cost, capacity)``
-    that describe the cost law given the capacity.  ``linear_h``, when
-    present, states that the virtual cost is capacity-independent and
-    affine, ``H(c) = a + b*c``; the built-in uniform family uses it for
-    exact scoring and closed-form score inversion.
+    The cost law enters the auctions only through Myerson's virtual cost
+    ``H(c, k) = c + F(c|k) / f(c|k)``, here affine and capacity-independent:
+    ``linear_h = (a, b)`` gives ``H(c) = a + b*c``.  ``b > 0`` is required,
+    so H increases in cost and the prior is regular by construction.
 
-    Conditional callables must accept any integer capacity in
-    ``[0, cap_bounds[1]]``: mechanisms evaluate them at residual capacities
-    that can fall below the prior's lower bound.
+    The scoring methods take a ``capacity`` argument (mechanisms pass
+    residual capacities, possibly below ``cap_bounds[0]``) so that a
+    per-capacity virtual cost needs no call-site change.
     """
 
     cost_bounds: tuple[float, float]
     cap_bounds: tuple[int, int]
-    cond_cdf: Callable[[float, int], float]
-    cond_density: Callable[[float, int], float]
-    linear_h: tuple[float, float] | None = None
-    known_regular: bool = False
-    _regularity_cache: dict = field(default_factory=dict, repr=False)
+    linear_h: tuple[float, float]
 
     def __post_init__(self):
         lo, hi = self.cost_bounds
@@ -137,37 +111,28 @@ class TypeDistribution:
         khi = _check_int(self.cap_bounds[1], "cap_bounds[1]")
         if not 0 <= klo <= khi:
             raise ValueError(f"cap_bounds must satisfy 0 <= lo <= hi, got {self.cap_bounds}")
-
-    # -- virtual cost and scores ------------------------------------------
+        a, b = self.linear_h
+        if not (math.isfinite(a) and math.isfinite(b) and b > 0):
+            raise ValueError(
+                f"linear_h = (a, b) must be finite with b > 0 "
+                f"(virtual cost increasing in cost), got {self.linear_h}"
+            )
 
     def virtual_cost(self, cost: float, capacity: int) -> float:
-        """H(c, k) = c + F(c|k) / f(c|k).
-
-        Raises ``DegenerateDistributionError`` when the conditional density is
-        not strictly positive at the evaluation point.
-        """
+        """H(c, k) = a + b*c."""
         lo, hi = self.cost_bounds
         if not lo <= cost <= hi:
             raise ValueError(f"cost {cost} outside bounds [{lo}, {hi}]")
-        if self.linear_h is not None:
-            a, b = self.linear_h
-            return a + b * cost
-        dens = self.cond_density(cost, capacity)
-        if dens <= 0.0:
-            raise DegenerateDistributionError(
-                f"conditional density {dens} at (cost={cost}, capacity={capacity})"
-            )
-        return cost + self.cond_cdf(cost, capacity) / dens
+        a, b = self.linear_h
+        return a + b * cost
 
     def virtual_cost_array(self, costs: np.ndarray, capacity: int) -> np.ndarray:
         costs = np.asarray(costs, dtype=float)
         lo, hi = self.cost_bounds
         if costs.size and (costs.min() < lo or costs.max() > hi):
             raise ValueError("cost array leaves the distribution bounds")
-        if self.linear_h is not None:
-            a, b = self.linear_h
-            return a + b * costs
-        return np.array([self.virtual_cost(float(c), capacity) for c in costs])
+        a, b = self.linear_h
+        return a + b * costs
 
     def g_score(self, quality: float, reward_scale: float, cost: float, capacity: int) -> float:
         """Per-unit virtual surplus G = R*q - H(c, k)."""
@@ -178,97 +143,15 @@ class TypeDistribution:
 
         Scores below ``G(cost_hi)`` return ``cost_hi`` (the price cap used by
         the payment rule); scores above ``G(cost_lo)`` have no solution and
-        raise ``ValueError``.  Closed form when ``linear_h`` is available,
-        bisection to absolute tolerance ``_BISECT_TOL`` otherwise.
+        raise ``ValueError``.
         """
         lo, hi = self.cost_bounds
         target = reward_scale * quality - score  # H(z) must equal this
-        if self.linear_h is not None:
-            a, b = self.linear_h
-            if b <= 0:
-                raise DegenerateDistributionError("affine virtual cost must be increasing")
-            z = (target - a) / b
-            if z < lo - 1e-9:
-                raise ValueError(f"score {score} above the invertible range (max G at cost_lo)")
-            return min(max(z, lo), hi)
-        h_lo = self.virtual_cost(lo, capacity)
-        if target < h_lo - 1e-12:
+        a, b = self.linear_h
+        z = (target - a) / b
+        if z < lo - 1e-9:
             raise ValueError(f"score {score} above the invertible range (max G at cost_lo)")
-        if target >= self.virtual_cost(hi, capacity):
-            return hi
-        a, b = lo, hi
-        while b - a > _BISECT_TOL:
-            mid = 0.5 * (a + b)
-            if self.virtual_cost(mid, capacity) < target:
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
-
-    # -- shape checks ------------------------------------------------------
-
-    def check_regularity(self, grid_resolution: int = 64) -> bool:
-        """True iff H is non-decreasing in cost and non-increasing in capacity
-        on an evaluation grid (equality tolerance 1e-12).
-
-        Degenerate densities report False rather than raising.  Results are
-        cached per resolution; the built-in family short-circuits.
-        """
-        if grid_resolution < 1:
-            raise ValueError("grid_resolution must be >= 1")
-        if self.known_regular:
-            return True
-        cached = self._regularity_cache.get(grid_resolution)
-        if cached is None:
-            cached = self._regularity_scan(grid_resolution)
-            self._regularity_cache[grid_resolution] = cached
-        return cached
-
-    def _regularity_scan(self, resolution: int) -> bool:
-        lo, hi = self.cost_bounds
-        costs = np.linspace(lo, hi, resolution)
-        caps = _integer_grid(self.cap_bounds[0], self.cap_bounds[1], resolution)
-        try:
-            h = np.array([[self.virtual_cost(float(c), int(k)) for c in costs] for k in caps])
-        except DegenerateDistributionError:
-            return False
-        if h.shape[1] > 1 and np.any(np.diff(h, axis=1) < -1e-12):
-            return False
-        if h.shape[0] > 1 and np.any(np.diff(h, axis=0) > 1e-12):
-            return False
-        return True
-
-    def validate(self, grid_resolution: int = 33) -> None:
-        """Numerically sanity-check the conditional callables on a grid.
-
-        Verifies F(cost_lo|k) = 0, F(cost_hi|k) = 1, monotonicity of F, strict
-        positivity of f on the interior, and that f matches the central
-        difference of F.  Raises ``ValueError`` describing the first failure.
-        """
-        lo, hi = self.cost_bounds
-        costs = np.linspace(lo, hi, grid_resolution)
-        step = (hi - lo) * 1e-6
-        for k in _integer_grid(self.cap_bounds[0], self.cap_bounds[1], grid_resolution):
-            k = int(k)
-            cdf = np.array([self.cond_cdf(float(c), k) for c in costs])
-            if abs(cdf[0]) > 1e-9 or abs(cdf[-1] - 1.0) > 1e-9:
-                raise ValueError(
-                    f"cond_cdf endpoints must be 0 and 1 at capacity {k}, "
-                    f"got {cdf[0]} and {cdf[-1]}"
-                )
-            if np.any(np.diff(cdf) < -1e-12):
-                raise ValueError(f"cond_cdf not non-decreasing at capacity {k}")
-            for c in costs[1:-1]:
-                c = float(c)
-                dens = self.cond_density(c, k)
-                if dens <= 0.0:
-                    raise ValueError(f"cond_density not positive at (cost={c}, capacity={k})")
-                diff = (self.cond_cdf(c + step, k) - self.cond_cdf(c - step, k)) / (2 * step)
-                if abs(diff - dens) > 1e-3 * max(1.0, abs(dens)):
-                    raise ValueError(
-                        f"cond_density disagrees with the derivative of cond_cdf at "
-                        f"(cost={c}, capacity={k}): {dens} vs {diff}"
-                    )
+        return min(max(z, lo), hi)
 
 
 def uniform_type_distribution(
@@ -277,31 +160,9 @@ def uniform_type_distribution(
     """Independent uniform cost on [cost_lo, cost_hi] times a discrete-uniform
     integer capacity on {cap_lo, ..., cap_hi}.
 
-    Capacity-independent, hence regular, with the affine virtual cost
-    ``H(c) = 2c - cost_lo`` and exact closed-form score inversion.
+    ``F(c)/f(c) = c - cost_lo``, so the virtual cost is ``H(c) = 2c - cost_lo``.
     """
-    if not cost_hi > cost_lo:
-        raise ValueError(f"need cost_hi > cost_lo, got [{cost_lo}, {cost_hi}]")
-    cap_lo = _check_int(cap_lo, "cap_lo")
-    cap_hi = _check_int(cap_hi, "cap_hi")
-    if not 0 <= cap_lo <= cap_hi:
-        raise ValueError(f"need 0 <= cap_lo <= cap_hi, got [{cap_lo}, {cap_hi}]")
-    width = cost_hi - cost_lo
-
-    def cond_cdf(c: float, k: int) -> float:
-        return min(max((c - cost_lo) / width, 0.0), 1.0)
-
-    def cond_density(c: float, k: int) -> float:
-        return 1.0 / width
-
-    return TypeDistribution(
-        cost_bounds=(cost_lo, cost_hi),
-        cap_bounds=(cap_lo, cap_hi),
-        cond_cdf=cond_cdf,
-        cond_density=cond_density,
-        linear_h=(-cost_lo, 2.0),
-        known_regular=True,
-    )
+    return TypeDistribution((cost_lo, cost_hi), (cap_lo, cap_hi), (-cost_lo, 2.0))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import _score_order, _walk, alloc_greedy
-from .model import Bid, IrregularDistributionError, MarketConfig
+from .model import Bid, MarketConfig
 
 __all__ = [
     "MechanismOutcome",
@@ -68,20 +68,6 @@ def _validate_instance(config: MarketConfig, qualities, bids: Sequence[Bid]) -> 
     return q
 
 
-# Grid points per capacity at which every mechanism checks that a prior's
-# virtual cost is monotone (``TypeDistribution.check_regularity``).
-_REGULARITY_GRID = 64
-
-
-def _require_regular(config: MarketConfig) -> None:
-    for i, dist in enumerate(config.distributions):
-        if not dist.check_regularity(_REGULARITY_GRID):
-            raise IrregularDistributionError(
-                f"distribution of agent {i} is not regular; the optimality and "
-                f"truthfulness guarantees are void"
-            )
-
-
 def _scores(config: MarketConfig, q: list[float], bids: Sequence[Bid]) -> list[float]:
     scores = [
         dist.g_score(q[i], config.reward_scale, bids[i].cost, bids[i].capacity)
@@ -99,12 +85,12 @@ def run_2d_opt(
 ) -> MechanismOutcome:
     """Run the optimal known-quality auction on a bid profile.
 
-    Refuses irregular distributions.  Winners are paid per unit the critical
-    bid at which a competitor (on residual capacity) would have taken the
-    unit, capped at the winner's upper cost bound; units no competitor could
-    absorb are paid at the upper bound.  Losers pay and receive nothing.
+    Winners are paid per unit the critical bid at which a competitor (on
+    residual capacity) would have taken the unit, capped at the winner's
+    upper cost bound; units no competitor could absorb are paid at the upper
+    bound.  Losers pay and receive nothing.  Every ``TypeDistribution`` is
+    regular (its virtual cost increases in cost), so no prior is refused.
     """
-    _require_regular(config)
     q = _validate_instance(config, qualities, bids)
     reward_scale = config.reward_scale
     caps = [bid.capacity for bid in bids]
@@ -154,7 +140,6 @@ def integral_payment(
     agent's, so the integral is an exact finite sum evaluated at segment
     midpoints.
     """
-    _require_regular(config)
     q = _validate_instance(config, qualities, bids)
     i = agent
     dist_i = config.distributions[i]

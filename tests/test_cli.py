@@ -224,6 +224,31 @@ def test_plot_refuses_nan_results(tmp_path, capsys):
     assert not (out_dir / "results.svg").exists()
 
 
+@pytest.mark.parametrize("row, field", [("ucb,0,1.5,0.1,4", "L"),
+                                        ("ucb,1000,1.5,0.1,-3", "replications")],
+                         ids=["no-budget", "negative-replications"])
+def test_plot_refuses_rows_below_one(tmp_path, capsys, row, field):
+    results = tmp_path / "results.csv"
+    results.write_text(
+        f"mechanism,L,mean_utility_per_unit,stderr,replications\nopt,1000,2.0,0.1,4\n{row}\n"
+    )
+    out_dir = tmp_path / "out"
+    assert main(["plot", str(results), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}") and err.count("\n") == 1
+    assert not (out_dir / "results.svg").exists()
+
+
+@pytest.mark.parametrize("exponents", ["0.3333331,0.3333332", "0.5,0.5"])
+def test_simulate_refuses_eps_exponents_sharing_a_label(tmp_path, capsys, exponents):
+    conf = tmp_path / "eps.ini"
+    conf.write_text(TINY_CONF + f"\n[eps]\nexponents = {exponents}\n")
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", str(conf), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == "error: eps.exponents must give distinct labels\n"
+    assert not out_dir.exists()
+
+
 def test_malformed_bids_is_a_clean_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("agent,cost\n0,0.2\n")

@@ -91,6 +91,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="ascending"):
             ExperimentConfig(l_grid=(100, 50))
 
+    @pytest.mark.parametrize("exponents", [(0.3333331, 0.3333332), (0.5, 0.5)])
+    def test_eps_exponents_sharing_a_label_rejected(self, exponents):
+        with pytest.raises(ConfigError, match="eps.exponents must give distinct labels"):
+            ExperimentConfig(eps_exponents=exponents)
+
     def test_write_then_parse_round_trips(self, tmp_path):
         config = ExperimentConfig(n=3, mu=0.2, l_grid=(50, 100), eps_exponents=(0.25, 0.5))
         path = tmp_path / "conf.ini"
@@ -235,6 +240,11 @@ class TestEmission:
     def test_stderr_must_be_non_negative(self):
         with pytest.raises(ValueError):
             ResultRow("opt", 10, 1.0, -0.1, 4)
+
+    @pytest.mark.parametrize("units, replications, field", [(0, 4, "L"), (10, -3, "replications")])
+    def test_budget_and_replications_must_be_positive(self, units, replications, field):
+        with pytest.raises(ValueError, match=field):
+            ResultRow("opt", units, 1.0, 0.1, replications)
 
     def test_non_finite_values_rejected(self):
         for mean, stderr in [(np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan), (1.0, np.inf)]:

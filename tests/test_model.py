@@ -4,7 +4,6 @@ import pytest
 from procure2d import (
     AgentType,
     Bid,
-    DegenerateDistributionError,
     MarketConfig,
     RewardRealization,
     TypeDistribution,
@@ -23,6 +22,13 @@ def wide_uniform():
     return uniform_type_distribution(0.0, 10.0, 1, 5)
 
 
+class TestPrior:
+    @pytest.mark.parametrize("linear_h", [(0.0, 0.0), (0.0, -2.0), (0.0, np.nan), (np.inf, 2.0)])
+    def test_virtual_cost_must_increase(self, linear_h):
+        with pytest.raises(ValueError, match="linear_h"):
+            TypeDistribution((0.0, 1.0), (1, 5), linear_h)
+
+
 class TestVirtualCost:
     def test_unit_uniform_doubles_cost(self, unit_uniform):
         assert unit_uniform.virtual_cost(0.3, 3) == pytest.approx(0.6)
@@ -36,32 +42,9 @@ class TestVirtualCost:
     def test_wide_uniform(self, wide_uniform):
         assert wide_uniform.virtual_cost(2.0, 1) == pytest.approx(4.0)
 
-    def test_generic_path_matches_closed_form(self):
-        base = uniform_type_distribution(0.0, 10.0, 1, 5)
-        generic = TypeDistribution(
-            cost_bounds=base.cost_bounds,
-            cap_bounds=base.cap_bounds,
-            cond_cdf=base.cond_cdf,
-            cond_density=base.cond_density,
-        )
-        for c in np.linspace(0.0, 10.0, 17):
-            assert generic.virtual_cost(float(c), 2) == pytest.approx(
-                base.virtual_cost(float(c), 2), abs=1e-9
-            )
-
     def test_exceeds_cost_everywhere(self, unit_uniform):
         for c in np.linspace(0.0, 1.0, 21):
             assert unit_uniform.virtual_cost(float(c), 1) >= c
-
-    def test_zero_density_raises(self):
-        dist = TypeDistribution(
-            cost_bounds=(0.0, 1.0),
-            cap_bounds=(1, 2),
-            cond_cdf=lambda c, k: c,
-            cond_density=lambda c, k: 0.0,
-        )
-        with pytest.raises(DegenerateDistributionError):
-            dist.virtual_cost(0.5, 1)
 
     def test_out_of_bounds_cost_rejected(self, unit_uniform):
         with pytest.raises(ValueError):
@@ -95,22 +78,6 @@ class TestScores:
         with pytest.raises(ValueError):
             unit_uniform.g_inverse(0.9, 30.0, top + 1.0, 2)
 
-    def test_bisection_matches_closed_form(self):
-        base = uniform_type_distribution(0.0, 10.0, 1, 5)
-        generic = TypeDistribution(
-            cost_bounds=base.cost_bounds,
-            cap_bounds=base.cap_bounds,
-            cond_cdf=base.cond_cdf,
-            cond_density=base.cond_density,
-        )
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            q = float(rng.uniform(0.2, 1.0))
-            g = float(rng.uniform(base.g_score(q, 30.0, 10.0, 2), base.g_score(q, 30.0, 0.0, 2)))
-            assert generic.g_inverse(q, 30.0, g, 2) == pytest.approx(
-                base.g_inverse(q, 30.0, g, 2), abs=1e-9
-            )
-
     def test_inverse_of_score_is_identity(self, unit_uniform, wide_uniform):
         rng = np.random.default_rng(3)
         for dist in (unit_uniform, wide_uniform):
@@ -120,77 +87,6 @@ class TestScores:
                 q = float(rng.uniform(0.0, 1.0))
                 g = dist.g_score(q, 30.0, c, 2)
                 assert dist.g_inverse(q, 30.0, g, 2) == pytest.approx(c, abs=1e-9)
-
-
-class TestRegularity:
-    def test_uniform_family_is_regular(self, unit_uniform):
-        assert unit_uniform.check_regularity(33)
-
-    def test_step_density_is_irregular(self):
-        # Density jumping up mid-interval makes F/f, and with it H, drop.
-        def cdf(c, k):
-            return 0.1 * c if c < 0.5 else 0.05 + 1.9 * (c - 0.5)
-
-        def density(c, k):
-            return 0.1 if c < 0.5 else 1.9
-
-        dist = TypeDistribution(
-            cost_bounds=(0.0, 1.0),
-            cap_bounds=(1, 3),
-            cond_cdf=cdf,
-            cond_density=density,
-        )
-        # sanity: H really does decrease across the density jump
-        assert dist.virtual_cost(0.499, 1) > dist.virtual_cost(0.501, 1)
-        assert not dist.check_regularity(33)
-
-    def test_capacity_dependent_violation(self):
-        # Information rent growing with capacity breaks H non-increasing in k.
-        dist = TypeDistribution(
-            cost_bounds=(0.0, 1.0),
-            cap_bounds=(1, 4),
-            cond_cdf=lambda c, k: min(max(c, 0.0), 1.0),
-            cond_density=lambda c, k: 1.0 / k,
-        )
-        assert not dist.check_regularity(9)
-
-    def test_single_point_grid_passes(self):
-        dist = uniform_type_distribution(0.0, 1.0, 2, 2)
-        assert dist.check_regularity(1)
-
-    def test_degenerate_density_reports_false(self):
-        dist = TypeDistribution(
-            cost_bounds=(0.0, 1.0),
-            cap_bounds=(1, 2),
-            cond_cdf=lambda c, k: c,
-            cond_density=lambda c, k: 0.0,
-        )
-        assert not dist.check_regularity(5)
-
-
-class TestDistributionValidation:
-    def test_uniform_family_validates(self, unit_uniform):
-        unit_uniform.validate()
-
-    def test_cdf_endpoints_enforced(self):
-        dist = TypeDistribution(
-            cost_bounds=(0.0, 1.0),
-            cap_bounds=(1, 2),
-            cond_cdf=lambda c, k: 0.5 * c,  # tops out at 0.5
-            cond_density=lambda c, k: 0.5,
-        )
-        with pytest.raises(ValueError, match="endpoints"):
-            dist.validate()
-
-    def test_density_cdf_mismatch_detected(self):
-        dist = TypeDistribution(
-            cost_bounds=(0.0, 1.0),
-            cap_bounds=(1, 2),
-            cond_cdf=lambda c, k: c,
-            cond_density=lambda c, k: 2.0,  # not the derivative of F
-        )
-        with pytest.raises(ValueError, match="derivative"):
-            dist.validate()
 
 
 class TestTypesAndBids:
@@ -264,10 +160,3 @@ class TestRewardRealization:
             with pytest.raises(ValueError):
                 RewardRealization(np.array([[0, 1, bad]], dtype=np.int16))
 
-    def test_conditional_cdf_shape_on_grid(self):
-        dist = uniform_type_distribution(0.25, 2.0, 1, 4)
-        for k in range(1, 5):
-            values = [dist.cond_cdf(c, k) for c in np.linspace(0.25, 2.0, 33)]
-            assert values[0] == pytest.approx(0.0, abs=1e-12)
-            assert values[-1] == pytest.approx(1.0, abs=1e-12)
-            assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))

@@ -3,11 +3,14 @@ import pytest
 
 from procure2d import (
     Bid,
-    IrregularDistributionError,
+    DeviationGrid,
     MarketConfig,
     TypeDistribution,
+    audit_dsic,
+    audit_offered_utility,
     auctioneer_utility,
     integral_payment,
+    make_opt_probe,
     run_2d_opt,
     sample_reward_realization,
     uniform_type_distribution,
@@ -72,40 +75,22 @@ def test_integral_payment_zero_for_losers(two_agent_market):
     assert integral_payment(market, qualities, bids, 1) == 0.0
 
 
-def test_irregular_distribution_refused():
-    def cdf(c, k):
-        return 0.1 * c if c < 0.5 else 0.05 + 1.9 * (c - 0.5)
-
-    irregular = TypeDistribution(
-        cost_bounds=(0.0, 1.0),
-        cap_bounds=(1, 3),
-        cond_cdf=cdf,
-        cond_density=lambda c, k: 0.1 if c < 0.5 else 1.9,
-    )
-    market = MarketConfig(2, 30.0, (irregular,))
-    with pytest.raises(IrregularDistributionError):
-        run_2d_opt(market, np.array([0.8]), [Bid(0.2, 2)])
-
-
 def test_matches_numpy_reference_bit_for_bit():
     # In half the markets, costs and qualities on coarse grids make exact
     # score ties and zero scores common; in the other half they are drawn
     # freely, so that critical prices fall inside the cost range and the
     # order in which a payment adds them shows in its last bits.  Scores run
     # negative, capacities reach 0 and budgets run from 0 to past the total
-    # capacity.  One prior in four is curved, so that its score inverse
-    # bisects instead of using the closed form.
-    def cdf(c, k):
-        return 0.5 * (c + c * c)
-
-    curved = TypeDistribution((0.0, 1.0), (0, 5), cdf, lambda c, k: 0.5 + c)
+    # capacity.  One prior in four is a second affine prior, so that markets
+    # mix two score inverses.
+    skewed = TypeDistribution((0.0, 1.0), (0, 5), (0.25, 1.5))
     uniform = uniform_type_distribution(0.0, 1.0, 0, 5)
     rng = np.random.default_rng(2000)
     seen = dict.fromkeys(["tie", "zero", "negative", "no_capacity", "no_budget", "slack"], 0)
     for _ in range(2000):
         n = int(rng.integers(1, 8))
         reward_scale = float(rng.choice([2.0, 4.0, 30.0]))
-        dists = tuple(curved if rng.random() < 0.25 else uniform for _ in range(n))
+        dists = tuple(skewed if rng.random() < 0.25 else uniform for _ in range(n))
         caps = rng.integers(0, 6, n)
         if rng.random() < 0.5:
             qualities = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], n)
@@ -144,6 +129,37 @@ def test_payments_match_integral_oracle_on_random_instances():
         for i in range(market.n_agents):
             oracle = integral_payment(market, qualities, bids, i)
             assert outcome.payments[i] == pytest.approx(oracle, abs=1e-9)
+
+
+def test_mixed_priors_price_with_the_winners_own_inverse():
+    # A winner's critical bids invert the rival scores through the winner's
+    # own prior; markets mixing two priors tell that apart from the rival's.
+    skewed = TypeDistribution((0.0, 1.0), (0, 5), (0.25, 1.5))
+    uniform = uniform_type_distribution(0.0, 1.0, 0, 5)
+    rng = np.random.default_rng(95)
+    for m in range(150):
+        n = int(rng.integers(2, 5))
+        dists = (skewed, uniform) + tuple(
+            skewed if rng.random() < 0.5 else uniform for _ in range(n - 2)
+        )
+        qualities = rng.uniform(0.0, 1.0, n)
+        costs, caps = rng.uniform(0.0, 1.0, n), rng.integers(1, 6, n)
+        bids = [Bid(float(c), int(k)) for c, k in zip(costs, caps)]
+        market = MarketConfig(int(rng.integers(1, 13)), 4.0, dists)
+        outcome = run_2d_opt(market, qualities, bids)
+        for i in range(n):
+            assert outcome.payments[i] == pytest.approx(
+                integral_payment(market, qualities, bids, i), abs=1e-9
+            )
+
+        agent = int(rng.integers(n))
+        probe = make_opt_probe(market, qualities, bids, agent)
+        grid = DeviationGrid.spanning(dists[agent], bids[agent].capacity, n_costs=11)
+        report = audit_dsic(probe, bids[agent].cost, bids[agent].capacity, grid)
+        assert report.passed, report.line()
+        if m % 30 == 0:  # the step integrals make this audit slow
+            report = audit_offered_utility(probe, grid, 1.0)
+            assert report.passed, report.line()
 
 
 def test_virtual_surplus_is_maximal():
