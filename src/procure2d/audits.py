@@ -7,8 +7,8 @@ Reports carry the worst observed violation, the witness bid that produced it,
 and the sampling parameters, and serialize to a one-line record.
 
 Statistical audits use paired common random numbers: identical reward tables
-and resampling draws across every deviation, so measured differences reflect
-the bid change alone.
+(``model._draw_outcomes``) and resampling draws across every deviation, so
+measured differences reflect the bid change alone.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bandit import run_ucb_batch
-from .model import Bid, MarketConfig, TypeDistribution
+from .model import Bid, MarketConfig, TypeDistribution, _draw_outcomes
 from .optimal import run_2d_opt
 from .resample import child_seeds, resample_batch, transform_premium
 
@@ -117,10 +117,6 @@ def make_opt_probe(
     return probe
 
 
-# Samples per chunk of the reward-table draw in ``make_ucb_batch_utility``.
-_DRAW_CHUNK = 1000
-
-
 def make_ucb_batch_utility(
     config: MarketConfig,
     bids: Sequence[Bid],
@@ -136,28 +132,19 @@ def make_ucb_batch_utility(
     """Batched utility estimator for the learning auction.
 
     Returns a function (cost, capacity) -> per-sample utilities of ``agent``
-    with true cost ``true_cost``.  Reward tables and rival resampling draws
-    are drawn once and shared across calls; the deviating agent's resampler
-    is seeded identically for every cost, giving paired, monotone-coupled
-    samples across deviations.  Its draw depends on the cost alone, so the
-    function keeps one draw per distinct cost it is called with and reuses
-    it for every capacity.  ``premium=False`` strips the transformation
-    premium from the payment (the counterexample mechanism).
+    with true cost ``true_cost``.  Reward tables (one uint8 stack) and rival
+    resampling draws are drawn once and shared across calls; the deviating
+    agent's resampler is seeded identically for every cost, giving paired,
+    monotone-coupled samples across deviations.  Its draw depends on the
+    cost alone, so the function keeps one draw per distinct cost it is called
+    with and reuses it for every capacity.  ``premium=False`` strips the
+    transformation premium from the payment (the counterexample mechanism).
     """
     n = config.n_agents
-    q = np.asarray(true_qualities, dtype=float)
     realization_seed, rival_seed, dev_seed = child_seeds(seed, 3)
 
-    # The same uniforms as one ``rng.random((samples, n, units))`` draw, taken
-    # in chunks of samples so that no float table of the full size is built.
-    rng = np.random.default_rng(realization_seed)
     realizations = np.empty((samples, n, config.units), dtype=np.uint8)
-    uniforms = np.empty((min(samples, _DRAW_CHUNK), n, config.units))
-    for start in range(0, samples, _DRAW_CHUNK):
-        block = realizations[start : start + _DRAW_CHUNK]
-        chunk = uniforms[: len(block)]
-        rng.random(out=chunk)
-        np.less(chunk, q[:, None], out=block)
+    _draw_outcomes(np.random.default_rng(realization_seed), true_qualities, realizations)
 
     rival_rng = np.random.default_rng(rival_seed)
     rival_h = np.empty((samples, n))

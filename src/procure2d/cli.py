@@ -36,18 +36,23 @@ from .model import (
 from .optimal import run_2d_opt
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="INI config file")
-    parser.add_argument("--seed", type=int, default=None, metavar="U64",
-                        help="override the master seed")
-    parser.add_argument("--out", metavar="DIR", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker processes for replications")
+_FLAGS = {
+    "--config": dict(metavar="PATH", help="INI config file"),
+    "--seed": dict(type=int, default=None, metavar="U64", help="override the master seed"),
+    "--out": dict(metavar="DIR", help="output directory"),
+    "--threads": dict(type=int, default=1, metavar="N", help="worker processes for replications"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Give ``parser`` the shared flags it reads, and no others."""
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def _load_config(args) -> ExperimentConfig:
     config = parse_config(args.config)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         config = ExperimentConfig(**{**config.__dict__, "master_seed": args.seed})
     return config
 
@@ -236,26 +241,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("opt", help="run the optimal auction on a bids file")
     p_opt.add_argument("bids", help="CSV with header agent,cost,capacity,quality")
     p_opt.add_argument("--units", type=int, default=None, help="units to procure")
-    _add_common(p_opt)
+    _add_flags(p_opt, "--config", "--out")
     p_opt.set_defaults(fn=_cmd_opt)
 
     p_ucb = sub.add_parser("ucb", help="run one learning auction, emit its trace")
     p_ucb.add_argument("bids", help="CSV with header agent,cost,capacity,quality")
     p_ucb.add_argument("--units", type=int, default=None, help="units to procure")
-    _add_common(p_ucb)
+    _add_flags(p_ucb, "--config", "--seed", "--out")
     p_ucb.set_defaults(fn=_cmd_ucb)
 
     p_sim = sub.add_parser("simulate", help="run the full experiment grid")
-    _add_common(p_sim)
+    _add_flags(p_sim, "--config", "--seed", "--out", "--threads")
     p_sim.set_defaults(fn=_cmd_simulate)
 
     p_verify = sub.add_parser("verify", help="run the audit suite")
-    _add_common(p_verify)
+    _add_flags(p_verify, "--config", "--seed")
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_plot = sub.add_parser("plot", help="render a results CSV as SVG")
     p_plot.add_argument("results", help="results CSV produced by simulate")
-    _add_common(p_plot)
+    _add_flags(p_plot, "--out")
     p_plot.set_defaults(fn=_cmd_plot)
     return parser
 

@@ -298,14 +298,14 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRow
     rows = []
     for label in config.mechanism_labels():
         for l_index, units in enumerate(config.l_grid):
-            values = np.concatenate(
-                [results[(l_index, ts)][label] for ts in range(config.type_samples)]
-            )
-            mean = float(values.mean())
-            stderr = (
-                float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-            )
-            rows.append(ResultRow(label, units, mean, stderr, values.size))
+            per_type = [results[(l_index, ts)][label] for ts in range(config.type_samples)]
+            values = np.concatenate(per_type)
+            # Realizations share their type sample, so the error is that of the
+            # per-type-sample means; one type sample gives the realizations'
+            # error, conditional on that type draw.
+            spread = np.array([v.mean() for v in per_type]) if len(per_type) > 1 else values
+            stderr = float(spread.std(ddof=1) / math.sqrt(spread.size)) if spread.size > 1 else 0.0
+            rows.append(ResultRow(label, units, float(values.mean()), stderr, values.size))
     return rows
 
 
@@ -353,16 +353,22 @@ def read_results_csv(path) -> list[ResultRow]:
         reader = csv.DictReader(fh)
         if reader.fieldnames != _CSV_HEADER:
             raise ValueError(f"unexpected results header: {reader.fieldnames}")
-        return [
-            ResultRow(
+        rows: dict[tuple[str, int], ResultRow] = {}
+        for rec in _whole_rows(reader, path):
+            row = ResultRow(
                 rec["mechanism"],
                 int(rec["L"]),
                 float(rec["mean_utility_per_unit"]),
                 float(rec["stderr"]),
                 int(rec["replications"]),
             )
-            for rec in _whole_rows(reader, path)
-        ]
+            if (row.mechanism, row.units) in rows:
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: repeats mechanism {row.mechanism}"
+                    f" at L = {row.units}"
+                )
+            rows[(row.mechanism, row.units)] = row
+        return list(rows.values())
 
 
 _PALETTE = ["#1b6ca8", "#d1495b", "#66a182", "#edae49", "#8d5a97", "#30638e",

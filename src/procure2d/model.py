@@ -4,7 +4,7 @@ Each agent sells units of a single good at a private per-unit cost and up to
 a private integer capacity; every delivered unit independently succeeds with
 the agent's fixed but unobserved quality.  The buyer values a successful unit
 at the reward scale R, so a unit from agent i is worth ``R * q_i`` in
-expectation.
+expectation.  ``_draw_outcomes`` draws every table of such outcomes.
 
 ``TypeDistribution`` carries one agent's (cost, capacity) prior as the
 virtual cost driving the auctions: the information-rent-adjusted cost
@@ -227,6 +227,24 @@ def sample_reward_realization(qualities, n_units: int, seed) -> RewardRealizatio
     n_units = _check_int(n_units, "n_units")
     if n_units < 0:
         raise ValueError(f"n_units must be >= 0, got {n_units}")
-    rng = np.random.default_rng(seed)
-    table = (rng.random((q.size, n_units)) < q[:, None]).astype(np.uint8)
+    table = np.empty((q.size, n_units), dtype=np.uint8)
+    _draw_outcomes(np.random.default_rng(seed), q, table)
     return RewardRealization(table)
+
+
+_DRAW_FLOATS = 1 << 17  # uniforms ``_draw_outcomes`` holds at once (at least one row)
+
+
+def _draw_outcomes(rng: np.random.Generator, qualities, out: np.ndarray) -> None:
+    """Fill the C-contiguous uint8 ``out`` of shape ``(..., n, L)`` with ``u < qualities[i]``
+    at ``[..., i, j]``, ``u`` the matching uniform of one ``rng.random(out.shape)`` call,
+    drawn in blocks of whole rows through one reused buffer and compared in place."""
+    if out.size:
+        rows = out.reshape(-1, out.shape[-1])
+        q = np.tile(qualities, len(rows) // out.shape[-2])[:, None]  # one per stacked table
+        step = min(len(rows), max(1, _DRAW_FLOATS // rows.shape[1]))
+        uniforms = np.empty((step, rows.shape[1]))
+        for start in range(0, len(rows), step):
+            chunk = uniforms[: len(rows) - start]
+            rng.random(out=chunk)
+            np.less(chunk, q[start : start + step], out=rows[start : start + step])

@@ -28,6 +28,18 @@ realizations = 2
 master_seed = 7
 """
 
+# Two type samples over three budgets: the grid whose reference columns are
+# pinned in ``golden/simulate-reference.csv``.
+GOLDEN_CONF = """[market]
+n = 3
+
+[experiment]
+l_grid = 40,160,640
+type_samples = 2
+realizations = 3
+master_seed = 5
+"""
+
 
 @pytest.fixture
 def bids_file(tmp_path):
@@ -85,6 +97,35 @@ def test_simulate_and_plot(conf_file, tmp_path, capsys):
     plot_dir = tmp_path / "plotted"
     assert main(["plot", str(results), "--out", str(plot_dir)]) == 0
     assert (plot_dir / "results.svg").read_bytes() == (out_dir / "results.svg").read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_reference_columns_are_pinned(tmp_path, threads):
+    # mechanism, L, mean and replications byte for byte, at any worker count:
+    # a change to a mechanism, a draw or the reduction shows here.  stderr is
+    # left out, as in perfbench's references.
+    conf = tmp_path / "golden.ini"
+    conf.write_text(GOLDEN_CONF)
+    out_dir = tmp_path / "out"
+    argv = ["simulate", "--config", str(conf), "--out", str(out_dir), "--threads", threads]
+    assert main(argv) == 0
+    fields = [line.split(",") for line in (out_dir / "results.csv").read_text().splitlines()]
+    kept = "".join(",".join(f[:3] + f[4:]) + "\n" for f in fields)
+    assert kept == (GOLDEN / "simulate-reference.csv").read_text()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("opt", "--seed"), ("opt", "--threads"), ("ucb", "--threads"), ("verify", "--out"),
+    ("verify", "--threads"), ("plot", "--config"), ("plot", "--seed"), ("plot", "--threads"),
+])
+def test_subcommand_refuses_a_flag_it_does_not_read(bids_file, tmp_path, capsys, command, flag):
+    positional = {"opt": [str(bids_file)], "ucb": [str(bids_file)],
+                  "plot": [str(tmp_path / "results.csv")]}.get(command, [])
+    value = str(tmp_path / "x") if flag in ("--out", "--config") else "1"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *positional, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_simulate_seed_override(conf_file, tmp_path):
@@ -203,9 +244,10 @@ def test_non_finite_cost_bound_is_a_clean_error(bids_file, tmp_path, capsys, com
     conf.write_text(TINY_CONF.replace("n = 2", f"n = 2\n{bound}"))
     bids = [str(bids_file)] if command == "ucb" else []
     out_dir = tmp_path / "out"
+    out = [] if command == "verify" else ["--out", str(out_dir)]  # verify writes no file
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main([command, *bids, "--config", str(conf), "--out", str(out_dir)]) == 2
+        assert main([command, *bids, "--config", str(conf), *out]) == 2
     assert capsys.readouterr().err == "error: market.cost_lo and market.cost_hi must be finite\n"
     assert caught == []
     assert not out_dir.exists()
@@ -236,6 +278,20 @@ def test_plot_refuses_rows_below_one(tmp_path, capsys, row, field):
     assert main(["plot", str(results), "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}") and err.count("\n") == 1
+    assert not (out_dir / "results.svg").exists()
+
+
+def test_plot_refuses_a_repeated_row(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text(
+        "mechanism,L,mean_utility_per_unit,stderr,replications\n"
+        "opt,1000,2.0,0.1,4\nucb,1000,1.5,0.1,4\nopt,1000,3.0,0.1,4\n"
+    )
+    out_dir = tmp_path / "out"
+    assert main(["plot", str(results), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {results}, line 4: repeats mechanism opt at L = 1000\n"
+    )
     assert not (out_dir / "results.svg").exists()
 
 

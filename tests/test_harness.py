@@ -124,6 +124,20 @@ class TestRunExperiment:
         assert [(r.mechanism, r.units) for r in rows] == expected
         assert all(r.replications == 4 for r in rows)
 
+    def test_stderr_is_over_per_type_sample_means(self):
+        # Realizations share their type sample, so the error bar is that of
+        # the type-sample means; the mean itself stays over all replications.
+        config = ExperimentConfig(n=3, l_grid=(30, 60), type_samples=3, realizations=4,
+                                  master_seed=2)
+        rows = run_experiment(config)
+        for row in rows:
+            l_index = config.l_grid.index(row.units)
+            per_type = [_run_cell(config, l_index, ts)[row.mechanism] for ts in range(3)]
+            means = np.array([v.mean() for v in per_type])
+            assert row.stderr == float(means.std(ddof=1) / math.sqrt(3))
+            assert row.mean_utility_per_unit == float(np.concatenate(per_type).mean())
+            assert row.replications == 12
+
     def test_deterministic_across_thread_counts(self, tmp_path):
         rows_serial = run_experiment(TINY, threads=1)
         rows_parallel = run_experiment(TINY, threads=2)

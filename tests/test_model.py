@@ -10,6 +10,7 @@ from procure2d import (
     sample_reward_realization,
     uniform_type_distribution,
 )
+from procure2d.model import _DRAW_FLOATS, _draw_outcomes
 
 
 @pytest.fixture
@@ -160,3 +161,29 @@ class TestRewardRealization:
             with pytest.raises(ValueError):
                 RewardRealization(np.array([[0, 1, bad]], dtype=np.int16))
 
+
+class TestDrawOutcomes:
+    """The chunked drawer against the one-shot ``rng.random(shape) < q`` path."""
+
+    @pytest.mark.parametrize("shape", [
+        (3, 0),                     # L = 0
+        (2, 4, 0),
+        (2, _DRAW_FLOATS + 5),      # a row longer than the buffer: one row per pass
+        (7, _DRAW_FLOATS // 3),     # 3 rows per pass do not divide 7 rows
+        (50, 3, 1000),              # stacked: 131 rows per pass over 150 rows
+    ], ids=["empty", "stacked-empty", "long-rows", "ragged-last-pass", "stacked"])
+    def test_matches_one_shot_draw_bit_for_bit(self, shape):
+        q = np.linspace(0.05, 0.95, shape[-2])
+        chunked, one_shot = np.random.default_rng(17), np.random.default_rng(17)
+        out = np.full(shape, 7, dtype=np.uint8)
+        _draw_outcomes(chunked, q, out)
+        expected = (one_shot.random(shape) < q[:, None]).astype(np.uint8)
+        assert np.array_equal(out, expected)
+        assert chunked.random() == one_shot.random()
+
+    def test_realization_continues_a_generator_like_one_draw(self):
+        q = np.array([0.2, 0.9, 0.5])
+        passed, one_shot = np.random.default_rng(4), np.random.default_rng(4)
+        table = sample_reward_realization(q, _DRAW_FLOATS // 2, passed).table
+        assert np.array_equal(table, one_shot.random(table.shape) < q[:, None])
+        assert passed.random() == one_shot.random()
