@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bandit import run_ucb_batch
-from .model import Bid, MarketConfig, TypeDistribution, _draw_outcomes
+from .model import Bid, MarketConfig, RewardRealization, TypeDistribution, _draw_outcomes
 from .optimal import run_2d_opt
 from .resample import child_seeds, resample_batch, transform_premium
 
@@ -132,19 +132,23 @@ def make_ucb_batch_utility(
     """Batched utility estimator for the learning auction.
 
     Returns a function (cost, capacity) -> per-sample utilities of ``agent``
-    with true cost ``true_cost``.  Reward tables (one uint8 stack) and rival
-    resampling draws are drawn once and shared across calls; the deviating
-    agent's resampler is seeded identically for every cost, giving paired,
-    monotone-coupled samples across deviations.  Its draw depends on the
-    cost alone, so the function keeps one draw per distinct cost it is called
-    with and reuses it for every capacity.  ``premium=False`` strips the
-    transformation premium from the payment (the counterexample mechanism).
+    with true cost ``true_cost``.  Every profile, truthful or deviated, is
+    admitted by ``MarketConfig.check_bids``, as the mechanisms admit theirs.
+    Reward tables (one ``RewardRealization`` stack) and rival resampling draws
+    are drawn once and shared across calls; the deviating agent's resampler
+    is seeded identically for every cost, giving paired, monotone-coupled
+    samples across deviations.  Its draw depends on the cost alone, so the
+    function keeps one draw per distinct cost it is called with and reuses it
+    for every capacity.  ``premium=False`` strips the transformation premium
+    from the payment (the counterexample mechanism).
     """
+    config.check_bids(bids)
     n = config.n_agents
     realization_seed, rival_seed, dev_seed = child_seeds(seed, 3)
 
-    realizations = np.empty((samples, n, config.units), dtype=np.uint8)
-    _draw_outcomes(np.random.default_rng(realization_seed), true_qualities, realizations)
+    stack = np.empty((samples, n, config.units), dtype=np.uint8)
+    _draw_outcomes(np.random.default_rng(realization_seed), true_qualities, stack)
+    realizations = RewardRealization(stack)
 
     rival_rng = np.random.default_rng(rival_seed)
     rival_h = np.empty((samples, n))
@@ -159,11 +163,13 @@ def make_ucb_batch_utility(
 
     dist_a = config.distributions[agent]
     cost_hi = dist_a.cost_bounds[1]
-    base_caps = np.array([b.capacity for b in bids], dtype=np.int64)
 
     draws: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def batch_utility(cost: float, capacity: int) -> np.ndarray:
+        trial = list(bids)
+        trial[agent] = Bid(cost, capacity)
+        config.check_bids(trial)
         if cost not in draws:
             draws[cost] = resample_batch(
                 cost, cost_hi, mu, samples, np.random.default_rng(dev_seed)
@@ -171,8 +177,7 @@ def make_ucb_batch_utility(
         alpha, beta = draws[cost]
         h = rival_h.copy()
         h[:, agent] = dist_a.virtual_cost_array(alpha, capacity)
-        caps = base_caps.copy()
-        caps[agent] = capacity
+        caps = np.array([b.capacity for b in trial], dtype=np.int64)
         units, _ = run_ucb_batch(config.reward_scale, h, caps, realizations)
         mine = units[:, agent].astype(float)
         utility = (cost - true_cost) * mine

@@ -244,12 +244,9 @@ def run_2d_ucb(
     n_rounds = config.units
     if n_rounds < n:
         raise ValueError(f"units ({n_rounds}) must be >= number of agents ({n})")
-    if len(bids) != n:
-        raise ValueError(f"expected {n} bids, got {len(bids)}")
+    config.check_bids(bids)
     if realization.table.shape != (n, n_rounds):
-        raise ValueError(
-            f"realization must be {n}x{n_rounds}, got {realization.table.shape!r}"
-        )
+        raise ValueError(f"realization must be {n}x{n_rounds}, got {realization.table.shape!r}")
     if not 0.0 <= bonus_scale < math.inf:
         raise ValueError(f"bonus_scale must be finite and >= 0, got {bonus_scale}")
 
@@ -260,7 +257,7 @@ def run_2d_ucb(
         for dist, draw, bid in zip(config.distributions, draws, bids)
     ]
     caps = [bid.capacity for bid in bids]
-    table = np.ascontiguousarray(realization.table)
+    table = realization.table
     units = np.empty(n, dtype=np.int64)
     succ = np.empty(n, dtype=np.int64)
     # Winner, reward and score of rounds n, n+1, ... when a trace is asked for.
@@ -302,40 +299,33 @@ def run_ucb_batch(
     reward_scale: float,
     virtual_costs: np.ndarray,
     capacities: np.ndarray,
-    realizations: np.ndarray,
+    realizations: RewardRealization,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The UCB allocation loop over stacked replications.
 
     ``virtual_costs`` is (samples, n) of per-agent H values at the resampled
-    costs, ``realizations`` is (samples, n, rounds) of Bernoulli outcomes.
-    Returns (units, successes), each (samples, n).  Uses the default (narrow)
-    exploration bonus; every agent must have reported an integer capacity
-    >= 1, and every outcome must be 0 or 1 (booleans or integers).  Each
-    sample runs the round loop of ``run_2d_ucb``, so the two make the same
-    decisions; the C loop advances the samples in blocks of a few at a time.
+    costs, ``realizations`` a ``RewardRealization`` of a (samples, n, rounds)
+    stack.  Returns (units, successes), each (samples, n).  Uses the default
+    (narrow) exploration bonus; every agent must have reported an integer
+    capacity >= 0, and an agent reporting 0 is skipped in the seeding pass as
+    in ``run_2d_ucb``.  Each sample runs the round loop of ``run_2d_ucb``, so
+    the two make the same decisions; the C loop advances the samples in
+    blocks of a few at a time.
     """
     if not 0 < reward_scale < math.inf:
         raise ValueError(f"reward_scale must be finite and > 0, got {reward_scale}")
-    realizations = np.asarray(realizations)
-    kind = realizations.dtype.kind
-    if kind not in "biu":
-        raise TypeError(f"realizations must hold 0/1 integers, got dtype {realizations.dtype}")
-    samples, n, n_rounds = realizations.shape
+    table = realizations.table
+    samples, n, n_rounds = table.shape
     if n < 1:
         raise ValueError("batch runner needs at least one agent")
-    if realizations.size and kind != "b" and (
-        realizations.max() > 1 or (kind == "i" and realizations.min() < 0)
-    ):
-        raise ValueError("realizations must hold only 0 and 1")
-    realizations = np.ascontiguousarray(realizations, dtype=np.uint8)
     caps = np.ascontiguousarray(capacities, dtype=np.int64)
     h = np.ascontiguousarray(virtual_costs, dtype=float)
     if caps.shape != (n,) or h.shape != (samples, n):
         raise ValueError("shape mismatch between capacities, virtual costs, realizations")
     if not np.array_equal(caps, capacities):
         raise ValueError("capacities must be integers")
-    if caps.min() < 1:
-        raise ValueError("batch runner requires every reported capacity >= 1")
+    if caps.min() < 0:
+        raise ValueError("capacities must be >= 0")
     if not np.isfinite(h).all():
         raise ValueError("virtual costs must be finite")
     if n_rounds < n:
@@ -344,7 +334,7 @@ def run_ucb_batch(
     units = np.empty((samples, n), dtype=np.int64)
     successes = np.empty((samples, n), dtype=np.int64)
     status = _library().ucb_batch(
-        samples, n, n_rounds, reward_scale, h, caps, realizations,
+        samples, n, n_rounds, reward_scale, h, caps, table,
         _bonus_widths(0.5, n_rounds), _inv_sqrt_counts(n_rounds + 1), units, successes,
     )
     if status < 0:
@@ -373,16 +363,13 @@ def run_eps_separated(
     """
     n = config.n_agents
     n_rounds = config.units
-    if len(bids) != n:
-        raise ValueError(f"expected {n} bids, got {len(bids)}")
+    config.check_bids(bids)
     if not n <= explore_rounds <= n_rounds:
         raise ValueError(
             f"explore_rounds must lie in [{n}, {n_rounds}], got {explore_rounds}"
         )
     if realization.table.shape != (n, n_rounds):
-        raise ValueError(
-            f"realization must be {n}x{n_rounds}, got {realization.table.shape!r}"
-        )
+        raise ValueError(f"realization must be {n}x{n_rounds}, got {realization.table.shape!r}")
     caps = [bid.capacity for bid in bids]
     total_cap = sum(caps)
     if explore_rounds > total_cap:

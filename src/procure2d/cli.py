@@ -17,7 +17,6 @@ import numpy as np
 from . import audits
 from .bandit import run_2d_ucb
 from .harness import (
-    ConfigError,
     ExperimentConfig,
     emit_results,
     parse_config,
@@ -269,7 +268,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

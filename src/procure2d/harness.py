@@ -333,28 +333,29 @@ def emit_results(rows: list[ResultRow], csv_path, svg_path) -> None:
         fh.write(render_results_svg(rows))
 
 
-def _whole_rows(reader: csv.DictReader, path):
-    """The records of ``reader``, refusing a row with more or fewer fields
-    than the header (``DictReader`` would fill the gap with None, or file the
-    surplus under the key None)."""
-    for rec in reader:
-        if None in rec or None in rec.values():
-            got = sum(v is not None for k, v in rec.items() if k is not None)
-            got += len(rec.get(None, ()))
+def _whole_rows(reader, header: list[str], path):
+    """The rows of the ``csv.reader`` past its header line as dicts keyed by
+    ``header``, skipping blank lines and refusing a row with more or fewer
+    fields than the header."""
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
             raise ValueError(
-                f"{path}, line {reader.line_num}: {got} fields, expected {len(reader.fieldnames)}"
-                f" ({','.join(reader.fieldnames)})"
+                f"{path}, line {reader.line_num}: {len(row)} fields, expected {len(header)}"
+                f" ({','.join(header)})"
             )
-        yield rec
+        yield dict(zip(header, row))
 
 
 def read_results_csv(path) -> list[ResultRow]:
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _CSV_HEADER:
-            raise ValueError(f"unexpected results header: {reader.fieldnames}")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != _CSV_HEADER:
+            raise ValueError(f"unexpected results header: {header}")
         rows: dict[tuple[str, int], ResultRow] = {}
-        for rec in _whole_rows(reader, path):
+        for rec in _whole_rows(reader, header, path):
             row = ResultRow(
                 rec["mechanism"],
                 int(rec["L"]),
@@ -480,11 +481,12 @@ def read_bids_csv(path) -> tuple[list[Bid], np.ndarray]:
     """
     records = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, None)
         expected = ["agent", "cost", "capacity", "quality"]
-        if reader.fieldnames != expected:
+        if header != expected:
             raise ValueError(f"bids file must have header {','.join(expected)}")
-        for rec in _whole_rows(reader, path):
+        for rec in _whole_rows(reader, header, path):
             agent = int(rec["agent"])
             if agent in records:
                 raise ValueError(f"duplicate agent id {agent} in bids file")

@@ -167,7 +167,8 @@ def uniform_type_distribution(
 
 @dataclass(frozen=True)
 class MarketConfig:
-    """One auction instance: budget of units, reward scale, per-agent priors."""
+    """One auction instance: budget of units, reward scale, per-agent priors.
+    ``check_bids`` is the one rule for the bid profiles it admits."""
 
     units: int
     reward_scale: float
@@ -187,31 +188,43 @@ class MarketConfig:
     def n_agents(self) -> int:
         return len(self.distributions)
 
+    def check_bids(self, bids) -> None:
+        """Refuse a profile unless it holds one bid per agent, each cost within
+        its prior's cost bounds and each capacity at most its prior's upper
+        capacity bound (``Bid`` holds capacities to integers >= 0, so
+        withholding down to 0 is a legal report)."""
+        if len(bids) != self.n_agents:
+            raise ValueError(f"expected {self.n_agents} bids, got {len(bids)}")
+        for i, (bid, dist) in enumerate(zip(bids, self.distributions)):
+            (lo, hi), top = dist.cost_bounds, dist.cap_bounds[1]
+            if not lo <= bid.cost <= hi:
+                raise ValueError(f"agent {i} bid cost {bid.cost} outside [{lo}, {hi}]")
+            if bid.capacity > top:
+                raise ValueError(f"agent {i} bid capacity {bid.capacity} above prior bound {top}")
+
 
 @dataclass(frozen=True)
 class RewardRealization:
-    """n x L table of Bernoulli outcomes; entry (i, j) is the outcome of the
-    j-th unit procured from agent i (counted per agent, not globally)."""
+    """Bernoulli outcome table of shape ``(..., n, L)``: entry ``[..., i, j]``
+    is the outcome of the j-th unit procured from agent i (counted per agent,
+    not globally); leading axes stack tables, as the audits do.  The one rule
+    for outcome tables: bool or integer entries, each 0 or 1.  Kept read-only
+    C-contiguous uint8, with no copy of a table that already is one."""
 
     table: np.ndarray
 
     def __post_init__(self):
         table = np.asarray(self.table)
-        if table.ndim != 2:
-            raise ValueError(f"realization table must be 2-D, got shape {table.shape}")
-        if not ((table == 0) | (table == 1)).all():
+        if table.ndim < 2:
+            raise ValueError(f"realization table must be (..., n, L), got shape {table.shape}")
+        kind = table.dtype.kind
+        if kind not in "biu":
+            raise TypeError(f"realization table must hold 0/1 integers, got dtype {table.dtype}")
+        if kind != "b" and table.size and (table.max() > 1 or (kind == "i" and table.min() < 0)):
             raise ValueError("realization table entries must be 0 or 1")
-        table = table.astype(np.uint8)
+        table = np.ascontiguousarray(table, dtype=np.uint8).view()
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
-
-    @property
-    def n_agents(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def n_units(self) -> int:
-        return self.table.shape[1]
 
 
 def sample_reward_realization(qualities, n_units: int, seed) -> RewardRealization:

@@ -50,21 +50,13 @@ def auctioneer_utility(allocation, payments, qualities, reward_scale: float) -> 
 
 
 def _validate_instance(config: MarketConfig, qualities, bids: Sequence[Bid]) -> list[float]:
+    config.check_bids(bids)
     q = np.asarray(qualities, dtype=float)
-    n = config.n_agents
-    if q.shape != (n,) or len(bids) != n:
-        raise ValueError(f"expected {n} qualities and bids, got {q.shape} and {len(bids)}")
+    if q.shape != (config.n_agents,):
+        raise ValueError(f"expected {config.n_agents} qualities, got shape {q.shape}")
     q = q.tolist()
     if not all(0.0 <= x <= 1.0 for x in q):
         raise ValueError("qualities must lie in [0, 1]")
-    for i, (bid, dist) in enumerate(zip(bids, config.distributions)):
-        lo, hi = dist.cost_bounds
-        if not lo <= bid.cost <= hi:
-            raise ValueError(f"agent {i} bid cost {bid.cost} outside [{lo}, {hi}]")
-        if bid.capacity > dist.cap_bounds[1]:
-            raise ValueError(
-                f"agent {i} bid capacity {bid.capacity} above prior upper bound"
-            )
     return q
 
 

@@ -212,6 +212,23 @@ class TestStochasticBic:
         assert report.passed, report.line()
 
 
+    @pytest.mark.parametrize("units", [12, 30])
+    def test_withholding_all_capacity_is_audited(self, units):
+        # A prior from capacity 0: the spanning grid sweeps the deviation
+        # that withholds every unit, which buys nothing and earns nothing.
+        dist = uniform_type_distribution(0.0, 1.0, 0, 6)
+        types = [AgentType(0.35, 5, 0.8), AgentType(0.55, 4, 0.6), AgentType(0.5, 3, 0.7)]
+        market = MarketConfig(units, 30.0, (dist,) * 3)
+        batch = make_ucb_batch_utility(
+            market, [t.truthful_bid() for t in types], 0, types[0].cost,
+            [t.quality for t in types], 0.1, 1500, 13,
+        )
+        grid = DeviationGrid.spanning(dist, types[0].capacity, n_costs=5)
+        assert grid.capacities == (0, 1, 2, 3, 4, 5)
+        report = audit_stochastic_bic(batch, types[0].cost, types[0].capacity, grid)
+        assert report.status == "pass", report.line()
+        assert not batch(0.2, 0).any()
+
     @pytest.mark.parametrize("premium,cost,capacity,digest,total", [
         (True, 0.35, 12, "405bcbe756d12dd7ccdf0f1f88c91df9", 18167.5),
         (True, 0.9, 15, "bc3d14ff3253fc07086f21a046a5ad92", 20737.3),

@@ -9,6 +9,7 @@ from procure2d import (
     ResampleDraw,
     RewardRealization,
     audit_iia,
+    make_ucb_batch_utility,
     run_2d_opt,
     run_2d_ucb,
     run_eps_separated,
@@ -267,7 +268,7 @@ def test_batch_runner_matches_scalar_exactly():
     alphas = rng.uniform([b.cost for b in bids], 1.0, (samples, n))
     h = 2.0 * alphas  # unit-interval uniform costs
     caps = np.array([b.capacity for b in bids])
-    units, successes = run_ucb_batch(30.0, h, caps, tables)
+    units, successes = run_ucb_batch(30.0, h, caps, RewardRealization(tables))
     for s in range(samples):
         draws = [ResampleDraw(float(alphas[s, j]), bids[j].cost) for j in range(n)]
         outcome, _ = run_2d_ucb(
@@ -289,23 +290,20 @@ def _bad_batch_input(case):
         h[:, 0] = math.nan  # agent 0 would never be picked after seeding
     elif case == "nan-reward-scale":
         reward_scale = math.nan  # every row would stop after seeding
-    elif case == "float-table":
-        tables = tables * 0.9  # would be truncated to 0 by the uint8 cast
-    elif case == "table-of-twos":
-        tables = tables * 2  # successes would exceed units
     elif case == "fractional-capacity":
         caps = np.array([5.0, 4.0, 2.9])  # would be truncated to 2
+    elif case == "negative-capacity":
+        caps = np.array([5, 4, -1])
     elif case == "zero-agents":
         tables, h, caps = tables[:, :0], h[:, :0], caps[:0]
-    return reward_scale, h, caps, tables
+    return reward_scale, h, caps, RewardRealization(tables)
 
 
 BAD_BATCH_INPUTS = {
     "nan-virtual-cost": (ValueError, "virtual costs must be finite"),
     "nan-reward-scale": (ValueError, "reward_scale must be finite"),
-    "float-table": (TypeError, "0/1 integers"),
-    "table-of-twos": (ValueError, "only 0 and 1"),
     "fractional-capacity": (ValueError, "capacities must be integers"),
+    "negative-capacity": (ValueError, "capacities must be >= 0"),
     "zero-agents": (ValueError, "at least one agent"),
 }
 
@@ -315,6 +313,46 @@ def test_batch_runner_refuses_input_it_would_misread(case):
     error, message = BAD_BATCH_INPUTS[case]
     with pytest.raises(error, match=message):
         run_ucb_batch(*_bad_batch_input(case))
+
+
+# A float table would be truncated by the uint8 cast, and a 2 would let
+# successes exceed units: ``RewardRealization`` refuses both, for the scalar
+# runner's (n, L) table and the batch runner's (samples, n, rounds) stack alike.
+@pytest.mark.parametrize("shape", [(3, 20), (6, 3, 20)], ids=["run_2d_ucb", "run_ucb_batch"])
+@pytest.mark.parametrize("bad, error, message", [
+    (lambda t: t.astype(float), TypeError, "must hold 0/1 integers, got dtype float64"),
+    (lambda t: t * 2, ValueError, "entries must be 0 or 1"),
+], ids=["float-table", "table-of-twos"])
+def test_outcome_tables_are_refused_by_one_rule(shape, bad, error, message):
+    tables = (np.random.default_rng(4).random(shape) < 0.7).astype(np.uint8)
+    with pytest.raises(error, match=f"^realization table {message}$"):
+        RewardRealization(bad(tables))
+
+
+# A capacity-8 bid under a prior capped at 5.  Every mechanism, and the
+# audits' batched utility, admits a profile by ``MarketConfig.check_bids``,
+# so each refuses this one up front with the same message, naming the 8:
+# explore-then-commit too, whether its residual capacity would have been 7
+# (two exploration units) or within the prior (six).
+CAPPED = uniform_type_distribution(0.0, 1.0, 1, 5)
+OVER_CAP = {
+    "opt": lambda m, bids, table: run_2d_opt(m, [0.9, 0.4], bids),
+    "ucb": lambda m, bids, table: run_2d_ucb(m, bids, table, 0.1, 0),
+    "eps-short": lambda m, bids, table: run_eps_separated(m, bids, table, 2, 0.1, 0),
+    "eps-long": lambda m, bids, table: run_eps_separated(m, bids, table, 6, 0.1, 0),
+    "batch-utility": lambda m, bids, table: make_ucb_batch_utility(
+        m, bids, 1, 0.6, [0.9, 0.4], 0.1, 10, 0),
+}
+
+
+@pytest.mark.parametrize("mechanism", list(OVER_CAP))
+def test_capacity_above_the_prior_is_refused_by_every_mechanism(mechanism):
+    m = MarketConfig(6, 30.0, (CAPPED, CAPPED))
+    bids = [Bid(0.2, 8), Bid(0.6, 3)]
+    table = sample_reward_realization([0.9, 0.4], 6, 1)
+    with pytest.raises(ValueError) as refused:
+        OVER_CAP[mechanism](m, bids, table)
+    assert str(refused.value) == "agent 0 bid capacity 8 above prior bound 5"
 
 
 class TestEpsSeparated:

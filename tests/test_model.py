@@ -154,7 +154,7 @@ class TestRewardRealization:
         with pytest.raises(ValueError):
             RewardRealization(np.array([[0, 2]]))
         for bad in (0.5, np.nan):
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 RewardRealization(np.array([[0.0, 1.0, bad]]))
         # -1 and 256 wrap to 255 and 0 in uint8: rejected before the conversion
         for bad in (-1, 256):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from procure2d import bandit, run_ucb_batch
+from procure2d import RewardRealization, bandit, run_ucb_batch
 
 HERE = Path(__file__).parent
 
@@ -27,7 +27,7 @@ def batch_case():
     rng = np.random.default_rng(3)
     tables = (rng.random((200, 3, 30)) < np.array([0.9, 0.7, 0.8])[None, :, None])
     h = rng.choice([0.2, 0.5, 0.9], (200, 3))
-    return 30.0, h, np.array([10, 12, 9]), tables.astype(np.uint8)
+    return 30.0, h, np.array([10, 12, 9]), RewardRealization(tables)
 
 
 def test_cached_library_is_reused_without_the_compiler(tmp_path, monkeypatch):

@@ -26,7 +26,7 @@ from procure2d import (
 )
 from procure2d import bandit, harness
 
-DIST = uniform_type_distribution(0.0, 1.0, 0, 6000)
+DIST = uniform_type_distribution(0.0, 1.0, 0, 20_000)
 
 # Auctions the C loop advances together in one block.
 LANES = int(re.search(r"^#define LANES (\d+)$", Path(bandit._SOURCE).read_text(), re.M).group(1))
@@ -292,7 +292,7 @@ def assert_batch_matches_oracle(reward_scale, alphas, caps, tables):
     sample with the same draws; returns the oracle's traces."""
     samples, n, units = tables.shape
     h = np.array([[DIST.virtual_cost(a, k) for a, k in zip(row, caps)] for row in alphas])
-    units_out, successes = run_ucb_batch(reward_scale, h, np.array(caps), tables)
+    units_out, successes = run_ucb_batch(reward_scale, h, np.array(caps), RewardRealization(tables))
     assert units_out.shape == successes.shape == (samples, n)
     assert units_out.dtype == successes.dtype == np.int64
     market = MarketConfig(units, reward_scale, (DIST,) * n)
@@ -348,8 +348,9 @@ def test_batch_rows_stop_in_different_rounds_and_when_all_agents_are_full(block_
     alphas = rng.choice([0.2, 0.35, 0.5], (samples, 3))
     traces = assert_batch_matches_oracle(1.0, alphas, [8, 8, 1], tables.astype(np.uint8))
     h = np.array([[DIST.virtual_cost(a, k) for a, k in zip(row, [8, 8, 1])] for row in alphas])
-    whole = run_ucb_batch(1.0, h, np.array([8, 8, 1]), tables)
-    blocks = [run_ucb_batch(1.0, h[i:i + block_rows], np.array([8, 8, 1]), tables[i:i + block_rows])
+    whole = run_ucb_batch(1.0, h, np.array([8, 8, 1]), RewardRealization(tables))
+    blocks = [run_ucb_batch(1.0, h[i:i + block_rows], np.array([8, 8, 1]),
+                            RewardRealization(tables[i:i + block_rows]))
               for i in range(0, samples, block_rows)]
     for out, part in zip(whole, zip(*blocks)):
         assert np.array_equal(out, np.concatenate(part))
@@ -358,6 +359,17 @@ def test_batch_rows_stop_in_different_rounds_and_when_all_agents_are_full(block_
     full = [t for t in traces if t.steps[-1].agent is not None]
     assert full and all(len(t.steps) == 17 for t in full)
     assert all(t.agents().count(2) == 1 for t in traces)
+
+
+@pytest.mark.parametrize("reward_scale", [1.0, 30.0])
+@pytest.mark.parametrize("caps", [[0, 8, 8], [8, 0, 30], [0, 0, 5]])
+def test_batch_rows_with_a_zero_capacity_agent_match_the_scalar_loop(caps, reward_scale):
+    # An agent reporting capacity 0 is skipped in the seeding pass and never
+    # bought from, in the batch runner as in the scalar one.
+    alphas, tables = mixed_stop_batch(50)
+    traces = assert_batch_matches_oracle(reward_scale, alphas, caps, tables)
+    withheld = {j for j, k in enumerate(caps) if k == 0}
+    assert all(withheld.isdisjoint(t.agents()) for t in traces)
 
 
 def test_batch_kernel_breaks_exact_ties_toward_the_lower_index():
@@ -403,7 +415,8 @@ def test_batch_sizes_straddle_block_edges(samples):
     )
     assert (guarded[0][samples:] == -7).all() and (guarded[1][samples:] == -7).all()
     assert_batch_matches_oracle(1.0, alphas, caps, tables)
-    units_out, successes = run_ucb_batch(1.0, h[:samples], np.array(caps), tables)
+    units_out, successes = run_ucb_batch(1.0, h[:samples], np.array(caps),
+                                         RewardRealization(tables))
     assert np.array_equal(guarded[0][:samples], units_out)
     assert np.array_equal(guarded[1][:samples], successes)
 
@@ -436,10 +449,11 @@ def test_rows_ending_in_different_ways_share_a_block(caps, other):
     assert {stops[r][0] for r in block} == {"score", other}
     assert_batch_matches_oracle(1.0, alphas[block], caps, tables[block])
     h = virtual_costs(alphas[block], caps)
-    units_out, successes = run_ucb_batch(1.0, h, np.array(caps), tables[block])
+    units_out, successes = run_ucb_batch(1.0, h, np.array(caps), RewardRealization(tables[block]))
     for perm in itertools.islice(itertools.permutations(range(len(block))), 24):
         perm = list(perm)
-        permuted = run_ucb_batch(1.0, h[perm], np.array(caps), tables[block][perm])
+        permuted = run_ucb_batch(1.0, h[perm], np.array(caps),
+                                 RewardRealization(tables[block][perm]))
         assert np.array_equal(permuted[0], units_out[perm])
         assert np.array_equal(permuted[1], successes[perm])
 
@@ -448,10 +462,10 @@ def test_permuting_rows_permutes_the_outcome():
     caps = [8, 8, 1]
     alphas, tables = mixed_stop_batch(3 * LANES + 1)
     h = virtual_costs(alphas, caps)
-    units_out, successes = run_ucb_batch(1.0, h, np.array(caps), tables)
+    units_out, successes = run_ucb_batch(1.0, h, np.array(caps), RewardRealization(tables))
     rng = np.random.default_rng(9)
     for _ in range(10):
         perm = rng.permutation(len(h))
-        permuted = run_ucb_batch(1.0, h[perm], np.array(caps), tables[perm])
+        permuted = run_ucb_batch(1.0, h[perm], np.array(caps), RewardRealization(tables[perm]))
         assert np.array_equal(permuted[0], units_out[perm])
         assert np.array_equal(permuted[1], successes[perm])
