@@ -3,8 +3,12 @@
 Each audit probes a mechanism through a narrow functional interface (a probe
 mapping one agent's deviating bid to that agent's outcome) so the same
 machinery exercises the shipped mechanisms and deliberately broken ones.
-Reports carry the worst observed violation, the witness bid that produced it,
-and the sampling parameters, and serialize to a one-line record.
+Every audit builds its ``AuditReport`` first and hands each checked point's
+excess over the tolerance to ``AuditReport.note``, the one verdict rule: the
+report keeps the worst excess and the witness of its first occurrence, and a
+NaN excess counts as ``+inf``, so a check that computed nothing fails.
+Reports also carry the sampling parameters and serialize to a one-line
+record.
 
 Statistical audits use paired common random numbers: identical reward tables
 (``model._draw_outcomes``) and resampling draws across every deviation, so
@@ -20,7 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bandit import run_ucb_batch
-from .model import Bid, MarketConfig, RewardRealization, TypeDistribution, _draw_outcomes
+from .model import (
+    Bid, MarketConfig, RewardRealization, TypeDistribution, _check_qualities, _draw_outcomes,
+)
 from .optimal import run_2d_opt
 from .resample import child_seeds, resample_batch, transform_premium
 
@@ -38,24 +44,36 @@ __all__ = [
 ]
 
 
+def _nan_as_inf(value: float) -> float:
+    return math.inf if math.isnan(value) else value
+
+
 @dataclass
 class AuditReport:
     """Outcome of one audited property.
 
-    ``passed`` is False exactly when ``violation`` exceeds ``tolerance``;
-    ``inconclusive`` marks audits whose sample size cannot support a verdict.
+    ``note`` keeps the largest excess as ``violation`` (a NaN excess counts
+    as ``+inf``) and the witness of its first occurrence.  ``passed`` holds
+    exactly when ``violation <= tolerance``; ``inconclusive`` marks audits
+    whose sample size cannot support a verdict.
     """
 
     name: str
     violation: float
     tolerance: float
-    passed: bool = field(init=False)
     witness: dict | None = None
     details: dict = field(default_factory=dict)
     inconclusive: bool = False
 
-    def __post_init__(self):
-        self.passed = self.violation <= self.tolerance
+    def note(self, excess: float, witness: dict) -> None:
+        excess = _nan_as_inf(excess)
+        if excess > self.violation:
+            self.violation = excess
+            self.witness = witness
+
+    @property
+    def passed(self) -> bool:
+        return self.violation <= self.tolerance
 
     @property
     def status(self) -> str:
@@ -88,6 +106,13 @@ class DeviationGrid:
         object.__setattr__(self, "capacities", tuple(int(k) for k in self.capacities))
         if any(k < 0 for k in self.capacities):
             raise ValueError("capacity deviations must be >= 0")
+
+    def sweep(self, true_capacity: int) -> list[tuple[float, int]]:
+        """Every (cost, capacity) deviation, capacity by capacity; refused if
+        a capacity exceeds ``true_capacity``."""
+        if any(k > true_capacity for k in self.capacities):
+            raise ValueError("deviation grid exceeds the true capacity")
+        return [(float(c), k) for k in self.capacities for c in self.costs]
 
     @classmethod
     def spanning(
@@ -133,7 +158,8 @@ def make_ucb_batch_utility(
 
     Returns a function (cost, capacity) -> per-sample utilities of ``agent``
     with true cost ``true_cost``.  Every profile, truthful or deviated, is
-    admitted by ``MarketConfig.check_bids``, as the mechanisms admit theirs.
+    admitted by ``MarketConfig.check_bids``, as the mechanisms admit theirs,
+    and ``true_qualities`` must pass the quality rule ``run_2d_opt`` applies.
     Reward tables (one ``RewardRealization`` stack) and rival resampling draws
     are drawn once and shared across calls; the deviating agent's resampler
     is seeded identically for every cost, giving paired, monotone-coupled
@@ -144,10 +170,11 @@ def make_ucb_batch_utility(
     """
     config.check_bids(bids)
     n = config.n_agents
+    qualities = _check_qualities(true_qualities, n)
     realization_seed, rival_seed, dev_seed = child_seeds(seed, 3)
 
     stack = np.empty((samples, n, config.units), dtype=np.uint8)
-    _draw_outcomes(np.random.default_rng(realization_seed), true_qualities, stack)
+    _draw_outcomes(np.random.default_rng(realization_seed), qualities, stack)
     realizations = RewardRealization(stack)
 
     rival_rng = np.random.default_rng(rival_seed)
@@ -210,22 +237,20 @@ def audit_monotone_allocation(
 ) -> AuditReport:
     """Allocation non-increasing in reported cost at every capacity grid
     point.  Allocations are integers, so the tolerance is zero."""
-    worst = 0.0
-    witness = None
-    for k in grid.capacities:
-        prev_units = None
-        prev_cost = None
-        for c in grid.costs:
-            units = probe(float(c), k)
-            if prev_units is not None and units - prev_units > worst:
-                worst = float(units - prev_units)
-                witness = {"capacity": k, "cost_low": prev_cost, "cost_high": float(c),
-                           "units_low": prev_units, "units_high": units}
-            prev_units, prev_cost = units, float(c)
-    return AuditReport(
-        name, worst, 0.0, witness=witness,
+    report = AuditReport(
+        name, 0.0, 0.0,
         details={"cost_points": len(grid.costs), "capacity_points": len(grid.capacities)},
     )
+    for k in grid.capacities:
+        prev_cost = prev_units = None
+        for c in map(float, grid.costs):
+            units = probe(c, k)
+            if prev_units is not None:
+                report.note(float(units - prev_units),
+                            {"capacity": k, "cost_low": prev_cost, "cost_high": c,
+                             "units_low": prev_units, "units_high": units})
+            prev_cost, prev_units = c, units
+    return report
 
 
 def _step_integral(fn: Callable[[float], float], lo: float, hi: float) -> float:
@@ -271,48 +296,40 @@ def audit_offered_utility(
 
     Violations of the two shape conditions count against ``_ROUND_OFF``;
     the integral identity against ``_INTEGRAL_TOL``.  The report's violation is
-    the worst excess over the applicable tolerance.
+    the worst excess over the applicable tolerance; ``details`` keeps each
+    check's largest amount, a NaN counting as ``+inf``.
     """
 
     def rho(c: float, k: int) -> float:
         units, payment = probe(c, k)
         return payment - c * units
 
-    worst_excess = 0.0
-    witness = None
-    detail = {"nonneg_violation": 0.0, "capacity_monotone_violation": 0.0,
-              "integral_mismatch": 0.0}
-
-    def note(excess: float, raw: float, kind: str, info: dict):
-        nonlocal worst_excess, witness
-        detail[kind] = max(detail[kind], raw)
-        if excess > worst_excess:
-            worst_excess = excess
-            witness = dict(info, check=kind)
-
+    checks = []  # (check, amount, tolerance, where), in probing order
     by_cost: dict[float, list[tuple[int, float]]] = {}
     for k in grid.capacities:
         rho_top = rho(cost_hi, k)
-        note(-min(rho_top, 0.0) - _ROUND_OFF, -min(rho_top, 0.0), "nonneg_violation",
-             {"cost": cost_hi, "capacity": k})
-        for c in grid.costs:
-            c = float(c)
+        checks.append(("nonneg_violation", -min(rho_top, 0.0), _ROUND_OFF,
+                       {"cost": cost_hi, "capacity": k}))
+        for c in map(float, grid.costs):
             value = rho(c, k)
-            note(-min(value, 0.0) - _ROUND_OFF, -min(value, 0.0), "nonneg_violation",
-                 {"cost": c, "capacity": k})
+            checks.append(("nonneg_violation", -min(value, 0.0), _ROUND_OFF,
+                           {"cost": c, "capacity": k}))
             by_cost.setdefault(c, []).append((k, value))
             integral = _step_integral(lambda z: probe(z, k)[0], c, cost_hi)
-            mismatch = abs(value - rho_top - integral)
-            note(mismatch - _INTEGRAL_TOL, mismatch, "integral_mismatch",
-                 {"cost": c, "capacity": k, "integral": integral})
+            checks.append(("integral_mismatch", abs(value - rho_top - integral), _INTEGRAL_TOL,
+                           {"cost": c, "capacity": k, "integral": integral}))
     for c, pairs in by_cost.items():
         pairs.sort()
         for (k0, r0), (k1, r1) in zip(pairs[:-1], pairs[1:]):
-            drop = r0 - r1
-            note(drop - _ROUND_OFF, max(drop, 0.0), "capacity_monotone_violation",
-                 {"cost": c, "capacity_low": k0, "capacity_high": k1})
+            checks.append(("capacity_monotone_violation", max(r0 - r1, 0.0), _ROUND_OFF,
+                           {"cost": c, "capacity_low": k0, "capacity_high": k1}))
 
-    return AuditReport(name, worst_excess, 0.0, witness=witness, details=detail)
+    report = AuditReport(name, 0.0, 0.0, details=dict.fromkeys(
+        ("nonneg_violation", "capacity_monotone_violation", "integral_mismatch"), 0.0))
+    for check, amount, tolerance, where in checks:
+        report.note(amount - tolerance, dict(where, check=check))
+        report.details[check] = max(report.details[check], _nan_as_inf(amount))
+    return report
 
 
 def audit_dsic(
@@ -327,23 +344,17 @@ def audit_dsic(
     ``_ROUND_OFF``, with the rival profile held fixed."""
     units_t, pay_t = probe(true_cost, true_capacity)
     u_truth = pay_t - true_cost * units_t
-    worst = 0.0
-    witness = None
-    for k in grid.capacities:
-        if k > true_capacity:
-            raise ValueError("deviation grid exceeds the true capacity")
-        for c in grid.costs:
-            units, pay = probe(float(c), k)
-            gain = (pay - true_cost * units) - u_truth
-            if gain > worst:
-                worst = gain
-                witness = {"cost": float(c), "capacity": k,
-                           "deviation_utility": pay - true_cost * units,
-                           "truthful_utility": u_truth}
-    return AuditReport(
-        name, worst, _ROUND_OFF, witness=witness,
-        details={"truthful_utility": u_truth, "deviations": len(grid.costs) * len(grid.capacities)},
+    deviations = grid.sweep(true_capacity)
+    report = AuditReport(
+        name, 0.0, _ROUND_OFF,
+        details={"truthful_utility": u_truth, "deviations": len(deviations)},
     )
+    for c, k in deviations:
+        units, pay = probe(c, k)
+        u_dev = pay - true_cost * units
+        report.note(u_dev - u_truth, {"cost": c, "capacity": k, "deviation_utility": u_dev,
+                                      "truthful_utility": u_truth})
+    return report
 
 
 def audit_stochastic_bic(
@@ -363,29 +374,21 @@ def audit_stochastic_bic(
     """
     u_truth = np.asarray(batch_utility(true_cost, true_capacity), dtype=float)
     samples = u_truth.size
-    worst = 0.0
-    witness = None
-    worst_margin = math.inf
-    for k in grid.capacities:
-        if k > true_capacity:
-            raise ValueError("deviation grid exceeds the true capacity")
-        for c in grid.costs:
-            diff = np.asarray(batch_utility(float(c), k), dtype=float) - u_truth
-            mean = float(diff.mean())
-            se = float(diff.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
-            excess = mean - _SE_MULT * se
-            worst_margin = min(worst_margin, -excess)
-            if excess > worst:
-                worst = excess
-                witness = {"cost": float(c), "capacity": k, "mean_gain": mean,
-                           "stderr": se}
-    return AuditReport(
-        name, worst, 0.0, witness=witness,
+    report = AuditReport(
+        name, 0.0, 0.0,
         details={"samples": samples, "se_mult": _SE_MULT,
-                 "truthful_mean": float(u_truth.mean()),
-                 "worst_margin": worst_margin},
+                 "truthful_mean": float(u_truth.mean()), "worst_margin": math.inf},
         inconclusive=samples < _MIN_SAMPLES,
     )
+    for c, k in grid.sweep(true_capacity):
+        diff = np.asarray(batch_utility(c, k), dtype=float) - u_truth
+        mean = float(diff.mean())
+        se = float(diff.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
+        excess = mean - _SE_MULT * se
+        report.details["worst_margin"] = min(report.details["worst_margin"],
+                                             -_nan_as_inf(excess))
+        report.note(excess, {"cost": c, "capacity": k, "mean_gain": mean, "stderr": se})
+    return report
 
 
 def audit_resampler(
@@ -405,7 +408,8 @@ def audit_resampler(
     3. Memorylessness: conditional on beta landing near c', alpha is
        distributed as a fresh draw's alpha at bid c' (two-sample KS per bin).
     4. Conditional on moving, beta is uniform on [bid, cost_hi] (one-sample
-       KS).
+       KS).  With no moved draw this law goes untested, and the report is
+       inconclusive unless another check has failed.
     """
     # Imported here: scipy takes longer to import than the rest of the
     # package, and nothing else needs it.
@@ -415,22 +419,15 @@ def audit_resampler(
     main_seed, couple_seed, fresh_seed = child_seeds(seed, 3)
 
     alpha, beta = resample_batch(lo, hi, mu, samples, np.random.default_rng(main_seed))
-    details: dict = {"samples": samples, "mu": mu}
-    worst = 0.0
-    witness = None
-
-    def fail(amount: float, info: dict):
-        nonlocal worst, witness
-        if amount > worst:
-            worst = amount
-            witness = info
+    report = AuditReport(name, 0.0, 0.0, details={"samples": samples, "mu": mu})
+    details = report.details
 
     # 2. branch split and output ordering
     moved = beta > lo
     p_hat = float(moved.mean())
     sigma = math.sqrt(mu * (1.0 - mu) / samples)
     details["move_probability"] = p_hat
-    fail(abs(p_hat - mu) - 3.0 * sigma, {"check": "branch-probability", "p_hat": p_hat})
+    report.note(abs(p_hat - mu) - 3.0 * sigma, {"check": "branch-probability", "p_hat": p_hat})
     order_violation = float(
         max(
             (beta - alpha).max(initial=-math.inf),
@@ -438,8 +435,8 @@ def audit_resampler(
             (alpha - hi).max(initial=-math.inf),
         )
     )
-    details["ordering_violation"] = max(order_violation, 0.0)
-    fail(order_violation, {"check": "ordering"})
+    details["ordering_violation"] = max(_nan_as_inf(order_violation), 0.0)
+    report.note(order_violation, {"check": "ordering"})
 
     # 1. monotone coupling across a bid grid
     couple_n = max(samples // 10, 100)
@@ -449,16 +446,18 @@ def audit_resampler(
         pair = resample_batch(float(c), hi, mu, couple_n, np.random.default_rng(couple_seed))
         if prev is not None:
             drop = float(max((prev[0] - pair[0]).max(), (prev[1] - pair[1]).max()))
-            fail(drop, {"check": "coupled-monotonicity", "bid": float(c)})
+            report.note(drop, {"check": "coupled-monotonicity", "bid": float(c)})
         prev = pair
     details["coupling_draws"] = couple_n
 
     # 4. conditional uniformity of beta
     cond_beta = beta[moved]
-    ks_uniform = stats.kstest(cond_beta, "uniform", args=(lo, hi - lo))
-    details["uniform_ks_pvalue"] = float(ks_uniform.pvalue)
-    fail(_SIGNIFICANCE - ks_uniform.pvalue, {"check": "beta-uniformity",
-                                            "pvalue": float(ks_uniform.pvalue)})
+    if cond_beta.size:
+        pvalue = float(stats.kstest(cond_beta, "uniform", args=(lo, hi - lo)).pvalue)
+        details["uniform_ks_pvalue"] = pvalue
+        report.note(_SIGNIFICANCE - pvalue, {"check": "beta-uniformity", "pvalue": pvalue})
+    else:
+        report.inconclusive = report.passed
 
     # 3. memorylessness on binned beta.  The conditional law of alpha carries
     # an atom at beta itself, so each conditioned draw is compared against a
@@ -477,14 +476,12 @@ def audit_resampler(
         fresh_alpha, _ = resample_batch(
             cond_beta[in_bin], hi, mu, int(in_bin.sum()), fresh_rng
         )
-        ks = stats.ks_2samp(cond_alpha, fresh_alpha)
-        memoryless_p.append(float(ks.pvalue))
-        fail(_SIGNIFICANCE - ks.pvalue, {"check": "memorylessness",
-                                        "bin_center": float(center),
-                                        "pvalue": float(ks.pvalue)})
+        pvalue = float(stats.ks_2samp(cond_alpha, fresh_alpha).pvalue)
+        memoryless_p.append(pvalue)
+        report.note(_SIGNIFICANCE - pvalue, {"check": "memorylessness",
+                                             "bin_center": float(center), "pvalue": pvalue})
     details["memoryless_ks_pvalues"] = memoryless_p
-
-    return AuditReport(name, worst, 0.0, witness=witness, details=details)
+    return report
 
 
 def audit_iia(

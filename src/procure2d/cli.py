@@ -202,11 +202,9 @@ def _cmd_verify(args) -> int:
     ))
     reports.append(_iia_report(config, iia_seed))
 
-    failed = False
     for report in reports:
         print(report.line())
-        failed = failed or (not report.passed and not report.inconclusive)
-    return 1 if failed else 0
+    return 1 if any(report.status == "fail" for report in reports) else 0
 
 
 def _iia_report(config: ExperimentConfig, seed: np.random.SeedSequence):

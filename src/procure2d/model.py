@@ -37,6 +37,19 @@ def _check_int(value, name: str) -> int:
     return int(value)
 
 
+def _check_qualities(qualities, n: int | None = None) -> list[float]:
+    """The one rule for a quality vector: 1-D, ``n`` entries when ``n`` is
+    given, each in [0, 1] (so never NaN).  Returns the entries as floats."""
+    q = np.asarray(qualities, dtype=float)
+    if q.ndim != 1 or (n is not None and q.size != n):
+        expected = "a vector of" if n is None else n
+        raise ValueError(f"expected {expected} qualities, got shape {q.shape}")
+    values = q.tolist()
+    if not all(0.0 <= x <= 1.0 for x in values):
+        raise ValueError("qualities must lie in [0, 1]")
+    return values
+
+
 @dataclass(frozen=True)
 class AgentType:
     """True private type of one agent: per-unit cost, capacity, quality."""
@@ -232,15 +245,11 @@ def sample_reward_realization(qualities, n_units: int, seed) -> RewardRealizatio
 
     Deterministic given ``seed`` (int, SeedSequence, or Generator).
     """
-    q = np.asarray(qualities, dtype=float)
-    if q.ndim != 1:
-        raise ValueError("qualities must be a vector")
-    if not ((q >= 0.0) & (q <= 1.0)).all():
-        raise ValueError("qualities must lie in [0, 1]")
+    q = _check_qualities(qualities)
     n_units = _check_int(n_units, "n_units")
     if n_units < 0:
         raise ValueError(f"n_units must be >= 0, got {n_units}")
-    table = np.empty((q.size, n_units), dtype=np.uint8)
+    table = np.empty((len(q), n_units), dtype=np.uint8)
     _draw_outcomes(np.random.default_rng(seed), q, table)
     return RewardRealization(table)
 

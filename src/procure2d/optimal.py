@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import _score_order, _walk, alloc_greedy
-from .model import Bid, MarketConfig
+from .model import Bid, MarketConfig, _check_qualities
 
 __all__ = [
     "MechanismOutcome",
@@ -51,13 +51,7 @@ def auctioneer_utility(allocation, payments, qualities, reward_scale: float) -> 
 
 def _validate_instance(config: MarketConfig, qualities, bids: Sequence[Bid]) -> list[float]:
     config.check_bids(bids)
-    q = np.asarray(qualities, dtype=float)
-    if q.shape != (config.n_agents,):
-        raise ValueError(f"expected {config.n_agents} qualities, got shape {q.shape}")
-    q = q.tolist()
-    if not all(0.0 <= x <= 1.0 for x in q):
-        raise ValueError("qualities must lie in [0, 1]")
-    return q
+    return _check_qualities(qualities, config.n_agents)
 
 
 def _scores(config: MarketConfig, q: list[float], bids: Sequence[Bid]) -> list[float]:

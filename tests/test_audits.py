@@ -274,6 +274,23 @@ class TestResamplerAudit:
         sigma = (0.3 * 0.7 / 50_000) ** 0.5
         assert abs(moved - 0.3) > 3 * sigma  # the discrepancy is detectable
 
+    def test_wrong_branch_probability_fails_the_audit(self, monkeypatch):
+        # A resampler that moves with probability 2*mu, audited as mu.
+        draw = audits.resample_batch
+        monkeypatch.setattr(audits, "resample_batch",
+                            lambda bid, hi, mu, size, rng: draw(bid, hi, 2 * mu, size, rng))
+        report = audit_resampler(0.1, (0.0, 1.0), 5000, seed=45)
+        assert not report.passed and report.status == "fail"
+        assert report.witness["check"] == "branch-probability"
+
+    def test_no_moved_draw_is_inconclusive(self):
+        # At mu = 1e-5 no draw of 30,000 moves, so beta's conditional law
+        # cannot be tested: neither pass nor fail.
+        report = audit_resampler(1e-5, (0.0, 1.0), 30_000, seed=0)
+        assert report.details["move_probability"] == 0.0
+        assert report.status == "inconclusive", report.line()
+        assert "uniform_ks_pvalue" not in report.details
+
     def test_reused_seed_sequence_is_not_spent(self):
         seq = np.random.SeedSequence(2024)
         first = audit_resampler(0.5, (0.0, 1.0), 2000, seq)
@@ -290,6 +307,74 @@ class TestResamplerAudit:
         ]
         assert np.array_equal(utilities[0], utilities[1])
         assert seq.n_children_spawned == 0
+
+
+NAN = float("nan")
+NAN_GRID = DeviationGrid(np.linspace(0.0, 1.0, 5), (1, 2))
+
+
+class TestNanFails:
+    # A probe that computes NaN has checked nothing: each audit must fail.
+    def test_monotone_allocation(self):
+        report = audit_monotone_allocation(lambda c, k: NAN, NAN_GRID)
+        assert report.status == "fail" and report.violation == np.inf
+        where = report.witness
+        assert (where["capacity"], where["cost_low"], where["cost_high"]) == (1, 0.0, 0.25)
+
+    def test_offered_utility(self):
+        report = audit_offered_utility(lambda c, k: (1, NAN), NAN_GRID, 1.0)
+        assert report.status == "fail" and report.violation == np.inf
+        assert report.witness == {"cost": 1.0, "capacity": 1, "check": "nonneg_violation"}
+        assert all(report.details[check] == np.inf for check in (
+            "nonneg_violation", "capacity_monotone_violation", "integral_mismatch"))
+
+    def test_dsic(self):
+        report = audit_dsic(lambda c, k: (1, NAN), 0.5, 2, NAN_GRID)
+        assert report.status == "fail" and report.violation == np.inf
+        assert (report.witness["cost"], report.witness["capacity"]) == (0.0, 1)
+
+    def test_stochastic_bic(self):
+        samples = audits._MIN_SAMPLES
+        report = audit_stochastic_bic(lambda c, k: np.full(samples, NAN), 0.5, 2, NAN_GRID)
+        assert not report.inconclusive
+        assert report.status == "fail" and report.violation == np.inf
+        assert report.details["worst_margin"] == -np.inf
+
+    def test_resampler(self, monkeypatch):
+        draw = audits.resample_batch
+
+        def nan_alpha(*args):
+            alpha, beta = draw(*args)
+            return np.full_like(alpha, NAN), beta
+
+        monkeypatch.setattr(audits, "resample_batch", nan_alpha)
+        report = audit_resampler(0.1, (0.0, 1.0), 5000, seed=46)
+        assert report.status == "fail" and report.violation == np.inf
+        assert report.witness == {"check": "ordering"}
+        assert report.details["ordering_violation"] == np.inf
+
+    def test_finite_excess_keeps_first_worst_witness(self):
+        report = audits.AuditReport("x", 0.0, 0.5)
+        for at, excess in enumerate([-1.0, 0.7, 0.2, 0.7]):
+            report.note(excess, {"at": at})
+        assert (report.violation, report.witness, report.passed) == (0.7, {"at": 1}, False)
+
+
+class TestQualityRule:
+    # ``make_ucb_batch_utility`` refuses the quality vectors ``run_2d_opt``
+    # refuses, with the same message.
+    @pytest.mark.parametrize("qualities", [
+        [0.8, 0.6, 0.7, 0.5], [0.8, 0.6], [[0.8, 0.6, 0.7]],
+        [NAN, 0.6, 0.7], [1.2, 0.6, 0.7], [0.8, -0.1, 0.7],
+    ], ids=["too-many", "too-few", "matrix", "nan", "above-one", "negative"])
+    def test_batch_utility_refuses_what_opt_refuses(self, qualities):
+        market, types = instance(0)
+        bids = [t.truthful_bid() for t in types]
+        with pytest.raises(ValueError) as opt_error:
+            audits.run_2d_opt(market, qualities, bids)
+        with pytest.raises(ValueError) as batch_error:
+            make_ucb_batch_utility(market, bids, 0, types[0].cost, qualities, 0.1, 10, 0)
+        assert str(batch_error.value) == str(opt_error.value)
 
 
 class TestReports:

@@ -4,6 +4,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from procure2d import bandit, cli, harness
@@ -358,3 +359,25 @@ def test_verify_subcommand_passes_and_prints_reports(capsys):
     assert "resampler-law" in names
     assert "opt-truthfulness" in names
     assert "ucb-stochastic-truthfulness" in names
+
+
+@pytest.mark.parametrize("price", [
+    lambda cost, units: cost * units,
+    lambda cost, units: float("nan"),
+], ids=["pay-your-bid", "nan-payment"])
+def test_verify_exits_1_when_an_audit_fails(capsys, monkeypatch, price):
+    # A pay-your-bid optimal auction is not truthful, and one whose payments
+    # are NaN cannot be shown truthful: verify must say so in both cases.
+    from procure2d import MechanismOutcome, audits
+
+    run_2d_opt = audits.run_2d_opt
+
+    def faulty(config, qualities, bids):
+        outcome = run_2d_opt(config, qualities, bids)
+        payments = np.array([price(b.cost, k) for b, k in zip(bids, outcome.allocation)])
+        return MechanismOutcome(outcome.allocation, payments, outcome.auctioneer_utility)
+
+    monkeypatch.setattr(audits, "run_2d_opt", faulty)
+    assert main(["verify", "--seed", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(" status=fail " in line for line in lines)
