@@ -151,22 +151,20 @@ def make_ucb_batch_utility(
     mu: float,
     samples: int,
     seed,
-    *,
-    premium: bool = True,
 ) -> Callable[[float, int], np.ndarray]:
     """Batched utility estimator for the learning auction.
 
     Returns a function (cost, capacity) -> per-sample utilities of ``agent``
-    with true cost ``true_cost``.  Every profile, truthful or deviated, is
-    admitted by ``MarketConfig.check_bids``, as the mechanisms admit theirs,
-    and ``true_qualities`` must pass the quality rule ``run_2d_opt`` applies.
-    Reward tables (one ``RewardRealization`` stack) and rival resampling draws
-    are drawn once and shared across calls; the deviating agent's resampler
-    is seeded identically for every cost, giving paired, monotone-coupled
-    samples across deviations.  Its draw depends on the cost alone, so the
-    function keeps one draw per distinct cost it is called with and reuses it
-    for every capacity.  ``premium=False`` strips the transformation premium
-    from the payment (the counterexample mechanism).
+    with true cost ``true_cost``.  The truthful profile is admitted by
+    ``MarketConfig.check_bids`` up front and every deviated one by
+    ``run_ucb_batch``'s ``MarketConfig.check_run``, as the mechanisms admit
+    theirs, and ``true_qualities`` must pass the quality rule ``run_2d_opt``
+    applies.  Reward tables (one ``RewardRealization`` stack) and rival
+    resampling draws are drawn once and shared across calls; the deviating
+    agent's resampler is seeded identically for every cost, giving paired,
+    monotone-coupled samples across deviations.  Its draw depends on the cost
+    alone, so the function keeps one draw per distinct cost it is called with
+    and reuses it for every capacity.
     """
     config.check_bids(bids)
     n = config.n_agents
@@ -196,7 +194,6 @@ def make_ucb_batch_utility(
     def batch_utility(cost: float, capacity: int) -> np.ndarray:
         trial = list(bids)
         trial[agent] = Bid(cost, capacity)
-        config.check_bids(trial)
         if cost not in draws:
             draws[cost] = resample_batch(
                 cost, cost_hi, mu, samples, np.random.default_rng(dev_seed)
@@ -204,12 +201,10 @@ def make_ucb_batch_utility(
         alpha, beta = draws[cost]
         h = rival_h.copy()
         h[:, agent] = dist_a.virtual_cost_array(alpha, capacity)
-        caps = np.array([b.capacity for b in trial], dtype=np.int64)
-        units, _ = run_ucb_batch(config.reward_scale, h, caps, realizations)
+        units, _ = run_ucb_batch(config, trial, realizations, h)
         mine = units[:, agent].astype(float)
         utility = (cost - true_cost) * mine
-        if premium:
-            utility += transform_premium(mine, mu, cost, cost_hi, beta)
+        utility += transform_premium(mine, mu, cost, cost_hi, beta)
         return utility
 
     return batch_utility

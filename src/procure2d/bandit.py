@@ -242,11 +242,8 @@ def run_2d_ucb(
     """
     n = config.n_agents
     n_rounds = config.units
-    if n_rounds < n:
-        raise ValueError(f"units ({n_rounds}) must be >= number of agents ({n})")
-    config.check_bids(bids)
-    if realization.table.shape != (n, n_rounds):
-        raise ValueError(f"realization must be {n}x{n_rounds}, got {realization.table.shape!r}")
+    if config.check_run(bids, realization):
+        raise ValueError(f"run_2d_ucb takes one {n}x{n_rounds} table, got a stack")
     if not 0.0 <= bonus_scale < math.inf:
         raise ValueError(f"bonus_scale must be finite and >= 0, got {bonus_scale}")
 
@@ -296,45 +293,34 @@ def run_2d_ucb(
 
 
 def run_ucb_batch(
-    reward_scale: float,
-    virtual_costs: np.ndarray,
-    capacities: np.ndarray,
+    config: MarketConfig,
+    bids: Sequence[Bid],
     realizations: RewardRealization,
+    virtual_costs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The UCB allocation loop over stacked replications.
-
-    ``virtual_costs`` is (samples, n) of per-agent H values at the resampled
-    costs, ``realizations`` a ``RewardRealization`` of a (samples, n, rounds)
-    stack.  Returns (units, successes), each (samples, n).  Uses the default
-    (narrow) exploration bonus; every agent must have reported an integer
-    capacity >= 0, and an agent reporting 0 is skipped in the seeding pass as
-    in ``run_2d_ucb``.  Each sample runs the round loop of ``run_2d_ucb``, so
-    the two make the same decisions; the C loop advances the samples in
+    """``run_2d_ucb``'s allocation over stacked replications, admitted by the
+    same ``MarketConfig.check_run``: reward scale and budget from ``config``,
+    capacities from ``bids``.  ``realizations`` holds a (samples, n, units)
+    stack and ``virtual_costs`` the (samples, n) H values at each sample's
+    resampled costs.  Returns (units, successes), each (samples, n).  Every
+    sample runs ``run_2d_ucb``'s round loop with the default (narrow) bonus,
+    so the two make the same decisions; the C loop advances the samples in
     blocks of a few at a time.
     """
-    if not 0 < reward_scale < math.inf:
-        raise ValueError(f"reward_scale must be finite and > 0, got {reward_scale}")
     table = realizations.table
-    samples, n, n_rounds = table.shape
-    if n < 1:
-        raise ValueError("batch runner needs at least one agent")
-    caps = np.ascontiguousarray(capacities, dtype=np.int64)
-    h = np.ascontiguousarray(virtual_costs, dtype=float)
-    if caps.shape != (n,) or h.shape != (samples, n):
-        raise ValueError("shape mismatch between capacities, virtual costs, realizations")
-    if not np.array_equal(caps, capacities):
-        raise ValueError("capacities must be integers")
-    if caps.min() < 0:
-        raise ValueError("capacities must be >= 0")
+    if len(config.check_run(bids, realizations)) != 1:
+        raise ValueError(f"run_ucb_batch takes a (samples, n, units) stack, got {table.shape}")
+    (samples, n, n_rounds), h = table.shape, np.ascontiguousarray(virtual_costs, dtype=float)
+    if h.shape != (samples, n):
+        raise ValueError(f"virtual costs must be {samples}x{n}, got shape {h.shape!r}")
     if not np.isfinite(h).all():
         raise ValueError("virtual costs must be finite")
-    if n_rounds < n:
-        raise ValueError(f"rounds ({n_rounds}) must be >= number of agents ({n})")
 
+    caps = np.array([bid.capacity for bid in bids], dtype=np.int64)
     units = np.empty((samples, n), dtype=np.int64)
     successes = np.empty((samples, n), dtype=np.int64)
     status = _library().ucb_batch(
-        samples, n, n_rounds, reward_scale, h, caps, table,
+        samples, n, n_rounds, config.reward_scale, h, caps, table,
         _bonus_widths(0.5, n_rounds), _inv_sqrt_counts(n_rounds + 1), units, successes,
     )
     if status < 0:
@@ -363,13 +349,12 @@ def run_eps_separated(
     """
     n = config.n_agents
     n_rounds = config.units
-    config.check_bids(bids)
+    if config.check_run(bids, realization):
+        raise ValueError(f"run_eps_separated takes one {n}x{n_rounds} table, got a stack")
     if not n <= explore_rounds <= n_rounds:
         raise ValueError(
             f"explore_rounds must lie in [{n}, {n_rounds}], got {explore_rounds}"
         )
-    if realization.table.shape != (n, n_rounds):
-        raise ValueError(f"realization must be {n}x{n_rounds}, got {realization.table.shape!r}")
     caps = [bid.capacity for bid in bids]
     total_cap = sum(caps)
     if explore_rounds > total_cap:

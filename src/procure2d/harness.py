@@ -282,18 +282,13 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRow
     cells = [(l_index, ts) for l_index in range(len(config.l_grid))
              for ts in range(config.type_samples)]
     workers = min(threads, len(cells), os.cpu_count() or 1)
-    results: dict[tuple[int, int], dict[str, np.ndarray]] = {}
+    args = ([config] * len(cells), *zip(*cells))
     if workers <= 1:
-        for l_index, ts in cells:
-            results[(l_index, ts)] = _run_cell(config, l_index, ts)
+        outputs = list(map(_run_cell, *args))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_run_cell, config, l_index, ts): (l_index, ts)
-                for l_index, ts in cells
-            }
-            for future, key in futures.items():
-                results[key] = future.result()
+            outputs = list(pool.map(_run_cell, *args))
+    results = dict(zip(cells, outputs))
 
     rows = []
     for label in config.mechanism_labels():

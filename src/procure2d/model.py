@@ -142,7 +142,7 @@ class TypeDistribution:
     def virtual_cost_array(self, costs: np.ndarray, capacity: int) -> np.ndarray:
         costs = np.asarray(costs, dtype=float)
         lo, hi = self.cost_bounds
-        if costs.size and (costs.min() < lo or costs.max() > hi):
+        if costs.size and not (lo <= costs.min() and costs.max() <= hi):
             raise ValueError("cost array leaves the distribution bounds")
         a, b = self.linear_h
         return a + b * costs
@@ -181,7 +181,7 @@ def uniform_type_distribution(
 @dataclass(frozen=True)
 class MarketConfig:
     """One auction instance: budget of units, reward scale, per-agent priors.
-    ``check_bids`` is the one rule for the bid profiles it admits."""
+    ``check_bids`` admits its bid profiles and ``check_run`` its learning runs."""
 
     units: int
     reward_scale: float
@@ -214,6 +214,20 @@ class MarketConfig:
                 raise ValueError(f"agent {i} bid cost {bid.cost} outside [{lo}, {hi}]")
             if bid.capacity > top:
                 raise ValueError(f"agent {i} bid capacity {bid.capacity} above prior bound {top}")
+
+    def check_run(self, bids, realization: RewardRealization) -> tuple[int, ...]:
+        """The one rule for a learning run: ``units >= n_agents`` (the seeding
+        pass buys one unit from each agent), bids that pass ``check_bids`` and
+        ``n_agents x units`` tables.  Returns the tables' stacking shape."""
+        n, units, shape = self.n_agents, self.units, realization.table.shape
+        if units < n:
+            raise ValueError(f"units ({units}) must be >= number of agents ({n})")
+        self.check_bids(bids)
+        if shape[-2:] != (n, units):
+            raise ValueError(
+                f"realization tables must be {n}x{units}, got {shape[-2]}x{shape[-1]}"
+            )
+        return shape[:-2]
 
 
 @dataclass(frozen=True)

@@ -89,28 +89,29 @@ def resample_batch(
     """Vectorized resampler: ``size`` independent draws at one bid (or at
     per-draw bids when ``bid_cost`` is an array of length ``size``).
 
-    Every pass through the recursion consumes exactly ``2 * size`` uniforms
-    regardless of how many draws are still active, so two calls with
-    identically seeded generators are coupled draw-by-draw across different
-    bid values (the coupling behind the monotonicity property).
+    Every pass through the recursion draws exactly ``2 * size`` uniforms in
+    one call, however few draws are still active (it updates only those, by
+    index), so two calls with identically seeded generators are coupled
+    draw-by-draw across different bid values (the coupling behind the
+    monotonicity property).
     """
     mu = _check_mu(mu)
     bid_cost = np.asarray(bid_cost, dtype=float)
-    if np.any(bid_cost > cost_hi):
-        raise ValueError(f"bid cost above cost_hi {cost_hi}")
+    if bid_cost.size and not bid_cost.max() <= cost_hi:
+        raise ValueError(f"bid costs must be at most cost_hi {cost_hi}, got {bid_cost.max()}")
     active = rng.random(size) < mu
     beta = np.where(active, bid_cost + rng.random(size) * (cost_hi - bid_cost), bid_cost)
     np.minimum(beta, cost_hi, out=beta)
     alpha = beta.copy()
-    iterations = 0
-    while active.any():
-        cont = rng.random(size) < mu
-        pos = rng.random(size)
-        active &= cont
-        alpha[active] += pos[active] * (cost_hi - alpha[active])
-        iterations += 1
-        if iterations > _MAX_RESAMPLE_ITERATIONS:
-            raise RuntimeError("resampling recursion exceeded the iteration cap")
+    live = np.flatnonzero(active)
+    for _ in range(_MAX_RESAMPLE_ITERATIONS):
+        if not live.size:
+            break
+        uniforms = rng.random(2 * size)
+        live = live[uniforms[live] < mu]
+        alpha[live] += uniforms[size + live] * (cost_hi - alpha[live])
+    else:
+        raise RuntimeError("resampling recursion exceeded the iteration cap")
     np.minimum(alpha, cost_hi, out=alpha)
     return alpha, beta
 

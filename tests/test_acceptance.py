@@ -31,6 +31,7 @@ from procure2d import (
     sample_reward_realization,
     uniform_type_distribution,
 )
+from procure2d import audits
 from procure2d.cli import main as cli_main
 
 from oracles import brute_force_best_value, random_small_instance, units_vs_own_score
@@ -315,7 +316,7 @@ def test_criterion_07_per_realization_cost_monotonicity():
               "11-point cost grid on 200 fixed (instance, realization) pairs")
 
 
-def test_criterion_08_stochastic_bic_audit():
+def test_criterion_08_stochastic_bic_audit(monkeypatch):
     start = time.time()
     types = [AgentType(0.35, 5, 0.8), AgentType(0.55, 4, 0.6), AgentType(0.5, 4, 0.7)]
     dist = uniform_type_distribution(0.0, 1.0, 1, 6)
@@ -338,9 +339,10 @@ def test_criterion_08_stochastic_bic_audit():
         )
     honest_ok = all(r.passed and not r.inconclusive for r in reports)
 
+    # The premium-stripped variant pays the bid cost alone.
+    monkeypatch.setattr(audits, "transform_premium", lambda *args: 0.0)
     stripped_batch = make_ucb_batch_utility(
-        market, bids, 0, types[0].cost, qualities, 0.1, samples,
-        seed=[108, 0], premium=False,
+        market, bids, 0, types[0].cost, qualities, 0.1, samples, seed=[108, 0],
     )
     grid0 = DeviationGrid(np.linspace(0.0, 1.0, 11), tuple(range(1, types[0].capacity + 1)))
     stripped = audit_stochastic_bic(stripped_batch, types[0].cost, types[0].capacity, grid0)

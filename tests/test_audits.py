@@ -146,14 +146,14 @@ class TestDsic:
 
 
 class TestStochasticBic:
-    def make_batch(self, premium=True, samples=4000, seed=21):
+    def make_batch(self, samples=4000, seed=21):
         types = [AgentType(0.35, 4, 0.8), AgentType(0.55, 4, 0.6), AgentType(0.5, 3, 0.7)]
         dist = uniform_type_distribution(0.0, 1.0, 1, 6)
         market = MarketConfig(18, 30.0, (dist,) * 3)
         bids = [t.truthful_bid() for t in types]
         batch = make_ucb_batch_utility(
             market, bids, 0, types[0].cost,
-            np.array([t.quality for t in types]), 0.1, samples, seed, premium=premium,
+            np.array([t.quality for t in types]), 0.1, samples, seed,
         )
         return batch, types[0], dist
 
@@ -163,8 +163,10 @@ class TestStochasticBic:
         report = audit_stochastic_bic(batch, agent.cost, agent.capacity, grid)
         assert report.passed, report.line()
 
-    def test_premium_stripped_mechanism_fails(self):
-        batch, agent, dist = self.make_batch(premium=False)
+    def test_premium_stripped_mechanism_fails(self, monkeypatch):
+        # The counterexample mechanism pays the bid cost alone.
+        monkeypatch.setattr(audits, "transform_premium", lambda *args: 0.0)
+        batch, agent, dist = self.make_batch()
         grid = DeviationGrid(np.linspace(0.0, 1.0, 7), (4,))
         report = audit_stochastic_bic(batch, agent.cost, agent.capacity, grid)
         assert not report.passed
@@ -235,15 +237,19 @@ class TestStochasticBic:
         (True, 0.0, 1, "4512e128032b65bfc2876f679f745519", 1635.0),
         (False, 0.9, 15, "3b876e599127f2990ef7f1ab6d693fd5", 17559.300000000003),
     ])
-    def test_batch_utilities_are_pinned(self, premium, cost, capacity, digest, total):
+    def test_batch_utilities_are_pinned(self, monkeypatch, premium, cost, capacity, digest,
+                                        total):
         # Exact per-sample utilities at 2,500 samples, not a whole number of
         # reward-table chunks.  Capacities (36) exceed the 30 units, so the
-        # agents compete and the units bought follow the reward draws.
+        # agents compete and the units bought follow the reward draws.  The
+        # premium-stripped utilities pay the bid cost alone.
+        if not premium:
+            monkeypatch.setattr(audits, "transform_premium", lambda *args: 0.0)
         types = [AgentType(0.35, 12, 0.8), AgentType(0.55, 10, 0.6), AgentType(0.5, 14, 0.7)]
         market = MarketConfig(30, 30.0, (uniform_type_distribution(0.0, 1.0, 1, 15),) * 3)
         batch = make_ucb_batch_utility(
             market, [t.truthful_bid() for t in types], 0, 0.35,
-            [t.quality for t in types], 0.1, 2500, [7, 5], premium=premium,
+            [t.quality for t in types], 0.1, 2500, [7, 5],
         )
         utility = batch(cost, capacity)
         assert utility.shape == (2500,) and utility.dtype == np.float64

@@ -267,8 +267,7 @@ def test_batch_runner_matches_scalar_exactly():
     tables = (rng.random((samples, n, rounds)) < qualities[None, :, None]).astype(np.uint8)
     alphas = rng.uniform([b.cost for b in bids], 1.0, (samples, n))
     h = 2.0 * alphas  # unit-interval uniform costs
-    caps = np.array([b.capacity for b in bids])
-    units, successes = run_ucb_batch(30.0, h, caps, RewardRealization(tables))
+    units, successes = run_ucb_batch(m, bids, RewardRealization(tables), h)
     for s in range(samples):
         draws = [ResampleDraw(float(alphas[s, j]), bids[j].cost) for j in range(n)]
         outcome, _ = run_2d_ucb(
@@ -280,30 +279,36 @@ def test_batch_runner_matches_scalar_exactly():
 
 
 def _bad_batch_input(case):
-    """Arguments of ``run_ucb_batch`` with one input the C loop would misread."""
+    """Arguments of ``run_ucb_batch`` with one input the C loop would misread.
+    The virtual costs are the one input no type owns, so ``run_ucb_batch``
+    checks them itself; a ``MarketConfig`` refuses a NaN reward scale or no
+    agents, and a ``Bid`` a fractional or negative capacity, as they are
+    built."""
     rng = np.random.default_rng(4)
     tables = (rng.random((6, 3, 20)) < 0.7).astype(np.uint8)
     h = np.full((6, 3), 0.6)
-    caps = np.array([5, 4, 4])
+    caps = [5, 4, 4]
     reward_scale = 30.0
+    dists = (DIST,) * 3
     if case == "nan-virtual-cost":
         h[:, 0] = math.nan  # agent 0 would never be picked after seeding
     elif case == "nan-reward-scale":
         reward_scale = math.nan  # every row would stop after seeding
     elif case == "fractional-capacity":
-        caps = np.array([5.0, 4.0, 2.9])  # would be truncated to 2
+        caps = [5, 4, 2.9]  # would be truncated to 2
     elif case == "negative-capacity":
-        caps = np.array([5, 4, -1])
+        caps = [5, 4, -1]
     elif case == "zero-agents":
-        tables, h, caps = tables[:, :0], h[:, :0], caps[:0]
-    return reward_scale, h, caps, RewardRealization(tables)
+        dists = ()
+    bids = [Bid(0.3, k) for k in caps]
+    return MarketConfig(20, reward_scale, dists), bids, RewardRealization(tables), h
 
 
 BAD_BATCH_INPUTS = {
     "nan-virtual-cost": (ValueError, "virtual costs must be finite"),
     "nan-reward-scale": (ValueError, "reward_scale must be finite"),
-    "fractional-capacity": (ValueError, "capacities must be integers"),
-    "negative-capacity": (ValueError, "capacities must be >= 0"),
+    "fractional-capacity": (TypeError, "capacity must be an integer, got 2.9"),
+    "negative-capacity": (ValueError, "reported capacity must be >= 0, got -1"),
     "zero-agents": (ValueError, "at least one agent"),
 }
 
@@ -353,6 +358,54 @@ def test_capacity_above_the_prior_is_refused_by_every_mechanism(mechanism):
     with pytest.raises(ValueError) as refused:
         OVER_CAP[mechanism](m, bids, table)
     assert str(refused.value) == "agent 0 bid capacity 8 above prior bound 5"
+
+
+# Three malformed learning runs.  ``MarketConfig.check_run`` admits the runs
+# of all three learning entry points, so each refuses each case with the same
+# message: explore-then-commit names the budget, not its exploration range,
+# and the batch runner sees the prior's capacity bound.
+MALFORMED_RUNS = {
+    "units-below-agents": (
+        MarketConfig(2, 30.0, (CAPPED,) * 3), [Bid(0.2, 3)] * 3, 2,
+        "units (2) must be >= number of agents (3)"),
+    "table-of-wrong-unit-count": (
+        MarketConfig(6, 30.0, (CAPPED,) * 2), [Bid(0.2, 3)] * 2, 5,
+        "realization tables must be 2x6, got 2x5"),
+    "capacity-above-prior": (
+        MarketConfig(6, 30.0, (CAPPED,) * 2), [Bid(0.2, 8), Bid(0.6, 3)], 6,
+        "agent 0 bid capacity 8 above prior bound 5"),
+}
+LEARNING_RUNS = {
+    "ucb": lambda m, bids, tables: run_2d_ucb(m, bids, RewardRealization(tables[0]), 0.1, 0),
+    "eps": lambda m, bids, tables: run_eps_separated(
+        m, bids, RewardRealization(tables[0]), m.n_agents, 0.1, 0),
+    "batch": lambda m, bids, tables: run_ucb_batch(
+        m, bids, RewardRealization(tables), np.zeros(tables.shape[:2])),
+}
+
+
+@pytest.mark.parametrize("runner", list(LEARNING_RUNS))
+@pytest.mark.parametrize("case", list(MALFORMED_RUNS))
+def test_malformed_runs_are_refused_by_one_rule(case, runner):
+    m, bids, table_units, message = MALFORMED_RUNS[case]
+    tables = np.ones((4, m.n_agents, table_units), dtype=np.uint8)
+    with pytest.raises(ValueError) as refused:
+        LEARNING_RUNS[runner](m, bids, tables)
+    assert str(refused.value) == message
+
+
+def test_runners_refuse_a_table_of_the_wrong_rank():
+    # The batch runner takes one stack of tables, the scalar runners one table.
+    m, bids = market(20, 3), [Bid(0.3, 5)] * 3
+    table = sample_reward_realization([0.9, 0.4, 0.7], 20, 1)
+    stack = RewardRealization(np.stack([table.table] * 2))
+    with pytest.raises(ValueError) as refused:
+        run_ucb_batch(m, bids, table, np.zeros((1, 3)))
+    assert str(refused.value) == "run_ucb_batch takes a (samples, n, units) stack, got (3, 20)"
+    with pytest.raises(ValueError, match="^run_2d_ucb takes one 3x20 table, got a stack$"):
+        run_2d_ucb(m, bids, stack, 0.1, 0)
+    with pytest.raises(ValueError, match="^run_eps_separated takes one 3x20 table, got a stack$"):
+        run_eps_separated(m, bids, stack, 3, 0.1, 0)
 
 
 class TestEpsSeparated:

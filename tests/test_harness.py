@@ -1,6 +1,5 @@
 import math
 import xml.etree.ElementTree as ET
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -163,10 +162,8 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)

@@ -51,6 +51,13 @@ class TestVirtualCost:
         with pytest.raises(ValueError):
             unit_uniform.virtual_cost(1.5, 1)
 
+    def test_nan_cost_rejected_by_scalar_and_array_forms(self, unit_uniform):
+        with pytest.raises(ValueError, match="outside bounds"):
+            unit_uniform.virtual_cost(np.nan, 1)
+        for costs in ([np.nan, 0.5], [0.5, np.nan], [np.nan]):
+            with pytest.raises(ValueError, match="leaves the distribution bounds"):
+                unit_uniform.virtual_cost_array(np.array(costs), 1)
+
 
 class TestScores:
     def test_g_score_unit_interval(self, unit_uniform):

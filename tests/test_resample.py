@@ -91,6 +91,14 @@ def test_batch_of_one_equals_scalar_bit_for_bit(a, b, mu, entropy):
     assert (draw.alpha, draw.beta) == (float(alpha[0]), float(beta[0]))
 
 
+@pytest.mark.parametrize("bid, hi", [(math.nan, 1.0), (0.3, math.nan), ([0.3, math.nan], 1.0),
+                                     (1.2, 1.0)],
+                         ids=["nan-bid", "nan-cost-hi", "nan-in-bid-array", "bid-above-cost-hi"])
+def test_batch_refuses_a_bid_not_at_most_cost_hi(bid, hi):
+    with pytest.raises(ValueError, match="^bid costs must be at most cost_hi"):
+        resample_batch(bid, hi, MU, 2, np.random.default_rng(0))
+
+
 def test_invalid_mu_rejected():
     with pytest.raises(ValueError):
         self_resample(0.5, BOUNDS, 0.0, 1)

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
-from procure2d import RewardRealization, bandit, run_ucb_batch
+from procure2d import (
+    Bid, MarketConfig, RewardRealization, bandit, run_ucb_batch, uniform_type_distribution,
+)
 
 HERE = Path(__file__).parent
 
@@ -27,7 +29,9 @@ def batch_case():
     rng = np.random.default_rng(3)
     tables = (rng.random((200, 3, 30)) < np.array([0.9, 0.7, 0.8])[None, :, None])
     h = rng.choice([0.2, 0.5, 0.9], (200, 3))
-    return 30.0, h, np.array([10, 12, 9]), RewardRealization(tables)
+    market = MarketConfig(30, 30.0, (uniform_type_distribution(0.0, 1.0, 1, 12),) * 3)
+    bids = [Bid(0.0, k) for k in (10, 12, 9)]
+    return market, bids, RewardRealization(tables), h
 
 
 def test_cached_library_is_reused_without_the_compiler(tmp_path, monkeypatch):

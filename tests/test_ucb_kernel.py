@@ -287,12 +287,18 @@ def test_inverse_square_roots_match_math_sqrt(monkeypatch):
     assert bandit._inv_sqrt_counts(10) is table
 
 
+def batch_run(reward_scale, caps, tables, h):
+    """``run_ucb_batch`` on a market of ``DIST`` agents reporting ``caps``."""
+    market = MarketConfig(tables.shape[-1], reward_scale, (DIST,) * len(caps))
+    return run_ucb_batch(market, [Bid(0.0, k) for k in caps], RewardRealization(tables), h)
+
+
 def assert_batch_matches_oracle(reward_scale, alphas, caps, tables):
     """Runs ``run_ucb_batch`` on stacked tables and ``scalar_ucb_run`` on each
     sample with the same draws; returns the oracle's traces."""
     samples, n, units = tables.shape
     h = np.array([[DIST.virtual_cost(a, k) for a, k in zip(row, caps)] for row in alphas])
-    units_out, successes = run_ucb_batch(reward_scale, h, np.array(caps), RewardRealization(tables))
+    units_out, successes = batch_run(reward_scale, caps, tables, h)
     assert units_out.shape == successes.shape == (samples, n)
     assert units_out.dtype == successes.dtype == np.int64
     market = MarketConfig(units, reward_scale, (DIST,) * n)
@@ -348,9 +354,8 @@ def test_batch_rows_stop_in_different_rounds_and_when_all_agents_are_full(block_
     alphas = rng.choice([0.2, 0.35, 0.5], (samples, 3))
     traces = assert_batch_matches_oracle(1.0, alphas, [8, 8, 1], tables.astype(np.uint8))
     h = np.array([[DIST.virtual_cost(a, k) for a, k in zip(row, [8, 8, 1])] for row in alphas])
-    whole = run_ucb_batch(1.0, h, np.array([8, 8, 1]), RewardRealization(tables))
-    blocks = [run_ucb_batch(1.0, h[i:i + block_rows], np.array([8, 8, 1]),
-                            RewardRealization(tables[i:i + block_rows]))
+    whole = batch_run(1.0, [8, 8, 1], tables, h)
+    blocks = [batch_run(1.0, [8, 8, 1], tables[i:i + block_rows], h[i:i + block_rows])
               for i in range(0, samples, block_rows)]
     for out, part in zip(whole, zip(*blocks)):
         assert np.array_equal(out, np.concatenate(part))
@@ -415,8 +420,7 @@ def test_batch_sizes_straddle_block_edges(samples):
     )
     assert (guarded[0][samples:] == -7).all() and (guarded[1][samples:] == -7).all()
     assert_batch_matches_oracle(1.0, alphas, caps, tables)
-    units_out, successes = run_ucb_batch(1.0, h[:samples], np.array(caps),
-                                         RewardRealization(tables))
+    units_out, successes = batch_run(1.0, caps, tables, h[:samples])
     assert np.array_equal(guarded[0][:samples], units_out)
     assert np.array_equal(guarded[1][:samples], successes)
 
@@ -449,11 +453,10 @@ def test_rows_ending_in_different_ways_share_a_block(caps, other):
     assert {stops[r][0] for r in block} == {"score", other}
     assert_batch_matches_oracle(1.0, alphas[block], caps, tables[block])
     h = virtual_costs(alphas[block], caps)
-    units_out, successes = run_ucb_batch(1.0, h, np.array(caps), RewardRealization(tables[block]))
+    units_out, successes = batch_run(1.0, caps, tables[block], h)
     for perm in itertools.islice(itertools.permutations(range(len(block))), 24):
         perm = list(perm)
-        permuted = run_ucb_batch(1.0, h[perm], np.array(caps),
-                                 RewardRealization(tables[block][perm]))
+        permuted = batch_run(1.0, caps, tables[block][perm], h[perm])
         assert np.array_equal(permuted[0], units_out[perm])
         assert np.array_equal(permuted[1], successes[perm])
 
@@ -462,10 +465,10 @@ def test_permuting_rows_permutes_the_outcome():
     caps = [8, 8, 1]
     alphas, tables = mixed_stop_batch(3 * LANES + 1)
     h = virtual_costs(alphas, caps)
-    units_out, successes = run_ucb_batch(1.0, h, np.array(caps), RewardRealization(tables))
+    units_out, successes = batch_run(1.0, caps, tables, h)
     rng = np.random.default_rng(9)
     for _ in range(10):
         perm = rng.permutation(len(h))
-        permuted = run_ucb_batch(1.0, h[perm], np.array(caps), RewardRealization(tables[perm]))
+        permuted = batch_run(1.0, caps, tables[perm], h[perm])
         assert np.array_equal(permuted[0], units_out[perm])
         assert np.array_equal(permuted[1], successes[perm])
