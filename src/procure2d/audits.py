@@ -28,7 +28,7 @@ from .model import (
     Bid, MarketConfig, RewardRealization, TypeDistribution, _check_qualities, _draw_outcomes,
 )
 from .optimal import run_2d_opt
-from .resample import child_seeds, resample_batch, transform_premium
+from .resample import child_states, generator_at, resample_batch, transform_premium
 
 __all__ = [
     "AuditReport",
@@ -169,13 +169,13 @@ def make_ucb_batch_utility(
     config.check_bids(bids)
     n = config.n_agents
     qualities = _check_qualities(true_qualities, n)
-    realization_seed, rival_seed, dev_seed = child_seeds(seed, 3)
+    realization_state, rival_state, dev_state = child_states(seed, 3)
 
     stack = np.empty((samples, n, config.units), dtype=np.uint8)
-    _draw_outcomes(np.random.default_rng(realization_seed), qualities, stack)
+    _draw_outcomes(generator_at(realization_state), qualities, stack)
     realizations = RewardRealization(stack)
 
-    rival_rng = np.random.default_rng(rival_seed)
+    rival_rng = generator_at(rival_state)
     rival_h = np.empty((samples, n))
     for j in range(n):
         if j == agent:
@@ -196,7 +196,7 @@ def make_ucb_batch_utility(
         trial[agent] = Bid(cost, capacity)
         if cost not in draws:
             draws[cost] = resample_batch(
-                cost, cost_hi, mu, samples, np.random.default_rng(dev_seed)
+                cost, cost_hi, mu, samples, generator_at(dev_state)
             )
         alpha, beta = draws[cost]
         h = rival_h.copy()
@@ -411,9 +411,9 @@ def audit_resampler(
     from scipy import stats
 
     lo, hi = bounds
-    main_seed, couple_seed, fresh_seed = child_seeds(seed, 3)
+    main_state, couple_state, fresh_state = child_states(seed, 3)
 
-    alpha, beta = resample_batch(lo, hi, mu, samples, np.random.default_rng(main_seed))
+    alpha, beta = resample_batch(lo, hi, mu, samples, generator_at(main_state))
     report = AuditReport(name, 0.0, 0.0, details={"samples": samples, "mu": mu})
     details = report.details
 
@@ -438,7 +438,7 @@ def audit_resampler(
     grid = np.linspace(lo, hi, 9)
     prev = None
     for c in grid:
-        pair = resample_batch(float(c), hi, mu, couple_n, np.random.default_rng(couple_seed))
+        pair = resample_batch(float(c), hi, mu, couple_n, generator_at(couple_state))
         if prev is not None:
             drop = float(max((prev[0] - pair[0]).max(), (prev[1] - pair[1]).max()))
             report.note(drop, {"check": "coupled-monotonicity", "bid": float(c)})
@@ -458,7 +458,7 @@ def audit_resampler(
     # an atom at beta itself, so each conditioned draw is compared against a
     # fresh full-procedure draw at that draw's own beta: within a bin the two
     # samples then mix the atom identically and must agree in law.
-    fresh_rng = np.random.default_rng(fresh_seed)
+    fresh_rng = generator_at(fresh_state)
     width = (hi - lo) / 40.0
     memoryless_p = []
     cond_alpha_all = alpha[moved]

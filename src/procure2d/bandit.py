@@ -61,7 +61,7 @@ import numpy as np
 
 from .model import Bid, MarketConfig, RewardRealization
 from .optimal import MechanismOutcome, run_2d_opt
-from .resample import ResampleDraw, child_seeds, self_resample, transform_premium
+from .resample import ResampleDraw, child_states, self_resample, transform_premium
 
 __all__ = [
     "TraceStep",
@@ -102,15 +102,24 @@ class RunTrace:
                 fh.write(f"{s.round},{agent},{reward},{g_hat}\n")
 
 
-def _resolve_draws(bids, distributions, mu, seed, draws):
+def _resolve_draws(bids, distributions, mu, seed=None, draws=None, *, states=None, rng=None):
+    """The resample draws of a run: ``draws`` when given, one per bid, else
+    one ``self_resample`` per bid on its own stream.  Bid ``i``'s stream is
+    child ``(i,)`` of ``seed``, or ``states[i]`` when the caller has derived
+    the children's stream states already, drawn on ``rng``."""
     if draws is not None:
         if len(draws) != len(bids):
             raise ValueError("need one resample draw per bid")
         return list(draws)
-    return [
-        self_resample(bid.cost, dist.cost_bounds, mu, child)
-        for bid, dist, child in zip(bids, distributions, child_seeds(seed, len(bids)))
-    ]
+    if states is None:
+        states = child_states(seed, len(bids))
+    if rng is None:
+        rng = np.random.Generator(np.random.PCG64(0))
+    out = []
+    for bid, dist, state in zip(bids, distributions, states):
+        rng.bit_generator.state = state
+        out.append(self_resample(bid.cost, dist.cost_bounds, mu, rng))
+    return out
 
 
 # Bonus widths ``sqrt(c ln t)`` by bonus scale ``c``, shared by every run in
@@ -328,6 +337,31 @@ def run_ucb_batch(
     return units, successes
 
 
+def _round_robin_split(caps: list[int], budget: int) -> list[int]:
+    """Units per agent when ``budget <= sum(caps)`` units are dealt one at a
+    time round-robin over the agents below capacity, in index order.
+
+    In closed form: every agent gets ``min(cap, level)``, ``level`` being the
+    largest with ``sum(min(cap, level)) <= budget``, and the rest go one each
+    to the lowest-index agents with ``cap > level``.  Walking the capacities
+    in ascending order, ``below`` counts the units of the agents that fill
+    before the level reaches the next capacity.
+    """
+    below = 0
+    for k, cap in enumerate(sorted(caps)):
+        live = len(caps) - k
+        if below + live * cap > budget:
+            break
+        below += cap
+    else:
+        return list(caps)
+    level, extra = divmod(budget - below, live)
+    units = [min(cap, level) for cap in caps]
+    for i in [i for i, cap in enumerate(caps) if cap > level][:extra]:
+        units[i] += 1
+    return units
+
+
 def run_eps_separated(
     config: MarketConfig,
     bids: Sequence[Bid],
@@ -369,21 +403,14 @@ def run_eps_separated(
     reward_scale = config.reward_scale
     rows = [realization.table[i] for i in range(n)]
 
-    explored = [0] * n
-    spent = 0
-    i = 0
-    while spent < explore_rounds:
-        if explored[i] < caps[i]:
-            explored[i] += 1
-            spent += 1
-        i = (i + 1) % n
+    explored = _round_robin_split(caps, explore_rounds)
 
     explore_succ = [int(rows[i][: explored[i]].sum()) for i in range(n)]
     q_hat = np.array(
         [explore_succ[i] / explored[i] if explored[i] else 0.0 for i in range(n)]
     )
 
-    exploit_budget = n_rounds - spent
+    exploit_budget = n_rounds - explore_rounds
     exploit_bids = [
         Bid(draw.alpha, caps[i] - explored[i]) for i, draw in enumerate(draws)
     ]

@@ -5,7 +5,11 @@ for the omniscient optimal benchmark, the UCB learner, and the
 explore-then-commit baselines.  Replications fan out over a process pool;
 every replication's random stream is a pure function of (master seed, type
 sample, budget index, realization index), so the assembled results are
-byte-identical regardless of worker count or scheduling.
+byte-identical regardless of worker count or scheduling.  Each stream is
+the numpy stream of a ``SeedSequence`` on the key ``[master seed, tag,
+...]``, or of its child ``(i,)`` for bid ``i``'s resampler; a cell derives
+the PCG64 states of all its streams in one ``resample.stream_states`` pass
+and draws them on one reused generator.
 """
 
 from __future__ import annotations
@@ -17,13 +21,15 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import islice
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .bandit import run_2d_ucb, run_eps_separated
+from .bandit import _resolve_draws, run_2d_ucb, run_eps_separated
 from .model import Bid, MarketConfig, sample_reward_realization, uniform_type_distribution
 from .optimal import run_2d_opt
+from .resample import generator_at, stream_states
 
 __all__ = [
     "ExperimentConfig",
@@ -207,7 +213,9 @@ def write_config(config: ExperimentConfig, path) -> None:
 
 # -- simulation ---------------------------------------------------------------
 
-# Stream tags keep the per-purpose random streams disjoint.
+# Stream tags keep the per-purpose random streams disjoint: types, capacities
+# and reward tables draw from their roots, the learner's and each
+# explore-then-commit run's resamplers from the roots' children (i,).
 _TAG_TYPES, _TAG_CAPS, _TAG_REALIZATION, _TAG_UCB, _TAG_EPS = 11, 12, 13, 14, 15
 
 
@@ -216,21 +224,32 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
 
     Costs and qualities are drawn once per type sample and shared across
     budgets; capacities are redrawn per budget because their prior scales
-    with it.
+    with it.  Every stream of the cell is derived up front by one
+    ``stream_states`` call, in the order the cell draws them, and drawn on
+    one reused generator.
     """
     units = config.l_grid[l_index]
     n = config.n
     seed = config.master_seed
+    reps = config.realizations
 
-    rng_types = np.random.default_rng(np.random.SeedSequence([seed, _TAG_TYPES, type_sample]))
-    costs = rng_types.uniform(config.cost_lo, config.cost_hi, n)
-    qualities = rng_types.uniform(config.quality_lo, config.quality_hi, n)
+    rows = [([seed, _TAG_TYPES, type_sample], ()), ([seed, _TAG_CAPS, type_sample, l_index], ())]
+    for r in range(reps):
+        rows.append(([seed, _TAG_REALIZATION, type_sample, l_index, r], ()))
+        ucb = [seed, _TAG_UCB, type_sample, l_index, r]
+        rows += [(ucb, (i,)) for i in range(n)]
+        for v in range(len(config.eps_exponents)):
+            eps = [seed, _TAG_EPS, type_sample, l_index, r, v]
+            rows += [(eps, (i,)) for i in range(n)]
+    streams = iter(stream_states(rows))
+    rng = generator_at(next(streams))
+
+    costs = rng.uniform(config.cost_lo, config.cost_hi, n)
+    qualities = rng.uniform(config.quality_lo, config.quality_hi, n)
 
     cap_lo, cap_hi = config.cap_bounds(units)
-    rng_caps = np.random.default_rng(
-        np.random.SeedSequence([seed, _TAG_CAPS, type_sample, l_index])
-    )
-    capacities = rng_caps.integers(cap_lo, cap_hi, n, endpoint=True)
+    rng.bit_generator.state = next(streams)
+    capacities = rng.integers(cap_lo, cap_hi, n, endpoint=True)
     if capacities.sum() < units:
         warnings.warn(
             f"type sample {type_sample} at {units} units: total capacity "
@@ -242,7 +261,6 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
     market = MarketConfig(units, config.reward_scale, (dist,) * n)
     bids = [Bid(float(costs[i]), int(capacities[i])) for i in range(n)]
 
-    reps = config.realizations
     out = {label: np.empty(reps) for label in config.mechanism_labels()}
 
     benchmark = run_2d_opt(market, qualities, bids)
@@ -251,20 +269,22 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
     explore_grid = [
         max(n, int(round(units ** exponent))) for exponent in config.eps_exponents
     ]
+
+    def draws():
+        return _resolve_draws(bids, market.distributions, config.mu,
+                              states=islice(streams, n), rng=rng)
+
     for r in range(reps):
-        realization = sample_reward_realization(
-            qualities, units, np.random.SeedSequence([seed, _TAG_REALIZATION, type_sample, l_index, r])
-        )
+        rng.bit_generator.state = next(streams)
+        realization = sample_reward_realization(qualities, units, rng)
         ucb_outcome, _ = run_2d_ucb(
-            market, bids, realization, config.mu,
-            np.random.SeedSequence([seed, _TAG_UCB, type_sample, l_index, r]),
-            record_trace=False,
+            market, bids, realization, config.mu, None,
+            resample_draws=draws(), record_trace=False,
         )
         out["ucb"][r] = ucb_outcome.auctioneer_utility / units
-        for v, (exponent, explore) in enumerate(zip(config.eps_exponents, explore_grid)):
+        for exponent, explore in zip(config.eps_exponents, explore_grid):
             eps_outcome = run_eps_separated(
-                market, bids, realization, explore, config.mu,
-                np.random.SeedSequence([seed, _TAG_EPS, type_sample, l_index, r, v]),
+                market, bids, realization, explore, config.mu, None, resample_draws=draws(),
             )
             out[f"eps-{_exponent_label(exponent)}"][r] = eps_outcome.auctioneer_utility / units
     return out

@@ -14,12 +14,19 @@ import numpy as np
 
 from procure2d import (
     AgentType,
+    Bid,
     MarketConfig,
     MechanismOutcome,
     RunTrace,
     TraceStep,
+    run_2d_opt,
+    run_2d_ucb,
+    run_eps_separated,
+    sample_reward_realization,
+    self_resample,
     uniform_type_distribution,
 )
+from procure2d.harness import _exponent_label
 
 
 def brute_force_best_value(scores, capacities, budget) -> float:
@@ -188,3 +195,61 @@ def opt_auction_numpy(config, qualities, bids) -> MechanismOutcome:
 
     utility = float(np.dot(units.astype(float), reward_scale * q) - payments.sum())
     return MechanismOutcome(units, payments, utility)
+
+
+def round_robin_explore(caps, budget) -> list[int]:
+    """Units per agent when ``budget`` exploration units are dealt one at a
+    time round-robin over the agents below capacity, stepped unit by unit:
+    the reference for ``run_eps_separated``'s closed-form split.  Requires
+    ``budget <= sum(caps)``."""
+    n = len(caps)
+    explored = [0] * n
+    spent = 0
+    i = 0
+    while spent < budget:
+        if explored[i] < caps[i]:
+            explored[i] += 1
+            spent += 1
+        i = (i + 1) % n
+    return explored
+
+
+def seed_sequence_cell(config, l_index, type_sample) -> dict[str, np.ndarray]:
+    """``harness._run_cell`` with every stream built by numpy itself: each
+    root is ``default_rng(SeedSequence([master_seed, tag, ...]))`` and bid
+    ``i``'s resample stream is ``SeedSequence(root entropy, spawn_key=(i,))``
+    (tags 11 types, 12 capacities, 13 reward table, 14 learner, 15 the
+    ``v``-th explore-then-commit run)."""
+    def rng(*entropy):
+        return np.random.default_rng(np.random.SeedSequence([config.master_seed, *entropy]))
+
+    def draws(*entropy):
+        return [
+            self_resample(bid.cost, dist.cost_bounds, config.mu, np.random.SeedSequence(
+                [config.master_seed, *entropy], spawn_key=(i,)))
+            for i, (bid, dist) in enumerate(zip(bids, market.distributions))
+        ]
+
+    units, n, reps = config.l_grid[l_index], config.n, config.realizations
+    types = rng(11, type_sample)
+    costs = types.uniform(config.cost_lo, config.cost_hi, n)
+    qualities = types.uniform(config.quality_lo, config.quality_hi, n)
+    cap_lo, cap_hi = config.cap_bounds(units)
+    capacities = rng(12, type_sample, l_index).integers(cap_lo, cap_hi, n, endpoint=True)
+    dist = uniform_type_distribution(config.cost_lo, config.cost_hi, cap_lo, cap_hi)
+    market = MarketConfig(units, config.reward_scale, (dist,) * n)
+    bids = [Bid(float(costs[i]), int(capacities[i])) for i in range(n)]
+
+    out = {label: np.empty(reps) for label in config.mechanism_labels()}
+    out["opt"][:] = run_2d_opt(market, qualities, bids).auctioneer_utility / units
+    for r in range(reps):
+        table = sample_reward_realization(qualities, units, rng(13, type_sample, l_index, r))
+        ucb, _ = run_2d_ucb(market, bids, table, config.mu, None, record_trace=False,
+                            resample_draws=draws(14, type_sample, l_index, r))
+        out["ucb"][r] = ucb.auctioneer_utility / units
+        for v, exponent in enumerate(config.eps_exponents):
+            explore = max(n, int(round(units ** exponent)))
+            eps = run_eps_separated(market, bids, table, explore, config.mu, None,
+                                    resample_draws=draws(15, type_sample, l_index, r, v))
+            out[f"eps-{_exponent_label(exponent)}"][r] = eps.auctioneer_utility / units
+    return out

@@ -362,9 +362,10 @@ def test_criterion_09_trend_reproduction():
     by = {(r.mechanism, r.units): r for r in rows}
 
     # (a) benchmark flat across budgets.  The benchmark is deterministic per
-    # type sample (realizations duplicate it), so the test pairs the per-type
-    # values across budgets; the emitted all-replication stderr would
-    # understate the benchmark's sampling error by sqrt(realizations).
+    # type sample (its realizations repeat one value), and a type sample has
+    # the same costs and qualities at every budget, so the test pairs the
+    # per-type values across budgets: the paired differences leave out the
+    # spread between type samples, which every budget shares.
     per_type = {units: [] for units in config.l_grid}
     for l_index, units in enumerate(config.l_grid):
         for ts in range(config.type_samples):

@@ -17,6 +17,9 @@ from procure2d import (
     sample_reward_realization,
     uniform_type_distribution,
 )
+from procure2d.bandit import _round_robin_split
+
+from oracles import round_robin_explore
 
 DIST = uniform_type_distribution(0.0, 1.0, 1, 50)
 
@@ -442,6 +445,24 @@ class TestEpsSeparated:
                 m, bids, table, 9, 0.1, 0, resample_draws=pinned(bids)
             )
         assert outcome.allocation.tolist() == [2, 2]
+
+    def test_split_equals_the_round_robin_loop(self):
+        # Capacity 0 and an exploration budget equal to the total capacity
+        # (what clipping leaves) included.
+        rng = np.random.default_rng(25)
+        for _ in range(500):
+            caps = [int(c) for c in rng.integers(0, 12, int(rng.integers(1, 7)))]
+            for budget in (0, sum(caps), int(rng.integers(0, sum(caps) + 1))):
+                expected = round_robin_explore(caps, budget)
+                assert _round_robin_split(caps, budget) == expected, (caps, budget)
+
+    def test_clipped_exploration_skips_zero_capacity(self):
+        m = market(6, 3)
+        bids = [Bid(0.3, 0), Bid(0.5, 3), Bid(0.4, 1)]
+        table = sample_reward_realization([0.7, 0.7, 0.7], 6, 5)
+        with pytest.warns(UserWarning, match="clipping"):
+            outcome = run_eps_separated(m, bids, table, 5, 0.1, 0, resample_draws=pinned(bids))
+        assert outcome.allocation.tolist() == [0, 3, 1]
 
     def test_explore_bounds_validated(self):
         m = market(10, 2)

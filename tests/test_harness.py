@@ -17,6 +17,8 @@ from procure2d import (
 from procure2d import harness
 from procure2d.harness import _run_cell, write_config
 
+from oracles import seed_sequence_cell
+
 TINY = ExperimentConfig(
     n=2,
     l_grid=(8, 16),
@@ -196,6 +198,19 @@ class TestRunExperiment:
             if row.mechanism == "opt":
                 assert row.mean_utility_per_unit == pytest.approx(30.0 - 0.5, abs=1e-12)
                 assert row.stderr == 0.0
+
+    @pytest.mark.parametrize("master_seed", [0, 2**63 + 5, 2**64 - 1])
+    def test_cell_streams_equal_seed_sequences(self, master_seed):
+        # A multi-word master seed included: every type, capacity, reward and
+        # resample stream of a cell is the SeedSequence stream it names.
+        config = ExperimentConfig(n=3, l_grid=(40, 160), type_samples=2, realizations=3,
+                                  master_seed=master_seed)
+        for l_index, type_sample in [(0, 0), (1, 1)]:
+            got = _run_cell(config, l_index, type_sample)
+            expected = seed_sequence_cell(config, l_index, type_sample)
+            assert list(got) == list(expected)
+            for label in expected:
+                assert got[label].tolist() == expected[label].tolist(), label
 
     def test_infeasible_capacity_warns(self):
         config = ExperimentConfig(

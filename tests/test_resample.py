@@ -12,6 +12,7 @@ from procure2d import (
     self_resample,
     transform_premium,
 )
+from procure2d.resample import child_states, generator_at, stream_states
 
 from oracles import units_vs_own_score
 
@@ -177,3 +178,79 @@ def test_expected_premium_matches_allocation_integral():
     stderr = premium.std(ddof=1) / math.sqrt(draws)
     assert abs(premium.mean() - exact) < 3 * stderr
 
+
+
+def random_seed_int(rng) -> int:
+    """A master-seed-like int: 0, one word, two words, or up to 2**64 - 1."""
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return int(rng.integers(1, 2**32))
+    if kind == 2:
+        return 2**32 + int(rng.integers(0, 2**62))
+    return 2**64 - 1 - int(rng.integers(0, 2**32))
+
+
+def stream_cases(count, seed=16):
+    """``(entropy, spawn_key)`` rows mixing ints and lists of 0-7 ints, with
+    spawn keys ``()``, ``(i,)`` and two entries.  Short entropies with a key
+    take the padding path; long ones mix words past the pool."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        if rng.random() < 0.2:
+            entropy = random_seed_int(rng)
+        else:
+            entropy = [random_seed_int(rng) for _ in range(int(rng.integers(0, 8)))]
+        key = tuple(int(k) for k in rng.integers(0, 2**33, int(rng.integers(0, 3))))
+        cases.append((entropy, key))
+    return cases
+
+
+EDGE_STREAMS = [
+    (0, ()), (0, (0,)), (2**64 - 1, ()), (2**64 - 1, (4,)), (2**32, (1,)),
+    ([], ()), ([], (0,)), ([0, 0, 0], (0,)), ([0, 0, 0, 0], (0,)), ([7, 0], (0, 0)),
+    ([2**63 + 5, 14, 0, 0, 0], (3,)), ([2**63 + 5, 11, 0], ()), ([1, 2, 3, 4, 5, 6, 7, 8], ()),
+    (np.array([5, 9], dtype=np.uint32), (2,)), (np.int64(3), (np.uint8(1),)),
+]
+
+
+@pytest.mark.parametrize("cases", [stream_cases(900), EDGE_STREAMS], ids=["random", "edge"])
+def test_stream_states_equal_numpy_seeding(cases):
+    # One call derives every row; each must equal the PCG64 state numpy
+    # seeds from the same SeedSequence, and draw the same first uniform.
+    states = stream_states(cases)
+    assert len(states) == len(cases)
+    rng = generator_at(states[0])
+    for (entropy, key), state in zip(cases, states):
+        reference = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=key))
+        assert state == reference.state, (entropy, key)
+        rng.bit_generator.state = state
+        assert rng.random() == np.random.Generator(reference).random()
+
+
+def test_stream_states_of_no_rows():
+    assert stream_states([]) == []
+
+
+@pytest.mark.parametrize("entropy, error", [(-1, ValueError), ([3, -2], ValueError),
+                                            (1.5, TypeError), ("seed", TypeError)])
+def test_stream_states_refuse_what_seed_sequence_refuses(entropy, error):
+    with pytest.raises(error):
+        np.random.SeedSequence(entropy)
+    with pytest.raises(error):
+        stream_states([(entropy, ())])
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, [3, 1, 4], np.random.SeedSequence(9),
+                                  np.random.SeedSequence(9, spawn_key=(2,))])
+def test_child_states_are_the_spawned_children(seed):
+    # Child i draws as the i-th child of spawn(3) on a fresh sequence, and a
+    # SeedSequence passed in is not spent.
+    if isinstance(seed, np.random.SeedSequence):
+        fresh = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key)
+    else:
+        fresh = np.random.SeedSequence(seed)
+    expected = [np.random.PCG64(child).state for child in fresh.spawn(3)]
+    assert child_states(seed, 3) == child_states(seed, 3) == expected

@@ -149,21 +149,20 @@ def test_leader_changes_on_most_rounds(caps, rival_cost, bonus_scale):
 
 @pytest.mark.parametrize("master_seed", [0, 1, 2])
 def test_harness_instances_match_scalar_loop(monkeypatch, master_seed):
-    # Five agents with the types, capacities, rewards and resample seeds that
+    # Five agents with the types, capacities, rewards and resample draws that
     # run_experiment draws at L = 20,000, the instances the paper's
     # experiment runs.
     calls = []
 
     def record(market, bids, realization, mu, seed, **kwargs):
-        calls.append((market, bids, realization, mu, seed))
+        calls.append((market, bids, realization, kwargs["resample_draws"]))
         return run_2d_ucb(market, bids, realization, mu, seed, **kwargs)
 
     monkeypatch.setattr(harness, "run_2d_ucb", record)
     config = ExperimentConfig(l_grid=(20_000,), type_samples=1, realizations=1,
                               master_seed=master_seed)
     harness._run_cell(config, 0, 0)
-    ((market, bids, realization, mu, seed),) = calls
-    draws = bandit._resolve_draws(bids, market.distributions, mu, seed, None)
+    ((market, bids, realization, draws),) = calls
     for bonus_scale in (0.5, 2.0):
         trace = assert_matches_oracle(market, bids, realization, draws, bonus_scale)
         assert len(set(trace.agents())) == 5
