@@ -405,7 +405,7 @@ def run_eps_separated(
 
     explored = _round_robin_split(caps, explore_rounds)
 
-    explore_succ = [int(rows[i][: explored[i]].sum()) for i in range(n)]
+    explore_succ = [int(np.count_nonzero(rows[i][: explored[i]])) for i in range(n)]
     q_hat = np.array(
         [explore_succ[i] / explored[i] if explored[i] else 0.0 for i in range(n)]
     )
@@ -422,6 +422,6 @@ def run_eps_separated(
     cost_highs = [dist.cost_bounds[1] for dist in config.distributions]
     premium = transform_premium(explored, mu, costs, cost_highs, [d.beta for d in draws])
     payments = costs * explored + exploit.payments + premium
-    total_succ = sum(int(rows[i][: counts[i]].sum()) for i in range(n))
+    total_succ = sum(int(np.count_nonzero(rows[i][: counts[i]])) for i in range(n))
     utility = reward_scale * total_succ - float(payments.sum())
     return MechanismOutcome(counts, payments, utility)

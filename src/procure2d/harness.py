@@ -226,7 +226,8 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
     budgets; capacities are redrawn per budget because their prior scales
     with it.  Every stream of the cell is derived up front by one
     ``stream_states`` call, in the order the cell draws them, and drawn on
-    one reused generator.
+    one reused generator.  Each reward table is drawn only through the
+    agents' capacities, the most any run buys from them.
     """
     units = config.l_grid[l_index]
     n = config.n
@@ -276,7 +277,7 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
 
     for r in range(reps):
         rng.bit_generator.state = next(streams)
-        realization = sample_reward_realization(qualities, units, rng)
+        realization = sample_reward_realization(qualities, units, rng, capacities)
         ucb_outcome, _ = run_2d_ucb(
             market, bids, realization, config.mu, None,
             resample_draws=draws(), record_trace=False,

@@ -6,6 +6,13 @@ the agent's fixed but unobserved quality.  The buyer values a successful unit
 at the reward scale R, so a unit from agent i is worth ``R * q_i`` in
 expectation.  ``_draw_outcomes`` draws every table of such outcomes.
 
+No mechanism buys more than ``min(k_i, L)`` units from an agent reporting
+capacity ``k_i``, so a simulation table need only hold row i's outcomes
+through that length: ``sample_reward_realization(..., capacities=)`` draws
+just those prefixes, bit for bit the outcomes of the whole table, and
+records them as ``RewardRealization.drawn``; ``MarketConfig.check_run``
+refuses a bid that would read past its row's drawn prefix.
+
 ``TypeDistribution`` carries one agent's (cost, capacity) prior as the
 virtual cost driving the auctions: the information-rent-adjusted cost
 ``H(c, k) = c + F(c|k) / f(c|k)``, held in the closed form ``H(c) = a + b*c``
@@ -217,8 +224,10 @@ class MarketConfig:
 
     def check_run(self, bids, realization: RewardRealization) -> tuple[int, ...]:
         """The one rule for a learning run: ``units >= n_agents`` (the seeding
-        pass buys one unit from each agent), bids that pass ``check_bids`` and
-        ``n_agents x units`` tables.  Returns the tables' stacking shape."""
+        pass buys one unit from each agent), bids that pass ``check_bids``,
+        ``n_agents x units`` tables, and on a table drawn only through row
+        prefixes, no bid that could buy past its row's prefix.  Returns the
+        tables' stacking shape."""
         n, units, shape = self.n_agents, self.units, realization.table.shape
         if units < n:
             raise ValueError(f"units ({units}) must be >= number of agents ({n})")
@@ -227,6 +236,12 @@ class MarketConfig:
             raise ValueError(
                 f"realization tables must be {n}x{units}, got {shape[-2]}x{shape[-1]}"
             )
+        for i, (bid, drawn) in enumerate(zip(bids, realization.drawn or ())):
+            if min(bid.capacity, units) > drawn:
+                raise ValueError(
+                    f"agent {i} bid capacity {bid.capacity} reads past the "
+                    f"{drawn} outcomes drawn for its row"
+                )
         return shape[:-2]
 
 
@@ -236,9 +251,16 @@ class RewardRealization:
     is the outcome of the j-th unit procured from agent i (counted per agent,
     not globally); leading axes stack tables, as the audits do.  The one rule
     for outcome tables: bool or integer entries, each 0 or 1.  Kept read-only
-    C-contiguous uint8, with no copy of a table that already is one."""
+    C-contiguous uint8, with no copy of a table that already is one.
+
+    ``drawn`` is ``None`` for a whole table or a stack.  On one ``n x L``
+    table drawn only through row prefixes (``sample_reward_realization``
+    with ``capacities``), it holds each row's prefix length; the entries
+    past it are 0 and stand for no outcome, and ``MarketConfig.check_run``
+    refuses any run that could read them."""
 
     table: np.ndarray
+    drawn: tuple[int, ...] | None = None
 
     def __post_init__(self):
         table = np.asarray(self.table)
@@ -252,30 +274,76 @@ class RewardRealization:
         table = np.ascontiguousarray(table, dtype=np.uint8).view()
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
+        if self.drawn is not None:
+            drawn = tuple(_check_int(k, "drawn length") for k in self.drawn)
+            n, width = table.shape[-2:]
+            if table.ndim != 2 or len(drawn) != n or not all(0 <= k <= width for k in drawn):
+                raise ValueError(
+                    f"drawn must give one prefix length in [0, {width}] per row of one "
+                    f"{n}x{width} table, got {self.drawn!r}"
+                )
+            object.__setattr__(self, "drawn", drawn)
 
 
-def sample_reward_realization(qualities, n_units: int, seed) -> RewardRealization:
+def sample_reward_realization(qualities, n_units: int, seed, capacities=None) -> RewardRealization:
     """Draw the n x L outcome table, row i i.i.d. Bernoulli(q_i).
 
-    Deterministic given ``seed`` (int, SeedSequence, or Generator).
+    Deterministic given ``seed`` (int, SeedSequence, or Generator).  With
+    ``capacities`` (one integer >= 0 per row), row i is drawn only through
+    ``min(capacities[i], L)``, the most units any mechanism buys from an
+    agent of that capacity.  The drawn entries equal the whole table's, the
+    rest are 0, ``drawn`` records the lengths, and a Generator passed in
+    (which must run on PCG64, to skip the undrawn outputs) ends where the
+    whole table would leave it.
     """
     q = _check_qualities(qualities)
     n_units = _check_int(n_units, "n_units")
     if n_units < 0:
         raise ValueError(f"n_units must be >= 0, got {n_units}")
+    rng = np.random.default_rng(seed)
+    drawn = None
+    if capacities is not None:
+        caps = [_check_int(k, "capacity") for k in capacities]
+        if len(caps) != len(q) or min(caps, default=0) < 0:
+            raise ValueError(f"expected {len(q)} capacities >= 0, got {capacities!r}")
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            name = type(rng.bit_generator).__name__
+            raise TypeError(f"drawing to capacities needs a PCG64 generator, got {name}")
+        drawn = tuple(min(k, n_units) for k in caps)
     table = np.empty((len(q), n_units), dtype=np.uint8)
-    _draw_outcomes(np.random.default_rng(seed), q, table)
-    return RewardRealization(table)
+    _draw_outcomes(rng, q, table, drawn)
+    return RewardRealization(table, drawn)
 
 
 _DRAW_FLOATS = 1 << 17  # uniforms ``_draw_outcomes`` holds at once (at least one row)
 
 
-def _draw_outcomes(rng: np.random.Generator, qualities, out: np.ndarray) -> None:
+def _draw_outcomes(rng: np.random.Generator, qualities, out: np.ndarray, lengths=None) -> None:
     """Fill the C-contiguous uint8 ``out`` of shape ``(..., n, L)`` with ``u < qualities[i]``
     at ``[..., i, j]``, ``u`` the matching uniform of one ``rng.random(out.shape)`` call,
-    drawn in blocks of whole rows through one reused buffer and compared in place."""
-    if out.size:
+    drawn in blocks of whole rows through one reused buffer and compared in place.
+
+    ``lengths`` (Python ints, one per row of one ``n x L`` table) draws row i
+    only through ``lengths[i]`` and zeroes the rest.  ``random()`` spends one
+    64-bit output per uniform, so row i starts at output ``i * L``: the gaps
+    are skipped by ``bit_generator.advance``, and the last one leaves ``rng``
+    at the whole table's end (advancing also drops PCG64's buffered 32-bit
+    half-word, which ``random()`` never reads)."""
+    if lengths is not None:
+        width, bits = out.shape[-1], rng.bit_generator
+        uniforms = np.empty(max(lengths, default=0))
+        at = 0  # outputs consumed so far
+        for i, (q, k) in enumerate(zip(qualities, lengths)):
+            if at != i * width:
+                bits.advance(i * width - at)
+            chunk = uniforms[:k]
+            rng.random(out=chunk)
+            np.less(chunk, q, out=out[i, :k])
+            out[i, k:] = 0
+            at = i * width + k
+        if at != out.size:
+            bits.advance(out.size - at)
+    elif out.size:
         rows = out.reshape(-1, out.shape[-1])
         q = np.tile(qualities, len(rows) // out.shape[-2])[:, None]  # one per stacked table
         step = min(len(rows), max(1, _DRAW_FLOATS // rows.shape[1]))

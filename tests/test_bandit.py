@@ -397,6 +397,65 @@ def test_malformed_runs_are_refused_by_one_rule(case, runner):
     assert str(refused.value) == message
 
 
+# A table drawn only through capacity prefixes (``sample_reward_realization``
+# with ``capacities``) holds 0 past each row's prefix, where no outcome was
+# drawn.  ``MarketConfig.check_run`` refuses a bid that could buy past its
+# row's prefix, so both scalar learning runs refuse it with the same message;
+# a capacity above the budget needs only a row drawn through the budget.
+PREFIX_RUNS = {
+    "ucb": lambda m, bids, table: run_2d_ucb(m, bids, table, 0.1, 0),
+    "eps": lambda m, bids, table: run_eps_separated(m, bids, table, m.n_agents, 0.1, 0),
+}
+
+
+@pytest.mark.parametrize("runner", list(PREFIX_RUNS))
+def test_bid_past_its_drawn_prefix_is_refused_by_one_rule(runner):
+    m = market(10, 2)
+    table = sample_reward_realization([0.9, 0.4], 10, 1, capacities=[4, 12])
+    assert table.drawn == (4, 10)
+    with pytest.raises(ValueError) as refused:
+        PREFIX_RUNS[runner](m, [Bid(0.2, 5), Bid(0.6, 3)], table)
+    message = "agent 0 bid capacity 5 reads past the 4 outcomes drawn for its row"
+    assert str(refused.value) == message
+    PREFIX_RUNS[runner](m, [Bid(0.2, 4), Bid(0.6, 40)], table)
+
+
+@pytest.mark.parametrize("runner", list(PREFIX_RUNS))
+def test_whole_tables_admit_every_capacity_as_before(runner):
+    # A table with no ``drawn``, or with every row drawn through the budget.
+    m = market(10, 2)
+    for table in (sample_reward_realization([0.9, 0.4], 10, 1),
+                  sample_reward_realization([0.9, 0.4], 10, 1, capacities=[50, 10])):
+        for bids in ([Bid(0.2, 50), Bid(0.6, 0)], [Bid(0.2, 50), Bid(0.6, 3)]):
+            PREFIX_RUNS[runner](m, bids, table)
+
+
+WIDE = uniform_type_distribution(0.0, 1.0, 1, 400)
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_runs_on_capacity_drawn_tables_equal_runs_on_whole_tables(case):
+    pick = np.random.default_rng(case)
+    n = int(pick.integers(2, 5))
+    units = int(pick.integers(n, 300))
+    caps = pick.integers(2, 400, n)
+    if case % 2:
+        caps[0] = 0
+    m = MarketConfig(units, 30.0, (WIDE,) * n)
+    q = pick.random(n)
+    bids = [Bid(float(c), int(k)) for c, k in zip(pick.random(n), caps)]
+    explore = int(pick.integers(n, min(units, caps.sum()) + 1))
+    whole = sample_reward_realization(q, units, 50 + case)
+    drawn = sample_reward_realization(q, units, 50 + case, caps)
+    assert min(drawn.drawn) < units  # some row is cut short
+    for run in (lambda table: run_2d_ucb(m, bids, table, 0.1, case)[0],
+                lambda table: run_eps_separated(m, bids, table, explore, 0.1, case)):
+        expected, got = run(whole), run(drawn)
+        assert np.array_equal(got.allocation, expected.allocation)
+        assert np.array_equal(got.payments, expected.payments)
+        assert got.auctioneer_utility == expected.auctioneer_utility
+
+
 def test_runners_refuse_a_table_of_the_wrong_rank():
     # The batch runner takes one stack of tables, the scalar runners one table.
     m, bids = market(20, 3), [Bid(0.3, 5)] * 3

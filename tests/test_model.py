@@ -194,3 +194,63 @@ class TestDrawOutcomes:
         table = sample_reward_realization(q, _DRAW_FLOATS // 2, passed).table
         assert np.array_equal(table, one_shot.random(table.shape) < q[:, None])
         assert passed.random() == one_shot.random()
+
+
+class TestCapacityPrefixes:
+    """``sample_reward_realization(..., capacities=)`` against the same seed's
+    whole table: row i drawn through ``min(capacities[i], L)``, bit for bit."""
+
+    @staticmethod
+    def market(case):
+        pick = np.random.default_rng(case)
+        n = int(pick.integers(2, 6))
+        units = _DRAW_FLOATS + 9 if case == 0 else int(pick.integers(0, 3000))
+        caps = pick.integers(0, units + 4, n)  # an int64 array, as ``_run_cell`` passes
+        caps[0], caps[1] = units + int(pick.integers(0, 3)), 0  # whole and undrawn rows
+        return pick.random(n), units, caps
+
+    @pytest.mark.parametrize("case", range(10))
+    def test_prefixes_equal_the_whole_table(self, case):
+        q, units, caps = self.market(case)
+        passed, whole = np.random.default_rng(case), np.random.default_rng(case)
+        realization = sample_reward_realization(q, units, passed, caps)
+        full = sample_reward_realization(q, units, whole).table
+        lengths = np.minimum(caps, units).tolist()
+        assert realization.drawn == tuple(lengths)
+        for i, k in enumerate(lengths):
+            assert np.array_equal(realization.table[i, :k], full[i, :k])
+            assert not realization.table[i, k:].any()
+        assert passed.random() == whole.random()
+
+    def test_capacities_as_a_list_and_seeds_as_ints(self):
+        q, units, caps = self.market(3)
+        from_array = sample_reward_realization(q, units, 5, caps)
+        from_list = sample_reward_realization(q, units, 5, caps.tolist())
+        assert np.array_equal(from_array.table, from_list.table)
+        assert from_array.drawn == from_list.drawn
+
+    def test_generator_must_skip_on_pcg64(self):
+        mt = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(TypeError, match="needs a PCG64 generator, got MT19937$"):
+            sample_reward_realization([0.5, 0.5], 4, mt, [1, 2])
+
+    def test_whole_table_and_stack_record_no_prefix(self):
+        assert sample_reward_realization([0.5, 0.5], 4, 0).drawn is None
+        assert RewardRealization(np.zeros((3, 2, 4), dtype=np.uint8)).drawn is None
+
+    @pytest.mark.parametrize("capacities, error", [
+        ([1, 2, 3], ValueError), ([1, -1], ValueError), ([1, 2.0], TypeError),
+    ], ids=["wrong-count", "negative", "float"])
+    def test_bad_capacities_refused(self, capacities, error):
+        with pytest.raises(error):
+            sample_reward_realization([0.5, 0.5], 4, 0, capacities)
+
+    @pytest.mark.parametrize("table, drawn", [
+        (np.zeros((2, 4), dtype=np.uint8), (1,)),
+        (np.zeros((2, 4), dtype=np.uint8), (1, 5)),
+        (np.zeros((2, 4), dtype=np.uint8), (-1, 2)),
+        (np.zeros((3, 2, 4), dtype=np.uint8), (1, 2)),
+    ], ids=["one-short", "past-the-row", "negative", "stack"])
+    def test_drawn_lengths_must_fit_one_table(self, table, drawn):
+        with pytest.raises(ValueError, match="^drawn must give one prefix length"):
+            RewardRealization(table, drawn)
