@@ -1,4 +1,5 @@
-/* The 2D-UCB allocation rule, the only UCB round loop of procure2d.
+/* The 2D-UCB allocation rule, the only UCB round loop of procure2d, and, at
+ * the end of the file, the self-resampling law and PCG64's seeding step.
  *
  * bandit.py compiles this file on first use with -ffp-contract=off, so that
  * no multiply and add are fused and every score is rounded as Python's float
@@ -177,4 +178,131 @@ int ucb_batch(int64_t samples, int64_t n, int64_t n_rounds, double reward_scale,
     }
     free(q_hat);
     return 0;
+}
+
+/* The self-resampling law on numpy's PCG64 streams, and PCG64's seeding step.
+ *
+ * A stream is four state words: the 128-bit state, high word first, then the
+ * 128-bit increment.  numpy's PCG64 advances the state by state * M + inc and
+ * outputs rotr64(hi ^ lo, hi >> 58) of the new state; Generator.random() maps
+ * an output x to (x >> 11) * 2**-53 and leaves PCG64's buffered 32-bit
+ * half-word alone.  So these functions draw exactly the uniforms numpy would,
+ * and a state written back continues the stream where numpy would.
+ */
+typedef __uint128_t u128;
+
+#define PCG64_MULT ((u128)0x2360ED051FC65DA4ULL << 64 | 0x4385DF649FCCF645ULL)
+/* Passes through the recursion after which a stream gives up: the depth is
+ * geometric with mean 1 / (1 - mu), so only a broken mu gets near it. */
+#define MAX_RESAMPLE_PASSES 1000000
+
+static inline u128 load128(const uint64_t *w)
+{
+    return (u128)w[0] << 64 | w[1];
+}
+
+static inline void store128(uint64_t *w, u128 x)
+{
+    w[0] = (uint64_t)(x >> 64);
+    w[1] = (uint64_t)x;
+}
+
+static inline double pcg64_random(u128 *state, u128 inc)
+{
+    *state = *state * PCG64_MULT + inc;
+    uint64_t hi = (uint64_t)(*state >> 64), x = hi ^ (uint64_t)*state;
+    unsigned rot = (unsigned)(hi >> 58);
+    x = x >> rot | x << ((64 - rot) & 63);
+    return (double)(x >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* PCG64's srandom step for m streams in place: row r of words holds the
+ * seed (words 0, 1) and sequence (words 2, 3) that SeedSequence's
+ * generate_state(4, uint64) gives, and becomes the stream's state words,
+ * inc = sequence << 1 | 1 and state = (inc + seed) * M + inc mod 2**128. */
+void pcg64_seed(int64_t m, uint64_t *words)
+{
+    for (int64_t r = 0; r < m; r++) {
+        uint64_t *w = words + 4 * r;
+        u128 inc = load128(w + 2) << 1 | 1;
+        store128(w, (inc + load128(w)) * PCG64_MULT + inc);
+        store128(w + 2, inc);
+    }
+}
+
+/* size draws of the self-resampler on each of m streams: stream s draws at
+ * the bids bids + s * size, below cost_hi[s], into alpha + s * size and
+ * beta + s * size, and its end state is written back to states + 4 * s.
+ *
+ * Pass 0 reads size uniforms, draw j moving when the j-th is below mu, then
+ * size more, the j-th placing a moving draw's beta uniformly on
+ * [bid, cost_hi].  Each later pass reads 2 * size uniforms: a moving draw
+ * keeps moving when its j-th is below mu, and then its alpha moves uniformly
+ * on [alpha, cost_hi] by the (size + j)-th.  Every pass reads all its
+ * uniforms however few draws still move, so streams seeded alike are
+ * coupled draw by draw across bids.  A step is x + u * (cost_hi - x), capped
+ * at cost_hi.
+ *
+ * Returns 0; -3, drawing nothing, when a bid is not at most its cost_hi (a
+ * NaN bid or bound included); -1 when out of memory; or -2 when a stream is
+ * still moving after MAX_RESAMPLE_PASSES passes. */
+int resample(int64_t m, int64_t size, double mu, const double *bids, const double *cost_hi,
+             uint64_t *states, double *alpha, double *beta)
+{
+    for (int64_t s = 0; s < m; s++) {
+        for (int64_t j = 0; j < size; j++) {
+            if (!(bids[s * size + j] <= cost_hi[s]))
+                return -3;
+        }
+    }
+    int64_t *moving = malloc((size > 0 ? size : 1) * sizeof *moving);
+    if (moving == NULL)
+        return -1;
+    int status = 0;
+    for (int64_t s = 0; s < m && status == 0; s++) {
+        const double *bid = bids + s * size;
+        double hi = cost_hi[s], *a = alpha + s * size, *b = beta + s * size;
+        u128 state = load128(states + 4 * s), inc = load128(states + 4 * s + 2);
+        int64_t n_moving = 0;
+        for (int64_t j = 0; j < size; j++) {
+            if (pcg64_random(&state, inc) < mu)
+                moving[n_moving++] = j;
+        }
+        for (int64_t j = 0, k = 0; j < size; j++) {
+            double u = pcg64_random(&state, inc), x = bid[j];
+            if (k < n_moving && moving[k] == j) {
+                x = x + u * (hi - x);
+                x = x > hi ? hi : x;
+                k++;
+            }
+            a[j] = b[j] = x;
+        }
+        for (int64_t pass = 0; n_moving > 0;) {
+            int64_t kept = 0;
+            for (int64_t j = 0, k = 0; j < size; j++) {
+                double u = pcg64_random(&state, inc);
+                if (k < n_moving && moving[k] == j) {
+                    if (u < mu)
+                        moving[kept++] = j;
+                    k++;
+                }
+            }
+            n_moving = kept;
+            for (int64_t j = 0, k = 0; j < size; j++) {
+                double u = pcg64_random(&state, inc);
+                if (k < n_moving && moving[k] == j) {
+                    double x = a[j] + u * (hi - a[j]);
+                    a[j] = x > hi ? hi : x;
+                    k++;
+                }
+            }
+            if (++pass == MAX_RESAMPLE_PASSES) {
+                status = -2;
+                break;
+            }
+        }
+        store128(states + 4 * s, state);
+    }
+    free(moving);
+    return status;
 }

@@ -34,7 +34,8 @@ the jump was slower (0.58 s against 0.35 s on the batches of ``verify``
 seeds 0-3).  Both pass in the bonus widths and the ``1 / sqrt(n_i)`` table
 built here with ``math.log`` and ``math.sqrt``, and the C file is compiled
 with ``-ffp-contract=off``, so every score has the bits of the reference
-loop in the test suite.  The library is built on first use with the C
+loop in the test suite.  The library, which also holds the resampler's law
+and stream seeding for ``resample``, is built on first use with the C
 compiler Python was built with, into the package's ``__pycache__``, and
 loaded through ``ctypes``; a failed build raises ``UcbBuildError``.
 
@@ -61,7 +62,9 @@ import numpy as np
 
 from .model import Bid, MarketConfig, RewardRealization
 from .optimal import MechanismOutcome, run_2d_opt
-from .resample import ResampleDraw, child_states, self_resample, transform_premium
+from .resample import ResampleDraw, child_states, resample_streams, transform_premium
+# perfbench's tracer times one-bid draws under this name.
+from .resample import self_resample  # noqa: F401
 
 __all__ = [
     "TraceStep",
@@ -102,24 +105,16 @@ class RunTrace:
                 fh.write(f"{s.round},{agent},{reward},{g_hat}\n")
 
 
-def _resolve_draws(bids, distributions, mu, seed=None, draws=None, *, states=None, rng=None):
+def _resolve_draws(bids, distributions, mu, seed, draws):
     """The resample draws of a run: ``draws`` when given, one per bid, else
-    one ``self_resample`` per bid on its own stream.  Bid ``i``'s stream is
-    child ``(i,)`` of ``seed``, or ``states[i]`` when the caller has derived
-    the children's stream states already, drawn on ``rng``."""
+    one draw per bid, bid ``i``'s on child ``(i,)`` of ``seed``, all in one
+    call of the resampler."""
     if draws is not None:
         if len(draws) != len(bids):
             raise ValueError("need one resample draw per bid")
         return list(draws)
-    if states is None:
-        states = child_states(seed, len(bids))
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(0))
-    out = []
-    for bid, dist, state in zip(bids, distributions, states):
-        rng.bit_generator.state = state
-        out.append(self_resample(bid.cost, dist.cost_bounds, mu, rng))
-    return out
+    highs = [dist.cost_bounds[1] for dist in distributions]
+    return resample_streams([bid.cost for bid in bids], highs, mu, child_states(seed, len(bids)))
 
 
 # Bonus widths ``sqrt(c ln t)`` by bonus scale ``c``, shared by every run in
@@ -178,9 +173,9 @@ def _library() -> ctypes.CDLL:
             raise UcbBuildError(
                 f"cannot build the UCB round loop with {shlex.join(command)}: {reason}"
             ) from exc
-        f64, i64, u8 = (
+        f64, i64, u8, u64 = (
             np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-            for dtype in (np.float64, np.int64, np.uint8)
+            for dtype in (np.float64, np.int64, np.uint8, np.uint64)
         )
         size, real = ctypes.c_int64, ctypes.c_double
         lib.ucb_run.restype = size
@@ -189,6 +184,12 @@ def _library() -> ctypes.CDLL:
             ctypes.POINTER(real),
         ]
         lib.ucb_batch.argtypes = [size, size, size, real, f64, i64, u8, f64, f64, i64, i64]
+        lib.pcg64_seed.restype = None
+        lib.pcg64_seed.argtypes = [size, u64]
+        # The resampler also draws one bid at a time: its arrays are passed as
+        # pointers, which cost a fraction of an ndpointer's checks per call.
+        f64p, u64p = ctypes.POINTER(real), ctypes.POINTER(ctypes.c_uint64)
+        lib.resample.argtypes = [size, size, real, f64p, f64p, u64p, f64p, f64p]
         _LIB = lib
     return _LIB
 
@@ -197,7 +198,9 @@ def _bonus_widths(bonus_scale: float, n_rounds: int) -> np.ndarray:
     """Widths ``sqrt(bonus_scale * ln t)`` for every round ``t < n_rounds``
     (entry 0 is unused), always built with ``math.log`` and ``math.sqrt`` so
     that every caller sees the same bits whatever its budget."""
-    widths = _WIDTHS.get(bonus_scale, np.full(1, math.nan))
+    widths = _WIDTHS.get(bonus_scale)
+    if widths is None:
+        widths = np.full(1, math.nan)
     if len(widths) < n_rounds:
         grown = (math.sqrt(bonus_scale * math.log(t)) for t in range(len(widths), n_rounds))
         widths = np.concatenate([widths, np.fromiter(grown, float, n_rounds - len(widths))])

@@ -8,8 +8,9 @@ sample, budget index, realization index), so the assembled results are
 byte-identical regardless of worker count or scheduling.  Each stream is
 the numpy stream of a ``SeedSequence`` on the key ``[master seed, tag,
 ...]``, or of its child ``(i,)`` for bid ``i``'s resampler; a cell derives
-the PCG64 states of all its streams in one ``resample.stream_states`` pass
-and draws them on one reused generator.
+the PCG64 states of all its streams in one ``resample.stream_states`` call,
+draws every resampled bid in one ``resample.resample_streams`` call, and
+draws its types, capacities and reward tables on one reused generator.
 """
 
 from __future__ import annotations
@@ -21,15 +22,14 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import islice
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .bandit import _resolve_draws, run_2d_ucb, run_eps_separated
+from .bandit import run_2d_ucb, run_eps_separated
 from .model import Bid, MarketConfig, sample_reward_realization, uniform_type_distribution
 from .optimal import run_2d_opt
-from .resample import generator_at, stream_states
+from .resample import generator_at, resample_streams, state_dict, stream_states
 
 __all__ = [
     "ExperimentConfig",
@@ -225,9 +225,10 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
     Costs and qualities are drawn once per type sample and shared across
     budgets; capacities are redrawn per budget because their prior scales
     with it.  Every stream of the cell is derived up front by one
-    ``stream_states`` call, in the order the cell draws them, and drawn on
-    one reused generator.  Each reward table is drawn only through the
-    agents' capacities, the most any run buys from them.
+    ``stream_states`` call.  One ``resample_streams`` call draws every
+    resampled bid of the cell; the types, capacities and reward tables are
+    drawn on one reused generator.  Each reward table is drawn only through
+    the agents' capacities, the most any run buys from them.
     """
     units = config.l_grid[l_index]
     n = config.n
@@ -235,21 +236,21 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
     reps = config.realizations
 
     rows = [([seed, _TAG_TYPES, type_sample], ()), ([seed, _TAG_CAPS, type_sample, l_index], ())]
+    rows += [([seed, _TAG_REALIZATION, type_sample, l_index, r], ()) for r in range(reps)]
     for r in range(reps):
-        rows.append(([seed, _TAG_REALIZATION, type_sample, l_index, r], ()))
         ucb = [seed, _TAG_UCB, type_sample, l_index, r]
         rows += [(ucb, (i,)) for i in range(n)]
         for v in range(len(config.eps_exponents)):
             eps = [seed, _TAG_EPS, type_sample, l_index, r, v]
             rows += [(eps, (i,)) for i in range(n)]
-    streams = iter(stream_states(rows))
-    rng = generator_at(next(streams))
+    states = stream_states(rows)
+    rng = generator_at(states[0])
 
     costs = rng.uniform(config.cost_lo, config.cost_hi, n)
     qualities = rng.uniform(config.quality_lo, config.quality_hi, n)
 
     cap_lo, cap_hi = config.cap_bounds(units)
-    rng.bit_generator.state = next(streams)
+    rng.bit_generator.state = state_dict(states[1])
     capacities = rng.integers(cap_lo, cap_hi, n, endpoint=True)
     if capacities.sum() < units:
         warnings.warn(
@@ -271,21 +272,23 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
         max(n, int(round(units ** exponent))) for exponent in config.eps_exponents
     ]
 
-    def draws():
-        return _resolve_draws(bids, market.distributions, config.mu,
-                              states=islice(streams, n), rng=rng)
+    # One draw per bid of every run: each realization's learner, then its eps runs.
+    runs = reps * (1 + len(config.eps_exponents))
+    draws = resample_streams(np.tile(costs, runs), config.cost_hi, config.mu, states[2 + reps :])
+    runs_draws = (draws[k : k + n] for k in range(0, len(draws), n))
 
     for r in range(reps):
-        rng.bit_generator.state = next(streams)
+        rng.bit_generator.state = state_dict(states[2 + r])
         realization = sample_reward_realization(qualities, units, rng, capacities)
         ucb_outcome, _ = run_2d_ucb(
             market, bids, realization, config.mu, None,
-            resample_draws=draws(), record_trace=False,
+            resample_draws=next(runs_draws), record_trace=False,
         )
         out["ucb"][r] = ucb_outcome.auctioneer_utility / units
         for exponent, explore in zip(config.eps_exponents, explore_grid):
             eps_outcome = run_eps_separated(
-                market, bids, realization, explore, config.mu, None, resample_draws=draws(),
+                market, bids, realization, explore, config.mu, None,
+                resample_draws=next(runs_draws),
             )
             out[f"eps-{_exponent_label(exponent)}"][r] = eps_outcome.auctioneer_utility / units
     return out

@@ -8,20 +8,28 @@ and, whenever ``beta`` strictly exceeded the bid, pay a premium scaled by
 ``1/mu`` so that the premium's expectation equals the integral of the
 expected allocation over all higher cost bids.  That integral is exactly the
 surcharge a truthful payment rule owes, which is what makes the transformed
-mechanism truthful in expectation.  Each mechanism draws with
-``self_resample`` or ``resample_batch`` and pays by ``transform_premium``.
+mechanism truthful in expectation.  Each mechanism pays by
+``transform_premium``.
+
+The law has one implementation, in ``_ucb.c``, compiled and loaded with the
+UCB round loop.  It steps numpy's PCG64 streams directly, so its draws are
+those of a numpy ``Generator`` bit for bit: ``resample_batch`` draws on one
+generator's stream, ``self_resample`` is a batch of one, and
+``resample_streams`` draws one bid on each of many streams in one call, as a
+simulation cell draws all its resampled bids.
 
 Random streams are numpy's own, ``default_rng(SeedSequence(entropy,
-spawn_key=key))``, but ``stream_states`` derives their PCG64 states for many
-keys in one vectorized pass, without building a ``SeedSequence`` or a
-generator per stream: the simulation harness derives every stream of a
-cell at once, and ``child_states`` gives the per-bid children ``(i,)`` of a
-public seed.  A state is drawn by assigning it to a reused generator's
-``bit_generator``, or by ``generator_at``.
+spawn_key=key))``, but ``stream_states`` derives the state words of many
+streams at once, without building a ``SeedSequence`` or a generator per
+stream: numpy's seed hash in one vectorized pass, then PCG64's seeding step
+in C.  ``child_states`` gives the per-bid children ``(i,)`` of a public
+seed.  A numpy generator draws a stream once its state is set from
+``state_dict``, or by ``generator_at``.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +40,6 @@ __all__ = [
     "resample_batch",
     "transform_premium",
 ]
-
-_MAX_RESAMPLE_ITERATIONS = 10**6
-
 
 @dataclass(frozen=True)
 class ResampleDraw:
@@ -50,15 +55,13 @@ def _check_mu(mu: float) -> float:
     return float(mu)
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
-# multiplier (O'Neill, *PCG*, 2014).
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _WORD = 0xFFFFFFFF
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_STATE_MASK = (1 << 128) - 1
+_WORD64 = (1 << 64) - 1
 
 
 def _uint32_words(value) -> list[int]:
@@ -99,24 +102,28 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> np.uint32(16))
 
 
-def stream_states(rows) -> list[dict]:
-    """The PCG64 state of ``default_rng(SeedSequence(entropy,
-    spawn_key=key))`` for each ``(entropy, key)`` row, derived for all rows in
-    one pass of numpy arithmetic on uint32 words.
+def stream_states(rows) -> np.ndarray:
+    """The PCG64 streams of ``default_rng(SeedSequence(entropy,
+    spawn_key=key))`` for the ``(entropy, key)`` rows, derived for all rows at
+    once: an (m, 4) uint64 array of state words, each row the 128-bit state,
+    high word first, then the 128-bit increment.
 
-    Each dict is ready to assign to a ``PCG64``'s ``state``, so one reused
-    generator can draw any number of streams.  ``entropy`` is an int or a
-    sequence of ints, as ``SeedSequence`` accepts it; a spawn key ``(i,)``
-    names the ``i``-th child of ``SeedSequence(entropy)``, with the default
-    pool size.  The derivation is numpy's own: the entropy words, padded with
-    zeros to the pool size when a spawn key follows, are hashed into a pool
-    of four words, which ``generate_state(4, uint64)`` turns into PCG64's
-    seed and increment, and the state is PCG64's ``srandom`` step on them,
-    ``(inc + seed) * M + inc`` mod 2**128, in Python ints.
+    ``resample_streams`` draws on the rows directly; ``state_dict`` turns a
+    row into the ``state`` of a numpy ``PCG64``, so one reused generator can
+    draw any number of streams.  ``entropy`` is an int or a sequence of ints,
+    as ``SeedSequence`` accepts it; a spawn key ``(i,)`` names the ``i``-th
+    child of ``SeedSequence(entropy)``, with the default pool size.  The
+    derivation is numpy's own: the entropy words, padded with zeros to the
+    pool size when a spawn key follows, are hashed into a pool of four words
+    in one pass of numpy arithmetic on uint32 words, and
+    ``generate_state(4, uint64)`` turns the pool into PCG64's seed and
+    sequence.  PCG64's seeding step on them, ``inc = sequence << 1 | 1`` and
+    ``state = (inc + seed) * M + inc`` mod 2**128, runs in ``_ucb.c`` for all
+    rows in one call.
     """
     rows = list(rows)
     if not rows:
-        return []
+        return np.empty((0, 4), dtype=np.uint64)
     # A root's children share its entropy object: read each object once.
     # ``rows`` keeps every object alive, so no id is reused meanwhile.
     run_words, key_words = {}, {}
@@ -158,30 +165,33 @@ def stream_states(rows) -> list[dict]:
         k += _POOL_SIZE
 
     # generate_state(4, uint64): eight words cycling over the pool, paired
-    # little-endian into seed (w0, w1) and increment (w2, w3), high word first.
+    # little-endian into seed (w0, w1) and sequence (w2, w3), high word first.
     hb = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
     out = (pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE] ^ hb[:-1]) * hb[1:]
     out ^= out >> np.uint32(16)
     out = out.astype(np.uint64)
-    w = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
-    states = []
-    for w0, w1, w2, w3 in zip(*w):
-        inc = ((w2 << 64 | w3) << 1 | 1) & _STATE_MASK
-        state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _STATE_MASK
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
+    states = np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
+    _bandit._library().pcg64_seed(len(states), states)
     return states
 
 
-def generator_at(state: dict) -> np.random.Generator:
-    """A new ``Generator`` whose ``PCG64`` is set to ``state``, a dict from
+def state_dict(words) -> dict:
+    """The ``PCG64.state`` of one row of ``stream_states``."""
+    s_hi, s_lo, i_hi, i_lo = np.asarray(words, dtype=np.uint64).tolist()
+    return {"bit_generator": "PCG64",
+            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def generator_at(words) -> np.random.Generator:
+    """A new ``Generator`` whose ``PCG64`` is set to one row of
     ``stream_states``."""
     rng = np.random.Generator(np.random.PCG64(0))
-    rng.bit_generator.state = state
+    rng.bit_generator.state = state_dict(words)
     return rng
 
 
-def child_states(seed, n: int) -> list[dict]:
+def child_states(seed, n: int) -> np.ndarray:
     """``stream_states`` of the children ``(i,)``, ``i < n``, of ``seed``:
     anything ``SeedSequence`` accepts, or a ``SeedSequence`` of the default
     pool size.
@@ -197,62 +207,85 @@ def child_states(seed, n: int) -> list[dict]:
     return stream_states([(seq.entropy, seq.spawn_key + (i,)) for i in range(n)])
 
 
+def _resample(bid_costs, cost_hi, mu: float, size: int, states: np.ndarray):
+    """The resampling law, in ``_ucb.c``: ``size`` draws on each of the m
+    streams whose state words are the rows of ``states``, at the bids
+    ``bid_costs`` (m x size, broadcast) below ``cost_hi`` (one per stream,
+    broadcast).  Writes each stream's end state back into ``states`` and
+    returns (alpha, beta), each m x size."""
+    mu = _check_mu(mu)
+    if states.dtype != np.uint64 or states.shape[1:] != (4,):
+        raise ValueError(f"stream states must be (m, 4) uint64 words, got {states.dtype} "
+                         f"{states.shape!r}")
+    m = len(states)
+    bids, highs = np.empty((m, size)), np.empty(m)
+    bids[...], highs[...] = bid_costs, cost_hi
+    alpha, beta = np.empty((m, size)), np.empty((m, size))
+    if not bids.size:
+        return alpha, beta
+    # from_buffer refuses an array that is not C-contiguous and writable.
+    f64, u64 = ctypes.c_double.from_buffer, ctypes.c_uint64.from_buffer
+    status = _bandit._library().resample(m, size, mu, f64(bids), f64(highs), u64(states),
+                                         f64(alpha), f64(beta))
+    if status == -3:
+        raise ValueError(f"bid costs must be at most cost_hi {cost_hi}, got {bids.max()}")
+    if status == -1:
+        raise MemoryError("out of memory in the resampler")
+    if status:
+        raise RuntimeError("resampling recursion exceeded the iteration cap")
+    return alpha, beta
+
+
+def resample_streams(bid_costs, cost_highs, mu: float, states: np.ndarray) -> list[ResampleDraw]:
+    """One draw on each stream whose state words are a row of ``states``
+    (``stream_states`` rows, spent in place), at the bids ``bid_costs`` below
+    ``cost_highs``, one of each per stream: every resampled bid of a
+    simulation cell in one call."""
+    alpha, beta = _resample(np.asarray(bid_costs, dtype=float)[:, None], cost_highs, mu, 1,
+                            states)
+    return list(map(ResampleDraw, alpha[:, 0].tolist(), beta[:, 0].tolist()))
+
+
 def self_resample(bid_cost: float, bounds: tuple[float, float], mu: float, seed) -> ResampleDraw:
-    """Draw ``(alpha, beta)`` for one bid.  Deterministic given ``seed``.
+    """Draw ``(alpha, beta)`` for one bid: ``resample_batch`` of one draw on
+    ``default_rng(seed)``.  Deterministic given ``seed``.
 
     The recursion depth is geometric with mean ``1/(1 - mu)``; a hard cap of
-    ``10**6`` iterations guards against pathological generators and raises
+    ``10**6`` passes guards against pathological generators and raises
     ``RuntimeError`` rather than silently truncating.
     """
-    mu = _check_mu(mu)
     lo, hi = bounds
     if not lo <= bid_cost <= hi:
         raise ValueError(f"bid cost {bid_cost} outside bounds [{lo}, {hi}]")
-    rng = np.random.default_rng(seed)
-    # Branch draws use "u < mu means keep resampling" so that a shared seed
-    # couples draws monotonically across bid values.
-    if rng.random() >= mu:
-        return ResampleDraw(bid_cost, bid_cost)
-    beta = min(float(rng.uniform(bid_cost, hi)), hi)
-    alpha = beta
-    for _ in range(_MAX_RESAMPLE_ITERATIONS):
-        if rng.random() >= mu:
-            return ResampleDraw(alpha, beta)
-        alpha = min(float(rng.uniform(alpha, hi)), hi)
-    raise RuntimeError("resampling recursion exceeded the iteration cap")
+    alpha, beta = resample_batch(bid_cost, hi, mu, 1, np.random.default_rng(seed))
+    return ResampleDraw(float(alpha[0]), float(beta[0]))
 
 
 def resample_batch(
     bid_cost, cost_hi: float, mu: float, size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized resampler: ``size`` independent draws at one bid (or at
-    per-draw bids when ``bid_cost`` is an array of length ``size``).
+    """``size`` independent draws at one bid (or at per-draw bids when
+    ``bid_cost`` is an array of length ``size``) on ``rng``'s stream, which
+    must run on PCG64; ``rng`` continues where the draws leave it.
 
-    Every pass through the recursion draws exactly ``2 * size`` uniforms in
-    one call, however few draws are still active (it updates only those, by
-    index), so two calls with identically seeded generators are coupled
-    draw-by-draw across different bid values (the coupling behind the
-    monotonicity property).
+    Every pass through the recursion reads exactly ``2 * size`` uniforms
+    (the first pass ``size`` branch uniforms, then ``size`` for beta),
+    however few draws still move, so two calls with identically seeded
+    generators are coupled draw-by-draw across different bid values (the
+    coupling behind the monotonicity property).
     """
-    mu = _check_mu(mu)
-    bid_cost = np.asarray(bid_cost, dtype=float)
-    if bid_cost.size and not bid_cost.max() <= cost_hi:
-        raise ValueError(f"bid costs must be at most cost_hi {cost_hi}, got {bid_cost.max()}")
-    active = rng.random(size) < mu
-    beta = np.where(active, bid_cost + rng.random(size) * (cost_hi - bid_cost), bid_cost)
-    np.minimum(beta, cost_hi, out=beta)
-    alpha = beta.copy()
-    live = np.flatnonzero(active)
-    for _ in range(_MAX_RESAMPLE_ITERATIONS):
-        if not live.size:
-            break
-        uniforms = rng.random(2 * size)
-        live = live[uniforms[live] < mu]
-        alpha[live] += uniforms[size + live] * (cost_hi - alpha[live])
-    else:
-        raise RuntimeError("resampling recursion exceeded the iteration cap")
-    np.minimum(alpha, cost_hi, out=alpha)
-    return alpha, beta
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise TypeError(f"the resampler draws on a PCG64 generator, got {type(bits).__name__}")
+    state = bits.state
+    pcg = state["state"]
+    words = np.array([[pcg["state"] >> 64, pcg["state"] & _WORD64, pcg["inc"] >> 64,
+                       pcg["inc"] & _WORD64]], dtype=np.uint64)
+    alpha, beta = _resample(bid_cost, cost_hi, mu, size, words)
+    s_hi, s_lo = words[0, :2].tolist()
+    pcg["state"] = s_hi << 64 | s_lo
+    bits.state = state  # keeps PCG64's buffered 32-bit half-word
+    return alpha[0], beta[0]
 
 
 def transform_premium(units, mu: float, bid_cost, cost_hi, beta):
@@ -268,3 +301,8 @@ def transform_premium(units, mu: float, bid_cost, cost_hi, beta):
         np.greater(beta, bid_cost), np.multiply(units, np.subtract(cost_hi, bid_cost)) / mu, 0.0
     )
     return premium if premium.ndim else float(premium)
+
+
+# The law is compiled and loaded with the UCB round loop, by ``bandit``, which
+# imports this module first: bind it last, once this module is whole.
+from . import bandit as _bandit  # noqa: E402

@@ -17,13 +17,13 @@ from procure2d import (
     Bid,
     MarketConfig,
     MechanismOutcome,
+    ResampleDraw,
     RunTrace,
     TraceStep,
     run_2d_opt,
     run_2d_ucb,
     run_eps_separated,
     sample_reward_realization,
-    self_resample,
     uniform_type_distribution,
 )
 from procure2d.harness import _exponent_label
@@ -225,7 +225,7 @@ def seed_sequence_cell(config, l_index, type_sample) -> dict[str, np.ndarray]:
 
     def draws(*entropy):
         return [
-            self_resample(bid.cost, dist.cost_bounds, config.mu, np.random.SeedSequence(
+            scalar_resample(bid.cost, dist.cost_bounds, config.mu, np.random.SeedSequence(
                 [config.master_seed, *entropy], spawn_key=(i,)))
             for i, (bid, dist) in enumerate(zip(bids, market.distributions))
         ]
@@ -253,3 +253,48 @@ def seed_sequence_cell(config, l_index, type_sample) -> dict[str, np.ndarray]:
                                     resample_draws=draws(15, type_sample, l_index, r, v))
             out[f"eps-{_exponent_label(exponent)}"][r] = eps.auctioneer_utility / units
     return out
+
+
+# Two reference loops for the resampling law in ``_ucb.c``, which must
+# reproduce both bit for bit.
+_MAX_RESAMPLE_ITERATIONS = 10**6
+
+
+def scalar_resample(bid_cost, bounds, mu, seed) -> ResampleDraw:
+    """One self-resampler draw, one uniform at a time through ``random()`` and
+    ``uniform()``, capping every step at ``cost_hi``.  Draws beta only when
+    the bid moves, so it may leave the generator short of where a batch of
+    one leaves it."""
+    hi = bounds[1]
+    rng = np.random.default_rng(seed)
+    if rng.random() >= mu:
+        return ResampleDraw(bid_cost, bid_cost)
+    beta = min(float(rng.uniform(bid_cost, hi)), hi)
+    alpha = beta
+    for _ in range(_MAX_RESAMPLE_ITERATIONS):
+        if rng.random() >= mu:
+            return ResampleDraw(alpha, beta)
+        alpha = min(float(rng.uniform(alpha, hi)), hi)
+    raise RuntimeError("resampling recursion exceeded the iteration cap")
+
+
+def numpy_resample_batch(bid_cost, cost_hi, mu, size, rng):
+    """``size`` resampler draws in numpy passes of ``2 * size`` uniforms each,
+    updating the moving draws by index and capping alpha at ``cost_hi`` once
+    at the end."""
+    bid_cost = np.asarray(bid_cost, dtype=float)
+    active = rng.random(size) < mu
+    beta = np.where(active, bid_cost + rng.random(size) * (cost_hi - bid_cost), bid_cost)
+    np.minimum(beta, cost_hi, out=beta)
+    alpha = beta.copy()
+    live = np.flatnonzero(active)
+    for _ in range(_MAX_RESAMPLE_ITERATIONS):
+        if not live.size:
+            break
+        uniforms = rng.random(2 * size)
+        live = live[uniforms[live] < mu]
+        alpha[live] += uniforms[size + live] * (cost_hi - alpha[live])
+    else:
+        raise RuntimeError("resampling recursion exceeded the iteration cap")
+    np.minimum(alpha, cost_hi, out=alpha)
+    return alpha, beta

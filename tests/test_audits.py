@@ -96,6 +96,32 @@ class TestOfferedUtility:
         assert not report.passed
         assert report.details["integral_mismatch"] > 1e-3
 
+    def test_payment_wrong_only_across_a_step_fails(self):
+        # Six units against capacities 4 + 3 + 3: agent 0 sells 4 units while
+        # its score beats rival 1's (cost below 0.5) and 3 above, so its
+        # allocation steps inside [c, cost_hi] and the integral is bisected.
+        market = MarketConfig(6, 30.0, (DIST,) * 3)
+        bids = [Bid(0.2, 4), Bid(0.5, 3), Bid(0.2, 3)]
+        probe = make_opt_probe(market, np.array([0.7, 0.7, 0.5]), bids, 0)
+        calls = []
+
+        def counted(cost, capacity):
+            calls.append(cost)
+            return probe(cost, capacity)
+
+        def shifted(cost, capacity):
+            units, payment = probe(cost, capacity)
+            return units, payment + (1e-4 if 0 < units < capacity else 0.0)
+
+        grid = DeviationGrid(np.linspace(0.0, 1.0, 7), (4,))
+        report = audit_offered_utility(counted, grid, 1.0)
+        assert report.passed, report.line()
+        scan_probes = 1 + len(grid.costs) * (1 + audits._STEP_POINTS)
+        assert len(calls) > scan_probes  # the bisection ran
+        wrong = audit_offered_utility(shifted, grid, 1.0)
+        assert not wrong.passed
+        assert wrong.witness["check"] == "integral_mismatch"
+
 
 class TestDsic:
     def test_opt_truthful_on_random_instances(self):

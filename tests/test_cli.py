@@ -157,20 +157,25 @@ def test_simulate_rejects_thread_count_below_one(conf_file, tmp_path, capsys, th
     assert not (out_dir / "results.csv").exists()
 
 
-def test_failed_build_is_a_clean_error(bids_file, tmp_path, capsys, monkeypatch):
-    # No compiler and nothing cached: the run cannot start.
+def test_failed_build_is_a_clean_error(bids_file, conf_file, tmp_path, capsys, monkeypatch):
+    # No compiler and nothing cached: no run can start.  The first call into
+    # the compiled code is the resampler's draw in ``ucb`` and ``verify`` and
+    # the stream seeding in ``simulate``.
     cache = tmp_path / "cache"
     cache.mkdir()
     monkeypatch.setattr(bandit, "_CC", str(tmp_path / "no-such-cc"))
     monkeypatch.setattr(bandit, "_CACHE", str(cache))
     monkeypatch.setattr(bandit, "_LIB", None)
     out_dir = tmp_path / "out"
-    assert main(["ucb", str(bids_file), "--units", "10", "--out", str(out_dir)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot build the UCB round loop") and err.count("\n") == 1
-    assert "no-such-cc" in err
-    assert not (out_dir / "trace.csv").exists()
-    assert not list(cache.iterdir())  # no half-written build left behind
+    for argv in (["ucb", str(bids_file), "--units", "10", "--out", str(out_dir)],
+                 ["verify", "--seed", "0"],
+                 ["simulate", "--config", str(conf_file), "--out", str(out_dir)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot build the UCB round loop") and err.count("\n") == 1
+        assert "no-such-cc" in err
+        assert not out_dir.exists() or not list(out_dir.iterdir())
+        assert not list(cache.iterdir())  # no half-written build left behind
 
 
 def _exhausted(*args, **kwargs):

@@ -222,6 +222,21 @@ class TestCapacityPrefixes:
             assert not realization.table[i, k:].any()
         assert passed.random() == whole.random()
 
+    @pytest.mark.parametrize("caps", [[100, 1000, 999, 1, 500], [0, 1000, 999, 1, 500]],
+                             ids=["every-tail-short", "one-tail-skipped"])
+    def test_short_tails_equal_the_whole_table(self, caps):
+        # At 1,000 units every tail below 1,000 outputs is drawn through with
+        # the whole table; a tail of 1,000 sends every row to the skipping path.
+        q = np.random.default_rng(7).random(5)
+        passed, whole = np.random.default_rng(8), np.random.default_rng(8)
+        realization = sample_reward_realization(q, 1000, passed, caps)
+        expected = sample_reward_realization(q, 1000, whole).table.copy()
+        for i, k in enumerate(caps):
+            expected[i, k:] = 0
+        assert realization.table.tobytes() == expected.tobytes()
+        assert realization.drawn == tuple(caps)
+        assert passed.bit_generator.state == whole.bit_generator.state
+
     def test_capacities_as_a_list_and_seeds_as_ints(self):
         q, units, caps = self.market(3)
         from_array = sample_reward_realization(q, units, 5, caps)

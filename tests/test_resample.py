@@ -12,9 +12,11 @@ from procure2d import (
     self_resample,
     transform_premium,
 )
-from procure2d.resample import child_states, generator_at, stream_states
+from procure2d.resample import (
+    child_states, generator_at, resample_streams, state_dict, stream_states,
+)
 
-from oracles import units_vs_own_score
+from oracles import numpy_resample_batch, scalar_resample, units_vs_own_score
 
 MU = 0.1
 BOUNDS = (0.0, 1.0)
@@ -83,13 +85,106 @@ def test_batch_matches_scalar_in_distribution():
     st.integers(0, 2**64 - 1),
 )
 def test_batch_of_one_equals_scalar_bit_for_bit(a, b, mu, entropy):
-    # The two resamplers are kept separately, for single bids and for large
-    # audits; with one draw and the same seed they must agree exactly.
+    # A single bid's draw is a batch of one on the same seed.
     bid, hi = min(a, b), max(a, b)
     seed = np.random.SeedSequence(entropy)
     draw = self_resample(bid, (0.0, hi), mu, seed)
     alpha, beta = resample_batch(bid, hi, mu, 1, np.random.default_rng(seed))
     assert (draw.alpha, draw.beta) == (float(alpha[0]), float(beta[0]))
+
+
+# -- the C law against the numpy pass loop and the scalar loop ---------------
+
+
+def law_cases(count, seed=18):
+    """``(bid, cost_hi, mu, size, rng)`` cases: one bid or a per-draw array,
+    mu from near 0 to near 1, bids at or a few ulps below ``cost_hi`` (so
+    every step lands within an ulp of it) among bids spread far below it,
+    and generators part way into their streams, some holding a buffered
+    32-bit half-word."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for t in range(count):
+        hi = float(rng.choice([-1.0, 1.0], p=[0.1, 0.9]) * math.exp(rng.uniform(-6, 6)))
+        size = int(rng.integers(0, 40))
+        spread = math.exp(rng.uniform(-30, 8))
+        bids = hi - spread * rng.random(size)
+        for j in np.flatnonzero(rng.random(size) < 0.3):
+            bids[j] = hi
+            for _ in range(int(rng.integers(0, 5))):
+                bids[j] = np.nextafter(bids[j], -math.inf)
+        bid = bids if t % 2 else (float(bids[0]) if size else hi)
+        mu = [float(rng.uniform(0.01, 0.99)), float(10 ** rng.uniform(-9, -2)),
+              float(1 - 10 ** rng.uniform(-2.5, -1))][t % 3]
+        gen = np.random.default_rng(int(rng.integers(2**63)))
+        gen.bit_generator.advance(int(rng.integers(0, 1000)))
+        if rng.random() < 0.5:
+            gen.integers(0, 2**32, dtype=np.uint32)
+        cases.append((bid, hi, mu, size, gen))
+    return cases
+
+
+def copy_generator(rng):
+    twin = np.random.Generator(np.random.PCG64(0))
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+def test_batch_law_equals_the_numpy_pass_loop():
+    cases = law_cases(1200)
+    buffered = 0
+    for bid, hi, mu, size, rng in cases:
+        reference = copy_generator(rng)
+        buffered += rng.bit_generator.state["has_uint32"]
+        alpha, beta = resample_batch(bid, hi, mu, size, rng)
+        ref_alpha, ref_beta = numpy_resample_batch(bid, hi, mu, size, reference)
+        where = (bid, hi, mu, size)
+        assert alpha.tobytes() == ref_alpha.tobytes(), where
+        assert beta.tobytes() == ref_beta.tobytes(), where
+        assert rng.bit_generator.state == reference.bit_generator.state, where
+        # The buffered half-word survives: the next 32-bit draw reads it.
+        assert rng.integers(0, 2**32, dtype=np.uint32) == reference.integers(
+            0, 2**32, dtype=np.uint32)
+        assert rng.random() == reference.random()
+    assert 0 < buffered < len(cases)
+
+
+def test_one_draw_equals_the_scalar_loop():
+    for bid, hi, mu, size, rng in law_cases(1200, seed=19):
+        bid = float(np.min(bid)) if size else hi
+        entropy = int(rng.integers(2**63))
+        draw = self_resample(bid, (-math.inf, hi), mu, entropy)
+        expected = scalar_resample(bid, (-math.inf, hi), mu, entropy)
+        assert (draw.alpha, draw.beta) == (expected.alpha, expected.beta), (bid, hi, mu)
+
+
+def test_streams_draw_as_their_generators():
+    # One call over many streams, each at its own bid and bound, equals one
+    # numpy draw per stream and leaves each stream where numpy leaves it.
+    rng = np.random.default_rng(20)
+    states = child_states(20, 300)
+    highs = np.exp(rng.uniform(-3, 3, 300))
+    bids = highs * rng.random(300)
+    generators = [generator_at(words) for words in states]
+    draws = resample_streams(bids, highs, 0.4, states)
+    for bid, hi, draw, words, gen in zip(bids, highs, draws, states, generators):
+        alpha, beta = numpy_resample_batch(bid, hi, 0.4, 1, gen)
+        assert (draw.alpha, draw.beta) == (alpha[0], beta[0])
+        assert state_dict(words) == gen.bit_generator.state
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: self_resample(0.2, BOUNDS, 1 - 2**-40, 0),
+    lambda: resample_batch(0.2, 1.0, 1 - 2**-40, 3, np.random.default_rng(0)),
+], ids=["one-draw", "batch"])
+def test_recursion_stops_at_the_iteration_cap(draw):
+    with pytest.raises(RuntimeError, match="iteration cap"):
+        draw()
+
+
+def test_batch_refuses_a_generator_not_on_pcg64():
+    with pytest.raises(TypeError, match="^the resampler draws on a PCG64 generator, got MT19937$"):
+        resample_batch(0.3, 1.0, MU, 2, np.random.Generator(np.random.MT19937(0)))
 
 
 @pytest.mark.parametrize("bid, hi", [(math.nan, 1.0), (0.3, math.nan), ([0.3, math.nan], 1.0),
@@ -101,10 +196,11 @@ def test_batch_refuses_a_bid_not_at_most_cost_hi(bid, hi):
 
 
 def test_invalid_mu_rejected():
-    with pytest.raises(ValueError):
-        self_resample(0.5, BOUNDS, 0.0, 1)
-    with pytest.raises(ValueError):
-        self_resample(0.5, BOUNDS, 1.0, 1)
+    for mu in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="^mu must lie in"):
+            self_resample(0.5, BOUNDS, mu, 1)
+        with pytest.raises(ValueError, match="^mu must lie in"):
+            resample_batch(0.5, 1.0, mu, 2, np.random.default_rng(1))
 
 
 def test_premium_direct_evaluation():
@@ -221,17 +317,17 @@ def test_stream_states_equal_numpy_seeding(cases):
     # One call derives every row; each must equal the PCG64 state numpy
     # seeds from the same SeedSequence, and draw the same first uniform.
     states = stream_states(cases)
-    assert len(states) == len(cases)
+    assert states.shape == (len(cases), 4) and states.dtype == np.uint64
     rng = generator_at(states[0])
-    for (entropy, key), state in zip(cases, states):
+    for (entropy, key), words in zip(cases, states):
         reference = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=key))
-        assert state == reference.state, (entropy, key)
-        rng.bit_generator.state = state
+        assert state_dict(words) == reference.state, (entropy, key)
+        rng.bit_generator.state = state_dict(words)
         assert rng.random() == np.random.Generator(reference).random()
 
 
 def test_stream_states_of_no_rows():
-    assert stream_states([]) == []
+    assert stream_states([]).shape == (0, 4)
 
 
 @pytest.mark.parametrize("entropy, error", [(-1, ValueError), ([3, -2], ValueError),
@@ -253,4 +349,5 @@ def test_child_states_are_the_spawned_children(seed):
     else:
         fresh = np.random.SeedSequence(seed)
     expected = [np.random.PCG64(child).state for child in fresh.spawn(3)]
-    assert child_states(seed, 3) == child_states(seed, 3) == expected
+    for _ in range(2):
+        assert [state_dict(words) for words in child_states(seed, 3)] == expected
