@@ -189,29 +189,54 @@ int ucb_batch(int64_t samples, int64_t n, int64_t n_rounds, double reward_scale,
  * half-word alone.  So these functions draw exactly the uniforms numpy would,
  * and a state written back continues the stream where numpy would.
  */
-typedef __uint128_t u128;
+typedef struct {
+    uint64_t hi, lo;
+} u128;
 
-#define PCG64_MULT ((u128)0x2360ED051FC65DA4ULL << 64 | 0x4385DF649FCCF645ULL)
+/* Multiplier M, high word first.  The 128-bit arithmetic is done on 64-bit
+ * halves with explicit carries, so no compiler extension is needed. */
+static const u128 PCG64_MULT = {0x2360ED051FC65DA4ULL, 0x4385DF649FCCF645ULL};
 /* Passes through the recursion after which a stream gives up: the depth is
  * geometric with mean 1 / (1 - mu), so only a broken mu gets near it. */
 #define MAX_RESAMPLE_PASSES 1000000
 
 static inline u128 load128(const uint64_t *w)
 {
-    return (u128)w[0] << 64 | w[1];
+    u128 x = {w[0], w[1]};
+    return x;
 }
 
 static inline void store128(uint64_t *w, u128 x)
 {
-    w[0] = (uint64_t)(x >> 64);
-    w[1] = (uint64_t)x;
+    w[0] = x.hi;
+    w[1] = x.lo;
+}
+
+/* The high word of the 128-bit product a * b, from four 32-bit products. */
+static inline uint64_t mulhi64(uint64_t a, uint64_t b)
+{
+    uint64_t a_lo = (uint32_t)a, a_hi = a >> 32, b_lo = (uint32_t)b, b_hi = b >> 32;
+    uint64_t lo_lo = a_lo * b_lo, hi_lo = a_hi * b_lo, lo_hi = a_lo * b_hi;
+    uint64_t cross = (lo_lo >> 32) + (uint32_t)hi_lo + lo_hi;
+    return a_hi * b_hi + (hi_lo >> 32) + (cross >> 32);
+}
+
+/* a * b + c mod 2**128. */
+static inline u128 muladd128(u128 a, u128 b, u128 c)
+{
+    u128 x;
+    x.hi = mulhi64(a.lo, b.lo) + a.hi * b.lo + a.lo * b.hi + c.hi;
+    x.lo = a.lo * b.lo;
+    x.lo += c.lo;
+    x.hi += x.lo < c.lo;
+    return x;
 }
 
 static inline double pcg64_random(u128 *state, u128 inc)
 {
-    *state = *state * PCG64_MULT + inc;
-    uint64_t hi = (uint64_t)(*state >> 64), x = hi ^ (uint64_t)*state;
-    unsigned rot = (unsigned)(hi >> 58);
+    *state = muladd128(*state, PCG64_MULT, inc);
+    uint64_t x = state->hi ^ state->lo;
+    unsigned rot = (unsigned)(state->hi >> 58);
     x = x >> rot | x << ((64 - rot) & 63);
     return (double)(x >> 11) * (1.0 / 9007199254740992.0);
 }
@@ -224,8 +249,11 @@ void pcg64_seed(int64_t m, uint64_t *words)
 {
     for (int64_t r = 0; r < m; r++) {
         uint64_t *w = words + 4 * r;
-        u128 inc = load128(w + 2) << 1 | 1;
-        store128(w, (inc + load128(w)) * PCG64_MULT + inc);
+        u128 seq = load128(w + 2), seed = load128(w);
+        u128 inc = {seq.hi << 1 | seq.lo >> 63, seq.lo << 1 | 1};
+        u128 sum = {seed.hi + inc.hi, seed.lo + inc.lo};
+        sum.hi += sum.lo < inc.lo;
+        store128(w, muladd128(sum, PCG64_MULT, inc));
         store128(w + 2, inc);
     }
 }

@@ -173,9 +173,9 @@ def _library() -> ctypes.CDLL:
             raise UcbBuildError(
                 f"cannot build the UCB round loop with {shlex.join(command)}: {reason}"
             ) from exc
-        f64, i64, u8, u64 = (
+        f64, i64, u8 = (
             np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-            for dtype in (np.float64, np.int64, np.uint8, np.uint64)
+            for dtype in (np.float64, np.int64, np.uint8)
         )
         size, real = ctypes.c_int64, ctypes.c_double
         lib.ucb_run.restype = size
@@ -184,12 +184,6 @@ def _library() -> ctypes.CDLL:
             ctypes.POINTER(real),
         ]
         lib.ucb_batch.argtypes = [size, size, size, real, f64, i64, u8, f64, f64, i64, i64]
-        lib.pcg64_seed.restype = None
-        lib.pcg64_seed.argtypes = [size, u64]
-        # The resampler also draws one bid at a time: its arrays are passed as
-        # pointers, which cost a fraction of an ndpointer's checks per call.
-        f64p, u64p = ctypes.POINTER(real), ctypes.POINTER(ctypes.c_uint64)
-        lib.resample.argtypes = [size, size, real, f64p, f64p, u64p, f64p, f64p]
         _LIB = lib
     return _LIB
 

@@ -316,11 +316,6 @@ def sample_reward_realization(qualities, n_units: int, seed, capacities=None) ->
 
 
 _DRAW_FLOATS = 1 << 17  # uniforms ``_draw_outcomes`` holds at once (at least one row)
-# Undrawn outputs per row below which ``_draw_outcomes`` draws a whole table
-# rather than skipping tails row by row.  Skipping one costs an ``advance``
-# call (about 0.8 us on a 2-CPU host) plus a ``random`` and a ``less`` call
-# per row, drawing 1,000 outputs about 2 us.
-_SHORT_TAIL = 1000
 
 
 def _draw_outcomes(rng: np.random.Generator, qualities, out: np.ndarray, lengths=None) -> None:
@@ -333,12 +328,9 @@ def _draw_outcomes(rng: np.random.Generator, qualities, out: np.ndarray, lengths
     64-bit output per uniform, so row i starts at output ``i * L``: the gaps
     are skipped by ``bit_generator.advance``, and the last one leaves ``rng``
     at the whole table's end (advancing also drops PCG64's buffered 32-bit
-    half-word, which ``random()`` never reads).  When every row's undrawn
-    tail is shorter than ``_SHORT_TAIL``, skipping them saves less than the
-    per-row calls cost, so the whole table is drawn and the tails zeroed."""
-    width = out.shape[-1]
-    if lengths is not None and width - min(lengths, default=width) >= _SHORT_TAIL:
-        bits = rng.bit_generator
+    half-word, which ``random()`` never reads)."""
+    if lengths is not None:
+        width, bits = out.shape[-1], rng.bit_generator
         uniforms = np.empty(max(lengths, default=0))
         at = 0  # outputs consumed so far
         for i, (q, k) in enumerate(zip(qualities, lengths)):
@@ -360,5 +352,3 @@ def _draw_outcomes(rng: np.random.Generator, qualities, out: np.ndarray, lengths
             chunk = uniforms[: len(rows) - start]
             rng.random(out=chunk)
             np.less(chunk, q[start : start + step], out=rows[start : start + step])
-        for i, k in enumerate(lengths or ()):
-            out[i, k:] = 0

@@ -171,7 +171,7 @@ def stream_states(rows) -> np.ndarray:
     out ^= out >> np.uint32(16)
     out = out.astype(np.uint64)
     states = np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
-    _bandit._library().pcg64_seed(len(states), states)
+    _law().pcg64_seed(len(states), ctypes.c_uint64.from_buffer(states))
     return states
 
 
@@ -207,6 +207,23 @@ def child_states(seed, n: int) -> np.ndarray:
     return stream_states([(seq.entropy, seq.spawn_key + (i,)) for i in range(n)])
 
 
+def _law() -> ctypes.CDLL:
+    """The compiled library, with the signatures of its resampler and seeding
+    step declared.  Their arrays are passed as ``from_buffer`` pointers: the
+    resampler also draws one bid at a time, and an ``ndpointer``'s checks
+    cost more than the draw."""
+    from . import bandit  # bandit imports this module; it builds and loads the library
+
+    lib = bandit._library()
+    if lib.resample.argtypes is None:
+        size, real = ctypes.c_int64, ctypes.c_double
+        f64, u64 = ctypes.POINTER(real), ctypes.POINTER(ctypes.c_uint64)
+        lib.pcg64_seed.restype = None
+        lib.pcg64_seed.argtypes = [size, u64]
+        lib.resample.argtypes = [size, size, real, f64, f64, u64, f64, f64]
+    return lib
+
+
 def _resample(bid_costs, cost_hi, mu: float, size: int, states: np.ndarray):
     """The resampling law, in ``_ucb.c``: ``size`` draws on each of the m
     streams whose state words are the rows of ``states``, at the bids
@@ -225,8 +242,8 @@ def _resample(bid_costs, cost_hi, mu: float, size: int, states: np.ndarray):
         return alpha, beta
     # from_buffer refuses an array that is not C-contiguous and writable.
     f64, u64 = ctypes.c_double.from_buffer, ctypes.c_uint64.from_buffer
-    status = _bandit._library().resample(m, size, mu, f64(bids), f64(highs), u64(states),
-                                         f64(alpha), f64(beta))
+    status = _law().resample(m, size, mu, f64(bids), f64(highs), u64(states), f64(alpha),
+                             f64(beta))
     if status == -3:
         raise ValueError(f"bid costs must be at most cost_hi {cost_hi}, got {bids.max()}")
     if status == -1:
@@ -301,8 +318,3 @@ def transform_premium(units, mu: float, bid_cost, cost_hi, beta):
         np.greater(beta, bid_cost), np.multiply(units, np.subtract(cost_hi, bid_cost)) / mu, 0.0
     )
     return premium if premium.ndim else float(premium)
-
-
-# The law is compiled and loaded with the UCB round loop, by ``bandit``, which
-# imports this module first: bind it last, once this module is whole.
-from . import bandit as _bandit  # noqa: E402

@@ -222,11 +222,10 @@ class TestCapacityPrefixes:
             assert not realization.table[i, k:].any()
         assert passed.random() == whole.random()
 
-    @pytest.mark.parametrize("caps", [[100, 1000, 999, 1, 500], [0, 1000, 999, 1, 500]],
-                             ids=["every-tail-short", "one-tail-skipped"])
-    def test_short_tails_equal_the_whole_table(self, caps):
-        # At 1,000 units every tail below 1,000 outputs is drawn through with
-        # the whole table; a tail of 1,000 sends every row to the skipping path.
+    def test_short_tails_equal_the_whole_table(self):
+        # At 1,000 units: an undrawn row, a whole row, and tails of 1 to 999
+        # outputs, each skipped by ``advance``.
+        caps = [0, 1000, 999, 1, 500]
         q = np.random.default_rng(7).random(5)
         passed, whole = np.random.default_rng(8), np.random.default_rng(8)
         realization = sample_reward_realization(q, 1000, passed, caps)
