@@ -1,7 +1,7 @@
 /* The 2D-UCB allocation rule, the only UCB round loop of procure2d, and, at
  * the end of the file, the self-resampling law and PCG64's seeding step.
  *
- * bandit.py compiles this file on first use with -ffp-contract=off, so that
+ * _native.py compiles this file on first use with -ffp-contract=off, so that
  * no multiply and add are fused and every score is rounded as Python's float
  * arithmetic rounds it.  The bonus widths sqrt(c ln t) and the table of
  * 1 / sqrt(count) (entry 0 is 0.0) come from the caller, which builds them

@@ -10,34 +10,19 @@ ends the whole auction.  Payments follow the resampling transformation: bid
 cost per unit, plus the ``1/mu`` premium when the agent's beta moved
 (``resample.transform_premium``, the rule every mechanism here pays by).
 
-The narrow ``c = 1/2`` is the default because the reward scale is tens of
-times the cost range: under UCB1's wide bonus the scores stay optimistic
-long after the estimates separate, and the learner trails even the
-explore-then-commit baselines (see ``run_2d_ucb``).
-
 The rule has one implementation, the round loop in ``_ucb.c``: a seeding
-pass, then every round a full scan over the agents below capacity.  The loop
-advances a block of a few independent auctions (lanes) together, round by
-round, so that the CPU overlaps their dependency chains; a lane whose
-auction stops drops out and the others go on.  ``run_2d_ucb`` calls it as a
-block of one lane (``ucb_run``), once per auction.  ``run_ucb_batch`` calls
-``ucb_batch``, which walks stacked reward tables in blocks of lanes, for the
-truthfulness audits, which run tens of thousands of 30-50-round auctions per
-deviated bid.  The two specializations keep the scan's running best
-differently.  A block of one lane takes a new best through a conditional
-jump: in a long auction the same leader wins almost every round, so the CPU
-predicts it and starts the next round's table load and divide early
-(replaying 100 auctions of ``run_experiment``, 5.05M rounds, 0.041 s against
-0.140 s for a select).  A block of lanes keeps a branch-free select, since
-its short auctions change leader often and its lanes already overlap; there
-the jump was slower (0.58 s against 0.35 s on the batches of ``verify``
-seeds 0-3).  Both pass in the bonus widths and the ``1 / sqrt(n_i)`` table
-built here with ``math.log`` and ``math.sqrt``, and the C file is compiled
-with ``-ffp-contract=off``, so every score has the bits of the reference
-loop in the test suite.  The library, which also holds the resampler's law
-and stream seeding for ``resample``, is built on first use with the C
-compiler Python was built with, into the package's ``__pycache__``, and
-loaded through ``ctypes``; a failed build raises ``UcbBuildError``.
+pass, then every round a full scan over the agents below capacity, for a
+block of a few independent auctions (lanes) advanced together round by
+round.  ``run_2d_ucb`` calls it as a block of one lane (``ucb_run``), once
+per auction.  ``run_ucb_batch`` calls ``ucb_batch``, which walks stacked
+reward tables in blocks of lanes, for the truthfulness audits, which run
+tens of thousands of 30-50-round auctions per deviated bid.  The top of
+``_ucb.c`` says, with timings, why the two keep the scan's running best
+differently.  Both pass in the bonus widths and the ``1 / sqrt(n_i)`` table
+built here with ``math.log`` and ``math.sqrt``, so every score has the bits
+of the reference loop in the test suite.  ``_native`` builds, loads and
+declares the library, which also holds the resampler's law and stream
+seeding for ``resample``; a failed build raises ``UcbBuildError``.
 
 ``run_eps_separated`` is the explore-then-commit baseline: a fixed number of
 round-robin exploration units, then one shot of the optimal auction run with
@@ -46,24 +31,19 @@ the frozen quality estimates on the residual capacities.
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
 import math
-import os
-import shlex
-import subprocess
-import sysconfig
-import tempfile
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from ._native import UcbBuildError, _library
 from .model import Bid, MarketConfig, RewardRealization
 from .optimal import MechanismOutcome, run_2d_opt
 from .resample import ResampleDraw, child_states, resample_streams, transform_premium
-# perfbench's tracer times one-bid draws under this name.
+# Only so that the attribute perfbench's tracer wraps exists
+# (tests/test_exports.py): no command draws through it, so its layer reads 0.
 from .resample import self_resample  # noqa: F401
 
 __all__ = [
@@ -124,68 +104,6 @@ _WIDTHS: dict[float, np.ndarray] = {}
 # ``1 / sqrt(c)`` for every sample count ``c``, entry 0 being 0.0 (an agent
 # with no sample), shared by both UCB runners and grown on demand.
 _INV_SQRT = np.zeros(1)
-
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ucb.c")
-# Where the compiled round loop is cached, and the compiler that builds it.
-_CACHE = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
-_CC = sysconfig.get_config_var("CC") or "cc"
-_CFLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
-_LIB = None
-
-
-class UcbBuildError(OSError):
-    """The C round loop could not be compiled or loaded."""
-
-
-def _build(command: list[str], path: str) -> None:
-    """Compile ``_ucb.c`` to ``path``.  Each build writes a name of its own
-    and renames it into place, so processes that build at once each load a
-    whole library."""
-    os.makedirs(_CACHE, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=_CACHE)
-    os.close(fd)
-    try:
-        proc = subprocess.run(command + ["-o", tmp, _SOURCE], capture_output=True, text=True)
-        if proc.returncode != 0:
-            lines = [line for line in proc.stderr.splitlines() if line.strip()]
-            raise UcbBuildError(lines[0] if lines else f"exit status {proc.returncode}")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _library() -> ctypes.CDLL:
-    """The compiled round loop, built on first use into a cache file named
-    after the sha256 of the source and the compile command."""
-    global _LIB
-    if _LIB is None:
-        command = shlex.split(_CC) + _CFLAGS
-        try:
-            with open(_SOURCE, "rb") as fh:
-                key = hashlib.sha256(fh.read() + repr(command).encode()).hexdigest()
-            path = os.path.join(_CACHE, f"_ucb-{key[:16]}.so")
-            if not os.path.exists(path):
-                _build(command, path)
-            lib = ctypes.CDLL(path)
-        except OSError as exc:
-            reason = exc.strerror or str(exc)
-            raise UcbBuildError(
-                f"cannot build the UCB round loop with {shlex.join(command)}: {reason}"
-            ) from exc
-        f64, i64, u8 = (
-            np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-            for dtype in (np.float64, np.int64, np.uint8)
-        )
-        size, real = ctypes.c_int64, ctypes.c_double
-        lib.ucb_run.restype = size
-        lib.ucb_run.argtypes = [
-            size, size, real, f64, i64, u8, f64, f64, i64, i64, size, i64, u8, f64,
-            ctypes.POINTER(real),
-        ]
-        lib.ucb_batch.argtypes = [size, size, size, real, f64, i64, u8, f64, f64, i64, i64]
-        _LIB = lib
-    return _LIB
 
 
 def _bonus_widths(bonus_scale: float, n_rounds: int) -> np.ndarray:
@@ -268,14 +186,12 @@ def run_2d_ucb(
     picks = np.empty(trace_len, dtype=np.int64)
     rewards = np.empty(trace_len, dtype=np.uint8)
     scores = np.empty(trace_len)
-    stop_score = ctypes.c_double()
+    stop_score = np.empty(1)
     stop = _library().ucb_run(
         n, n_rounds, reward_scale, np.array(h), np.array(caps, dtype=np.int64), table,
         _bonus_widths(bonus_scale, n_rounds), _inv_sqrt_counts(n_rounds + 1),
-        units, succ, trace_len, picks, rewards, scores, ctypes.byref(stop_score),
+        units, succ, trace_len, picks, rewards, scores, stop_score,
     )
-    if stop < 0:
-        raise MemoryError("out of memory in the UCB round loop")
 
     trace = None
     if record_trace:
@@ -286,8 +202,8 @@ def run_2d_ucb(
             TraceStep, range(n, stop), picks[:bought].tolist(), rewards[:bought].tolist(),
             scores[:bought].tolist(),
         )
-        if stop_score.value > -math.inf:
-            trace.steps.append(TraceStep(stop, None, None, stop_score.value))
+        if stop_score[0] > -math.inf:
+            trace.steps.append(TraceStep(stop, None, None, stop_score.item()))
 
     costs = np.array([bid.cost for bid in bids])
     cost_highs = [dist.cost_bounds[1] for dist in config.distributions]
@@ -325,12 +241,10 @@ def run_ucb_batch(
     caps = np.array([bid.capacity for bid in bids], dtype=np.int64)
     units = np.empty((samples, n), dtype=np.int64)
     successes = np.empty((samples, n), dtype=np.int64)
-    status = _library().ucb_batch(
+    _library().ucb_batch(
         samples, n, n_rounds, config.reward_scale, h, caps, table,
         _bonus_widths(0.5, n_rounds), _inv_sqrt_counts(n_rounds + 1), units, successes,
     )
-    if status < 0:
-        raise MemoryError("out of memory in the UCB round loop")
     return units, successes
 
 

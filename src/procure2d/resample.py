@@ -11,10 +11,10 @@ surcharge a truthful payment rule owes, which is what makes the transformed
 mechanism truthful in expectation.  Each mechanism pays by
 ``transform_premium``.
 
-The law has one implementation, in ``_ucb.c``, compiled and loaded with the
-UCB round loop.  It steps numpy's PCG64 streams directly, so its draws are
-those of a numpy ``Generator`` bit for bit: ``resample_batch`` draws on one
-generator's stream, ``self_resample`` is a batch of one, and
+The law has one implementation, in ``_ucb.c``, which ``_native`` builds and
+loads with the UCB round loop.  It steps numpy's PCG64 streams directly, so
+its draws are those of a numpy ``Generator`` bit for bit: ``resample_batch``
+draws on one generator's stream, ``self_resample`` is a batch of one, and
 ``resample_streams`` draws one bid on each of many streams in one call, as a
 simulation cell draws all its resampled bids.
 
@@ -29,10 +29,11 @@ seed.  A numpy generator draws a stream once its state is set from
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._native import _library
 
 __all__ = [
     "ResampleDraw",
@@ -171,7 +172,7 @@ def stream_states(rows) -> np.ndarray:
     out ^= out >> np.uint32(16)
     out = out.astype(np.uint64)
     states = np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
-    _law().pcg64_seed(len(states), ctypes.c_uint64.from_buffer(states))
+    _library().pcg64_seed(len(states), states)
     return states
 
 
@@ -207,23 +208,6 @@ def child_states(seed, n: int) -> np.ndarray:
     return stream_states([(seq.entropy, seq.spawn_key + (i,)) for i in range(n)])
 
 
-def _law() -> ctypes.CDLL:
-    """The compiled library, with the signatures of its resampler and seeding
-    step declared.  Their arrays are passed as ``from_buffer`` pointers: the
-    resampler also draws one bid at a time, and an ``ndpointer``'s checks
-    cost more than the draw."""
-    from . import bandit  # bandit imports this module; it builds and loads the library
-
-    lib = bandit._library()
-    if lib.resample.argtypes is None:
-        size, real = ctypes.c_int64, ctypes.c_double
-        f64, u64 = ctypes.POINTER(real), ctypes.POINTER(ctypes.c_uint64)
-        lib.pcg64_seed.restype = None
-        lib.pcg64_seed.argtypes = [size, u64]
-        lib.resample.argtypes = [size, size, real, f64, f64, u64, f64, f64]
-    return lib
-
-
 def _resample(bid_costs, cost_hi, mu: float, size: int, states: np.ndarray):
     """The resampling law, in ``_ucb.c``: ``size`` draws on each of the m
     streams whose state words are the rows of ``states``, at the bids
@@ -231,25 +215,13 @@ def _resample(bid_costs, cost_hi, mu: float, size: int, states: np.ndarray):
     broadcast).  Writes each stream's end state back into ``states`` and
     returns (alpha, beta), each m x size."""
     mu = _check_mu(mu)
-    if states.dtype != np.uint64 or states.shape[1:] != (4,):
-        raise ValueError(f"stream states must be (m, 4) uint64 words, got {states.dtype} "
-                         f"{states.shape!r}")
+    if states.shape[1:] != (4,):
+        raise ValueError(f"stream states must be (m, 4) uint64 words, got {states.shape!r}")
     m = len(states)
     bids, highs = np.empty((m, size)), np.empty(m)
     bids[...], highs[...] = bid_costs, cost_hi
     alpha, beta = np.empty((m, size)), np.empty((m, size))
-    if not bids.size:
-        return alpha, beta
-    # from_buffer refuses an array that is not C-contiguous and writable.
-    f64, u64 = ctypes.c_double.from_buffer, ctypes.c_uint64.from_buffer
-    status = _law().resample(m, size, mu, f64(bids), f64(highs), u64(states), f64(alpha),
-                             f64(beta))
-    if status == -3:
-        raise ValueError(f"bid costs must be at most cost_hi {cost_hi}, got {bids.max()}")
-    if status == -1:
-        raise MemoryError("out of memory in the resampler")
-    if status:
-        raise RuntimeError("resampling recursion exceeded the iteration cap")
+    _library().resample(m, size, mu, bids, highs, states, alpha, beta)
     return alpha, beta
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from procure2d import bandit, cli, harness
+from procure2d import _native, cli, harness
 from procure2d.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -163,9 +163,9 @@ def test_failed_build_is_a_clean_error(bids_file, conf_file, tmp_path, capsys, m
     # the stream seeding in ``simulate``.
     cache = tmp_path / "cache"
     cache.mkdir()
-    monkeypatch.setattr(bandit, "_CC", str(tmp_path / "no-such-cc"))
-    monkeypatch.setattr(bandit, "_CACHE", str(cache))
-    monkeypatch.setattr(bandit, "_LIB", None)
+    monkeypatch.setattr(_native, "_CC", str(tmp_path / "no-such-cc"))
+    monkeypatch.setattr(_native, "_CACHE", str(cache))
+    monkeypatch.setattr(_native, "_LIB", None)
     out_dir = tmp_path / "out"
     for argv in (["ucb", str(bids_file), "--units", "10", "--out", str(out_dir)],
                  ["verify", "--seed", "0"],

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from procure2d import (
-    Bid, MarketConfig, RewardRealization, bandit, run_ucb_batch, uniform_type_distribution,
+    Bid, MarketConfig, RewardRealization, _native, run_ucb_batch, uniform_type_distribution,
 )
 
 HERE = Path(__file__).parent
@@ -17,9 +17,9 @@ HERE = Path(__file__).parent
 # Runs one batch in a fresh interpreter against the cache in argv[1].
 BATCH_IN_CACHE = """
 import sys
-from procure2d import bandit
+from procure2d import _native, bandit
 from test_ucb_build import batch_case
-bandit._CACHE = sys.argv[1]
+_native._CACHE = sys.argv[1]
 units, successes = bandit.run_ucb_batch(*batch_case())
 print(units.tolist(), successes.tolist())
 """
@@ -36,16 +36,16 @@ def batch_case():
 
 def test_cached_library_is_reused_without_the_compiler(tmp_path, monkeypatch):
     expected = run_ucb_batch(*batch_case())
-    monkeypatch.setattr(bandit, "_CACHE", str(tmp_path))
-    monkeypatch.setattr(bandit, "_LIB", None)
-    bandit._library()
+    monkeypatch.setattr(_native, "_CACHE", str(tmp_path))
+    monkeypatch.setattr(_native, "_LIB", None)
+    _native._library()
     (built,) = tmp_path.iterdir()
 
     def no_compiler(*args, **kwargs):
         raise AssertionError(f"compiler invoked: {args}")
 
-    monkeypatch.setattr(bandit.subprocess, "run", no_compiler)
-    monkeypatch.setattr(bandit, "_LIB", None)
+    monkeypatch.setattr(_native.subprocess, "run", no_compiler)
+    monkeypatch.setattr(_native, "_LIB", None)
     units, successes = run_ucb_batch(*batch_case())
     assert units.tolist() == expected[0].tolist()
     assert successes.tolist() == expected[1].tolist()
@@ -65,12 +65,12 @@ def test_processes_building_into_one_cache_at_once_agree(tmp_path):
     expected = f"{units.tolist()} {successes.tolist()}\n"
     assert [out for out, _ in outputs] == [expected, expected]
     # One library, and no half-written build left behind.
-    assert [p.name for p in tmp_path.iterdir()] == [Path(bandit._library()._name).name]
+    assert [p.name for p in tmp_path.iterdir()] == [Path(_native._library()._name).name]
 
 
 def test_source_compiles_without_warnings(tmp_path):
     # The build flags plus every common warning, as errors.
-    command = shlex.split(bandit._CC) + bandit._CFLAGS + ["-Wall", "-Wextra", "-Werror"]
-    proc = subprocess.run(command + ["-o", str(tmp_path / "_ucb.so"), bandit._SOURCE],
+    command = shlex.split(_native._CC) + _native._CFLAGS + ["-Wall", "-Wextra", "-Werror"]
+    proc = subprocess.run(command + ["-o", str(tmp_path / "_ucb.so"), _native._SOURCE],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")

@@ -24,12 +24,12 @@ from procure2d import (
     run_ucb_batch,
     uniform_type_distribution,
 )
-from procure2d import bandit, harness
+from procure2d import _native, bandit, harness
 
 DIST = uniform_type_distribution(0.0, 1.0, 0, 20_000)
 
 # Auctions the C loop advances together in one block.
-LANES = int(re.search(r"^#define LANES (\d+)$", Path(bandit._SOURCE).read_text(), re.M).group(1))
+LANES = int(re.search(r"^#define LANES (\d+)$", Path(_native._SOURCE).read_text(), re.M).group(1))
 
 
 def assert_matches_oracle(market, bids, table, draws, bonus_scale):
@@ -412,7 +412,7 @@ def test_batch_sizes_straddle_block_edges(samples):
     h = np.pad(virtual_costs(alphas, caps), pad, constant_values=math.nan)
     table = np.pad(tables, pad + ((0, 0),), constant_values=1)
     guarded = [np.full((samples + LANES, 3), -7, dtype=np.int64) for _ in range(2)]
-    bandit._library().ucb_batch(
+    _native._library().ucb_batch(
         samples, 3, 40, 1.0, h[:samples], np.array(caps, dtype=np.int64), table[:samples],
         bandit._bonus_widths(0.5, 40), bandit._inv_sqrt_counts(41),
         guarded[0][:samples], guarded[1][:samples],
