@@ -16,13 +16,18 @@ block of a few independent auctions (lanes) advanced together round by
 round.  ``run_2d_ucb`` calls it as a block of one lane (``ucb_run``), once
 per auction.  ``run_ucb_batch`` calls ``ucb_batch``, which walks stacked
 reward tables in blocks of lanes, for the truthfulness audits, which run
-tens of thousands of 30-50-round auctions per deviated bid.  The top of
-``_ucb.c`` says, with timings, why the two keep the scan's running best
-differently.  Both pass in the bonus widths and the ``1 / sqrt(n_i)`` table
-built here with ``math.log`` and ``math.sqrt``, so every score has the bits
-of the reference loop in the test suite.  ``_native`` builds, loads and
-declares the library, which also holds the resampler's law and stream
-seeding for ``resample``; a failed build raises ``UcbBuildError``.
+tens of thousands of 30-50-round auctions per deviated bid.  It spreads a
+batch's samples over the CPUs the process may run on: one contiguous chunk
+of samples per CPU, each in its own ``ucb_batch`` call on its own thread,
+which run at once because ctypes releases the interpreter lock during a
+call.  A sample's result depends on its own row alone, so the outputs do
+not depend on the split.  The top of ``_ucb.c`` says, with timings, why the
+two keep the scan's running best differently.  Both pass in the bonus
+widths and the ``1 / sqrt(n_i)`` table built here with ``math.log`` and
+``math.sqrt``, so every score has the bits of the reference loop in the test
+suite.  ``_native`` builds, loads and declares the library, which also holds
+the resampler's law and stream seeding for ``resample``; a failed build
+raises ``UcbBuildError``.
 
 ``run_eps_separated`` is the explore-then-commit baseline: a fixed number of
 round-robin exploration units, then one shot of the optimal auction run with
@@ -32,6 +37,8 @@ the frozen quality estimates on the residual capacities.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -214,6 +221,20 @@ def run_2d_ucb(
     return outcome, trace
 
 
+# Fewest samples worth a thread of their own in ``run_ucb_batch``.
+_MIN_CHUNK = 2048
+
+
+def _workers(samples: int) -> int:
+    """How many chunks ``run_ucb_batch`` splits ``samples`` into: one per CPU
+    this process may run on, each of at least ``_MIN_CHUNK`` samples."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, samples // _MIN_CHUNK))
+
+
 def run_ucb_batch(
     config: MarketConfig,
     bids: Sequence[Bid],
@@ -228,6 +249,14 @@ def run_ucb_batch(
     sample runs ``run_2d_ucb``'s round loop with the default (narrow) bonus,
     so the two make the same decisions; the C loop advances the samples in
     blocks of a few at a time.
+
+    The samples are split into contiguous chunks, one per CPU this process
+    may run on but none under ``_MIN_CHUNK`` samples.  The calling thread
+    runs the first chunk and a new thread each other one, all in C without
+    the interpreter lock; every thread has ended when the call returns or
+    raises.  A batch too small for two chunks, or a one-CPU process, runs as
+    one chunk on the calling thread.  Each sample's result depends on its
+    own row alone, so the outputs are the same however the batch is split.
     """
     table = realizations.table
     if len(config.check_run(bids, realizations)) != 1:
@@ -241,10 +270,35 @@ def run_ucb_batch(
     caps = np.array([bid.capacity for bid in bids], dtype=np.int64)
     units = np.empty((samples, n), dtype=np.int64)
     successes = np.empty((samples, n), dtype=np.int64)
-    _library().ucb_batch(
-        samples, n, n_rounds, config.reward_scale, h, caps, table,
-        _bonus_widths(0.5, n_rounds), _inv_sqrt_counts(n_rounds + 1), units, successes,
-    )
+    # Resolved before any thread starts, so that no thread builds the library
+    # or grows the shared tables.
+    ucb_batch = _library().ucb_batch
+    widths, inv_sqrt = _bonus_widths(0.5, n_rounds), _inv_sqrt_counts(n_rounds + 1)
+    chunks = _workers(samples)
+    edges = [samples * k // chunks for k in range(chunks + 1)]
+    errors = [None] * chunks
+
+    def run(k):
+        a, b = edges[k], edges[k + 1]
+        try:
+            ucb_batch(b - a, n, n_rounds, config.reward_scale, h[a:b], caps, table[a:b],
+                      widths, inv_sqrt, units[a:b], successes[a:b])
+        except BaseException as exc:  # raised in the caller once every thread ends
+            errors[k] = exc
+
+    started = []
+    try:
+        for k in range(1, chunks):
+            thread = threading.Thread(target=run, args=(k,))
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return units, successes
 
 

@@ -29,6 +29,7 @@ seed.  A numpy generator draws a stream once its state is set from
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,16 @@ def _uint32_words(value) -> list[int]:
     return words
 
 
+def _word_matrix(word_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The lists of words as the rows of a uint32 matrix, zero-padded to the
+    longest (and at least one column), and their lengths."""
+    lengths = np.fromiter(map(len, word_lists), np.intp, len(word_lists))
+    matrix = np.zeros((len(word_lists), max(1, int(lengths.max()))), dtype=np.uint32)
+    matrix[np.arange(matrix.shape[1]) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(word_lists), np.uint32, int(lengths.sum()))
+    return matrix, lengths
+
+
 def _hash_consts(start: int, mult: int, count: int) -> np.ndarray:
     """The ``count + 1`` successive values ``start * mult**k mod 2**32`` of a
     hash constant, as a (count + 1, 1) column that broadcasts over streams."""
@@ -125,25 +136,35 @@ def stream_states(rows) -> np.ndarray:
     rows = list(rows)
     if not rows:
         return np.empty((0, 4), dtype=np.uint64)
-    # A root's children share its entropy object: read each object once.
-    # ``rows`` keeps every object alive, so no id is reused meanwhile.
-    run_words, key_words = {}, {}
-    words = []
-    for entropy, key in rows:
-        row = run_words.get(id(entropy))
-        if row is None:
-            row = run_words[id(entropy)] = _uint32_words(entropy)
-        if key:
-            key = tuple(key)
-            if key not in key_words:
-                key_words[key] = _uint32_words(key)
-            row = row + [0] * (_POOL_SIZE - len(row)) + key_words[key]
-        words.append(row)
-    lengths = [len(row) for row in words]
-    width = max(_POOL_SIZE, *lengths)
-    flat = [w for row in words for w in row + [0] * (width - len(row))]
-    entropy = np.array(flat, dtype=np.uint32).reshape(len(words), width).T
-    lengths = np.array(lengths)
+    m = len(rows)
+    # A root's children share its entropy object: number the distinct objects
+    # and keys in first-seen order and read the words of each once.  ``rows``
+    # keeps every object alive, so no id is reused meanwhile.
+    entropy_at, key_at = {}, {}
+    entropy_rows = np.fromiter(
+        (entropy_at.setdefault(id(entropy), len(entropy_at)) for entropy, _ in rows), np.intp, m)
+    key_rows = np.fromiter((key_at.setdefault(tuple(key), len(key_at)) for _, key in rows),
+                           np.intp, m)
+    pieces = [_uint32_words(entropy) for entropy in {id(e): e for e, _ in rows}.values()]
+    pieces += map(_uint32_words, key_at)
+    matrix, sizes = _word_matrix(pieces)
+    key_rows += len(entropy_at)
+
+    # A row's words are its entropy's, then, under a spawn key, zeros up to
+    # the pool size and the key's.  Each row gets its entropy's zero-padded
+    # piece, then its key's written from where the key starts; the padding
+    # of either lands only on zeros past the row's own words.
+    entropy_lengths, key_lengths = sizes[entropy_rows], sizes[key_rows]
+    key_start = np.maximum(entropy_lengths, _POOL_SIZE)
+    lengths = np.where(key_lengths > 0, key_start + key_lengths, entropy_lengths)
+    piece_width = matrix.shape[1]
+    room = int(key_start.max()) + piece_width
+    words = np.zeros((m, room), dtype=np.uint32)
+    words[:, :piece_width] = matrix[entropy_rows]
+    flat_start = key_start + np.arange(0, m * room, room)
+    words.reshape(-1)[flat_start[:, None] + np.arange(piece_width)] = matrix[key_rows]
+    width = max(_POOL_SIZE, int(lengths.max()))
+    entropy = words[:, :width].T
 
     # hashmix's constant advances once per call, the same for every stream:
     # one call per pool word, three per source word in the pool mix, then

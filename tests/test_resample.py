@@ -314,7 +314,19 @@ EDGE_STREAMS = [
 ]
 
 
-@pytest.mark.parametrize("cases", [stream_cases(900), EDGE_STREAMS], ids=["random", "edge"])
+# Entropies of one, two and three words, alone and in lists, each with and
+# without spawn keys, in one call: a key starts at a different column in
+# every row, and one entropy object stands in rows of both kinds.
+SHARED = [2**64 + 9, 7]
+MIXED_WORDS = [
+    (5, ()), (5, (1,)), (2**32 + 7, ()), (2**32 + 7, (0, 2**40)), (2**64 + 9, ()),
+    (2**64 + 9, (3,)), (SHARED, ()), (SHARED, (2,)), (SHARED, (2**33, 1)),
+    ([5, 2**32 + 7, 2**64 + 9], ()), ([5, 2**32 + 7, 2**64 + 9], (4,)), ([1, 2], (0,)),
+]
+
+
+@pytest.mark.parametrize("cases", [stream_cases(900), EDGE_STREAMS, MIXED_WORDS],
+                         ids=["random", "edge", "mixed-words"])
 def test_stream_states_equal_numpy_seeding(cases):
     # One call derives every row; each must equal the PCG64 state numpy
     # seeds from the same SeedSequence, and draw the same first uniform.

@@ -3,7 +3,11 @@
 
 import itertools
 import math
+import os
 import re
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -471,3 +475,102 @@ def test_permuting_rows_permutes_the_outcome():
         permuted = batch_run(1.0, caps, tables[perm], h[perm])
         assert np.array_equal(permuted[0], units_out[perm])
         assert np.array_equal(permuted[1], successes[perm])
+
+
+@pytest.fixture(scope="module")
+def split_batch():
+    """The ``mixed_stop_batch`` of 4,097 rows and its virtual costs."""
+    caps = [8, 8, 1]
+    alphas, tables = mixed_stop_batch(4097)
+    return caps, tables, virtual_costs(alphas, caps)
+
+
+@pytest.mark.parametrize("chunks", [2, 3, 5])
+@pytest.mark.parametrize("samples", [0, 1, 3, 4, 5, 9, 4097])
+def test_splitting_a_batch_leaves_every_row_as_it_was(monkeypatch, split_batch, chunks, samples):
+    # Chunk edges fall at uneven rows, and some chunks are empty when the
+    # batch holds fewer samples than there are chunks; every row still comes
+    # out as from one chunk, and no thread outlives the call.  The threads
+    # switch as often as the interpreter lets them.
+    caps, tables, h = split_batch
+    args = 1.0, caps, tables[:samples], h[:samples]
+    monkeypatch.setattr(bandit, "_workers", lambda _: 1)
+    units_out, successes = batch_run(*args)
+    monkeypatch.setattr(bandit, "_workers", lambda _: chunks)
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = batch_run(*args)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert np.array_equal(split[0], units_out) and np.array_equal(split[1], successes)
+
+
+class _FailingLibrary:
+    """A library whose ``ucb_batch`` raises on the chunks starting at the rows
+    in ``fail_at``, each with an exception naming its row, and otherwise
+    waits a little before it writes its rows, so that a chunk that raises
+    early is not the last one running."""
+
+    def __init__(self, fail_at):
+        self.fail_at, self.finished = fail_at, []
+
+    def ucb_batch(self, samples, n, n_rounds, reward_scale, h, caps, table, widths, inv_sqrt,
+                  units, successes):
+        row = int(h[0, 0])
+        if row in self.fail_at:
+            raise MemoryError(f"chunk at row {row}")
+        time.sleep(0.05)
+        units[...], successes[...] = 1, 0
+        self.finished.append(row)
+
+
+@pytest.mark.parametrize("fail_at, raised", [({0}, 0), ({4}, 4), ({8}, 8), ({4, 8}, 4)],
+                         ids=["calling-thread", "middle", "last", "two"])
+def test_a_chunk_that_raises_reaches_the_caller_after_every_thread_ends(
+        monkeypatch, fail_at, raised):
+    # Three chunks of four rows; row r's virtual costs are r, so each chunk's
+    # first row names it.  The first failing chunk's exception is raised,
+    # and only once every other chunk has finished and every thread is gone.
+    library = _FailingLibrary(fail_at)
+    monkeypatch.setattr(bandit, "_library", lambda: library)
+    monkeypatch.setattr(bandit, "_workers", lambda _: 3)
+    h = np.repeat(np.arange(12.0)[:, None], 3, axis=1)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match=f"^chunk at row {raised}$"):
+        batch_run(1.0, [8, 8, 1], np.ones((12, 3, 40), dtype=np.uint8), h)
+    assert threading.active_count() == threads
+    assert sorted(library.finished) == sorted({0, 4, 8} - fail_at)
+
+
+def _no_thread(self):
+    raise AssertionError("a thread was started")
+
+
+def test_worker_count_holds_every_chunk_to_the_minimum(monkeypatch):
+    # On a host of 10,000 CPUs every chunk still holds _MIN_CHUNK samples or
+    # more; small batches and one-CPU processes make one chunk.  Asking
+    # starts no thread.
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
+    least = bandit._MIN_CHUNK
+    sizes = [0, 1, least - 1, least, 2 * least - 1, 2 * least, 20_000, 10**9]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(10_000)), raising=False)
+    assert [bandit._workers(s) for s in sizes] == [1, 1, 1, 1, 1, 2, 20_000 // least, 10_000]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert [bandit._workers(s) for s in sizes] == [1] * len(sizes)
+    # Where affinity is not available, the CPU count stands in for it.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert [bandit._workers(s) for s in sizes] == [1, 1, 1, 1, 1, 2, 3, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert [bandit._workers(s) for s in sizes] == [1] * len(sizes)
+
+
+def test_one_cpu_runs_a_large_batch_on_the_calling_thread(monkeypatch, split_batch):
+    caps, tables, h = split_batch
+    expected = batch_run(1.0, caps, tables, h)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
+    units_out, successes = batch_run(1.0, caps, tables, h)
+    assert np.array_equal(units_out, expected[0]) and np.array_equal(successes, expected[1])
