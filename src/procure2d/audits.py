@@ -17,6 +17,7 @@ measured differences reflect the bid change alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -130,9 +131,11 @@ def make_opt_probe(
     config: MarketConfig, qualities, bids: Sequence[Bid], agent: int
 ) -> Callable[[float, int], tuple[int, float]]:
     """Probe of the optimal auction: (cost, capacity) -> (units, payment) for
-    one agent, everyone else's bids held fixed."""
+    one agent, everyone else's bids held fixed; each distinct bid runs the
+    auction once, and every audit sharing the probe reuses that run."""
     bids = list(bids)
 
+    @functools.cache
     def probe(cost: float, capacity: int) -> tuple[int, float]:
         trial = list(bids)
         trial[agent] = Bid(cost, capacity)
@@ -189,16 +192,14 @@ def make_ucb_batch_utility(
     dist_a = config.distributions[agent]
     cost_hi = dist_a.cost_bounds[1]
 
-    draws: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    @functools.cache
+    def draw(cost: float) -> tuple[np.ndarray, np.ndarray]:
+        return resample_batch(cost, cost_hi, mu, samples, generator_at(dev_state))
 
     def batch_utility(cost: float, capacity: int) -> np.ndarray:
         trial = list(bids)
         trial[agent] = Bid(cost, capacity)
-        if cost not in draws:
-            draws[cost] = resample_batch(
-                cost, cost_hi, mu, samples, generator_at(dev_state)
-            )
-        alpha, beta = draws[cost]
+        alpha, beta = draw(cost)
         h = rival_h.copy()
         h[:, agent] = dist_a.virtual_cost_array(alpha, capacity)
         units, _ = run_ucb_batch(config, trial, realizations, h)
@@ -217,7 +218,8 @@ def make_ucb_batch_utility(
 _ROUND_OFF = 1e-9
 # Allowed mismatch between the premium and the integral of the allocation.
 _INTEGRAL_TOL = 1e-6
-# Points of the coarse grid ``_step_integral`` scans before bisecting.
+# Evenly spaced points ``_scan_capacity`` probes at each capacity, besides the
+# grid costs, before bisecting the cells whose ends differ.
 _STEP_POINTS = 65
 # A stochastic deviation fails when its mean gain exceeds this many paired
 # standard errors; below ``_MIN_SAMPLES`` samples the verdict is inconclusive.
@@ -236,46 +238,39 @@ def audit_monotone_allocation(
         name, 0.0, 0.0,
         details={"cost_points": len(grid.costs), "capacity_points": len(grid.capacities)},
     )
+    costs = [float(c) for c in grid.costs]
     for k in grid.capacities:
-        prev_cost = prev_units = None
-        for c in map(float, grid.costs):
-            units = probe(c, k)
-            if prev_units is not None:
-                report.note(float(units - prev_units),
-                            {"capacity": k, "cost_low": prev_cost, "cost_high": c,
-                             "units_low": prev_units, "units_high": units})
-            prev_cost, prev_units = c, units
+        units = [probe(c, k) for c in costs]
+        for c0, c1, u0, u1 in zip(costs, costs[1:], units, units[1:]):
+            report.note(float(u1 - u0), {"capacity": k, "cost_low": c0, "cost_high": c1,
+                                         "units_low": u0, "units_high": u1})
     return report
 
 
-def _step_integral(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    """Exact integral of a monotone step function via jump bisection.
-
-    Scans a coarse grid and bisects every cell whose endpoints differ down to
-    width 1e-12; within a constant-valued cell monotonicity guarantees the
-    function is constant throughout.
+def _scan_capacity(probe: Callable[[float, int], tuple[int, float]], capacity: int,
+                   starts: Sequence[float], hi: float) -> dict[float, tuple[float, float]]:
+    """For each point x of one scan of ``probe`` at ``capacity`` (the starts and
+    ``_STEP_POINTS`` spanning ``[min(starts), hi]``): the premium ``payment -
+    x * units`` and the integral of the allocation from x to ``hi``, a suffix
+    sum of exact cell segments.  Cells whose ends differ are bisected down to
+    width 1e-12; a monotone allocation is constant across an equal-ended cell.
     """
-    xs = np.linspace(lo, hi, _STEP_POINTS)
-    vals = [fn(float(x)) for x in xs]
-    total = 0.0
-    for a, b, fa, fb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
-        a, b = float(a), float(b)
-        if fa == fb:
-            total += fa * (b - a)
-            continue
-        stack = [(a, b, fa, fb)]
+    xs = sorted({*map(float, np.linspace(min(starts, default=hi), hi, _STEP_POINTS)), *starts})
+    outcomes = {x: probe(x, capacity) for x in xs}
+    above = {xs[-1]: 0.0}  # integral from each scan point to the last
+    for a, b in reversed(list(zip(xs, xs[1:]))):
+        total, stack = 0.0, [(a, b, outcomes[a][0], outcomes[b][0])]
         while stack:
             x0, x1, f0, f1 = stack.pop()
-            if f0 == f1:
-                total += f0 * (x1 - x0)
-            elif x1 - x0 < 1e-12:
+            if f0 == f1 or x1 - x0 < 1e-12:  # equal ends: 0.5 * (f0 + f1) is f0 exactly
                 total += 0.5 * (f0 + f1) * (x1 - x0)
             else:
                 mid = 0.5 * (x0 + x1)
-                fm = fn(mid)
-                stack.append((x0, mid, f0, fm))
-                stack.append((mid, x1, fm, f1))
-    return total
+                fm = probe(mid, capacity)[0]
+                stack += [(x0, mid, f0, fm), (mid, x1, fm, f1)]
+        above[a] = above[b] + total
+    return {x: (payment - x * units, above[x] - above[hi])
+            for x, (units, payment) in outcomes.items()}
 
 
 def audit_offered_utility(
@@ -289,41 +284,39 @@ def audit_offered_utility(
     reported capacity, and must fall off with the reported cost exactly as
     the integral of the allocation (the payment-identity condition).
 
+    The allocation is learnt only through the probe, by one
+    ``_scan_capacity`` per capacity: a step-free probe is called at most
+    ``_STEP_POINTS + len(grid.costs)`` times per capacity.
+
     Violations of the two shape conditions count against ``_ROUND_OFF``;
     the integral identity against ``_INTEGRAL_TOL``.  The report's violation is
     the worst excess over the applicable tolerance; ``details`` keeps each
     check's largest amount, a NaN counting as ``+inf``.
     """
+    costs = [float(c) for c in grid.costs]
+    report = AuditReport(name, 0.0, 0.0, details=dict.fromkeys(
+        ("nonneg_violation", "capacity_monotone_violation", "integral_mismatch"), 0.0))
 
-    def rho(c: float, k: int) -> float:
-        units, payment = probe(c, k)
-        return payment - c * units
+    def check(kind: str, amount: float, tolerance: float, **where) -> None:
+        report.note(amount - tolerance, dict(where, check=kind))
+        report.details[kind] = max(report.details[kind], _nan_as_inf(amount))
 
-    checks = []  # (check, amount, tolerance, where), in probing order
     by_cost: dict[float, list[tuple[int, float]]] = {}
     for k in grid.capacities:
-        rho_top = rho(cost_hi, k)
-        checks.append(("nonneg_violation", -min(rho_top, 0.0), _ROUND_OFF,
-                       {"cost": cost_hi, "capacity": k}))
-        for c in map(float, grid.costs):
-            value = rho(c, k)
-            checks.append(("nonneg_violation", -min(value, 0.0), _ROUND_OFF,
-                           {"cost": c, "capacity": k}))
+        scan = _scan_capacity(probe, k, costs, cost_hi)
+        rho_top = scan[cost_hi][0]
+        check("nonneg_violation", -min(rho_top, 0.0), _ROUND_OFF, cost=cost_hi, capacity=k)
+        for c in costs:
+            value, integral = scan[c]
+            check("nonneg_violation", -min(value, 0.0), _ROUND_OFF, cost=c, capacity=k)
             by_cost.setdefault(c, []).append((k, value))
-            integral = _step_integral(lambda z: probe(z, k)[0], c, cost_hi)
-            checks.append(("integral_mismatch", abs(value - rho_top - integral), _INTEGRAL_TOL,
-                           {"cost": c, "capacity": k, "integral": integral}))
+            check("integral_mismatch", abs(value - rho_top - integral), _INTEGRAL_TOL,
+                  cost=c, capacity=k, integral=integral)
     for c, pairs in by_cost.items():
         pairs.sort()
         for (k0, r0), (k1, r1) in zip(pairs[:-1], pairs[1:]):
-            checks.append(("capacity_monotone_violation", max(r0 - r1, 0.0), _ROUND_OFF,
-                           {"cost": c, "capacity_low": k0, "capacity_high": k1}))
-
-    report = AuditReport(name, 0.0, 0.0, details=dict.fromkeys(
-        ("nonneg_violation", "capacity_monotone_violation", "integral_mismatch"), 0.0))
-    for check, amount, tolerance, where in checks:
-        report.note(amount - tolerance, dict(where, check=check))
-        report.details[check] = max(report.details[check], _nan_as_inf(amount))
+            check("capacity_monotone_violation", max(r0 - r1, 0.0), _ROUND_OFF,
+                  cost=c, capacity_low=k0, capacity_high=k1)
     return report
 
 

@@ -147,7 +147,6 @@ def _cmd_verify(args) -> int:
 
     rng = np.random.default_rng(instance_seed)
     dist = uniform_type_distribution(config.cost_lo, config.cost_hi, 1, 5)
-    span = config.cost_hi - config.cost_lo
     for trial in range(8):
         n = int(rng.integers(2, 5))
         types = [

@@ -99,6 +99,12 @@ class ExperimentConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        # Per-unit utilities lie within R + max|cost| of 0; a run sums the largest
+        # budget's worth, the reduction squares their spread over every replication.
+        spread = 2.0 * (self.reward_scale + max(abs(self.cost_lo), abs(self.cost_hi)))
+        count = max(self.l_grid[-1], self.type_samples * self.realizations)
+        if 2.0 * math.log(spread) + math.log(count) >= math.log(np.finfo(float).max):
+            raise ConfigError("market.reward_scale and cost bounds too large: utilities overflow")
 
     def cap_bounds(self, units: int) -> tuple[int, int]:
         """Capacity prior bounds at budget ``units``: upper bound the budget

@@ -298,3 +298,36 @@ def numpy_resample_batch(bid_cost, cost_hi, mu, size, rng):
         raise RuntimeError("resampling recursion exceeded the iteration cap")
     np.minimum(alpha, cost_hi, out=alpha)
     return alpha, beta
+
+
+def step_integral(fn, lo, hi, points) -> float:
+    """Exact integral of a monotone step function over ``[lo, hi]`` via jump
+    bisection, by a fresh scan of ``points`` points per call: the offered-
+    utility audit's former per-start integral, the reference for its one
+    scan per capacity.
+
+    Bisects every cell whose endpoints differ down to width 1e-12; within a
+    constant-valued cell monotonicity guarantees the function is constant
+    throughout.
+    """
+    xs = np.linspace(lo, hi, points)
+    vals = [fn(float(x)) for x in xs]
+    total = 0.0
+    for a, b, fa, fb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
+        a, b = float(a), float(b)
+        if fa == fb:
+            total += fa * (b - a)
+            continue
+        stack = [(a, b, fa, fb)]
+        while stack:
+            x0, x1, f0, f1 = stack.pop()
+            if f0 == f1:
+                total += f0 * (x1 - x0)
+            elif x1 - x0 < 1e-12:
+                total += 0.5 * (f0 + f1) * (x1 - x0)
+            else:
+                mid = 0.5 * (x0 + x1)
+                fm = fn(mid)
+                stack.append((x0, mid, f0, fm))
+                stack.append((mid, x1, fm, f1))
+    return total

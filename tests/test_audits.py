@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procure2d import audits
 from procure2d import (
@@ -19,6 +21,7 @@ from procure2d import (
     make_ucb_batch_utility,
     uniform_type_distribution,
 )
+from oracles import step_integral
 
 DIST = uniform_type_distribution(0.0, 1.0, 1, 5)
 
@@ -116,11 +119,65 @@ class TestOfferedUtility:
         grid = DeviationGrid(np.linspace(0.0, 1.0, 7), (4,))
         report = audit_offered_utility(counted, grid, 1.0)
         assert report.passed, report.line()
-        scan_probes = 1 + len(grid.costs) * (1 + audits._STEP_POINTS)
-        assert len(calls) > scan_probes  # the bisection ran
+        scan_points = {*map(float, np.linspace(0.0, 1.0, audits._STEP_POINTS)),
+                       *map(float, grid.costs)}
+        assert set(calls) - scan_points  # the bisection ran
         wrong = audit_offered_utility(shifted, grid, 1.0)
         assert not wrong.passed
         assert wrong.witness["check"] == "integral_mismatch"
+
+    def test_step_free_probe_is_called_once_per_scan_point(self):
+        # Constant allocation priced at the upper bound: no cell is bisected,
+        # so each capacity costs one probe per scan point and nothing more.
+        calls = []
+
+        def flat(cost, capacity):
+            calls.append((cost, capacity))
+            return capacity, capacity * 1.0
+
+        grid = DeviationGrid(np.linspace(0.05, 0.95, 11), (1, 2, 3))
+        report = audit_offered_utility(flat, grid, 1.0)
+        assert report.passed, report.line()
+        budget = len(grid.capacities) * (audits._STEP_POINTS + len(grid.costs) + 1)
+        assert len(calls) <= budget
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_scan_integrals_match_per_start_integrals(self, data):
+        # Non-increasing steps with levels in [0, 1]: the two routes bisect
+        # different cells, and each trapezoid at a jump errs by under half the
+        # jump times 1e-12, so with a total drop of at most 1 they agree to 1e-12.
+        hi = 1.0
+        costs = data.draw(st.lists(st.floats(0.0, hi), min_size=1, max_size=8))
+        scan_points = np.linspace(min(costs), hi, audits._STEP_POINTS).tolist() + costs
+        steps = data.draw(st.lists(
+            st.floats(0.0, hi) | st.sampled_from(scan_points), max_size=6))
+        levels = sorted(data.draw(st.lists(
+            st.floats(0.0, 1.0), min_size=len(steps) + 1, max_size=len(steps) + 1)),
+            reverse=True)
+        closed = data.draw(st.booleans())  # which side of a step takes the lower level
+
+        def units(x):
+            return levels[sum(x >= s if closed else x > s for s in steps)]
+
+        scan = audits._scan_capacity(lambda c, k: (units(c), 0.0), 1, costs, hi)
+        for c in costs:
+            expected = step_integral(units, c, hi, audits._STEP_POINTS)
+            assert abs(scan[c][1] - expected) <= 1e-12, (c, scan[c][1], expected)
+
+
+def test_opt_probe_runs_the_auction_once_per_bid(monkeypatch):
+    # Audits sharing a probe revisit the same bids; equal costs of either
+    # float type are one bid.
+    runs, run = [], audits.run_2d_opt
+    monkeypatch.setattr(audits, "run_2d_opt", lambda *args: runs.append(args) or run(*args))
+    market, types = instance(4)
+    probe = make_opt_probe(market, np.array([t.quality for t in types]),
+                           [t.truthful_bid() for t in types], 1)
+    first = probe(0.25, 2)
+    assert probe(np.float64(0.25), np.int64(2)) == first and len(runs) == 1
+    probe(0.25, 1)
+    assert len(runs) == 2
 
 
 class TestDsic:

@@ -259,6 +259,24 @@ def test_non_finite_cost_bound_is_a_clean_error(bids_file, tmp_path, capsys, com
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_overflowing_reward_scale_is_one_error_line(tmp_path, capsys, threads):
+    # Utilities near 1e308 per unit overflow a float; the config check refuses
+    # them before any auction runs, so no numpy warning text reaches stderr.
+    conf = tmp_path / "huge.ini"
+    conf.write_text("[market]\nreward_scale = 1e308\n\n[experiment]\n"
+                    "l_grid = 1000\ntype_samples = 1\nrealizations = 2\n")
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(conf), "--out", str(out_dir),
+                     "--threads", str(threads)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "market.reward_scale" in err and err.count("\n") == 1
+    assert caught == []
+    assert not out_dir.exists()
+
+
 def test_plot_refuses_nan_results(tmp_path, capsys):
     results = tmp_path / "results.csv"
     results.write_text(
