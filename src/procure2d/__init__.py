@@ -9,7 +9,6 @@ the incentive guarantees, and the simulation harness behind the ``procure2d``
 command-line tool.
 """
 
-from .allocation import alloc_greedy
 from .audits import (
     AuditReport,
     DeviationGrid,
@@ -50,7 +49,7 @@ from .model import (
     sample_reward_realization,
     uniform_type_distribution,
 )
-from .optimal import MechanismOutcome, auctioneer_utility, integral_payment, run_2d_opt
+from .optimal import MechanismOutcome, alloc_greedy, auctioneer_utility, run_2d_opt
 from .resample import (
     ResampleDraw,
     resample_batch,
@@ -85,7 +84,6 @@ __all__ = [
     "audit_resampler",
     "audit_stochastic_bic",
     "emit_results",
-    "integral_payment",
     "make_opt_probe",
     "make_ucb_batch_utility",
     "parse_config",

@@ -24,6 +24,11 @@ class UcbBuildError(OSError):
     """The C round loop could not be compiled or loaded."""
 
 
+class ResampleCapError(RuntimeError):
+    """The resampler still moved after its cap of passes: ``mu`` is too close
+    to 1 for the geometric recursion to end."""
+
+
 class _Array:
     """The argtype of a C-contiguous array of ``dtype``, writable when
     ``out``, checked before any C code runs.  It passes the address as a
@@ -61,7 +66,7 @@ def _check_status(status, func, args):
         where = "the resampler" if func.__name__ == "resample" else "the UCB round loop"
         raise MemoryError(f"out of memory in {where}")
     if status == -2:
-        raise RuntimeError("resampling recursion exceeded the iteration cap")
+        raise ResampleCapError("resampling recursion exceeded the iteration cap")
     if status == -3:
         cost_hi = args[4][0] if len(args[4]) == 1 else args[4].tolist()
         raise ValueError(f"bid costs must be at most cost_hi {cost_hi}, got {args[3].max()}")

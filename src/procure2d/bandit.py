@@ -4,11 +4,12 @@
 every agent supplies one unit to seed an empirical quality estimate, and each
 later round goes to the capacity-feasible agent with the best optimistic
 score ``R * (q_hat + width(t) / sqrt(n_i)) - H(alpha)``, where
-``width(t) = sqrt(c ln t)`` (``c = 1/2`` by default, ``c = 2`` is UCB1's wide
-bonus) and ties go to the lowest index.  The first non-positive best score
-ends the whole auction.  Payments follow the resampling transformation: bid
-cost per unit, plus the ``1/mu`` premium when the agent's beta moved
-(``resample.transform_premium``, the rule every mechanism here pays by).
+``width(t) = sqrt(c ln t)`` with the constant ``c = 1/2`` (``_BONUS_SCALE``;
+UCB1's wide bonus has ``c = 2``) and ties go to the lowest index.  The first
+non-positive best score ends the whole auction.  Payments follow the
+resampling transformation: bid cost per unit, plus the ``1/mu`` premium when
+the agent's beta moved (``resample.transform_premium``, the rule every
+mechanism here pays by).
 
 The rule has one implementation, the round loop in ``_ucb.c``: a seeding
 pass, then every round a full scan over the agents below capacity, for a
@@ -104,26 +105,27 @@ def _resolve_draws(bids, distributions, mu, seed, draws):
     return resample_streams([bid.cost for bid in bids], highs, mu, child_states(seed, len(bids)))
 
 
-# Bonus widths ``sqrt(c ln t)`` by bonus scale ``c``, shared by every run in
-# the process and grown on demand to the largest budget seen.
-_WIDTHS: dict[float, np.ndarray] = {}
+# The bonus scale ``c``, and the widths ``sqrt(c ln t)``, shared by every run
+# in the process and grown on demand to the largest budget seen (entry 0 is
+# unused).
+_BONUS_SCALE = 0.5
+_WIDTHS = np.full(1, math.nan)
 
 # ``1 / sqrt(c)`` for every sample count ``c``, entry 0 being 0.0 (an agent
 # with no sample), shared by both UCB runners and grown on demand.
 _INV_SQRT = np.zeros(1)
 
 
-def _bonus_widths(bonus_scale: float, n_rounds: int) -> np.ndarray:
-    """Widths ``sqrt(bonus_scale * ln t)`` for every round ``t < n_rounds``
-    (entry 0 is unused), always built with ``math.log`` and ``math.sqrt`` so
-    that every caller sees the same bits whatever its budget."""
-    widths = _WIDTHS.get(bonus_scale)
-    if widths is None:
-        widths = np.full(1, math.nan)
+def _bonus_widths(n_rounds: int) -> np.ndarray:
+    """Widths ``sqrt(_BONUS_SCALE * ln t)`` for every round ``t < n_rounds``,
+    always built with ``math.log`` and ``math.sqrt`` so that every caller sees
+    the same bits whatever its budget."""
+    global _WIDTHS
+    widths = _WIDTHS
     if len(widths) < n_rounds:
-        grown = (math.sqrt(bonus_scale * math.log(t)) for t in range(len(widths), n_rounds))
+        grown = (math.sqrt(_BONUS_SCALE * math.log(t)) for t in range(len(widths), n_rounds))
         widths = np.concatenate([widths, np.fromiter(grown, float, n_rounds - len(widths))])
-        _WIDTHS[bonus_scale] = widths
+        _WIDTHS = widths
     return widths
 
 
@@ -147,21 +149,19 @@ def run_2d_ucb(
     *,
     resample_draws: Sequence[ResampleDraw] | None = None,
     record_trace: bool = True,
-    bonus_scale: float = 0.5,
 ) -> tuple[MechanismOutcome, RunTrace | None]:
     """One full learning auction over ``config.units`` rounds.
 
     Requires ``units >= n_agents`` so the seeding pass is feasible.  The
     reported auctioneer utility is realized (reward scale times observed
     successes, minus payments), not the expectation under the true qualities,
-    which the mechanism never sees.  ``bonus_scale`` is ``c`` in the
-    exploration width ``sqrt(c ln t)``.  The narrow 0.5 is the default: with
-    reward scales tens of times the cost range, UCB1's wide bonus (2.0) keeps
-    every score optimistic long past the point where the estimates separate,
-    and the learner then trails even the explore-then-commit baselines at
-    realistic budgets.  The narrow bonus keeps the logarithmic exploration
-    schedule and lets the learner approach the omniscient benchmark faster
-    than every baseline.
+    which the mechanism never sees.  The exploration width ``sqrt(c ln t)``
+    has the narrow ``c = 0.5``: with reward scales tens of times the cost
+    range, UCB1's wide bonus (``c = 2``) keeps every score optimistic long
+    past the point where the estimates separate, and the learner then trails
+    even the explore-then-commit baselines at realistic budgets.  The narrow
+    bonus keeps the logarithmic exploration schedule and lets the learner
+    approach the omniscient benchmark faster than every baseline.
 
     Optimistic scores are recomputed for every agent at every round: a score
     must be a function of (estimate, samples, round) alone, never of when the
@@ -175,8 +175,6 @@ def run_2d_ucb(
     n_rounds = config.units
     if config.check_run(bids, realization):
         raise ValueError(f"run_2d_ucb takes one {n}x{n_rounds} table, got a stack")
-    if not 0.0 <= bonus_scale < math.inf:
-        raise ValueError(f"bonus_scale must be finite and >= 0, got {bonus_scale}")
 
     draws = _resolve_draws(bids, config.distributions, mu, seed, resample_draws)
     reward_scale = config.reward_scale
@@ -196,7 +194,7 @@ def run_2d_ucb(
     stop_score = np.empty(1)
     stop = _library().ucb_run(
         n, n_rounds, reward_scale, np.array(h), np.array(caps, dtype=np.int64), table,
-        _bonus_widths(bonus_scale, n_rounds), _inv_sqrt_counts(n_rounds + 1),
+        _bonus_widths(n_rounds), _inv_sqrt_counts(n_rounds + 1),
         units, succ, trace_len, picks, rewards, scores, stop_score,
     )
 
@@ -225,14 +223,20 @@ def run_2d_ucb(
 _MIN_CHUNK = 2048
 
 
+def _cpus() -> int:
+    """How many CPUs this process may run on: its affinity set where the
+    platform has one, else the CPU count.  Caps the threads of
+    ``run_ucb_batch`` and the worker processes of ``run_experiment``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _workers(samples: int) -> int:
     """How many chunks ``run_ucb_batch`` splits ``samples`` into: one per CPU
     this process may run on, each of at least ``_MIN_CHUNK`` samples."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, samples // _MIN_CHUNK))
+    return max(1, min(_cpus(), samples // _MIN_CHUNK))
 
 
 def run_ucb_batch(
@@ -246,8 +250,8 @@ def run_ucb_batch(
     capacities from ``bids``.  ``realizations`` holds a (samples, n, units)
     stack and ``virtual_costs`` the (samples, n) H values at each sample's
     resampled costs.  Returns (units, successes), each (samples, n).  Every
-    sample runs ``run_2d_ucb``'s round loop with the default (narrow) bonus,
-    so the two make the same decisions; the C loop advances the samples in
+    sample runs ``run_2d_ucb``'s round loop with the same bonus widths, so
+    the two make the same decisions; the C loop advances the samples in
     blocks of a few at a time.
 
     The samples are split into contiguous chunks, one per CPU this process
@@ -273,7 +277,7 @@ def run_ucb_batch(
     # Resolved before any thread starts, so that no thread builds the library
     # or grows the shared tables.
     ucb_batch = _library().ucb_batch
-    widths, inv_sqrt = _bonus_widths(0.5, n_rounds), _inv_sqrt_counts(n_rounds + 1)
+    widths, inv_sqrt = _bonus_widths(n_rounds), _inv_sqrt_counts(n_rounds + 1)
     chunks = _workers(samples)
     edges = [samples * k // chunks for k in range(chunks + 1)]
     errors = [None] * chunks

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import audits
+from ._native import ResampleCapError
 from .bandit import run_2d_ucb
 from .harness import (
     ExperimentConfig,
@@ -267,6 +268,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ResampleCapError as exc:
+        # Every resampled bid of a command is drawn at the configured mu.
+        print(f"error: {exc}: ucb.mu is too close to 1", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",

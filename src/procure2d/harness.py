@@ -26,7 +26,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .bandit import run_2d_ucb, run_eps_separated
+from .bandit import _cpus, run_2d_ucb, run_eps_separated
 from .model import Bid, MarketConfig, sample_reward_realization, uniform_type_distribution
 from .optimal import run_2d_opt
 from .resample import generator_at, resample_streams, state_dict, stream_states
@@ -305,13 +305,14 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRow
 
     Deterministic for a fixed config regardless of ``threads``: cells are
     computed independently and reduced in a fixed order.  ``threads`` must be
-    at least 1; more workers than cells or CPUs are never started.
+    at least 1; more workers than cells, or than CPUs this process may run
+    on, are never started.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     cells = [(l_index, ts) for l_index in range(len(config.l_grid))
              for ts in range(config.type_samples)]
-    workers = min(threads, len(cells), os.cpu_count() or 1)
+    workers = min(threads, len(cells), _cpus())
     args = ([config] * len(cells), *zip(*cells))
     if workers <= 1:
         outputs = list(map(_run_cell, *args))

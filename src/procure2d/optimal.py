@@ -6,11 +6,11 @@ bid and still won that unit against the competition, capped at their upper
 cost bound.  ``run_2d_opt`` sorts the agents by score once per auction; the
 allocation is one walk of that order, and each winner's rivals are priced by
 another walk of the same order over the residual capacities, with that
-winner left out.  ``integral_payment`` recomputes the same amount through the
+winner left out.  The test suite recomputes every payment through the
 equivalent cost-integral form (bid cost times units, plus the integral of
-the allocation over all higher cost bids) by exact summation of the step
-function; the two routes agreeing is the main correctness check on the
-payment rule.
+the allocation over all higher cost bids); the two agreeing is the main
+correctness check on the payment rule.  ``alloc_greedy`` is the same walk
+behind a validating wrapper, for callers holding a score vector.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .allocation import _score_order, _walk, alloc_greedy
 from .model import Bid, MarketConfig, _check_qualities
 
 __all__ = [
     "MechanismOutcome",
+    "alloc_greedy",
     "run_2d_opt",
-    "integral_payment",
     "auctioneer_utility",
 ]
 
@@ -49,19 +48,53 @@ def auctioneer_utility(allocation, payments, qualities, reward_scale: float) -> 
     return float(np.dot(allocation, reward_scale * q) - payments.sum())
 
 
-def _validate_instance(config: MarketConfig, qualities, bids: Sequence[Bid]) -> list[float]:
-    config.check_bids(bids)
-    return _check_qualities(qualities, config.n_agents)
+def _score_order(scores) -> list[int]:
+    """Agent indices by non-increasing score, ties by ascending index."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
 
-def _scores(config: MarketConfig, q: list[float], bids: Sequence[Bid]) -> list[float]:
-    scores = [
-        dist.g_score(q[i], config.reward_scale, bids[i].cost, bids[i].capacity)
-        for i, dist in enumerate(config.distributions)
-    ]
-    if not all(map(math.isfinite, scores)):
+def _walk(order, scores, capacities, budget: int) -> list[int]:
+    """Units per agent from walking ``order``: each agent takes
+    ``min(capacity, remaining budget)``; the walk stops at the first negative
+    score or when the budget runs out."""
+    units = [0] * len(scores)
+    remaining = budget
+    for i in order:
+        if remaining <= 0 or scores[i] < 0.0:
+            break
+        take = min(capacities[i], remaining)
+        units[i] = take
+        remaining -= take
+    return units
+
+
+def alloc_greedy(scores, capacities, budget: int) -> np.ndarray:
+    """Allocate up to ``budget`` units greedily by non-increasing score.
+
+    Agents are processed in non-increasing score order (ties broken by
+    ascending index); each receives ``min(capacity, remaining budget)``.
+    Processing stops at the first negative score or when the budget runs out;
+    zero-score agents are eligible.  For non-negative capacities this
+    maximizes ``sum(scores * units)`` over integer allocations with
+    ``units <= capacities`` and ``sum(units) <= budget``.
+    """
+    scores = np.asarray(scores, dtype=float)
+    caps = np.asarray(capacities)
+    if scores.ndim != 1 or caps.shape != scores.shape:
+        raise ValueError("scores and capacities must be equal-length vectors")
+    if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    return scores
+    if not np.issubdtype(caps.dtype, np.integer):
+        raise TypeError("capacities must be integers")
+    if caps.size and caps.min() < 0:
+        raise ValueError("capacities must be >= 0")
+    budget = int(budget)
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+
+    scores = scores.tolist()
+    units = _walk(_score_order(scores), scores, caps.tolist(), budget)
+    return np.array(units, dtype=np.int64)
 
 
 def run_2d_opt(
@@ -77,10 +110,16 @@ def run_2d_opt(
     bound.  Losers pay and receive nothing.  Every ``TypeDistribution`` is
     regular (its virtual cost increases in cost), so no prior is refused.
     """
-    q = _validate_instance(config, qualities, bids)
+    config.check_bids(bids)
+    q = _check_qualities(qualities, config.n_agents)
     reward_scale = config.reward_scale
     caps = [bid.capacity for bid in bids]
-    scores = _scores(config, q, bids)
+    scores = [
+        dist.g_score(q[i], reward_scale, bids[i].cost, caps[i])
+        for i, dist in enumerate(config.distributions)
+    ]
+    if not all(map(math.isfinite, scores)):
+        raise ValueError("scores must be finite")
     order = _score_order(scores)
     units = _walk(order, scores, caps, config.units)
 
@@ -110,49 +149,3 @@ def run_2d_opt(
     payments = np.array(payments)
     return MechanismOutcome(units, payments, auctioneer_utility(units, payments, q, reward_scale))
 
-
-def integral_payment(
-    config: MarketConfig,
-    qualities,
-    bids: Sequence[Bid],
-    agent: int,
-) -> float:
-    """Payment to ``agent`` via the cost-integral identity.
-
-    Computes ``c_i * x_i(c_i) + integral over z in [c_i, cost_hi] of x_i(z)``
-    where ``x_i(z)`` is the allocation to the agent were it to bid cost z,
-    everything else fixed.  The allocation is a step function of z; its
-    breakpoints are the bids at which some competitor's score overtakes the
-    agent's, so the integral is an exact finite sum evaluated at segment
-    midpoints.
-    """
-    q = _validate_instance(config, qualities, bids)
-    i = agent
-    dist_i = config.distributions[i]
-    cost_lo, cost_hi = dist_i.cost_bounds
-    bid_cost = bids[i].cost
-    cap_i = bids[i].capacity
-    reward_scale = config.reward_scale
-    caps = np.array([bid.capacity for bid in bids], dtype=np.int64)
-    scores = _scores(config, q, bids)
-
-    def units_at(z: float) -> int:
-        s = scores.copy()
-        s[i] = dist_i.g_score(q[i], reward_scale, z, cap_i)
-        return int(alloc_greedy(s, caps, config.units)[i])
-
-    score_at_lo = dist_i.g_score(q[i], reward_scale, cost_lo, cap_i)
-    cuts = {bid_cost, cost_hi}
-    rival_scores = [float(scores[k]) for k in range(len(bids)) if k != i]
-    for g in rival_scores + [0.0]:
-        if g <= score_at_lo:
-            z = dist_i.g_inverse(q[i], reward_scale, g, cap_i)
-            if bid_cost < z < cost_hi:
-                cuts.add(z)
-
-    points = sorted(cuts)
-    total = 0.0
-    for a, b in zip(points[:-1], points[1:]):
-        if b > a:
-            total += units_at(0.5 * (a + b)) * (b - a)
-    return bid_cost * units_at(bid_cost) + total

@@ -261,8 +261,9 @@ def self_resample(bid_cost: float, bounds: tuple[float, float], mu: float, seed)
     ``default_rng(seed)``.  Deterministic given ``seed``.
 
     The recursion depth is geometric with mean ``1/(1 - mu)``; a hard cap of
-    ``10**6`` passes guards against pathological generators and raises
-    ``RuntimeError`` rather than silently truncating.
+    ``10**6`` passes guards against ``mu`` so near 1 that the recursion
+    practically never ends, and raises ``RuntimeError`` rather than silently
+    truncating.
     """
     lo, hi = bounds
     if not lo <= bid_cost <= hi:

@@ -7,10 +7,12 @@ paths under test.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 
 import numpy as np
+import pytest
 
 from procure2d import (
     AgentType,
@@ -26,6 +28,7 @@ from procure2d import (
     sample_reward_realization,
     uniform_type_distribution,
 )
+from procure2d import bandit
 from procure2d.harness import _exponent_label
 
 
@@ -142,11 +145,25 @@ def scalar_ucb_run(config, bids, realization, mu, draws, bonus_scale=0.5):
     return MechanismOutcome(np.array(counts, dtype=np.int64), payments, utility), trace
 
 
+@contextlib.contextmanager
+def patched_bonus_scale(c):
+    """Inside the block, ``run_2d_ucb`` and ``run_ucb_batch`` explore with the
+    width ``sqrt(c ln t)``, as ``scalar_ucb_run`` does at ``bonus_scale=c``.
+    Any ``c`` but the package's own gets a width table of its own, and both
+    are restored on exit; the package's own keeps the shared table."""
+    with pytest.MonkeyPatch.context() as patch:
+        if c != bandit._BONUS_SCALE:
+            patch.setattr(bandit, "_BONUS_SCALE", c)
+            patch.setattr(bandit, "_WIDTHS", np.full(1, math.nan))
+        yield
+
+
 def greedy_units_numpy(scores, capacities, budget) -> np.ndarray:
     """The greedy rule on numpy arrays: one ``np.lexsort`` by descending
     score, ties by ascending index, then each agent in turn takes
     ``min(capacity, remaining)`` until the budget is spent or a score is
-    negative.  The reference for ``alloc_greedy`` and ``run_2d_opt``."""
+    negative.  The reference for ``alloc_greedy`` and ``run_2d_opt``, and the
+    allocator of ``integral_payment``."""
     scores = np.asarray(scores, dtype=float)
     caps = np.asarray(capacities)
     units = np.zeros(scores.size, dtype=np.int64)
@@ -159,6 +176,52 @@ def greedy_units_numpy(scores, capacities, budget) -> np.ndarray:
         units[idx] = take
         remaining -= take
     return units
+
+
+def integral_payment(config, qualities, bids, agent: int) -> float:
+    """Payment to ``agent`` via the cost-integral identity (Myerson 1981):
+    the reference for ``run_2d_opt``'s threshold payments.
+
+    Computes ``c_i * x_i(c_i) + integral over z in [c_i, cost_hi] of x_i(z)``
+    where ``x_i(z)`` is the allocation to the agent were it to bid cost z,
+    everything else fixed, by ``greedy_units_numpy``.  The allocation is a
+    step function of z; its breakpoints are the bids at which some
+    competitor's score overtakes the agent's, so the integral is an exact
+    finite sum evaluated at segment midpoints.
+    """
+    q = np.asarray(qualities, dtype=float).tolist()
+    i = agent
+    dist_i = config.distributions[i]
+    cost_lo, cost_hi = dist_i.cost_bounds
+    bid_cost = bids[i].cost
+    cap_i = bids[i].capacity
+    reward_scale = config.reward_scale
+    caps = np.array([bid.capacity for bid in bids], dtype=np.int64)
+    scores = [
+        dist.g_score(q[k], reward_scale, bids[k].cost, bids[k].capacity)
+        for k, dist in enumerate(config.distributions)
+    ]
+
+    def units_at(z: float) -> int:
+        s = scores.copy()
+        s[i] = dist_i.g_score(q[i], reward_scale, z, cap_i)
+        return int(greedy_units_numpy(s, caps, config.units)[i])
+
+    score_at_lo = dist_i.g_score(q[i], reward_scale, cost_lo, cap_i)
+    cuts = {bid_cost, cost_hi}
+    rival_scores = [float(scores[k]) for k in range(len(bids)) if k != i]
+    for g in rival_scores + [0.0]:
+        if g <= score_at_lo:
+            z = dist_i.g_inverse(q[i], reward_scale, g, cap_i)
+            if bid_cost < z < cost_hi:
+                cuts.add(z)
+
+    points = sorted(cuts)
+    total = 0.0
+    for a, b in zip(points[:-1], points[1:]):
+        if b > a:
+            total += units_at(0.5 * (a + b)) * (b - a)
+    return bid_cost * units_at(bid_cost) + total
 
 
 def opt_auction_numpy(config, qualities, bids) -> MechanismOutcome:

@@ -21,7 +21,6 @@ from procure2d import (
     alloc_greedy,
     audit_resampler,
     audit_stochastic_bic,
-    integral_payment,
     make_opt_probe,
     make_ucb_batch_utility,
     resample_batch,
@@ -34,7 +33,12 @@ from procure2d import (
 from procure2d import audits
 from procure2d.cli import main as cli_main
 
-from oracles import brute_force_best_value, random_small_instance, units_vs_own_score
+from oracles import (
+    brute_force_best_value,
+    integral_payment,
+    random_small_instance,
+    units_vs_own_score,
+)
 
 REWARD = 30.0
 

@@ -19,7 +19,7 @@ from procure2d import (
 )
 from procure2d.bandit import _round_robin_split
 
-from oracles import round_robin_explore
+from oracles import patched_bonus_scale, round_robin_explore
 
 DIST = uniform_type_distribution(0.0, 1.0, 1, 50)
 
@@ -251,10 +251,8 @@ def test_wide_bonus_switch_changes_run():
     bids = [Bid(0.4, 18), Bid(0.45, 18)]
     table = sample_reward_realization([0.9, 0.4], 20, 2)
     narrow_out, _ = run_2d_ucb(m, bids, table, 0.1, 0, resample_draws=pinned(bids))
-    wide_out, _ = run_2d_ucb(
-        m, bids, table, 0.1, 0,
-        resample_draws=pinned(bids), bonus_scale=2.0,
-    )
+    with patched_bonus_scale(2.0):
+        wide_out, _ = run_2d_ucb(m, bids, table, 0.1, 0, resample_draws=pinned(bids))
     # both allocate the full budget; the wider bonus explores more
     assert narrow_out.allocation.sum() == wide_out.allocation.sum() == 20
     assert narrow_out.allocation[0] >= wide_out.allocation[0]

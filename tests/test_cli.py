@@ -277,6 +277,42 @@ def test_overflowing_reward_scale_is_one_error_line(tmp_path, capsys, threads):
     assert not out_dir.exists()
 
 
+NEAR_ONE_MU_CONF = """[ucb]
+mu = 0.99999999999
+
+[experiment]
+l_grid = 20
+type_samples = {type_samples}
+realizations = 1
+"""
+
+
+@pytest.mark.parametrize("threads, type_samples", [(1, 1), (2, 1), (2, 2)])
+def test_mu_near_one_is_one_error_line(tmp_path, capsys, threads, type_samples):
+    # The config check admits any mu below 1, but this close to 1 a resampled
+    # bid still moves after the resampler's cap of passes.  Two type samples
+    # at two threads draw their bids in worker processes.
+    conf = tmp_path / "mu.ini"
+    conf.write_text(NEAR_ONE_MU_CONF.format(type_samples=type_samples))
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", str(conf), "--out", str(out_dir),
+                 "--threads", str(threads)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ucb.mu" in err and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_mu_near_one_in_ucb_is_one_error_line(bids_file, tmp_path, capsys):
+    conf = tmp_path / "mu.ini"
+    conf.write_text(NEAR_ONE_MU_CONF.format(type_samples=1))
+    out_dir = tmp_path / "out"
+    assert main(["ucb", str(bids_file), "--units", "20", "--config", str(conf),
+                 "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ucb.mu" in err and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_plot_refuses_nan_results(tmp_path, capsys):
     results = tmp_path / "results.csv"
     results.write_text(

@@ -1,4 +1,5 @@
 import math
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -168,10 +169,23 @@ class TestRunExperiment:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         rows = run_experiment(TINY, threads=threads)  # TINY has 4 cells
         assert started == ([] if workers is None else [workers])
         assert rows == run_experiment(TINY, threads=1)
+
+    def test_one_allowed_cpu_starts_no_pool(self, monkeypatch):
+        # The pool is capped by the CPUs the process may run on, as
+        # run_ucb_batch's threads are, not by the CPUs the host has.
+        expected = run_experiment(TINY, threads=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert run_experiment(TINY, threads=2) == expected
 
     def test_thread_count_below_one_rejected(self):
         with pytest.raises(ValueError, match="threads"):

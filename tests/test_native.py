@@ -19,7 +19,7 @@ def arguments(name):
     if name == "ucb_run":
         table = sample_reward_realization([0.9, 0.5, 0.7], 12, 0).table
         args = [3, 12, 10.0, np.array([0.2, 0.5, 0.9]), np.full(3, 5, dtype=np.int64), table,
-                bandit._bonus_widths(0.5, 12).copy(), bandit._inv_sqrt_counts(13).copy(),
+                bandit._bonus_widths(12).copy(), bandit._inv_sqrt_counts(13).copy(),
                 np.full(3, -7, dtype=np.int64), np.full(3, -7, dtype=np.int64), 9,
                 np.full(9, -7, dtype=np.int64), np.full(9, 7, dtype=np.uint8), np.full(9, -7.0),
                 np.full(1, -7.0)]
@@ -27,7 +27,7 @@ def arguments(name):
     elif name == "ucb_batch":
         table = RewardRealization(rng.random((2, 3, 12)) < 0.7).table
         args = [2, 3, 12, 10.0, np.array([[0.2, 0.5, 0.9], [0.9, 0.2, 0.5]]),
-                np.full(3, 5, dtype=np.int64), table, bandit._bonus_widths(0.5, 12).copy(),
+                np.full(3, 5, dtype=np.int64), table, bandit._bonus_widths(12).copy(),
                 bandit._inv_sqrt_counts(13).copy(), np.full((2, 3), -7, dtype=np.int64),
                 np.full((2, 3), -7, dtype=np.int64)]
         outputs = {9, 10}

@@ -9,14 +9,18 @@ from procure2d import (
     audit_dsic,
     audit_offered_utility,
     auctioneer_utility,
-    integral_payment,
     make_opt_probe,
     run_2d_opt,
     sample_reward_realization,
     uniform_type_distribution,
 )
 
-from oracles import brute_force_best_value, opt_auction_numpy, random_small_instance
+from oracles import (
+    brute_force_best_value,
+    integral_payment,
+    opt_auction_numpy,
+    random_small_instance,
+)
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import scalar_ucb_run
+from oracles import patched_bonus_scale, scalar_ucb_run
 
 from procure2d import (
     Bid,
@@ -38,9 +38,11 @@ LANES = int(re.search(r"^#define LANES (\d+)$", Path(_native._SOURCE).read_text(
 
 def assert_matches_oracle(market, bids, table, draws, bonus_scale):
     mu = 0.1
-    outcome, trace = run_2d_ucb(
-        market, bids, table, mu, 0, resample_draws=draws, bonus_scale=bonus_scale
-    )
+    with patched_bonus_scale(bonus_scale):
+        outcome, trace = run_2d_ucb(market, bids, table, mu, 0, resample_draws=draws)
+        untraced, none = run_2d_ucb(
+            market, bids, table, mu, 0, resample_draws=draws, record_trace=False
+        )
     expected, expected_trace = scalar_ucb_run(market, bids, table, mu, draws, bonus_scale)
     assert outcome.allocation.tolist() == expected.allocation.tolist()
     assert outcome.payments.tolist() == expected.payments.tolist()
@@ -50,10 +52,6 @@ def assert_matches_oracle(market, bids, table, draws, bonus_scale):
         assert step.agent is None or type(step.agent) is int
         assert step.reward is None or type(step.reward) is int
         assert step.g_hat is None or type(step.g_hat) is float
-    untraced, none = run_2d_ucb(
-        market, bids, table, mu, 0, resample_draws=draws, bonus_scale=bonus_scale,
-        record_trace=False,
-    )
     assert none is None
     assert untraced.allocation.tolist() == expected.allocation.tolist()
     return trace
@@ -144,8 +142,9 @@ def test_leader_changes_on_most_rounds(caps, rival_cost, bonus_scale):
     agents = trace.agents()
     assert len(agents) == units and agents.count(0) == min(caps[0], units // 2)
     assert sum(a != b for a, b in zip(agents, agents[1:])) > units // 2
-    untraced, _ = run_2d_ucb(market, bids, table, 0.1, 0, resample_draws=draws,
-                             bonus_scale=bonus_scale, record_trace=False)
+    with patched_bonus_scale(bonus_scale):
+        untraced, _ = run_2d_ucb(market, bids, table, 0.1, 0, resample_draws=draws,
+                                 record_trace=False)
     expected, _ = scalar_ucb_run(market, bids, table, 0.1, draws, bonus_scale)
     assert untraced.payments.tolist() == expected.payments.tolist()
     assert untraced.auctioneer_utility == expected.auctioneer_utility
@@ -204,8 +203,9 @@ def test_only_live_agent_stops_on_non_positive_score():
 @pytest.mark.parametrize("bonus_scale", [0.5, 2.0])
 def test_bonus_widths_never_shrink(monkeypatch, bonus_scale):
     # The table is grown from scratch, as a fresh process grows it.
-    monkeypatch.setattr(bandit, "_WIDTHS", {})
-    widths = bandit._bonus_widths(bonus_scale, 100_001)
+    monkeypatch.setattr(bandit, "_BONUS_SCALE", bonus_scale)
+    monkeypatch.setattr(bandit, "_WIDTHS", np.full(1, math.nan))
+    widths = bandit._bonus_widths(100_001)
     assert len(widths) == 100_001
     assert (np.diff(widths[1:]) >= 0.0).all()
 
@@ -418,7 +418,7 @@ def test_batch_sizes_straddle_block_edges(samples):
     guarded = [np.full((samples + LANES, 3), -7, dtype=np.int64) for _ in range(2)]
     _native._library().ucb_batch(
         samples, 3, 40, 1.0, h[:samples], np.array(caps, dtype=np.int64), table[:samples],
-        bandit._bonus_widths(0.5, 40), bandit._inv_sqrt_counts(41),
+        bandit._bonus_widths(40), bandit._inv_sqrt_counts(41),
         guarded[0][:samples], guarded[1][:samples],
     )
     assert (guarded[0][samples:] == -7).all() and (guarded[1][samples:] == -7).all()
