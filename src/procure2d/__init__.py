@@ -28,6 +28,7 @@ from .bandit import (
     run_2d_ucb,
     run_eps_separated,
     run_ucb_batch,
+    seeded_draws,
 )
 from .harness import (
     ConfigError,
@@ -50,12 +51,7 @@ from .model import (
     uniform_type_distribution,
 )
 from .optimal import MechanismOutcome, alloc_greedy, auctioneer_utility, run_2d_opt
-from .resample import (
-    ResampleDraw,
-    resample_batch,
-    self_resample,
-    transform_premium,
-)
+from .resample import resample_batch, self_resample, transform_premium
 
 __version__ = "0.1.0"
 
@@ -68,7 +64,6 @@ __all__ = [
     "ExperimentConfig",
     "MarketConfig",
     "MechanismOutcome",
-    "ResampleDraw",
     "ResultRow",
     "RewardRealization",
     "RunTrace",
@@ -97,6 +92,7 @@ __all__ = [
     "run_experiment",
     "run_ucb_batch",
     "sample_reward_realization",
+    "seeded_draws",
     "self_resample",
     "transform_premium",
     "uniform_type_distribution",

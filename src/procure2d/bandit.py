@@ -1,6 +1,7 @@
 """Sequential procurement with quality learning.
 
-``run_2d_ucb`` buys one unit per round: bids are resampled once up front,
+``run_2d_ucb`` buys one unit per round on bids resampled once up front, the
+pair ``(alpha, beta)`` it is handed (``seeded_draws`` draws one from a seed):
 every agent supplies one unit to seed an empirical quality estimate, and each
 later round goes to the capacity-feasible agent with the best optimistic
 score ``R * (q_hat + width(t) / sqrt(n_i)) - H(alpha)``, where
@@ -49,7 +50,7 @@ import numpy as np
 from ._native import UcbBuildError, _library
 from .model import Bid, MarketConfig, RewardRealization
 from .optimal import MechanismOutcome, run_2d_opt
-from .resample import ResampleDraw, child_states, resample_streams, transform_premium
+from .resample import child_states, resample_streams, transform_premium
 # Only so that the attribute perfbench's tracer wraps exists
 # (tests/test_exports.py): no command draws through it, so its layer reads 0.
 from .resample import self_resample  # noqa: F401
@@ -58,6 +59,7 @@ __all__ = [
     "TraceStep",
     "RunTrace",
     "UcbBuildError",
+    "seeded_draws",
     "run_2d_ucb",
     "run_ucb_batch",
     "run_eps_separated",
@@ -93,16 +95,24 @@ class RunTrace:
                 fh.write(f"{s.round},{agent},{reward},{g_hat}\n")
 
 
-def _resolve_draws(bids, distributions, mu, seed, draws):
-    """The resample draws of a run: ``draws`` when given, one per bid, else
-    one draw per bid, bid ``i``'s on child ``(i,)`` of ``seed``, all in one
-    call of the resampler."""
-    if draws is not None:
-        if len(draws) != len(bids):
-            raise ValueError("need one resample draw per bid")
-        return list(draws)
-    highs = [dist.cost_bounds[1] for dist in distributions]
+def seeded_draws(config: MarketConfig, bids: Sequence[Bid], mu: float, seed):
+    """The resampled bids of a run on ``seed``, the arrays ``(alpha, beta)``
+    with one entry each per bid: bid ``i`` resampled on child ``(i,)`` of
+    ``seed``, all bids in one resampler call.  A ``SeedSequence`` passed in
+    is not spent."""
+    config.check_bids(bids)
+    highs = [dist.cost_bounds[1] for dist in config.distributions]
     return resample_streams([bid.cost for bid in bids], highs, mu, child_states(seed, len(bids)))
+
+
+def _draw_lists(draws, n: int) -> tuple[list[float], list[float]]:
+    """A run's pair ``(alpha, beta)`` as two lists of floats, refused unless
+    it holds one alpha and one beta per bid."""
+    alpha, beta = (np.asarray(side, dtype=float) for side in draws)
+    if alpha.shape != (n,) or beta.shape != (n,):
+        raise ValueError(f"need one alpha and one beta per bid: {n} bids, got alpha of shape "
+                         f"{alpha.shape} and beta of shape {beta.shape}")
+    return alpha.tolist(), beta.tolist()
 
 
 # The bonus scale ``c``, and the widths ``sqrt(c ln t)``, shared by every run
@@ -145,12 +155,12 @@ def run_2d_ucb(
     bids: Sequence[Bid],
     realization: RewardRealization,
     mu: float,
-    seed,
+    draws,
     *,
-    resample_draws: Sequence[ResampleDraw] | None = None,
     record_trace: bool = True,
 ) -> tuple[MechanismOutcome, RunTrace | None]:
-    """One full learning auction over ``config.units`` rounds.
+    """One full learning auction over ``config.units`` rounds on the resampled
+    bids ``draws``: ``(alpha, beta)``, one of each per bid (``seeded_draws``).
 
     Requires ``units >= n_agents`` so the seeding pass is feasible.  The
     reported auctioneer utility is realized (reward scale times observed
@@ -176,13 +186,14 @@ def run_2d_ucb(
     if config.check_run(bids, realization):
         raise ValueError(f"run_2d_ucb takes one {n}x{n_rounds} table, got a stack")
 
-    draws = _resolve_draws(bids, config.distributions, mu, seed, resample_draws)
+    alpha, beta = _draw_lists(draws, n)
     reward_scale = config.reward_scale
     h = [
-        float(dist.virtual_cost(draw.alpha, bid.capacity))
-        for dist, draw, bid in zip(config.distributions, draws, bids)
+        float(dist.virtual_cost(a, bid.capacity))
+        for dist, a, bid in zip(config.distributions, alpha, bids)
     ]
-    caps = [bid.capacity for bid in bids]
+    # No run buys more than the budget from one agent.
+    caps = [min(bid.capacity, n_rounds) for bid in bids]
     table = realization.table
     units = np.empty(n, dtype=np.int64)
     succ = np.empty(n, dtype=np.int64)
@@ -212,7 +223,7 @@ def run_2d_ucb(
 
     costs = np.array([bid.cost for bid in bids])
     cost_highs = [dist.cost_bounds[1] for dist in config.distributions]
-    premium = transform_premium(units, mu, costs, cost_highs, [d.beta for d in draws])
+    premium = transform_premium(units, mu, costs, cost_highs, beta)
     payments = costs * units + premium
     utility = reward_scale * int(succ.sum()) - float(payments.sum())
     outcome = MechanismOutcome(units, payments, utility)
@@ -271,7 +282,7 @@ def run_ucb_batch(
     if not np.isfinite(h).all():
         raise ValueError("virtual costs must be finite")
 
-    caps = np.array([bid.capacity for bid in bids], dtype=np.int64)
+    caps = np.array([min(bid.capacity, n_rounds) for bid in bids], dtype=np.int64)
     units = np.empty((samples, n), dtype=np.int64)
     successes = np.empty((samples, n), dtype=np.int64)
     # Resolved before any thread starts, so that no thread builds the library
@@ -337,11 +348,9 @@ def run_eps_separated(
     realization: RewardRealization,
     explore_rounds: int,
     mu: float,
-    seed,
-    *,
-    resample_draws: Sequence[ResampleDraw] | None = None,
+    draws,
 ) -> MechanismOutcome:
-    """Explore-then-commit baseline.
+    """Explore-then-commit baseline on the resampled bids ``(alpha, beta)``.
 
     Spreads ``explore_rounds`` units round-robin across agents regardless of
     bids, freezes the empirical qualities, then allocates the remaining
@@ -368,7 +377,7 @@ def run_eps_separated(
         )
         explore_rounds = total_cap
 
-    draws = _resolve_draws(bids, config.distributions, mu, seed, resample_draws)
+    alpha, beta = _draw_lists(draws, n)
     reward_scale = config.reward_scale
     rows = [realization.table[i] for i in range(n)]
 
@@ -380,16 +389,14 @@ def run_eps_separated(
     )
 
     exploit_budget = n_rounds - explore_rounds
-    exploit_bids = [
-        Bid(draw.alpha, caps[i] - explored[i]) for i, draw in enumerate(draws)
-    ]
+    exploit_bids = [Bid(a, caps[i] - explored[i]) for i, a in enumerate(alpha)]
     sub_config = MarketConfig(exploit_budget, reward_scale, config.distributions)
     exploit = run_2d_opt(sub_config, q_hat, exploit_bids)
 
     counts = np.array([explored[i] + int(exploit.allocation[i]) for i in range(n)], dtype=np.int64)
     costs = np.array([bid.cost for bid in bids])
     cost_highs = [dist.cost_bounds[1] for dist in config.distributions]
-    premium = transform_premium(explored, mu, costs, cost_highs, [d.beta for d in draws])
+    premium = transform_premium(explored, mu, costs, cost_highs, beta)
     payments = costs * explored + exploit.payments + premium
     total_succ = sum(int(np.count_nonzero(rows[i][: counts[i]])) for i in range(n))
     utility = reward_scale * total_succ - float(payments.sum())

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import audits
 from ._native import ResampleCapError
-from .bandit import run_2d_ucb
+from .bandit import run_2d_ucb, seeded_draws
 from .harness import (
     ExperimentConfig,
     emit_results,
@@ -103,10 +103,8 @@ def _cmd_ucb(args) -> int:
     realization = sample_reward_realization(
         qualities, units, np.random.SeedSequence([config.master_seed, 1])
     )
-    outcome, trace = run_2d_ucb(
-        market, bids, realization, config.mu,
-        np.random.SeedSequence([config.master_seed, 2]),
-    )
+    draws = seeded_draws(market, bids, config.mu, np.random.SeedSequence([config.master_seed, 2]))
+    outcome, trace = run_2d_ucb(market, bids, realization, config.mu, draws)
     _print_outcome(outcome)
     out = _out_dir(args)
     trace.to_csv(os.path.join(out, "trace.csv"))
@@ -223,8 +221,9 @@ def _iia_report(config: ExperimentConfig, seed: np.random.SeedSequence):
     realization = sample_reward_realization(qualities, units, rng)
     bids = [Bid(float(c), int(k)) for c, k in zip(costs, capacities)]
     moved = [Bid(float(rng.uniform(config.cost_lo, config.cost_hi)), 1)]
-    _, base = run_2d_ucb(market, bids, realization, config.mu, seed)
-    _, perturbed = run_2d_ucb(market, moved + bids[1:], realization, config.mu, seed)
+    base, perturbed = (run_2d_ucb(market, profile, realization, config.mu,
+                                  seeded_draws(market, profile, config.mu, seed))[1]
+                       for profile in (bids, moved + bids[1:]))
     return audits.audit_iia(base.agents(), perturbed.agents(), changed_agent=0)
 
 

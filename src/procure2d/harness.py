@@ -9,8 +9,9 @@ byte-identical regardless of worker count or scheduling.  Each stream is
 the numpy stream of a ``SeedSequence`` on the key ``[master seed, tag,
 ...]``, or of its child ``(i,)`` for bid ``i``'s resampler; a cell derives
 the PCG64 states of all its streams in one ``resample.stream_states`` call,
-draws every resampled bid in one ``resample.resample_streams`` call, and
-draws its types, capacities and reward tables on one reused generator.
+draws every resampled bid in one ``resample.resample_streams`` call (each
+run gets one row of the (runs, n) alpha and beta arrays), and draws its
+types, capacities and reward tables on one reused generator.
 """
 
 from __future__ import annotations
@@ -99,12 +100,15 @@ class ExperimentConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
-        # Per-unit utilities lie within R + max|cost| of 0; a run sums the largest
-        # budget's worth, the reduction squares their spread over every replication.
-        spread = 2.0 * (self.reward_scale + max(abs(self.cost_lo), abs(self.cost_hi)))
+        # Per-unit utilities lie within R + max|cost| + (cost_hi - cost_lo) / mu of 0
+        # (the premium's term added in log space: it may overflow); a run sums the
+        # largest budget's worth, the reduction squares their spread over every replication.
+        log_spread = math.log(2.0) + np.logaddexp(
+            math.log(self.reward_scale + max(abs(self.cost_lo), abs(self.cost_hi))),
+            math.log(self.cost_hi - self.cost_lo) - math.log(self.mu))
         count = max(self.l_grid[-1], self.type_samples * self.realizations)
-        if 2.0 * math.log(spread) + math.log(count) >= math.log(np.finfo(float).max):
-            raise ConfigError("market.reward_scale and cost bounds too large: utilities overflow")
+        if 2.0 * log_spread + math.log(count) >= math.log(np.finfo(float).max):
+            raise ConfigError("market.reward_scale, cost bounds and ucb.mu make utilities overflow")
 
     def cap_bounds(self, units: int) -> tuple[int, int]:
         """Capacity prior bounds at budget ``units``: upper bound the budget
@@ -281,20 +285,18 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
     # One draw per bid of every run: each realization's learner, then its eps runs.
     runs = reps * (1 + len(config.eps_exponents))
     draws = resample_streams(np.tile(costs, runs), config.cost_hi, config.mu, states[2 + reps :])
-    runs_draws = (draws[k : k + n] for k in range(0, len(draws), n))
+    runs_draws = zip(*(side.reshape(runs, n) for side in draws))
 
     for r in range(reps):
         rng.bit_generator.state = state_dict(states[2 + r])
         realization = sample_reward_realization(qualities, units, rng, capacities)
         ucb_outcome, _ = run_2d_ucb(
-            market, bids, realization, config.mu, None,
-            resample_draws=next(runs_draws), record_trace=False,
+            market, bids, realization, config.mu, next(runs_draws), record_trace=False
         )
         out["ucb"][r] = ucb_outcome.auctioneer_utility / units
         for exponent, explore in zip(config.eps_exponents, explore_grid):
             eps_outcome = run_eps_separated(
-                market, bids, realization, explore, config.mu, None,
-                resample_draws=next(runs_draws),
+                market, bids, realization, explore, config.mu, next(runs_draws)
             )
             out[f"eps-{_exponent_label(exponent)}"][r] = eps_outcome.auctioneer_utility / units
     return out

@@ -16,7 +16,9 @@ loads with the UCB round loop.  It steps numpy's PCG64 streams directly, so
 its draws are those of a numpy ``Generator`` bit for bit: ``resample_batch``
 draws on one generator's stream, ``self_resample`` is a batch of one, and
 ``resample_streams`` draws one bid on each of many streams in one call, as a
-simulation cell draws all its resampled bids.
+simulation cell draws all its resampled bids.  Each returns its draws as one
+pair ``(alpha, beta)``: two floats from ``self_resample``, two arrays from
+the others.  That pair is all the randomness a learning run takes.
 
 Random streams are numpy's own, ``default_rng(SeedSequence(entropy,
 spawn_key=key))``, but ``stream_states`` derives the state words of many
@@ -30,26 +32,16 @@ seed.  A numpy generator draws a stream once its state is set from
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._native import _library
 
 __all__ = [
-    "ResampleDraw",
     "self_resample",
     "resample_batch",
     "transform_premium",
 ]
-
-@dataclass(frozen=True)
-class ResampleDraw:
-    """One resampler output; always cost_hi >= alpha >= beta >= bid."""
-
-    alpha: float
-    beta: float
-
 
 def _check_mu(mu: float) -> float:
     if not 0.0 < mu < 1.0:
@@ -246,19 +238,20 @@ def _resample(bid_costs, cost_hi, mu: float, size: int, states: np.ndarray):
     return alpha, beta
 
 
-def resample_streams(bid_costs, cost_highs, mu: float, states: np.ndarray) -> list[ResampleDraw]:
+def resample_streams(bid_costs, cost_highs, mu: float, states) -> tuple[np.ndarray, np.ndarray]:
     """One draw on each stream whose state words are a row of ``states``
     (``stream_states`` rows, spent in place), at the bids ``bid_costs`` below
-    ``cost_highs``, one of each per stream: every resampled bid of a
-    simulation cell in one call."""
+    ``cost_highs``, one of each per stream, as the arrays (alpha, beta): every
+    resampled bid of a simulation cell in one call."""
     alpha, beta = _resample(np.asarray(bid_costs, dtype=float)[:, None], cost_highs, mu, 1,
                             states)
-    return list(map(ResampleDraw, alpha[:, 0].tolist(), beta[:, 0].tolist()))
+    return alpha[:, 0], beta[:, 0]
 
 
-def self_resample(bid_cost: float, bounds: tuple[float, float], mu: float, seed) -> ResampleDraw:
-    """Draw ``(alpha, beta)`` for one bid: ``resample_batch`` of one draw on
-    ``default_rng(seed)``.  Deterministic given ``seed``.
+def self_resample(bid_cost: float, bounds: tuple, mu: float, seed) -> tuple[float, float]:
+    """Draw ``(alpha, beta)`` for one bid, always ``cost_hi >= alpha >= beta
+    >= bid``: ``resample_batch`` of one draw on ``default_rng(seed)``.
+    Deterministic given ``seed``.
 
     The recursion depth is geometric with mean ``1/(1 - mu)``; a hard cap of
     ``10**6`` passes guards against ``mu`` so near 1 that the recursion
@@ -269,7 +262,7 @@ def self_resample(bid_cost: float, bounds: tuple[float, float], mu: float, seed)
     if not lo <= bid_cost <= hi:
         raise ValueError(f"bid cost {bid_cost} outside bounds [{lo}, {hi}]")
     alpha, beta = resample_batch(bid_cost, hi, mu, 1, np.random.default_rng(seed))
-    return ResampleDraw(float(alpha[0]), float(beta[0]))
+    return float(alpha[0]), float(beta[0])
 
 
 def resample_batch(

@@ -19,7 +19,6 @@ from procure2d import (
     Bid,
     MarketConfig,
     MechanismOutcome,
-    ResampleDraw,
     RunTrace,
     TraceStep,
     run_2d_opt,
@@ -88,13 +87,15 @@ def scalar_ucb_run(config, bids, realization, mu, draws, bonus_scale=0.5):
     """The 2D-UCB learning auction decided one round at a time, computing
     each round's width with ``math`` and checking every agent's capacity: the
     reference that ``run_2d_ucb`` must reproduce bit for bit.  Takes the
-    resample draws explicitly and returns ``(MechanismOutcome, RunTrace)``."""
+    resample draws ``(alpha, beta)`` as ``run_2d_ucb`` does and returns
+    ``(MechanismOutcome, RunTrace)``."""
     n = config.n_agents
     n_rounds = config.units
     reward_scale = config.reward_scale
+    alpha, beta = draws
     h = [
-        dist.virtual_cost(draw.alpha, bid.capacity)
-        for dist, draw, bid in zip(config.distributions, draws, bids)
+        dist.virtual_cost(a, bid.capacity)
+        for dist, a, bid in zip(config.distributions, alpha, bids)
     ]
     caps = [bid.capacity for bid in bids]
     rows = [realization.table[i] for i in range(n)]
@@ -136,9 +137,9 @@ def scalar_ucb_run(config, bids, realization, mu, draws, bonus_scale=0.5):
         trace.steps.append(TraceStep(t, pick, r, best))
 
     payments = np.zeros(n)
-    for i, (bid, draw) in enumerate(zip(bids, draws)):
+    for i, (bid, b) in enumerate(zip(bids, beta)):
         payments[i] = bid.cost * counts[i]
-        if draw.beta > bid.cost:
+        if b > bid.cost:
             cost_hi = config.distributions[i].cost_bounds[1]
             payments[i] += float(counts[i]) * (cost_hi - bid.cost) / mu
     utility = reward_scale * sum(succ) - float(payments.sum())
@@ -287,11 +288,11 @@ def seed_sequence_cell(config, l_index, type_sample) -> dict[str, np.ndarray]:
         return np.random.default_rng(np.random.SeedSequence([config.master_seed, *entropy]))
 
     def draws(*entropy):
-        return [
+        return tuple(zip(*(
             scalar_resample(bid.cost, dist.cost_bounds, config.mu, np.random.SeedSequence(
                 [config.master_seed, *entropy], spawn_key=(i,)))
             for i, (bid, dist) in enumerate(zip(bids, market.distributions))
-        ]
+        )))
 
     units, n, reps = config.l_grid[l_index], config.n, config.realizations
     types = rng(11, type_sample)
@@ -307,13 +308,13 @@ def seed_sequence_cell(config, l_index, type_sample) -> dict[str, np.ndarray]:
     out["opt"][:] = run_2d_opt(market, qualities, bids).auctioneer_utility / units
     for r in range(reps):
         table = sample_reward_realization(qualities, units, rng(13, type_sample, l_index, r))
-        ucb, _ = run_2d_ucb(market, bids, table, config.mu, None, record_trace=False,
-                            resample_draws=draws(14, type_sample, l_index, r))
+        ucb, _ = run_2d_ucb(market, bids, table, config.mu, draws(14, type_sample, l_index, r),
+                            record_trace=False)
         out["ucb"][r] = ucb.auctioneer_utility / units
         for v, exponent in enumerate(config.eps_exponents):
             explore = max(n, int(round(units ** exponent)))
-            eps = run_eps_separated(market, bids, table, explore, config.mu, None,
-                                    resample_draws=draws(15, type_sample, l_index, r, v))
+            eps = run_eps_separated(market, bids, table, explore, config.mu,
+                                    draws(15, type_sample, l_index, r, v))
             out[f"eps-{_exponent_label(exponent)}"][r] = eps.auctioneer_utility / units
     return out
 
@@ -323,7 +324,7 @@ def seed_sequence_cell(config, l_index, type_sample) -> dict[str, np.ndarray]:
 _MAX_RESAMPLE_ITERATIONS = 10**6
 
 
-def scalar_resample(bid_cost, bounds, mu, seed) -> ResampleDraw:
+def scalar_resample(bid_cost, bounds, mu, seed) -> tuple[float, float]:
     """One self-resampler draw, one uniform at a time through ``random()`` and
     ``uniform()``, capping every step at ``cost_hi``.  Draws beta only when
     the bid moves, so it may leave the generator short of where a batch of
@@ -331,12 +332,12 @@ def scalar_resample(bid_cost, bounds, mu, seed) -> ResampleDraw:
     hi = bounds[1]
     rng = np.random.default_rng(seed)
     if rng.random() >= mu:
-        return ResampleDraw(bid_cost, bid_cost)
+        return bid_cost, bid_cost
     beta = min(float(rng.uniform(bid_cost, hi)), hi)
     alpha = beta
     for _ in range(_MAX_RESAMPLE_ITERATIONS):
         if rng.random() >= mu:
-            return ResampleDraw(alpha, beta)
+            return alpha, beta
         alpha = min(float(rng.uniform(alpha, hi)), hi)
     raise RuntimeError("resampling recursion exceeded the iteration cap")
 

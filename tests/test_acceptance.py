@@ -28,6 +28,7 @@ from procure2d import (
     run_2d_ucb,
     run_experiment,
     sample_reward_realization,
+    seeded_draws,
     uniform_type_distribution,
 )
 from procure2d import audits
@@ -212,9 +213,8 @@ def test_criterion_04_individual_rationality():
             table = sample_reward_realization(
                 [t.quality for t in types], 20, int(rng.integers(1 << 31))
             )
-            outcome, _ = run_2d_ucb(
-                market, bids, table, 0.1, int(rng.integers(1 << 31)), record_trace=False
-            )
+            draws = seeded_draws(market, bids, 0.1, int(rng.integers(1 << 31)))
+            outcome, _ = run_2d_ucb(market, bids, table, 0.1, draws, record_trace=False)
             surplus = outcome.payments - costs * outcome.allocation
             worst_ucb = min(worst_ucb, float(surplus.min()))
             runs += 1
@@ -310,7 +310,7 @@ def test_criterion_07_per_realization_cost_monotonicity():
         for cost in np.linspace(0.0, 1.0, 11):
             bids = [Bid(float(cost), capacity)] + rival_bids
             outcome, _ = run_2d_ucb(
-                market, bids, table, 0.1, seed, record_trace=False
+                market, bids, table, 0.1, seeded_draws(market, bids, 0.1, seed), record_trace=False
             )
             if outcome.allocation[0] > previous:
                 violations += 1

@@ -6,7 +6,6 @@ import pytest
 from procure2d import (
     Bid,
     MarketConfig,
-    ResampleDraw,
     RewardRealization,
     audit_iia,
     make_ucb_batch_utility,
@@ -15,6 +14,8 @@ from procure2d import (
     run_eps_separated,
     run_ucb_batch,
     sample_reward_realization,
+    seeded_draws,
+    self_resample,
     uniform_type_distribution,
 )
 from procure2d.bandit import _round_robin_split
@@ -30,7 +31,8 @@ def market(units, n):
 
 def pinned(bids):
     """Resampler draws frozen at the bid: no premium, alpha = reported cost."""
-    return [ResampleDraw(b.cost, b.cost) for b in bids]
+    costs = [b.cost for b in bids]
+    return costs, costs
 
 
 class TestGoldenTrace:
@@ -45,9 +47,7 @@ class TestGoldenTrace:
         )
 
     def run(self):
-        return run_2d_ucb(
-            self.market, self.bids, self.table, 0.1, 0, resample_draws=pinned(self.bids)
-        )
+        return run_2d_ucb(self.market, self.bids, self.table, 0.1, pinned(self.bids))
 
     def test_agent_sequence(self):
         _, trace = self.run()
@@ -96,7 +96,7 @@ def test_single_agent_buys_everything_at_bid_price():
     m = market(10, 1)
     bids = [Bid(0.3, 20)]
     table = sample_reward_realization([0.9], 10, 5)
-    outcome, trace = run_2d_ucb(m, bids, table, 0.1, 0, resample_draws=pinned(bids))
+    outcome, trace = run_2d_ucb(m, bids, table, 0.1, pinned(bids))
     assert outcome.allocation.tolist() == [10]
     assert outcome.payments[0] == pytest.approx(0.3 * 10)
     assert trace.agents() == [0] * 10
@@ -106,7 +106,7 @@ def test_stops_when_everyone_is_at_capacity():
     m = market(12, 2)
     bids = [Bid(0.1, 3), Bid(0.2, 4)]
     table = sample_reward_realization([0.8, 0.8], 12, 6)
-    outcome, _ = run_2d_ucb(m, bids, table, 0.1, 0, resample_draws=pinned(bids))
+    outcome, _ = run_2d_ucb(m, bids, table, 0.1, pinned(bids))
     assert outcome.allocation.tolist() == [3, 4]
 
 
@@ -116,7 +116,7 @@ def test_stops_permanently_on_non_positive_score():
     m = MarketConfig(12, 1.0, (DIST, DIST))
     bids = [Bid(0.9, 6), Bid(0.95, 6)]
     table = RewardRealization(np.zeros((2, 12), dtype=np.uint8))
-    outcome, trace = run_2d_ucb(m, bids, table, 0.1, 0, resample_draws=pinned(bids))
+    outcome, trace = run_2d_ucb(m, bids, table, 0.1, pinned(bids))
     assert outcome.allocation.tolist() == [1, 1]  # the unconditional seeding pass
     stop_rows = [s for s in trace.steps if s.agent is None]
     assert len(stop_rows) == 1 and stop_rows[0].g_hat <= 0
@@ -127,14 +127,14 @@ def test_budget_below_agent_count_rejected():
     bids = [Bid(0.1, 2)] * 3
     table = sample_reward_realization([0.5] * 3, 2, 0)
     with pytest.raises(ValueError, match="units"):
-        run_2d_ucb(m, bids, table, 0.1, 0)
+        run_2d_ucb(m, bids, table, 0.1, pinned(bids))
 
 
 def test_rewards_in_trace_match_consumed_entries():
     m = market(25, 3)
     bids = [Bid(0.2, 10), Bid(0.4, 12), Bid(0.3, 9)]
     table = sample_reward_realization([0.7, 0.6, 0.5], 25, 9)
-    outcome, trace = run_2d_ucb(m, bids, table, 0.1, 3)
+    outcome, trace = run_2d_ucb(m, bids, table, 0.1, seeded_draws(m, bids, 0.1, 3))
     consumed = [0, 0, 0]
     for step in trace.steps:
         if step.agent is None:
@@ -152,13 +152,11 @@ def test_allocation_depends_only_on_consumed_prefix():
     m = market(20, 3)
     bids = [Bid(0.25, 8), Bid(0.45, 8), Bid(0.35, 8)]
     table = sample_reward_realization([0.8, 0.55, 0.65], 20, 17)
-    outcome, trace = run_2d_ucb(m, bids, table, 0.1, 11, resample_draws=pinned(bids))
+    outcome, trace = run_2d_ucb(m, bids, table, 0.1, pinned(bids))
     scrambled = np.array(table.table, copy=True)
     for i, used in enumerate(outcome.allocation):
         scrambled[i, used:] = 1 - scrambled[i, used:]
-    outcome2, trace2 = run_2d_ucb(
-        m, bids, RewardRealization(scrambled), 0.1, 11, resample_draws=pinned(bids)
-    )
+    outcome2, trace2 = run_2d_ucb(m, bids, RewardRealization(scrambled), 0.1, pinned(bids))
     assert trace2.steps == trace.steps
     assert (outcome2.allocation == outcome.allocation).all()
 
@@ -175,7 +173,7 @@ def test_units_monotone_in_reported_capacity():
         for cap in range(1, 9):
             bids = [Bid(float(costs[j]), 8) for j in range(n)]
             bids[agent] = Bid(float(costs[agent]), cap)
-            outcome, _ = run_2d_ucb(m, bids, table, 0.1, 4, resample_draws=pinned(bids))
+            outcome, _ = run_2d_ucb(m, bids, table, 0.1, pinned(bids))
             assert outcome.allocation[agent] >= previous
             previous = outcome.allocation[agent]
 
@@ -192,7 +190,7 @@ def test_units_non_increasing_in_reported_cost():
         previous = math.inf
         for cost in np.linspace(0.0, 1.0, 11):
             bids = [Bid(float(cost), 9)] + [Bid(float(c), 9) for c in rival_costs]
-            outcome, _ = run_2d_ucb(m, bids, table, 0.1, seed)
+            outcome, _ = run_2d_ucb(m, bids, table, 0.1, seeded_draws(m, bids, 0.1, seed))
             assert outcome.allocation[0] <= previous
             previous = outcome.allocation[0]
 
@@ -205,7 +203,8 @@ def test_truthful_expost_individual_rationality():
         costs = rng.uniform(0.0, 1.0, n)
         bids = [Bid(float(c), 6) for c in costs]
         table = sample_reward_realization(rng.uniform(0.2, 1.0, n), 15, int(rng.integers(1 << 30)))
-        outcome, _ = run_2d_ucb(m, bids, table, 0.1, int(rng.integers(1 << 30)))
+        draws = seeded_draws(m, bids, 0.1, int(rng.integers(1 << 30)))
+        outcome, _ = run_2d_ucb(m, bids, table, 0.1, draws)
         surplus = outcome.payments - costs * outcome.allocation
         assert (surplus >= -1e-12).all()
 
@@ -215,8 +214,8 @@ def test_truthful_surplus_strict_exactly_when_beta_moved():
     costs = [0.3, 0.5]
     bids = [Bid(costs[0], 5), Bid(costs[1], 5)]
     table = sample_reward_realization([0.8, 0.7], 12, 4)
-    draws = [ResampleDraw(0.45, 0.4), ResampleDraw(0.5, 0.5)]  # only agent 0 moved
-    outcome, _ = run_2d_ucb(m, bids, table, 0.1, 0, resample_draws=draws)
+    draws = ([0.45, 0.5], [0.4, 0.5])  # only agent 0 moved
+    outcome, _ = run_2d_ucb(m, bids, table, 0.1, draws)
     surplus = outcome.payments - np.array(costs) * outcome.allocation
     assert surplus[0] > 0  # premium owed: beta moved and units were procured
     assert surplus[1] == pytest.approx(0.0, abs=1e-15)
@@ -231,10 +230,10 @@ def test_iia_under_bid_perturbation():
         costs = rng.uniform(0.1, 0.9, n)
         bids = [Bid(float(c), 8) for c in costs]
         table = sample_reward_realization(rng.uniform(0.3, 1.0, n), 20, int(rng.integers(1 << 30)))
-        _, base = run_2d_ucb(m, bids, table, 0.1, 0, resample_draws=pinned(bids))
+        _, base = run_2d_ucb(m, bids, table, 0.1, pinned(bids))
         moved = list(bids)
         moved[0] = Bid(float(rng.uniform(0.1, 0.9)), 8)
-        _, perturbed = run_2d_ucb(m, moved, table, 0.1, 0, resample_draws=pinned(moved))
+        _, perturbed = run_2d_ucb(m, moved, table, 0.1, pinned(moved))
         report = audit_iia(base.agents(), perturbed.agents(), changed_agent=0)
         violations.append(not report.passed)
     assert not any(violations)
@@ -250,9 +249,9 @@ def test_wide_bonus_switch_changes_run():
     m = market(20, 2)
     bids = [Bid(0.4, 18), Bid(0.45, 18)]
     table = sample_reward_realization([0.9, 0.4], 20, 2)
-    narrow_out, _ = run_2d_ucb(m, bids, table, 0.1, 0, resample_draws=pinned(bids))
+    narrow_out, _ = run_2d_ucb(m, bids, table, 0.1, pinned(bids))
     with patched_bonus_scale(2.0):
-        wide_out, _ = run_2d_ucb(m, bids, table, 0.1, 0, resample_draws=pinned(bids))
+        wide_out, _ = run_2d_ucb(m, bids, table, 0.1, pinned(bids))
     # both allocate the full budget; the wider bonus explores more
     assert narrow_out.allocation.sum() == wide_out.allocation.sum() == 20
     assert narrow_out.allocation[0] >= wide_out.allocation[0]
@@ -270,10 +269,9 @@ def test_batch_runner_matches_scalar_exactly():
     h = 2.0 * alphas  # unit-interval uniform costs
     units, successes = run_ucb_batch(m, bids, RewardRealization(tables), h)
     for s in range(samples):
-        draws = [ResampleDraw(float(alphas[s, j]), bids[j].cost) for j in range(n)]
+        draws = (alphas[s], [b.cost for b in bids])
         outcome, _ = run_2d_ucb(
-            m, bids, RewardRealization(tables[s]), 0.1, 0,
-            resample_draws=draws, record_trace=False,
+            m, bids, RewardRealization(tables[s]), 0.1, draws, record_trace=False,
         )
         assert (outcome.allocation == units[s]).all()
     assert (successes <= units).all()
@@ -343,9 +341,9 @@ def test_outcome_tables_are_refused_by_one_rule(shape, bad, error, message):
 CAPPED = uniform_type_distribution(0.0, 1.0, 1, 5)
 OVER_CAP = {
     "opt": lambda m, bids, table: run_2d_opt(m, [0.9, 0.4], bids),
-    "ucb": lambda m, bids, table: run_2d_ucb(m, bids, table, 0.1, 0),
-    "eps-short": lambda m, bids, table: run_eps_separated(m, bids, table, 2, 0.1, 0),
-    "eps-long": lambda m, bids, table: run_eps_separated(m, bids, table, 6, 0.1, 0),
+    "ucb": lambda m, bids, table: run_2d_ucb(m, bids, table, 0.1, pinned(bids)),
+    "eps-short": lambda m, bids, table: run_eps_separated(m, bids, table, 2, 0.1, pinned(bids)),
+    "eps-long": lambda m, bids, table: run_eps_separated(m, bids, table, 6, 0.1, pinned(bids)),
     "batch-utility": lambda m, bids, table: make_ucb_batch_utility(
         m, bids, 1, 0.6, [0.9, 0.4], 0.1, 10, 0),
 }
@@ -377,9 +375,10 @@ MALFORMED_RUNS = {
         "agent 0 bid capacity 8 above prior bound 5"),
 }
 LEARNING_RUNS = {
-    "ucb": lambda m, bids, tables: run_2d_ucb(m, bids, RewardRealization(tables[0]), 0.1, 0),
+    "ucb": lambda m, bids, tables: run_2d_ucb(
+        m, bids, RewardRealization(tables[0]), 0.1, pinned(bids)),
     "eps": lambda m, bids, tables: run_eps_separated(
-        m, bids, RewardRealization(tables[0]), m.n_agents, 0.1, 0),
+        m, bids, RewardRealization(tables[0]), m.n_agents, 0.1, pinned(bids)),
     "batch": lambda m, bids, tables: run_ucb_batch(
         m, bids, RewardRealization(tables), np.zeros(tables.shape[:2])),
 }
@@ -401,8 +400,9 @@ def test_malformed_runs_are_refused_by_one_rule(case, runner):
 # row's prefix, so both scalar learning runs refuse it with the same message;
 # a capacity above the budget needs only a row drawn through the budget.
 PREFIX_RUNS = {
-    "ucb": lambda m, bids, table: run_2d_ucb(m, bids, table, 0.1, 0),
-    "eps": lambda m, bids, table: run_eps_separated(m, bids, table, m.n_agents, 0.1, 0),
+    "ucb": lambda m, bids, table: run_2d_ucb(m, bids, table, 0.1, pinned(bids)),
+    "eps": lambda m, bids, table: run_eps_separated(
+        m, bids, table, m.n_agents, 0.1, pinned(bids)),
 }
 
 
@@ -446,8 +446,9 @@ def test_runs_on_capacity_drawn_tables_equal_runs_on_whole_tables(case):
     whole = sample_reward_realization(q, units, 50 + case)
     drawn = sample_reward_realization(q, units, 50 + case, caps)
     assert min(drawn.drawn) < units  # some row is cut short
-    for run in (lambda table: run_2d_ucb(m, bids, table, 0.1, case)[0],
-                lambda table: run_eps_separated(m, bids, table, explore, 0.1, case)):
+    draws = seeded_draws(m, bids, 0.1, case)
+    for run in (lambda table: run_2d_ucb(m, bids, table, 0.1, draws)[0],
+                lambda table: run_eps_separated(m, bids, table, explore, 0.1, draws)):
         expected, got = run(whole), run(drawn)
         assert np.array_equal(got.allocation, expected.allocation)
         assert np.array_equal(got.payments, expected.payments)
@@ -463,9 +464,57 @@ def test_runners_refuse_a_table_of_the_wrong_rank():
         run_ucb_batch(m, bids, table, np.zeros((1, 3)))
     assert str(refused.value) == "run_ucb_batch takes a (samples, n, units) stack, got (3, 20)"
     with pytest.raises(ValueError, match="^run_2d_ucb takes one 3x20 table, got a stack$"):
-        run_2d_ucb(m, bids, stack, 0.1, 0)
+        run_2d_ucb(m, bids, stack, 0.1, pinned(bids))
     with pytest.raises(ValueError, match="^run_eps_separated takes one 3x20 table, got a stack$"):
-        run_eps_separated(m, bids, stack, 3, 0.1, 0)
+        run_eps_separated(m, bids, stack, 3, 0.1, pinned(bids))
+
+
+# A pair of resampled bids that is not one alpha and one beta per bid.
+WRONG_DRAWS = {
+    "short-alpha": ([0.3] * 2, [0.3] * 3),
+    "short-beta": ([0.3] * 3, [0.3] * 2),
+    "unequal-lengths": ([0.3] * 4, [0.3] * 2),
+}
+DRAW_RUNNERS = {
+    "ucb": lambda m, bids, table, draws: run_2d_ucb(m, bids, table, 0.1, draws),
+    "eps": lambda m, bids, table, draws: run_eps_separated(m, bids, table, 3, 0.1, draws),
+}
+
+
+@pytest.mark.parametrize("runner", list(DRAW_RUNNERS))
+@pytest.mark.parametrize("case", list(WRONG_DRAWS))
+def test_runners_refuse_draws_not_one_per_bid(case, runner):
+    m, bids = market(20, 3), [Bid(0.3, 5)] * 3
+    table = sample_reward_realization([0.9, 0.4, 0.7], 20, 1)
+    alpha, beta = WRONG_DRAWS[case]
+    with pytest.raises(ValueError) as refused:
+        DRAW_RUNNERS[runner](m, bids, table, (alpha, beta))
+    assert str(refused.value) == (
+        f"need one alpha and one beta per bid: 3 bids, got alpha of shape ({len(alpha)},) "
+        f"and beta of shape ({len(beta)},)")
+
+
+def test_seeded_draws_leave_a_seed_sequence_unspent():
+    m = market(10, 4)
+    bids = [Bid(c, 3) for c in (0.1, 0.5, 0.9, 0.3)]
+    seed = np.random.SeedSequence(77)
+    first, second = seeded_draws(m, bids, 0.6, seed), seeded_draws(m, bids, 0.6, seed)
+    assert [side.tolist() for side in first] == [side.tolist() for side in second]
+    assert seed.n_children_spawned == 0
+
+
+@pytest.mark.parametrize("seed", [0, 31, 2**63 + 5, [3, 1, 4]])
+def test_seeded_draws_resample_bid_i_on_child_i(seed):
+    # Each bid under its own cost bound, so each draw reads its own prior.
+    dists = tuple(uniform_type_distribution(0.0, hi, 1, 50) for hi in (1.0, 2.0, 0.5, 4.0, 1.0))
+    m = MarketConfig(10, 30.0, dists)
+    bids = [Bid(c, 3) for c in (0.1, 1.5, 0.5, 0.2, 0.99)]
+    alpha, beta = seeded_draws(m, bids, 0.6, seed)
+    children = np.random.SeedSequence(seed).spawn(len(bids))
+    expected = [self_resample(bid.cost, dist.cost_bounds, 0.6, child)
+                for bid, dist, child in zip(bids, dists, children)]
+    assert list(zip(alpha.tolist(), beta.tolist())) == expected
+    assert any(b > bid.cost for b, bid in zip(beta, bids))  # some bid moved
 
 
 class TestEpsSeparated:
@@ -473,7 +522,7 @@ class TestEpsSeparated:
         m = market(6, 2)
         bids = [Bid(0.2, 5), Bid(0.6, 5)]
         table = sample_reward_realization([0.9, 0.4], 6, 1)
-        outcome = run_eps_separated(m, bids, table, 6, 0.1, 0, resample_draws=pinned(bids))
+        outcome = run_eps_separated(m, bids, table, 6, 0.1, pinned(bids))
         assert outcome.allocation.tolist() == [3, 3]
         assert outcome.payments.tolist() == pytest.approx([0.2 * 3, 0.6 * 3])
 
@@ -483,14 +532,14 @@ class TestEpsSeparated:
         m = market(5, 3)
         bids = [Bid(0.3, 6), Bid(0.5, 6), Bid(0.4, 6)]
         table = sample_reward_realization([0.7, 0.7, 0.7], 5, 2)
-        outcome = run_eps_separated(m, bids, table, 5, 0.1, 0, resample_draws=pinned(bids))
+        outcome = run_eps_separated(m, bids, table, 5, 0.1, pinned(bids))
         assert outcome.allocation.tolist() == [2, 2, 1]
 
     def test_round_robin_skips_exhausted_agents(self):
         m = market(5, 2)
         bids = [Bid(0.3, 1), Bid(0.5, 7)]
         table = sample_reward_realization([0.7, 0.7], 5, 3)
-        outcome = run_eps_separated(m, bids, table, 5, 0.1, 0, resample_draws=pinned(bids))
+        outcome = run_eps_separated(m, bids, table, 5, 0.1, pinned(bids))
         assert outcome.allocation.tolist() == [1, 4]
 
     def test_explore_beyond_capacity_clips_with_warning(self):
@@ -498,9 +547,7 @@ class TestEpsSeparated:
         bids = [Bid(0.3, 2), Bid(0.5, 2)]
         table = sample_reward_realization([0.7, 0.7], 10, 4)
         with pytest.warns(UserWarning, match="clipping"):
-            outcome = run_eps_separated(
-                m, bids, table, 9, 0.1, 0, resample_draws=pinned(bids)
-            )
+            outcome = run_eps_separated(m, bids, table, 9, 0.1, pinned(bids))
         assert outcome.allocation.tolist() == [2, 2]
 
     def test_split_equals_the_round_robin_loop(self):
@@ -518,7 +565,7 @@ class TestEpsSeparated:
         bids = [Bid(0.3, 0), Bid(0.5, 3), Bid(0.4, 1)]
         table = sample_reward_realization([0.7, 0.7, 0.7], 6, 5)
         with pytest.warns(UserWarning, match="clipping"):
-            outcome = run_eps_separated(m, bids, table, 5, 0.1, 0, resample_draws=pinned(bids))
+            outcome = run_eps_separated(m, bids, table, 5, 0.1, pinned(bids))
         assert outcome.allocation.tolist() == [0, 3, 1]
 
     def test_explore_bounds_validated(self):
@@ -526,16 +573,16 @@ class TestEpsSeparated:
         bids = [Bid(0.3, 8), Bid(0.5, 8)]
         table = sample_reward_realization([0.7, 0.7], 10, 4)
         with pytest.raises(ValueError):
-            run_eps_separated(m, bids, table, 1, 0.1, 0)
+            run_eps_separated(m, bids, table, 1, 0.1, pinned(bids))
         with pytest.raises(ValueError):
-            run_eps_separated(m, bids, table, 11, 0.1, 0)
+            run_eps_separated(m, bids, table, 11, 0.1, pinned(bids))
 
     def test_premium_on_exploration_units(self):
         m = market(4, 2)
         bids = [Bid(0.2, 4), Bid(0.9, 4)]
         table = RewardRealization(np.ones((2, 4), dtype=np.uint8))
-        draws = [ResampleDraw(0.6, 0.5), ResampleDraw(0.9, 0.9)]
-        outcome = run_eps_separated(m, bids, table, 4, 0.1, 0, resample_draws=draws)
+        draws = ([0.6, 0.9], [0.5, 0.9])
+        outcome = run_eps_separated(m, bids, table, 4, 0.1, draws)
         # two exploration units each, no exploitation budget left
         assert outcome.allocation.tolist() == [2, 2]
         assert outcome.payments[0] == pytest.approx(0.2 * 2 + 2 * (1.0 - 0.2) / 0.1)
@@ -550,8 +597,8 @@ class TestEpsSeparated:
         table = RewardRealization(
             np.vstack([np.ones(10, dtype=np.uint8), np.zeros(10, dtype=np.uint8)])
         )
-        draws = [ResampleDraw(0.77, 0.6), ResampleDraw(0.62, 0.62)]
-        outcome = run_eps_separated(m, bids, table, 4, 0.1, 0, resample_draws=draws)
+        draws = ([0.77, 0.62], [0.6, 0.62])
+        outcome = run_eps_separated(m, bids, table, 4, 0.1, draws)
         assert outcome.allocation.tolist() == [8, 2]
         exploit = run_2d_opt(market(6, 2), [1.0, 0.0], [Bid(0.77, 6), Bid(0.62, 6)])
         explored, exploited = 0.43 * 2, float(exploit.payments[0])
@@ -569,7 +616,7 @@ class TestEpsSeparated:
         table = RewardRealization(
             np.vstack([np.zeros(10, dtype=np.uint8), np.ones(10, dtype=np.uint8)])
         )
-        outcome = run_eps_separated(m, bids, table, 4, 0.1, 0, resample_draws=pinned(bids))
+        outcome = run_eps_separated(m, bids, table, 4, 0.1, pinned(bids))
         assert outcome.allocation.tolist() == [2, 8]
 
 
@@ -577,7 +624,7 @@ def test_trace_csv_format(tmp_path):
     m = market(6, 2)
     bids = [Bid(0.2, 4), Bid(0.3, 4)]
     table = sample_reward_realization([0.9, 0.1], 6, 0)
-    _, trace = run_2d_ucb(m, bids, table, 0.1, 0, resample_draws=pinned(bids))
+    _, trace = run_2d_ucb(m, bids, table, 0.1, pinned(bids))
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().strip().splitlines()

@@ -277,6 +277,60 @@ def test_overflowing_reward_scale_is_one_error_line(tmp_path, capsys, threads):
     assert not out_dir.exists()
 
 
+TINY_MU_CONF = """[ucb]
+mu = 1e-310
+
+[experiment]
+l_grid = 20
+type_samples = 1
+realizations = 1
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_overflowing_premium_is_one_error_line(tmp_path, capsys, threads):
+    # The premium (cost_hi - cost_lo) / mu of 1e310 per unit overflows a float;
+    # the config check refuses it before any auction runs.
+    conf = tmp_path / "mu.ini"
+    conf.write_text(TINY_MU_CONF)
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(conf), "--out", str(out_dir),
+                     "--threads", str(threads)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ucb.mu" in err and err.count("\n") == 1
+    assert caught == []
+    assert not out_dir.exists()
+
+
+def test_overflowing_premium_in_ucb_is_one_error_line(bids_file, tmp_path, capsys):
+    conf = tmp_path / "mu.ini"
+    conf.write_text(TINY_MU_CONF)
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["ucb", str(bids_file), "--units", "20", "--config", str(conf),
+                     "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ucb.mu" in err and err.count("\n") == 1
+    assert caught == []
+    assert not out_dir.exists()
+
+
+def test_capacity_beyond_int64_runs_as_the_budget(tmp_path):
+    # No run buys more than the budget from one agent, so a capacity of 10**20
+    # gives the run of a capacity equal to the budget.
+    runs = []
+    for capacity in (10**20, 20):
+        bids = tmp_path / f"bids-{capacity}.csv"
+        bids.write_text(BIDS.replace("0,0.2,3,0.8", f"0,0.2,{capacity},0.8"))
+        out_dir = tmp_path / f"out-{capacity}"
+        assert main(["ucb", str(bids), "--units", "20", "--out", str(out_dir)]) == 0
+        runs.append([(out_dir / name).read_bytes() for name in ("outcome.csv", "trace.csv")])
+    assert runs[0] == runs[1]
+
+
 NEAR_ONE_MU_CONF = """[ucb]
 mu = 0.99999999999
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from procure2d import (
-    ResampleDraw,
     resample_batch,
     self_resample,
     transform_premium,
@@ -25,7 +24,8 @@ BOUNDS = (0.0, 1.0)
 def scalar_draws(bid, count, seed, mu=MU, bounds=BOUNDS):
     rng = np.random.default_rng(seed)
     draws = [self_resample(bid, bounds, mu, rng) for _ in range(count)]
-    return np.array([d.alpha for d in draws]), np.array([d.beta for d in draws])
+    alpha, beta = np.array(draws).T
+    return alpha, beta
 
 
 def test_branch_probability():
@@ -40,7 +40,7 @@ def test_degenerate_interval_returns_upper_bound():
     rng = np.random.default_rng(2)
     for _ in range(200):
         draw = self_resample(1.0, BOUNDS, MU, rng)
-        assert draw == ResampleDraw(1.0, 1.0)
+        assert draw == (1.0, 1.0)
 
 
 def test_output_ordering_on_every_draw():
@@ -62,10 +62,10 @@ def test_monotone_coupling_across_bids():
     for seed in range(40):
         prev_alpha = prev_beta = -np.inf
         for bid in np.linspace(0.0, 1.0, 9):
-            draw = self_resample(float(bid), BOUNDS, MU, np.random.default_rng(seed))
-            assert draw.alpha >= prev_alpha - 1e-15
-            assert draw.beta >= prev_beta - 1e-15
-            prev_alpha, prev_beta = draw.alpha, draw.beta
+            alpha, beta = self_resample(float(bid), BOUNDS, MU, np.random.default_rng(seed))
+            assert alpha >= prev_alpha - 1e-15
+            assert beta >= prev_beta - 1e-15
+            prev_alpha, prev_beta = alpha, beta
 
 
 def test_batch_matches_scalar_in_distribution():
@@ -168,10 +168,10 @@ def test_streams_draw_as_their_generators():
     highs = np.exp(rng.uniform(-3, 3, 300))
     bids = highs * rng.random(300)
     generators = [generator_at(words) for words in states]
-    draws = resample_streams(bids, highs, 0.4, states)
-    for bid, hi, draw, words, gen in zip(bids, highs, draws, states, generators):
+    got_alpha, got_beta = resample_streams(bids, highs, 0.4, states)
+    for bid, hi, a, b, words, gen in zip(bids, highs, got_alpha, got_beta, states, generators):
         alpha, beta = numpy_resample_batch(bid, hi, 0.4, 1, gen)
-        assert (draw.alpha, draw.beta) == (alpha[0], beta[0])
+        assert (a, b) == (alpha[0], beta[0])
         assert state_dict(words) == gen.bit_generator.state
 
 

@@ -20,12 +20,12 @@ from procure2d import (
     Bid,
     ExperimentConfig,
     MarketConfig,
-    ResampleDraw,
     RewardRealization,
     audit_iia,
     run_2d_ucb,
     run_eps_separated,
     run_ucb_batch,
+    seeded_draws,
     uniform_type_distribution,
 )
 from procure2d import _native, bandit, harness
@@ -39,10 +39,8 @@ LANES = int(re.search(r"^#define LANES (\d+)$", Path(_native._SOURCE).read_text(
 def assert_matches_oracle(market, bids, table, draws, bonus_scale):
     mu = 0.1
     with patched_bonus_scale(bonus_scale):
-        outcome, trace = run_2d_ucb(market, bids, table, mu, 0, resample_draws=draws)
-        untraced, none = run_2d_ucb(
-            market, bids, table, mu, 0, resample_draws=draws, record_trace=False
-        )
+        outcome, trace = run_2d_ucb(market, bids, table, mu, draws)
+        untraced, none = run_2d_ucb(market, bids, table, mu, draws, record_trace=False)
     expected, expected_trace = scalar_ucb_run(market, bids, table, mu, draws, bonus_scale)
     assert outcome.allocation.tolist() == expected.allocation.tolist()
     assert outcome.payments.tolist() == expected.payments.tolist()
@@ -73,12 +71,14 @@ def instances(draw):
         # identical agents 0 and 1: every score of theirs ties exactly
         costs[1], caps[1], table[1] = costs[0], caps[0], table[0]
     reward_scale = draw(st.sampled_from([30.0, 3.0, 1.0]))
-    draws = []
+    alphas, betas = [], []
     for cost in costs:
         moved = draw(st.booleans())
         beta = draw(st.floats(cost, 1.0)) if moved else cost
         alpha = draw(st.floats(beta, 1.0)) if moved else cost
-        draws.append(ResampleDraw(alpha, beta))
+        alphas.append(alpha)
+        betas.append(beta)
+    draws = (alphas, betas)
     market = MarketConfig(units, reward_scale, (DIST,) * n)
     bids = [Bid(c, k) for c, k in zip(costs, caps)]
     return market, bids, RewardRealization(table), draws
@@ -98,7 +98,7 @@ def two_agent_case(units, caps, reward_scale=30.0, costs=(0.2, 0.6)):
     ])
     market = MarketConfig(units, reward_scale, (DIST, DIST))
     bids = [Bid(costs[0], caps[0]), Bid(costs[1], caps[1])]
-    return market, bids, RewardRealization(table), [ResampleDraw(c, c) for c in costs]
+    return market, bids, RewardRealization(table), (list(costs), list(costs))
 
 
 def longest_streak(agents, agent):
@@ -136,15 +136,14 @@ def test_leader_changes_on_most_rounds(caps, rival_cost, bonus_scale):
     units = 10_000
     market = MarketConfig(units, 30.0, (DIST, DIST))
     bids = [Bid(0.3, caps[0]), Bid(rival_cost, caps[1])]
-    draws = [ResampleDraw(0.3, 0.3), ResampleDraw(rival_cost, rival_cost)]
+    draws = ([0.3, rival_cost], [0.3, rival_cost])
     table = RewardRealization(np.ones((2, units), dtype=np.uint8))
     trace = assert_matches_oracle(market, bids, table, draws, bonus_scale)
     agents = trace.agents()
     assert len(agents) == units and agents.count(0) == min(caps[0], units // 2)
     assert sum(a != b for a, b in zip(agents, agents[1:])) > units // 2
     with patched_bonus_scale(bonus_scale):
-        untraced, _ = run_2d_ucb(market, bids, table, 0.1, 0, resample_draws=draws,
-                                 record_trace=False)
+        untraced, _ = run_2d_ucb(market, bids, table, 0.1, draws, record_trace=False)
     expected, _ = scalar_ucb_run(market, bids, table, 0.1, draws, bonus_scale)
     assert untraced.payments.tolist() == expected.payments.tolist()
     assert untraced.auctioneer_utility == expected.auctioneer_utility
@@ -157,9 +156,9 @@ def test_harness_instances_match_scalar_loop(monkeypatch, master_seed):
     # experiment runs.
     calls = []
 
-    def record(market, bids, realization, mu, seed, **kwargs):
-        calls.append((market, bids, realization, kwargs["resample_draws"]))
-        return run_2d_ucb(market, bids, realization, mu, seed, **kwargs)
+    def record(market, bids, realization, mu, draws, **kwargs):
+        calls.append((market, bids, realization, draws))
+        return run_2d_ucb(market, bids, realization, mu, draws, **kwargs)
 
     monkeypatch.setattr(harness, "run_2d_ucb", record)
     config = ExperimentConfig(l_grid=(20_000,), type_samples=1, realizations=1,
@@ -180,7 +179,7 @@ def test_tie_with_the_bound_goes_to_the_lower_index():
     table = np.ones((2, units), dtype=np.uint8)
     market = MarketConfig(units, 30.0, (DIST, DIST))
     bids = [Bid(0.3, units), Bid(0.3, units)]
-    draws = [ResampleDraw(0.3, 0.3)] * 2
+    draws = ([0.3] * 2, [0.3] * 2)
     trace = assert_matches_oracle(market, bids, RewardRealization(table), draws, 0.5)
     assert trace.agents()[-3:] == [0, 1, 0]
 
@@ -237,7 +236,7 @@ def test_exact_ties_go_to_the_lower_index(bonus_scale):
     table = np.ones((2, units), dtype=np.uint8)
     market = MarketConfig(units, 30.0, (DIST, DIST))
     bids = [Bid(0.3, units), Bid(0.3, units)]
-    draws = [ResampleDraw(0.3, 0.3)] * 2
+    draws = ([0.3] * 2, [0.3] * 2)
     trace = assert_matches_oracle(market, bids, RewardRealization(table), draws, bonus_scale)
     assert trace.agents() == [0, 1] * (units // 2)
 
@@ -252,7 +251,7 @@ def test_zero_capacity_agent_leaves_the_run_one_unit_short():
     # The round loop still starts at round n, so the seeding unit the
     # zero-capacity agent skipped is never bought.
     case = two_agent_case(3000, (0, 3000))
-    outcome, _ = run_2d_ucb(*case[:3], 0.1, 0, resample_draws=case[3])
+    outcome, _ = run_2d_ucb(*case[:3], 0.1, case[3])
     assert outcome.allocation.tolist() == [0, 2999]
 
 
@@ -262,13 +261,16 @@ def test_same_seed_sequence_gives_the_same_run():
     rng = np.random.default_rng(8)
     table = RewardRealization((rng.random((3, 40)) < 0.7).astype(np.uint8))
     seed = np.random.SeedSequence(12345)
-    first, _ = run_2d_ucb(market, bids, table, 0.9, seed)
-    second, _ = run_2d_ucb(market, bids, table, 0.9, seed)
-    fresh, _ = run_2d_ucb(market, bids, table, 0.9, np.random.SeedSequence(12345))
+    first, _ = run_2d_ucb(market, bids, table, 0.9, seeded_draws(market, bids, 0.9, seed))
+    second, _ = run_2d_ucb(market, bids, table, 0.9, seeded_draws(market, bids, 0.9, seed))
+    fresh, _ = run_2d_ucb(market, bids, table, 0.9,
+                          seeded_draws(market, bids, 0.9, np.random.SeedSequence(12345)))
     assert first.payments.tolist() == second.payments.tolist() == fresh.payments.tolist()
     assert first.allocation.tolist() == second.allocation.tolist()
-    eps_first = run_eps_separated(market, bids, table, 6, 0.9, seed)
-    eps_second = run_eps_separated(market, bids, table, 6, 0.9, seed)
+    eps_first = run_eps_separated(market, bids, table, 6, 0.9,
+                                  seeded_draws(market, bids, 0.9, seed))
+    eps_second = run_eps_separated(market, bids, table, 6, 0.9,
+                                   seeded_draws(market, bids, 0.9, seed))
     assert eps_first.payments.tolist() == eps_second.payments.tolist()
     assert seed.n_children_spawned == 0
 
@@ -308,7 +310,7 @@ def assert_batch_matches_oracle(reward_scale, alphas, caps, tables):
     traces = []
     for s in range(samples):
         bids = [Bid(float(a), k) for a, k in zip(alphas[s], caps)]
-        draws = [ResampleDraw(float(a), float(a)) for a in alphas[s]]
+        draws = ([float(a) for a in alphas[s]],) * 2
         expected, trace = scalar_ucb_run(market, bids, RewardRealization(tables[s]), 0.1, draws)
         assert units_out[s].tolist() == expected.allocation.tolist(), s
         assert successes[s].tolist() == [
