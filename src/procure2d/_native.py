@@ -46,6 +46,7 @@ class _Array:
 
 _SIZE, _REAL = ctypes.c_int64, ctypes.c_double
 _F64, _I64, _U8 = _Array(np.float64), _Array(np.int64), _Array(np.uint8)
+_U32 = _Array(np.uint32)
 _F64_OUT, _I64_OUT = _Array(np.float64, out=True), _Array(np.int64, out=True)
 _U8_OUT, _U64_OUT = _Array(np.uint8, out=True), _Array(np.uint64, out=True)
 # The return and argument types of every function ``_ucb.c`` defines.
@@ -54,7 +55,7 @@ _SIGNATURES = {
                         _SIZE, _I64_OUT, _U8_OUT, _F64_OUT, _F64_OUT]),
     "ucb_batch": (ctypes.c_int, [_SIZE, _SIZE, _SIZE, _REAL, _F64, _I64, _U8, _F64, _F64,
                                  _I64_OUT, _I64_OUT]),
-    "pcg64_seed": (None, [_SIZE, _U64_OUT]),
+    "seed_streams": (None, [_SIZE, _U32, _I64, _I64, _U64_OUT]),
     "resample": (ctypes.c_int, [_SIZE, _SIZE, _REAL, _F64, _F64, _U64_OUT, _F64_OUT, _F64_OUT]),
 }
 

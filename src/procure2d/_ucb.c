@@ -1,5 +1,7 @@
 /* The 2D-UCB allocation rule, the only UCB round loop of procure2d, and, at
- * the end of the file, the self-resampling law and PCG64's seeding step.
+ * the end of the file, the random streams: numpy's stream seeding
+ * (SeedSequence's hash, then PCG64's seeding step) and the self-resampling
+ * law on the seeded streams.
  *
  * _native.py compiles this file on first use with -ffp-contract=off, so that
  * no multiply and add are fused and every score is rounded as Python's float
@@ -180,7 +182,8 @@ int ucb_batch(int64_t samples, int64_t n, int64_t n_rounds, double reward_scale,
     return 0;
 }
 
-/* The self-resampling law on numpy's PCG64 streams, and PCG64's seeding step.
+/* numpy's stream seeding, SeedSequence's hash and PCG64's seeding step, and
+ * the self-resampling law on numpy's PCG64 streams.
  *
  * A stream is four state words: the 128-bit state, high word first, then the
  * 128-bit increment.  numpy's PCG64 advances the state by state * M + inc and
@@ -241,20 +244,84 @@ static inline double pcg64_random(u128 *state, u128 inc)
     return (double)(x >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* PCG64's srandom step for m streams in place: row r of words holds the
- * seed (words 0, 1) and sequence (words 2, 3) that SeedSequence's
- * generate_state(4, uint64) gives, and becomes the stream's state words,
- * inc = sequence << 1 | 1 and state = (inc + seed) * M + inc mod 2**128. */
-void pcg64_seed(int64_t m, uint64_t *words)
+/* PCG64's srandom step: the stream of a seed and sequence, each 128 bits,
+ * written as its state words, inc = sequence << 1 | 1 and
+ * state = (inc + seed) * M + inc mod 2**128. */
+static void pcg64_seed(u128 seed, u128 seq, uint64_t *w)
+{
+    u128 inc = {seq.hi << 1 | seq.lo >> 63, seq.lo << 1 | 1};
+    u128 sum = {seed.hi + inc.hi, seed.lo + inc.lo};
+    sum.hi += sum.lo < inc.lo;
+    store128(w, muladd128(sum, PCG64_MULT, inc));
+    store128(w + 2, inc);
+}
+
+/* numpy's SeedSequence hash (numpy/random/bit_generator.pyx) at its default
+ * pool size.  hashmix with MULT_A hashes the entropy, with MULT_B
+ * generate_state's output. */
+#define POOL_SIZE 4
+static const uint32_t INIT_A = 0x43B0D7E5, MULT_A = 0x931E8875, INIT_B = 0x8B51F9DD,
+                      MULT_B = 0x58F38DED, MIX_MULT_L = 0xCA01F9DD, MIX_MULT_R = 0x4973F715;
+
+static inline uint32_t hashmix(uint32_t value, uint32_t *hash_const, uint32_t mult)
+{
+    value ^= *hash_const;
+    *hash_const *= mult;
+    value *= *hash_const;
+    return value ^ value >> 16;
+}
+
+static inline uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = MIX_MULT_L * x - MIX_MULT_R * y;
+    return r ^ r >> 16;
+}
+
+/* The state words of default_rng(SeedSequence(entropy, spawn_key=key)) for m
+ * rows, row r's at states + 4 * r.  Piece p of words, an entropy or a key as
+ * SeedSequence reads it, is the pieces[2p + 1] words at words + pieces[2p];
+ * row r's entropy is piece rows[2r] and its key piece rows[2r + 1].
+ *
+ * A row's words are its entropy's, then, when the key has words, zeros up to
+ * POOL_SIZE and the key's.  mix_entropy hashes the first POOL_SIZE words
+ * (zeros past the end) into the pool, mixes every pool word into every other,
+ * then mixes each later word into every pool word.  generate_state(4, uint64)
+ * hashes eight words cycling over the pool, paired little-endian into PCG64's
+ * seed and sequence, high word first. */
+void seed_streams(int64_t m, const uint32_t *words, const int64_t *pieces, const int64_t *rows,
+                  uint64_t *states)
 {
     for (int64_t r = 0; r < m; r++) {
-        uint64_t *w = words + 4 * r;
-        u128 seq = load128(w + 2), seed = load128(w);
-        u128 inc = {seq.hi << 1 | seq.lo >> 63, seq.lo << 1 | 1};
-        u128 sum = {seed.hi + inc.hi, seed.lo + inc.lo};
-        sum.hi += sum.lo < inc.lo;
-        store128(w, muladd128(sum, PCG64_MULT, inc));
-        store128(w + 2, inc);
+        const int64_t *e = pieces + 2 * rows[2 * r], *k = pieces + 2 * rows[2 * r + 1];
+        int64_t key_start = k[1] > 0 && e[1] < POOL_SIZE ? POOL_SIZE : e[1];
+        int64_t n = key_start + k[1];
+        uint32_t pool[POOL_SIZE], hash_const = INIT_A;
+        for (int64_t j = 0; j < n || j < POOL_SIZE; j++) {
+            uint32_t w = j < e[1] ? words[e[0] + j]
+                       : j >= key_start && j < n ? words[k[0] + j - key_start] : 0;
+            if (j >= POOL_SIZE) {
+                for (int dst = 0; dst < POOL_SIZE; dst++)
+                    pool[dst] = mix(pool[dst], hashmix(w, &hash_const, MULT_A));
+                continue;
+            }
+            pool[j] = hashmix(w, &hash_const, MULT_A);
+            if (j < POOL_SIZE - 1)
+                continue;
+            /* the pool is full: mix every pool word into every other */
+            for (int src = 0; src < POOL_SIZE; src++) {
+                for (int dst = 0; dst < POOL_SIZE; dst++) {
+                    if (dst != src)
+                        pool[dst] = mix(pool[dst], hashmix(pool[src], &hash_const, MULT_A));
+                }
+            }
+        }
+        uint64_t out[2 * POOL_SIZE];
+        hash_const = INIT_B;
+        for (int i = 0; i < 2 * POOL_SIZE; i++)
+            out[i] = hashmix(pool[i % POOL_SIZE], &hash_const, MULT_B);
+        u128 seed = {out[0] | out[1] << 32, out[2] | out[3] << 32};
+        u128 seq = {out[4] | out[5] << 32, out[6] | out[7] << 32};
+        pcg64_seed(seed, seq, states + 4 * r);
     }
 }
 

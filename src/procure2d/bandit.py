@@ -27,9 +27,10 @@ not depend on the split.  The top of ``_ucb.c`` says, with timings, why the
 two keep the scan's running best differently.  Both pass in the bonus
 widths and the ``1 / sqrt(n_i)`` table built here with ``math.log`` and
 ``math.sqrt``, so every score has the bits of the reference loop in the test
-suite.  ``_native`` builds, loads and declares the library, which also holds
-the resampler's law and stream seeding for ``resample``; a failed build
-raises ``UcbBuildError``.
+suite.  ``_native`` builds, loads and declares the library, which also holds,
+for ``resample``, the resampler's law and the whole of numpy's stream
+seeding, SeedSequence's hash and PCG64's seeding step; a failed build raises
+``UcbBuildError``.
 
 ``run_eps_separated`` is the explore-then-commit baseline: a fixed number of
 round-robin exploration units, then one shot of the optimal auction run with

@@ -23,10 +23,11 @@ the others.  That pair is all the randomness a learning run takes.
 Random streams are numpy's own, ``default_rng(SeedSequence(entropy,
 spawn_key=key))``, but ``stream_states`` derives the state words of many
 streams at once, without building a ``SeedSequence`` or a generator per
-stream: numpy's seed hash in one vectorized pass, then PCG64's seeding step
-in C.  ``child_states`` gives the per-bid children ``(i,)`` of a public
-seed.  A numpy generator draws a stream once its state is set from
-``state_dict``, or by ``generator_at``.
+stream: it reads each distinct entropy and key into uint32 words once, and
+one C call, ``seed_streams`` in ``_ucb.c``, runs numpy's seed hash and
+PCG64's seeding step on every row.  ``child_states`` gives the per-bid
+children ``(i,)`` of a public seed.  A numpy generator draws a stream once
+its state is set from ``state_dict``, or by ``generator_at``.
 """
 
 from __future__ import annotations
@@ -49,11 +50,7 @@ def _check_mu(mu: float) -> float:
     return float(mu)
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4  # numpy's default SeedSequence pool size, the one _ucb.c hashes with
 _WORD = 0xFFFFFFFF
 _WORD64 = (1 << 64) - 1
 
@@ -82,110 +79,38 @@ def _uint32_words(value) -> list[int]:
     return words
 
 
-def _word_matrix(word_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The lists of words as the rows of a uint32 matrix, zero-padded to the
-    longest (and at least one column), and their lengths."""
-    lengths = np.fromiter(map(len, word_lists), np.intp, len(word_lists))
-    matrix = np.zeros((len(word_lists), max(1, int(lengths.max()))), dtype=np.uint32)
-    matrix[np.arange(matrix.shape[1]) < lengths[:, None]] = np.fromiter(
-        itertools.chain.from_iterable(word_lists), np.uint32, int(lengths.sum()))
-    return matrix, lengths
-
-
-def _hash_consts(start: int, mult: int, count: int) -> np.ndarray:
-    """The ``count + 1`` successive values ``start * mult**k mod 2**32`` of a
-    hash constant, as a (count + 1, 1) column that broadcasts over streams."""
-    consts = [start]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _WORD)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return r ^ (r >> np.uint32(16))
-
-
 def stream_states(rows) -> np.ndarray:
     """The PCG64 streams of ``default_rng(SeedSequence(entropy,
-    spawn_key=key))`` for the ``(entropy, key)`` rows, derived for all rows at
-    once: an (m, 4) uint64 array of state words, each row the 128-bit state,
-    high word first, then the 128-bit increment.
+    spawn_key=key))`` for the ``(entropy, key)`` rows, derived for all rows in
+    one call: an (m, 4) uint64 array of state words, each row the 128-bit
+    state, high word first, then the 128-bit increment.
 
     ``resample_streams`` draws on the rows directly; ``state_dict`` turns a
     row into the ``state`` of a numpy ``PCG64``, so one reused generator can
     draw any number of streams.  ``entropy`` is an int or a sequence of ints,
     as ``SeedSequence`` accepts it; a spawn key ``(i,)`` names the ``i``-th
     child of ``SeedSequence(entropy)``, with the default pool size.  The
-    derivation is numpy's own: the entropy words, padded with zeros to the
-    pool size when a spawn key follows, are hashed into a pool of four words
-    in one pass of numpy arithmetic on uint32 words, and
-    ``generate_state(4, uint64)`` turns the pool into PCG64's seed and
-    sequence.  PCG64's seeding step on them, ``inc = sequence << 1 | 1`` and
-    ``state = (inc + seed) * M + inc`` mod 2**128, runs in ``_ucb.c`` for all
-    rows in one call.
+    derivation is numpy's own, SeedSequence's hash of the words and PCG64's
+    seeding step, run on every row by ``seed_streams`` in ``_ucb.c``.
     """
     rows = list(rows)
-    if not rows:
-        return np.empty((0, 4), dtype=np.uint64)
     m = len(rows)
     # A root's children share its entropy object: number the distinct objects
     # and keys in first-seen order and read the words of each once.  ``rows``
     # keeps every object alive, so no id is reused meanwhile.
     entropy_at, key_at = {}, {}
     entropy_rows = np.fromiter(
-        (entropy_at.setdefault(id(entropy), len(entropy_at)) for entropy, _ in rows), np.intp, m)
-    key_rows = np.fromiter((key_at.setdefault(tuple(key), len(key_at)) for _, key in rows),
-                           np.intp, m)
+        (entropy_at.setdefault(id(entropy), len(entropy_at)) for entropy, _ in rows), np.int64, m)
+    key_rows = np.fromiter(
+        (key_at.setdefault(tuple(key), len(key_at)) for _, key in rows), np.int64, m)
     pieces = [_uint32_words(entropy) for entropy in {id(e): e for e, _ in rows}.values()]
     pieces += map(_uint32_words, key_at)
-    matrix, sizes = _word_matrix(pieces)
-    key_rows += len(entropy_at)
-
-    # A row's words are its entropy's, then, under a spawn key, zeros up to
-    # the pool size and the key's.  Each row gets its entropy's zero-padded
-    # piece, then its key's written from where the key starts; the padding
-    # of either lands only on zeros past the row's own words.
-    entropy_lengths, key_lengths = sizes[entropy_rows], sizes[key_rows]
-    key_start = np.maximum(entropy_lengths, _POOL_SIZE)
-    lengths = np.where(key_lengths > 0, key_start + key_lengths, entropy_lengths)
-    piece_width = matrix.shape[1]
-    room = int(key_start.max()) + piece_width
-    words = np.zeros((m, room), dtype=np.uint32)
-    words[:, :piece_width] = matrix[entropy_rows]
-    flat_start = key_start + np.arange(0, m * room, room)
-    words.reshape(-1)[flat_start[:, None] + np.arange(piece_width)] = matrix[key_rows]
-    width = max(_POOL_SIZE, int(lengths.max()))
-    entropy = words[:, :width].T
-
-    # hashmix's constant advances once per call, the same for every stream:
-    # one call per pool word, three per source word in the pool mix, then
-    # four per entropy word past the pool.
-    h = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * (width - _POOL_SIZE))
-
-    def hashmix(value, k, count):
-        v = (value ^ h[k : k + count]) * h[k + 1 : k + count + 1]
-        return v ^ (v >> np.uint32(16))
-
-    pool = hashmix(entropy[:_POOL_SIZE], 0, _POOL_SIZE)
-    k = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[dst] = _mix(pool[dst], hashmix(pool[src], k, len(dst)))
-        k += len(dst)
-    for j in range(_POOL_SIZE, width):
-        mixed = _mix(pool, hashmix(entropy[j], k, _POOL_SIZE))
-        pool = np.where(lengths > j, mixed, pool)
-        k += _POOL_SIZE
-
-    # generate_state(4, uint64): eight words cycling over the pool, paired
-    # little-endian into seed (w0, w1) and sequence (w2, w3), high word first.
-    hb = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-    out = (pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE] ^ hb[:-1]) * hb[1:]
-    out ^= out >> np.uint32(16)
-    out = out.astype(np.uint64)
-    states = np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
-    _library().pcg64_seed(len(states), states)
+    lengths = np.fromiter(map(len, pieces), np.int64, len(pieces))
+    words = np.fromiter(itertools.chain.from_iterable(pieces), np.uint32, int(lengths.sum()))
+    spans = np.stack([np.cumsum(lengths) - lengths, lengths], axis=1)
+    row_pieces = np.stack([entropy_rows, key_rows + len(entropy_at)], axis=1)
+    states = np.empty((m, 4), dtype=np.uint64)
+    _library().seed_streams(m, words, spans, row_pieces, states)
     return states
 
 

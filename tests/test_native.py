@@ -31,9 +31,13 @@ def arguments(name):
                 bandit._inv_sqrt_counts(13).copy(), np.full((2, 3), -7, dtype=np.int64),
                 np.full((2, 3), -7, dtype=np.int64)]
         outputs = {9, 10}
-    elif name == "pcg64_seed":
-        args = [2, np.arange(1, 9, dtype=np.uint64).reshape(2, 4)]
-        outputs = {1}
+    elif name == "seed_streams":
+        # Pieces [5, 9], [7] and []: rows (entropy [5, 9], key (7,)) and
+        # (entropy [5, 9], key ()).
+        args = [2, np.array([5, 9, 7], dtype=np.uint32),
+                np.array([[0, 2], [2, 1], [3, 0]], dtype=np.int64),
+                np.array([[0, 1], [0, 2]], dtype=np.int64), np.full((2, 4), 7, dtype=np.uint64)]
+        outputs = {4}
     else:
         args = [2, 3, 0.4, rng.random((2, 3)) * 0.5, np.array([0.5, 0.75]),
                 np.arange(1, 9, dtype=np.uint64).reshape(2, 4), np.full((2, 3), -7.0),
@@ -61,7 +65,7 @@ def read_only(a):
     return a
 
 
-@pytest.mark.parametrize("name", ["ucb_run", "ucb_batch", "pcg64_seed", "resample"])
+@pytest.mark.parametrize("name", ["ucb_run", "ucb_batch", "seed_streams", "resample"])
 def test_declared_function_refuses_an_array_it_cannot_take(name):
     args, outputs = arguments(name)
     func = getattr(_native._library(), name)
@@ -82,7 +86,7 @@ def test_declared_function_refuses_an_array_it_cannot_take(name):
     assert all(args[k].tobytes() == a.tobytes() for k, a in given.items())
     # The same arrays are taken, read-only inputs included (a reward table as
     # RewardRealization holds it), and the C code writes every output.
-    assert func(*args) == {"ucb_run": 12, "pcg64_seed": None}.get(name, 0)
+    assert func(*args) == {"ucb_run": 12, "seed_streams": None}.get(name, 0)
     assert not any(args[k].tobytes() == given[k].tobytes() for k in outputs)
 
 

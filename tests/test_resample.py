@@ -340,6 +340,28 @@ def test_stream_states_equal_numpy_seeding(cases):
         assert rng.random() == np.random.Generator(reference).random()
 
 
+# Seed ints as SeedSequence takes them: one word, two or three words, and
+# numpy integer scalars.
+SEED_INTS = st.one_of(
+    st.integers(0, 2**32 - 1), st.integers(2**32, 2**80),
+    st.integers(0, 2**63 - 1).map(np.int64), st.integers(0, 2**32 - 1).map(np.uint32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(SEED_INTS, st.lists(st.integers(0, 2**32 - 1), max_size=9),
+                          st.lists(SEED_INTS, max_size=5)), min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 2), st.lists(SEED_INTS, max_size=3).map(tuple)),
+                min_size=1, max_size=8))
+def test_stream_states_equal_seed_sequence_on_any_rows(entropies, picks):
+    # Entropies of 0-9 words, on both sides of the pool size, under keys of
+    # 0-3 ints; a row picks one of a few entropy objects, so one list stands
+    # in several rows under different keys, as in a simulation cell.
+    rows = [(entropies[i % len(entropies)], key) for i, key in picks]
+    for (entropy, key), words in zip(rows, stream_states(rows)):
+        reference = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=key))
+        assert state_dict(words) == reference.state, (entropy, key)
+
+
 def test_stream_states_of_no_rows():
     assert stream_states([]).shape == (0, 4)
 
