@@ -9,49 +9,14 @@ the incentive guarantees, and the simulation harness behind the ``procure2d``
 command-line tool.
 """
 
-from .audits import (
-    AuditReport,
-    DeviationGrid,
-    audit_dsic,
-    audit_iia,
-    audit_monotone_allocation,
-    audit_offered_utility,
-    audit_resampler,
-    audit_stochastic_bic,
-    make_opt_probe,
-    make_ucb_batch_utility,
-)
-from .bandit import (
-    RunTrace,
-    TraceStep,
-    UcbBuildError,
-    run_2d_ucb,
-    run_eps_separated,
-    run_ucb_batch,
-    seeded_draws,
-)
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    ResultRow,
-    emit_results,
-    parse_config,
-    read_bids_csv,
-    read_results_csv,
-    render_results_svg,
-    run_experiment,
-)
-from .model import (
-    AgentType,
-    Bid,
-    MarketConfig,
-    RewardRealization,
-    TypeDistribution,
-    sample_reward_realization,
-    uniform_type_distribution,
-)
-from .optimal import MechanismOutcome, alloc_greedy, auctioneer_utility, run_2d_opt
-from .resample import resample_batch, self_resample, transform_premium
+# Each module's ``__all__`` names its public API; the package exports exactly
+# their union (tests/test_exports.py).
+from .audits import *  # noqa: F401,F403
+from .bandit import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .optimal import *  # noqa: F401,F403
+from .resample import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 

@@ -55,7 +55,7 @@ _SIGNATURES = {
                         _SIZE, _I64_OUT, _U8_OUT, _F64_OUT, _F64_OUT]),
     "ucb_batch": (ctypes.c_int, [_SIZE, _SIZE, _SIZE, _REAL, _F64, _I64, _U8, _F64, _F64,
                                  _I64_OUT, _I64_OUT]),
-    "seed_streams": (None, [_SIZE, _U32, _I64, _I64, _U64_OUT]),
+    "seed_streams": (ctypes.c_int, [_SIZE, _U32, _SIZE, _I64, _I64, _U64_OUT]),
     "resample": (ctypes.c_int, [_SIZE, _SIZE, _REAL, _F64, _F64, _U64_OUT, _F64_OUT, _F64_OUT]),
 }
 
@@ -64,7 +64,8 @@ def _check_status(status, func, args):
     """``status``, unless it is -1 (out of memory), -2 (the resampler's
     iteration cap) or -3 (a bid, argument 3, above its cost_hi, argument 4)."""
     if status == -1:
-        where = "the resampler" if func.__name__ == "resample" else "the UCB round loop"
+        where = {"resample": "the resampler", "seed_streams": "the stream seeding"}.get(
+            func.__name__, "the UCB round loop")
         raise MemoryError(f"out of memory in {where}")
     if status == -2:
         raise ResampleCapError("resampling recursion exceeded the iteration cap")

@@ -278,9 +278,11 @@ static inline uint32_t mix(uint32_t x, uint32_t y)
 }
 
 /* The state words of default_rng(SeedSequence(entropy, spawn_key=key)) for m
- * rows, row r's at states + 4 * r.  Piece p of words, an entropy or a key as
- * SeedSequence reads it, is the pieces[2p + 1] words at words + pieces[2p];
- * row r's entropy is piece rows[2r] and its key piece rows[2r + 1].
+ * rows, row r's at states + 4 * r.  The words hold n_pieces pieces end to
+ * end, each an entropy or a key as SeedSequence reads it: piece p is
+ * lengths[p] words, starting where piece p - 1 ends.  Row r's entropy is
+ * piece rows[2r] and its key piece rows[2r + 1].  Returns 0, or -1 when out
+ * of memory.
  *
  * A row's words are its entropy's, then, when the key has words, zeros up to
  * POOL_SIZE and the key's.  mix_entropy hashes the first POOL_SIZE words
@@ -288,17 +290,22 @@ static inline uint32_t mix(uint32_t x, uint32_t y)
  * then mixes each later word into every pool word.  generate_state(4, uint64)
  * hashes eight words cycling over the pool, paired little-endian into PCG64's
  * seed and sequence, high word first. */
-void seed_streams(int64_t m, const uint32_t *words, const int64_t *pieces, const int64_t *rows,
-                  uint64_t *states)
+int seed_streams(int64_t m, const uint32_t *words, int64_t n_pieces, const int64_t *lengths,
+                 const int64_t *rows, uint64_t *states)
 {
+    int64_t *starts = malloc((n_pieces > 0 ? n_pieces : 1) * sizeof *starts);
+    if (!starts)
+        return -1;
+    for (int64_t p = 0, at = 0; p < n_pieces; at += lengths[p++])
+        starts[p] = at;
     for (int64_t r = 0; r < m; r++) {
-        const int64_t *e = pieces + 2 * rows[2 * r], *k = pieces + 2 * rows[2 * r + 1];
-        int64_t key_start = k[1] > 0 && e[1] < POOL_SIZE ? POOL_SIZE : e[1];
-        int64_t n = key_start + k[1];
+        int64_t e = rows[2 * r], k = rows[2 * r + 1];
+        int64_t key_start = lengths[k] > 0 && lengths[e] < POOL_SIZE ? POOL_SIZE : lengths[e];
+        int64_t n = key_start + lengths[k];
         uint32_t pool[POOL_SIZE], hash_const = INIT_A;
         for (int64_t j = 0; j < n || j < POOL_SIZE; j++) {
-            uint32_t w = j < e[1] ? words[e[0] + j]
-                       : j >= key_start && j < n ? words[k[0] + j - key_start] : 0;
+            uint32_t w = j < lengths[e] ? words[starts[e] + j]
+                       : j >= key_start && j < n ? words[starts[k] + j - key_start] : 0;
             if (j >= POOL_SIZE) {
                 for (int dst = 0; dst < POOL_SIZE; dst++)
                     pool[dst] = mix(pool[dst], hashmix(w, &hash_const, MULT_A));
@@ -323,6 +330,8 @@ void seed_streams(int64_t m, const uint32_t *words, const int64_t *pieces, const
         u128 seq = {out[4] | out[5] << 32, out[6] | out[7] << 32};
         pcg64_seed(seed, seq, states + 4 * r);
     }
+    free(starts);
+    return 0;
 }
 
 /* size draws of the self-resampler on each of m streams: stream s draws at

@@ -12,29 +12,23 @@ resampling transformation: bid cost per unit, plus the ``1/mu`` premium when
 the agent's beta moved (``resample.transform_premium``, the rule every
 mechanism here pays by).
 
-The rule has one implementation, the round loop in ``_ucb.c``: a seeding
-pass, then every round a full scan over the agents below capacity, for a
-block of a few independent auctions (lanes) advanced together round by
-round.  ``run_2d_ucb`` calls it as a block of one lane (``ucb_run``), once
-per auction.  ``run_ucb_batch`` calls ``ucb_batch``, which walks stacked
-reward tables in blocks of lanes, for the truthfulness audits, which run
-tens of thousands of 30-50-round auctions per deviated bid.  It spreads a
-batch's samples over the CPUs the process may run on: one contiguous chunk
-of samples per CPU, each in its own ``ucb_batch`` call on its own thread,
-which run at once because ctypes releases the interpreter lock during a
-call.  A sample's result depends on its own row alone, so the outputs do
-not depend on the split.  The top of ``_ucb.c`` says, with timings, why the
-two keep the scan's running best differently.  Both pass in the bonus
-widths and the ``1 / sqrt(n_i)`` table built here with ``math.log`` and
-``math.sqrt``, so every score has the bits of the reference loop in the test
-suite.  ``_native`` builds, loads and declares the library, which also holds,
-for ``resample``, the resampler's law and the whole of numpy's stream
-seeding, SeedSequence's hash and PCG64's seeding step; a failed build raises
-``UcbBuildError``.
+The rule has one implementation, the round loop in ``_ucb.c``, which
+advances a block of a few independent auctions (lanes) together round by
+round: ``run_2d_ucb`` runs a block of one lane (``ucb_run``) per auction,
+and ``run_ucb_batch`` walks the stacked tables of the truthfulness audits in
+blocks of lanes (``ucb_batch``), one chunk of samples per CPU, each on its
+own thread.  Both pass in the bonus widths and the ``1 / sqrt(n_i)`` table
+built here with ``math.log`` and ``math.sqrt``, so every score has the bits
+of the reference loop in the test suite.  ``_native`` builds, loads and
+declares the library, which also holds the C code of ``resample``; a failed
+build raises ``UcbBuildError``.
 
 ``run_eps_separated`` is the explore-then-commit baseline: a fixed number of
-round-robin exploration units, then one shot of the optimal auction run with
-the frozen quality estimates on the residual capacities.
+round-robin exploration units, then one optimal auction, the core of
+``optimal``, on the frozen quality estimates and the residual capacities.
+Handed several exploration budgets, one call runs them all on one table and
+admits the bids, the table and the draws once, as a simulation cell does
+for each realization.
 """
 
 from __future__ import annotations
@@ -50,10 +44,11 @@ import numpy as np
 
 from ._native import UcbBuildError, _library
 from .model import Bid, MarketConfig, RewardRealization
-from .optimal import MechanismOutcome, run_2d_opt
+from .optimal import MechanismOutcome, _threshold_auction
 from .resample import child_states, resample_streams, transform_premium
-# Only so that the attribute perfbench's tracer wraps exists
-# (tests/test_exports.py): no command draws through it, so its layer reads 0.
+# Only so that the attributes perfbench's tracer wraps exist
+# (tests/test_exports.py): no command calls them here, so their layers read 0.
+from .optimal import run_2d_opt  # noqa: F401
 from .resample import self_resample  # noqa: F401
 
 __all__ = [
@@ -106,14 +101,17 @@ def seeded_draws(config: MarketConfig, bids: Sequence[Bid], mu: float, seed):
     return resample_streams([bid.cost for bid in bids], highs, mu, child_states(seed, len(bids)))
 
 
-def _draw_lists(draws, n: int) -> tuple[list[float], list[float]]:
-    """A run's pair ``(alpha, beta)`` as two lists of floats, refused unless
-    it holds one alpha and one beta per bid."""
+def _draw_arrays(draws, n: int, *runs: int) -> tuple[np.ndarray, np.ndarray]:
+    """A pair ``(alpha, beta)`` as two float arrays, refused unless it holds
+    one alpha and one beta per bid, of shape ``(n,)``, or given a number of
+    runs, per bid of each run, of shape ``(runs, n)``."""
+    shape = (*runs, n)
+    want = f"per bid and budget: {runs[0]} budgets of {n} bids" if runs else f"per bid: {n} bids"
     alpha, beta = (np.asarray(side, dtype=float) for side in draws)
-    if alpha.shape != (n,) or beta.shape != (n,):
-        raise ValueError(f"need one alpha and one beta per bid: {n} bids, got alpha of shape "
+    if alpha.shape != shape or beta.shape != shape:
+        raise ValueError(f"need one alpha and one beta {want}, got alpha of shape "
                          f"{alpha.shape} and beta of shape {beta.shape}")
-    return alpha.tolist(), beta.tolist()
+    return alpha, beta
 
 
 # The bonus scale ``c``, and the widths ``sqrt(c ln t)``, shared by every run
@@ -187,12 +185,10 @@ def run_2d_ucb(
     if config.check_run(bids, realization):
         raise ValueError(f"run_2d_ucb takes one {n}x{n_rounds} table, got a stack")
 
-    alpha, beta = _draw_lists(draws, n)
+    alpha, beta = _draw_arrays(draws, n)
     reward_scale = config.reward_scale
-    h = [
-        float(dist.virtual_cost(a, bid.capacity))
-        for dist, a, bid in zip(config.distributions, alpha, bids)
-    ]
+    h = [float(dist.virtual_cost(a, bid.capacity))
+         for dist, a, bid in zip(config.distributions, alpha.tolist(), bids)]
     # No run buys more than the budget from one agent.
     caps = [min(bid.capacity, n_rounds) for bid in bids]
     table = realization.table
@@ -344,61 +340,62 @@ def _round_robin_split(caps: list[int], budget: int) -> list[int]:
 
 
 def run_eps_separated(
-    config: MarketConfig,
-    bids: Sequence[Bid],
-    realization: RewardRealization,
-    explore_rounds: int,
-    mu: float,
-    draws,
-) -> MechanismOutcome:
+    config: MarketConfig, bids: Sequence[Bid], realization: RewardRealization, explore_rounds,
+    mu: float, draws,
+) -> MechanismOutcome | list[MechanismOutcome]:
     """Explore-then-commit baseline on the resampled bids ``(alpha, beta)``.
 
     Spreads ``explore_rounds`` units round-robin across agents regardless of
     bids, freezes the empirical qualities, then allocates the remaining
-    budget with one optimal-auction run at the resampled costs on the
-    residual capacities.  Exploration units are paid bid cost plus the
+    budget with one run of the optimal auction's core at the resampled costs
+    on the residual capacities.  Exploration units are paid bid cost plus the
     resampling premium; exploitation units are paid by the optimal auction's
     threshold rule.
+
+    ``explore_rounds`` is one budget, with draws of shape ``(n,)``, giving
+    one outcome; or a 1-D sequence of E budgets, with draws of shape
+    ``(E, n)``, giving a list of E outcomes, outcome e that of budget e on
+    row e of the draws.  Resampled costs must lie within their priors' bounds.
     """
-    n = config.n_agents
-    n_rounds = config.units
+    n, n_rounds, dists = config.n_agents, config.units, config.distributions
     if config.check_run(bids, realization):
         raise ValueError(f"run_eps_separated takes one {n}x{n_rounds} table, got a stack")
-    if not n <= explore_rounds <= n_rounds:
-        raise ValueError(
-            f"explore_rounds must lie in [{n}, {n_rounds}], got {explore_rounds}"
-        )
+    shape = np.shape(explore_rounds)
+    if len(shape) > 1 or shape == (0,):
+        raise ValueError(f"explore_rounds must be one budget or a non-empty 1-D sequence of "
+                         f"budgets, got shape {shape}")
+    alpha, beta = _draw_arrays(draws, n, *shape)
+    alpha_rows = alpha.reshape(-1, n).tolist()
+    for costs in alpha_rows:
+        config.check_costs(costs)
+
+    reward_scale, table = config.reward_scale, realization.table
     caps = [bid.capacity for bid in bids]
     total_cap = sum(caps)
-    if explore_rounds > total_cap:
-        warnings.warn(
-            f"explore_rounds {explore_rounds} exceeds total reported capacity "
-            f"{total_cap}; clipping",
-            stacklevel=2,
-        )
-        explore_rounds = total_cap
+    runs = []
+    for explore, costs in zip(explore_rounds if shape else [explore_rounds], alpha_rows):
+        if not n <= explore <= n_rounds:
+            raise ValueError(f"explore_rounds must lie in [{n}, {n_rounds}], got {explore}")
+        if explore > total_cap:
+            warnings.warn(f"explore_rounds {explore} exceeds total reported capacity "
+                          f"{total_cap}; clipping", stacklevel=2)
+            explore = total_cap
+        split = _round_robin_split(caps, explore)
+        seen = [int(np.count_nonzero(table[i, :k])) for i, k in enumerate(split)]
+        q_hat = [s / k if k else 0.0 for s, k in zip(seen, split)]
+        residual = [cap - k for cap, k in zip(caps, split)]
+        units, pay = _threshold_auction(q_hat, reward_scale, costs, residual,
+                                        n_rounds - explore, dists)
+        bought = sum(int(np.count_nonzero(table[i, k : k + u]))
+                     for i, (k, u) in enumerate(zip(split, units)) if u)
+        runs.append((split, units, pay, sum(seen) + bought))
 
-    alpha, beta = _draw_lists(draws, n)
-    reward_scale = config.reward_scale
-    rows = [realization.table[i] for i in range(n)]
-
-    explored = _round_robin_split(caps, explore_rounds)
-
-    explore_succ = [int(np.count_nonzero(rows[i][: explored[i]])) for i in range(n)]
-    q_hat = np.array(
-        [explore_succ[i] / explored[i] if explored[i] else 0.0 for i in range(n)]
-    )
-
-    exploit_budget = n_rounds - explore_rounds
-    exploit_bids = [Bid(a, caps[i] - explored[i]) for i, a in enumerate(alpha)]
-    sub_config = MarketConfig(exploit_budget, reward_scale, config.distributions)
-    exploit = run_2d_opt(sub_config, q_hat, exploit_bids)
-
-    counts = np.array([explored[i] + int(exploit.allocation[i]) for i in range(n)], dtype=np.int64)
+    explored, exploit_units, exploit_pay, successes = zip(*runs)
+    explored = np.array(explored, dtype=np.int64)
     costs = np.array([bid.cost for bid in bids])
-    cost_highs = [dist.cost_bounds[1] for dist in config.distributions]
-    premium = transform_premium(explored, mu, costs, cost_highs, beta)
-    payments = costs * explored + exploit.payments + premium
-    total_succ = sum(int(np.count_nonzero(rows[i][: counts[i]])) for i in range(n))
-    utility = reward_scale * total_succ - float(payments.sum())
-    return MechanismOutcome(counts, payments, utility)
+    premium = transform_premium(explored, mu, costs, [d.cost_bounds[1] for d in dists], beta)
+    payments = costs * explored + np.array(exploit_pay) + premium
+    counts = explored + np.array(exploit_units, dtype=np.int64)
+    outcomes = [MechanismOutcome(c, p, reward_scale * s - float(p.sum()))
+                for c, p, s in zip(counts, payments, successes)]
+    return outcomes if shape else outcomes[0]

@@ -238,7 +238,9 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
     ``stream_states`` call.  One ``resample_streams`` call draws every
     resampled bid of the cell; the types, capacities and reward tables are
     drawn on one reused generator.  Each reward table is drawn only through
-    the agents' capacities, the most any run buys from them.
+    the agents' capacities, the most any run buys from them.  A
+    realization's explore-then-commit runs, one per exploration budget, go
+    through one ``run_eps_separated`` call.
     """
     units = config.l_grid[l_index]
     n = config.n
@@ -248,11 +250,9 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
     rows = [([seed, _TAG_TYPES, type_sample], ()), ([seed, _TAG_CAPS, type_sample, l_index], ())]
     rows += [([seed, _TAG_REALIZATION, type_sample, l_index, r], ()) for r in range(reps)]
     for r in range(reps):
-        ucb = [seed, _TAG_UCB, type_sample, l_index, r]
-        rows += [(ucb, (i,)) for i in range(n)]
-        for v in range(len(config.eps_exponents)):
-            eps = [seed, _TAG_EPS, type_sample, l_index, r, v]
-            rows += [(eps, (i,)) for i in range(n)]
+        roots = [[seed, _TAG_UCB, type_sample, l_index, r]] + [
+            [seed, _TAG_EPS, type_sample, l_index, r, v] for v in range(len(config.eps_exponents))]
+        rows += [(root, (i,)) for root in roots for i in range(n)]
     states = stream_states(rows)
     rng = generator_at(states[0])
 
@@ -273,32 +273,31 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
     market = MarketConfig(units, config.reward_scale, (dist,) * n)
     bids = [Bid(float(costs[i]), int(capacities[i])) for i in range(n)]
 
-    out = {label: np.empty(reps) for label in config.mechanism_labels()}
+    labels = config.mechanism_labels()
+    out = {label: np.empty(reps) for label in labels}
 
     benchmark = run_2d_opt(market, qualities, bids)
     out["opt"][:] = benchmark.auctioneer_utility / units
 
-    explore_grid = [
-        max(n, int(round(units ** exponent))) for exponent in config.eps_exponents
-    ]
+    explore_grid = [max(n, int(round(units ** exponent))) for exponent in config.eps_exponents]
 
     # One draw per bid of every run: each realization's learner, then its eps runs.
-    runs = reps * (1 + len(config.eps_exponents))
-    draws = resample_streams(np.tile(costs, runs), config.cost_hi, config.mu, states[2 + reps :])
-    runs_draws = zip(*(side.reshape(runs, n) for side in draws))
+    runs = 1 + len(explore_grid)
+    alpha, beta = (side.reshape(reps, runs, n) for side in resample_streams(
+        np.tile(costs, reps * runs), config.cost_hi, config.mu, states[2 + reps :]))
 
     for r in range(reps):
         rng.bit_generator.state = state_dict(states[2 + r])
         realization = sample_reward_realization(qualities, units, rng, capacities)
         ucb_outcome, _ = run_2d_ucb(
-            market, bids, realization, config.mu, next(runs_draws), record_trace=False
+            market, bids, realization, config.mu, (alpha[r, 0], beta[r, 0]), record_trace=False
         )
         out["ucb"][r] = ucb_outcome.auctioneer_utility / units
-        for exponent, explore in zip(config.eps_exponents, explore_grid):
-            eps_outcome = run_eps_separated(
-                market, bids, realization, explore, config.mu, next(runs_draws)
-            )
-            out[f"eps-{_exponent_label(exponent)}"][r] = eps_outcome.auctioneer_utility / units
+        eps_outcomes = run_eps_separated(
+            market, bids, realization, explore_grid, config.mu, (alpha[r, 1:], beta[r, 1:])
+        )
+        for label, eps_outcome in zip(labels[2:], eps_outcomes):
+            out[label][r] = eps_outcome.auctioneer_utility / units
     return out
 
 

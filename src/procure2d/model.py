@@ -215,12 +215,17 @@ class MarketConfig:
         withholding down to 0 is a legal report)."""
         if len(bids) != self.n_agents:
             raise ValueError(f"expected {self.n_agents} bids, got {len(bids)}")
+        self.check_costs([bid.cost for bid in bids])
         for i, (bid, dist) in enumerate(zip(bids, self.distributions)):
-            (lo, hi), top = dist.cost_bounds, dist.cap_bounds[1]
-            if not lo <= bid.cost <= hi:
-                raise ValueError(f"agent {i} bid cost {bid.cost} outside [{lo}, {hi}]")
-            if bid.capacity > top:
+            if bid.capacity > (top := dist.cap_bounds[1]):
                 raise ValueError(f"agent {i} bid capacity {bid.capacity} above prior bound {top}")
+
+    def check_costs(self, costs) -> None:
+        """``check_bids``' cost rule alone, on one cost per agent."""
+        for i, (cost, dist) in enumerate(zip(costs, self.distributions)):
+            lo, hi = dist.cost_bounds
+            if not lo <= cost <= hi:
+                raise ValueError(f"agent {i} bid cost {cost} outside [{lo}, {hi}]")
 
     def check_run(self, bids, realization: RewardRealization) -> tuple[int, ...]:
         """The one rule for a learning run: ``units >= n_agents`` (the seeding

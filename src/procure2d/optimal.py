@@ -3,12 +3,14 @@ with threshold payments.
 
 Winners are paid a critical price per unit: the highest cost they could have
 bid and still won that unit against the competition, capped at their upper
-cost bound.  ``run_2d_opt`` sorts the agents by score once per auction; the
-allocation is one walk of that order, and each winner's rivals are priced by
-another walk of the same order over the residual capacities, with that
-winner left out.  The test suite recomputes every payment through the
-equivalent cost-integral form (bid cost times units, plus the integral of
-the allocation over all higher cost bids); the two agreeing is the main
+cost bound.  ``run_2d_opt`` admits a bid profile, then runs the one core,
+``_threshold_auction``, which the explore-then-commit baseline also runs
+after admitting its own inputs.  The core sorts the agents by score once;
+the allocation is one walk of that order, and each winner's rivals are
+priced by another walk of the same order over the residual capacities,
+with that winner left out.  The test suite recomputes every payment through
+the equivalent cost-integral form (bid cost times units, plus the integral
+of the allocation over all higher cost bids); the two agreeing is the main
 correctness check on the payment rule.  ``alloc_greedy`` is the same walk
 behind a validating wrapper, for callers holding a score vector.
 """
@@ -97,37 +99,23 @@ def alloc_greedy(scores, capacities, budget: int) -> np.ndarray:
     return np.array(units, dtype=np.int64)
 
 
-def run_2d_opt(
-    config: MarketConfig,
-    qualities,
-    bids: Sequence[Bid],
-) -> MechanismOutcome:
-    """Run the optimal known-quality auction on a bid profile.
-
-    Winners are paid per unit the critical bid at which a competitor (on
-    residual capacity) would have taken the unit, capped at the winner's
-    upper cost bound; units no competitor could absorb are paid at the upper
-    bound.  Losers pay and receive nothing.  Every ``TypeDistribution`` is
-    regular (its virtual cost increases in cost), so no prior is refused.
-    """
-    config.check_bids(bids)
-    q = _check_qualities(qualities, config.n_agents)
-    reward_scale = config.reward_scale
-    caps = [bid.capacity for bid in bids]
+def _threshold_auction(q, reward_scale: float, costs, caps, budget: int, distributions):
+    """The auction on plain lists, admitted by the caller: units and threshold
+    payments per agent, at qualities ``q``, bid costs ``costs`` and
+    capacities ``caps``, buying at most ``budget`` units."""
     scores = [
-        dist.g_score(q[i], reward_scale, bids[i].cost, caps[i])
-        for i, dist in enumerate(config.distributions)
+        dist.g_score(q[i], reward_scale, costs[i], caps[i]) for i, dist in enumerate(distributions)
     ]
     if not all(map(math.isfinite, scores)):
         raise ValueError("scores must be finite")
     order = _score_order(scores)
-    units = _walk(order, scores, caps, config.units)
+    units = _walk(order, scores, caps, budget)
 
     payments = [0.0] * len(units)
     for i, won in enumerate(units):
         if won == 0:
             continue
-        dist_i = config.distributions[i]
+        dist_i = distributions[i]
         # Highest cost at which the winner still allocates: the upper cost
         # bound, shrunk to G_i^{-1}(0) when the winner's own score would turn
         # negative before reaching it.  Units beyond that bid are never won,
@@ -144,8 +132,25 @@ def run_2d_opt(
                 critical = dist_i.g_inverse(q[i], reward_scale, scores[k], caps[i])
                 pay += float(taken) * min(critical, price_cap)
         payments[i] = pay
+    return units, payments
 
+
+def run_2d_opt(config: MarketConfig, qualities, bids: Sequence[Bid]) -> MechanismOutcome:
+    """Run the optimal known-quality auction on a bid profile.
+
+    Winners are paid per unit the critical bid at which a competitor (on
+    residual capacity) would have taken the unit, capped at the winner's
+    upper cost bound; units no competitor could absorb are paid at the upper
+    bound.  Losers pay and receive nothing.  Every ``TypeDistribution`` is
+    regular (its virtual cost increases in cost), so no prior is refused.
+    """
+    config.check_bids(bids)
+    q = _check_qualities(qualities, config.n_agents)
+    reward_scale = config.reward_scale
+    units, payments = _threshold_auction(
+        q, reward_scale, [bid.cost for bid in bids], [bid.capacity for bid in bids],
+        config.units, config.distributions,
+    )
     units = np.array(units, dtype=np.int64)
     payments = np.array(payments)
     return MechanismOutcome(units, payments, auctioneer_utility(units, payments, q, reward_scale))
-

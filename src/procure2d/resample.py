@@ -107,10 +107,9 @@ def stream_states(rows) -> np.ndarray:
     pieces += map(_uint32_words, key_at)
     lengths = np.fromiter(map(len, pieces), np.int64, len(pieces))
     words = np.fromiter(itertools.chain.from_iterable(pieces), np.uint32, int(lengths.sum()))
-    spans = np.stack([np.cumsum(lengths) - lengths, lengths], axis=1)
     row_pieces = np.stack([entropy_rows, key_rows + len(entropy_at)], axis=1)
     states = np.empty((m, 4), dtype=np.uint64)
-    _library().seed_streams(m, words, spans, row_pieces, states)
+    _library().seed_streams(m, words, len(pieces), lengths, row_pieces, states)
     return states
 
 

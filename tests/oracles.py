@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from procure2d import (
     run_2d_ucb,
     run_eps_separated,
     sample_reward_realization,
+    transform_premium,
     uniform_type_distribution,
 )
 from procure2d import bandit
@@ -276,6 +278,36 @@ def round_robin_explore(caps, budget) -> list[int]:
             spent += 1
         i = (i + 1) % n
     return explored
+
+
+def eps_reference(config, bids, realization, explore_rounds, mu, draws) -> MechanismOutcome:
+    """One explore-then-commit run the way ``run_eps_separated`` ran it before
+    it took several budgets: round-robin exploration stepped unit by unit,
+    then the commit auction through ``run_2d_opt`` on its own market,
+    ``MarketConfig(L - explore, R, priors)`` with the bids ``Bid(alpha_i,
+    cap_i - explored_i)``.  Warns, as the baseline does, when the budget
+    exceeds the total capacity and is clipped to it."""
+    n = config.n_agents
+    alpha, beta = (np.asarray(side, dtype=float).tolist() for side in draws)
+    caps = [bid.capacity for bid in bids]
+    if explore_rounds > sum(caps):
+        warnings.warn(f"explore_rounds {explore_rounds} exceeds total reported capacity "
+                      f"{sum(caps)}; clipping")
+        explore_rounds = sum(caps)
+    rows = realization.table
+    explored = round_robin_explore(caps, explore_rounds)
+    seen = [int(np.count_nonzero(rows[i, : explored[i]])) for i in range(n)]
+    q_hat = np.array([seen[i] / explored[i] if explored[i] else 0.0 for i in range(n)])
+    market = MarketConfig(config.units - explore_rounds, config.reward_scale, config.distributions)
+    exploit = run_2d_opt(market, q_hat, [Bid(a, caps[i] - explored[i]) for i, a in enumerate(alpha)])
+
+    counts = np.array(explored, dtype=np.int64) + exploit.allocation
+    costs = np.array([bid.cost for bid in bids])
+    highs = [dist.cost_bounds[1] for dist in config.distributions]
+    premium = transform_premium(explored, mu, costs, highs, beta)
+    payments = costs * explored + exploit.payments + premium
+    successes = sum(int(np.count_nonzero(rows[i, : counts[i]])) for i in range(n))
+    return MechanismOutcome(counts, payments, config.reward_scale * successes - float(payments.sum()))
 
 
 def seed_sequence_cell(config, l_index, type_sample) -> dict[str, np.ndarray]:

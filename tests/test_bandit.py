@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procure2d import (
     Bid,
@@ -20,7 +23,7 @@ from procure2d import (
 )
 from procure2d.bandit import _round_robin_split
 
-from oracles import patched_bonus_scale, round_robin_explore
+from oracles import eps_reference, patched_bonus_scale, round_robin_explore
 
 DIST = uniform_type_distribution(0.0, 1.0, 1, 50)
 
@@ -618,6 +621,114 @@ class TestEpsSeparated:
         )
         outcome = run_eps_separated(m, bids, table, 4, 0.1, pinned(bids))
         assert outcome.allocation.tolist() == [2, 8]
+
+
+def clipping_warnings(run):
+    """``run()``'s result and the number of clipping warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run()
+    return result, sum("clipping" in str(w.message) for w in caught)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_budget_grid_equals_the_reference_and_one_budget_runs(data):
+    # n up to 9 runs the payment sums on both sides of numpy's 8-element
+    # pairwise block; tied costs and tied tables tie the commit auction's
+    # scores; a small total capacity clips budgets.
+    n = data.draw(st.integers(1, 9), label="n")
+    units = data.draw(st.integers(n, 60), label="units")
+    caps = data.draw(st.lists(st.integers(0, 25), min_size=n, max_size=n), label="caps")
+    cost = st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    costs = data.draw(st.lists(cost, min_size=n, max_size=n), label="costs")
+    m = MarketConfig(units, 30.0, (uniform_type_distribution(0.0, 1.0, 1, 25),) * n)
+    bids = [Bid(c, k) for c, k in zip(costs, caps)]
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    table_kind = data.draw(st.sampled_from(["drawn", "prefixes", "ones", "same-rows"]))
+    if table_kind in ("drawn", "prefixes"):
+        q = np.random.default_rng(seed).random(n)
+        table = sample_reward_realization(q, units, seed, caps if table_kind == "prefixes" else None)
+    else:
+        row = np.random.default_rng(seed).random(units) < 0.6 if table_kind == "same-rows" else 1
+        table = RewardRealization(np.broadcast_to(row, (n, units)).astype(np.uint8))
+    budget = st.integers(n, units)
+    budgets = data.draw(st.lists(budget, min_size=1, max_size=5), label="budgets")
+    mu = data.draw(st.sampled_from([0.1, 0.6]), label="mu")
+    if data.draw(st.booleans(), label="pinned"):
+        alpha = beta = np.array([costs] * len(budgets))
+    else:
+        rows = [seeded_draws(m, bids, mu, [seed, e]) for e in range(len(budgets))]
+        alpha, beta = (np.array(side) for side in zip(*rows))
+
+    grid, clipped = clipping_warnings(
+        lambda: run_eps_separated(m, bids, table, budgets, mu, (alpha, beta)))
+    assert clipped == sum(b > sum(caps) for b in budgets)
+    assert len(grid) == len(budgets)
+    for e, explore in enumerate(budgets):
+        row = (alpha[e], beta[e])
+        for run in (eps_reference, run_eps_separated):
+            expected, _ = clipping_warnings(lambda: run(m, bids, table, explore, mu, row))
+            assert np.array_equal(grid[e].allocation, expected.allocation)
+            assert np.array_equal(grid[e].payments, expected.payments)
+            assert grid[e].auctioneer_utility == expected.auctioneer_utility
+
+
+# Budget grids the grid form refuses, each with one line; a market of three
+# bids over 20 units, so budgets must lie in [3, 20].
+GRID_REFUSALS = {
+    "draws-not-a-row-per-budget": (
+        [3, 4], ([0.3] * 3, [0.3] * 3),
+        "need one alpha and one beta per bid and budget: 2 budgets of 3 bids, got alpha of "
+        "shape (3,) and beta of shape (3,)"),
+    "draws-of-too-few-bids": (
+        [3, 4], ([[0.3] * 2] * 2, [[0.3] * 2] * 2),
+        "need one alpha and one beta per bid and budget: 2 budgets of 3 bids, got alpha of "
+        "shape (2, 2) and beta of shape (2, 2)"),
+    "beta-of-another-shape": (
+        [3, 4], ([[0.3] * 3] * 2, [[0.3] * 3] * 3),
+        "need one alpha and one beta per bid and budget: 2 budgets of 3 bids, got alpha of "
+        "shape (2, 3) and beta of shape (3, 3)"),
+    "empty-budgets": (
+        [], (np.empty((0, 3)), np.empty((0, 3))),
+        "explore_rounds must be one budget or a non-empty 1-D sequence of budgets, got shape "
+        "(0,)"),
+    "2-d-budgets": (
+        [[3, 4]], ([[0.3] * 3] * 2, [[0.3] * 3] * 2),
+        "explore_rounds must be one budget or a non-empty 1-D sequence of budgets, got shape "
+        "(1, 2)"),
+    "first-budget-too-small": (
+        [2, 4], ([[0.3] * 3] * 2, [[0.3] * 3] * 2),
+        "explore_rounds must lie in [3, 20], got 2"),
+    "last-budget-too-large": (
+        [3, 4, 21], ([[0.3] * 3] * 3, [[0.3] * 3] * 3),
+        "explore_rounds must lie in [3, 20], got 21"),
+    "alpha-above-its-prior": (
+        [3, 4], ([[0.3] * 3, [0.3, 0.3, 1.5]], [[0.3] * 3] * 2),
+        "agent 2 bid cost 1.5 outside [0.0, 1.0]"),
+    "alpha-below-its-prior": (
+        [3, 4], ([[-0.25, 0.3, 0.3], [0.3] * 3], [[0.3] * 3] * 2),
+        "agent 0 bid cost -0.25 outside [0.0, 1.0]"),
+}
+
+
+@pytest.mark.parametrize("case", list(GRID_REFUSALS))
+def test_budget_grid_refusals_are_one_line(case):
+    m, bids = market(20, 3), [Bid(0.3, 5)] * 3
+    table = sample_reward_realization([0.9, 0.4, 0.7], 20, 1)
+    budgets, draws, message = GRID_REFUSALS[case]
+    with pytest.raises(ValueError) as refused:
+        run_eps_separated(m, bids, table, budgets, 0.1, draws)
+    assert str(refused.value) == message
+
+
+def test_one_budget_refuses_an_alpha_outside_its_prior():
+    # What the commit auction's admission used to refuse, with its message.
+    m, bids = market(20, 3), [Bid(0.3, 5)] * 3
+    table = sample_reward_realization([0.9, 0.4, 0.7], 20, 1)
+    with pytest.raises(ValueError) as refused:
+        run_eps_separated(m, bids, table, 3, 0.1, ([0.3, 1.25, 0.3], [0.3] * 3))
+    assert str(refused.value) == "agent 1 bid cost 1.25 outside [0.0, 1.0]"
 
 
 def test_trace_csv_format(tmp_path):

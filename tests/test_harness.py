@@ -226,6 +226,27 @@ class TestRunExperiment:
             for label in expected:
                 assert got[label].tolist() == expected[label].tolist(), label
 
+    def test_baselines_run_in_one_call_per_realization(self, monkeypatch):
+        # Each realization's explore-then-commit runs go through one
+        # run_eps_separated call that carries every exploration budget and
+        # one row of draws per budget.
+        calls, run = [], harness.run_eps_separated
+
+        def record(market, bids, realization, explore_rounds, mu, draws):
+            calls.append((market.units, list(explore_rounds), [np.shape(side) for side in draws]))
+            return run(market, bids, realization, explore_rounds, mu, draws)
+
+        monkeypatch.setattr(harness, "run_eps_separated", record)
+        config = ExperimentConfig(n=3, l_grid=(40, 160), type_samples=2, realizations=3,
+                                  eps_exponents=(1 / 3, 1 / 2, 2 / 3), cap_lower_frac=1.0,
+                                  master_seed=4)
+        rows = run_experiment(config)
+        assert len(calls) == 2 * 2 * 3
+        for units, budgets, shapes in calls:
+            assert budgets == [max(3, round(units ** e)) for e in config.eps_exponents]
+            assert shapes == [(3, 3), (3, 3)]
+        assert {row.mechanism for row in rows} == set(config.mechanism_labels())
+
     def test_infeasible_capacity_warns(self):
         config = ExperimentConfig(
             n=1, l_grid=(40,), type_samples=1, realizations=1,

@@ -32,12 +32,11 @@ def arguments(name):
                 np.full((2, 3), -7, dtype=np.int64)]
         outputs = {9, 10}
     elif name == "seed_streams":
-        # Pieces [5, 9], [7] and []: rows (entropy [5, 9], key (7,)) and
-        # (entropy [5, 9], key ()).
-        args = [2, np.array([5, 9, 7], dtype=np.uint32),
-                np.array([[0, 2], [2, 1], [3, 0]], dtype=np.int64),
+        # Pieces [5, 9], [7] and [], of lengths 2, 1 and 0: rows (entropy
+        # [5, 9], key (7,)) and (entropy [5, 9], key ()).
+        args = [2, np.array([5, 9, 7], dtype=np.uint32), 3, np.array([2, 1, 0], dtype=np.int64),
                 np.array([[0, 1], [0, 2]], dtype=np.int64), np.full((2, 4), 7, dtype=np.uint64)]
-        outputs = {4}
+        outputs = {5}
     else:
         args = [2, 3, 0.4, rng.random((2, 3)) * 0.5, np.array([0.5, 0.75]),
                 np.arange(1, 9, dtype=np.uint64).reshape(2, 4), np.full((2, 3), -7.0),
@@ -86,7 +85,7 @@ def test_declared_function_refuses_an_array_it_cannot_take(name):
     assert all(args[k].tobytes() == a.tobytes() for k, a in given.items())
     # The same arrays are taken, read-only inputs included (a reward table as
     # RewardRealization holds it), and the C code writes every output.
-    assert func(*args) == {"ucb_run": 12, "seed_streams": None}.get(name, 0)
+    assert func(*args) == {"ucb_run": 12}.get(name, 0)
     assert not any(args[k].tobytes() == given[k].tobytes() for k in outputs)
 
 
@@ -101,6 +100,7 @@ def test_every_c_function_is_declared():
 @pytest.mark.parametrize("name, status, error, message", [
     ("ucb_run", -1, MemoryError, "out of memory in the UCB round loop"),
     ("ucb_batch", -1, MemoryError, "out of memory in the UCB round loop"),
+    ("seed_streams", -1, MemoryError, "out of memory in the stream seeding"),
     ("resample", -1, MemoryError, "out of memory in the resampler"),
     ("resample", -2, RuntimeError, "resampling recursion exceeded the iteration cap"),
     ("resample", -3, ValueError, "bid costs must be at most cost_hi 1.0, got 1.2"),
