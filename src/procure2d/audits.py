@@ -1,8 +1,9 @@
 """Property auditors for the incentive guarantees.
 
 Each audit probes a mechanism through a narrow functional interface (a probe
-mapping one agent's deviating bid to that agent's outcome) so the same
-machinery exercises the shipped mechanisms and deliberately broken ones.
+mapping one agent's deviating bids at one capacity, one cost or an array of
+costs, to that agent's outcomes) so the same machinery exercises the shipped
+mechanisms and deliberately broken ones.
 Every audit builds its ``AuditReport`` first and hands each checked point's
 excess over the tolerance to ``AuditReport.note``, the one verdict rule: the
 report keeps the worst excess and the witness of its first occurrence, and a
@@ -129,18 +130,27 @@ class DeviationGrid:
 
 def make_opt_probe(
     config: MarketConfig, qualities, bids: Sequence[Bid], agent: int
-) -> Callable[[float, int], tuple[int, float]]:
-    """Probe of the optimal auction: (cost, capacity) -> (units, payment) for
-    one agent, everyone else's bids held fixed; each distinct bid runs the
-    auction once, and every audit sharing the probe reuses that run."""
+) -> Callable[[float | np.ndarray, int], tuple]:
+    """Probe of the optimal auction for one agent, everyone else's bids held
+    fixed: (cost, capacity) -> (units, payment), or for a 1-D array of costs
+    at one capacity, the arrays (units, payments).  Each distinct bid runs the
+    auction once: a call runs the bids no earlier call ran, as the rows of one
+    ``run_2d_opt`` call, and every audit sharing the probe reuses the runs."""
     bids = list(bids)
+    runs: dict[tuple[float, int], tuple[int, float]] = {}
 
-    @functools.cache
-    def probe(cost: float, capacity: int) -> tuple[int, float]:
-        trial = list(bids)
-        trial[agent] = Bid(cost, capacity)
-        outcome = run_2d_opt(config, qualities, trial)
-        return int(outcome.allocation[agent]), float(outcome.payments[agent])
+    def probe(cost, capacity):
+        points = np.asarray(cost, dtype=float)
+        costs = points.ravel().tolist()
+        missing = [c for c in dict.fromkeys(costs) if (c, capacity) not in runs]
+        if missing:
+            profiles = [bids[:agent] + [Bid(c, capacity)] + bids[agent + 1 :] for c in missing]
+            for c, outcome in zip(missing, run_2d_opt(config, qualities, profiles)):
+                runs[c, capacity] = int(outcome.allocation[agent]), float(outcome.payments[agent])
+        if not points.ndim:
+            return runs[costs[0], capacity]
+        units, payments = np.array([runs[c, capacity] for c in costs]).reshape(-1, 2).T
+        return units.astype(np.int64), payments
 
     return probe
 
@@ -174,7 +184,7 @@ def make_ucb_batch_utility(
     qualities = _check_qualities(true_qualities, n)
     realization_state, rival_state, dev_state = child_states(seed, 3)
 
-    stack = np.empty((samples, n, config.units), dtype=np.uint8)
+    stack = np.empty((samples, n, config.units), dtype=bool)
     _draw_outcomes(generator_at(realization_state), qualities, stack)
     realizations = RewardRealization(stack)
 
@@ -229,48 +239,67 @@ _MIN_SAMPLES = 1000
 _SIGNIFICANCE = 0.01
 
 
+def _swept(values, size: int) -> list:
+    """A probe's answer for ``size`` costs as a list, one value standing for
+    every cost."""
+    return np.broadcast_to(values, (size,)).tolist()
+
+
 def audit_monotone_allocation(
-    probe: Callable[[float, int], int], grid: DeviationGrid, name: str = "allocation-monotone"
+    probe: Callable[[np.ndarray, int], np.ndarray], grid: DeviationGrid,
+    name: str = "allocation-monotone",
 ) -> AuditReport:
     """Allocation non-increasing in reported cost at every capacity grid
-    point.  Allocations are integers, so the tolerance is zero."""
+    point, each capacity's costs probed in one call.  Allocations are
+    integers, so the tolerance is zero."""
     report = AuditReport(
         name, 0.0, 0.0,
         details={"cost_points": len(grid.costs), "capacity_points": len(grid.capacities)},
     )
-    costs = [float(c) for c in grid.costs]
+    costs = grid.costs.tolist()
     for k in grid.capacities:
-        units = [probe(c, k) for c in costs]
+        units = _swept(probe(grid.costs, k), len(costs))
         for c0, c1, u0, u1 in zip(costs, costs[1:], units, units[1:]):
             report.note(float(u1 - u0), {"capacity": k, "cost_low": c0, "cost_high": c1,
                                          "units_low": u0, "units_high": u1})
     return report
 
 
-def _scan_capacity(probe: Callable[[float, int], tuple[int, float]], capacity: int,
+def _scan_capacity(probe: Callable[[np.ndarray, int], tuple], capacity: int,
                    starts: Sequence[float], hi: float) -> dict[float, tuple[float, float]]:
     """For each point x of one scan of ``probe`` at ``capacity`` (the starts and
     ``_STEP_POINTS`` spanning ``[min(starts), hi]``): the premium ``payment -
     x * units`` and the integral of the allocation from x to ``hi``, a suffix
     sum of exact cell segments.  Cells whose ends differ are bisected down to
     width 1e-12; a monotone allocation is constant across an equal-ended cell.
+    The scan points are probed in one call, then each level of the bisection
+    in one call.  Each cell sums its segments from right to left.
     """
     xs = sorted({*map(float, np.linspace(min(starts, default=hi), hi, _STEP_POINTS)), *starts})
-    outcomes = {x: probe(x, capacity) for x in xs}
-    above = {xs[-1]: 0.0}  # integral from each scan point to the last
-    for a, b in reversed(list(zip(xs, xs[1:]))):
-        total, stack = 0.0, [(a, b, outcomes[a][0], outcomes[b][0])]
-        while stack:
-            x0, x1, f0, f1 = stack.pop()
+    units, payments = (_swept(side, len(xs)) for side in probe(np.array(xs), capacity))
+    segments = [[] for _ in xs]  # per cell: (left end, exact segment) of each piece
+    split = [(j, a, b, f0, f1) for j, (a, b, f0, f1) in
+             enumerate(zip(xs, xs[1:], units, units[1:]))]
+    while split:
+        pieces, split = split, []
+        for j, x0, x1, f0, f1 in pieces:
             if f0 == f1 or x1 - x0 < 1e-12:  # equal ends: 0.5 * (f0 + f1) is f0 exactly
-                total += 0.5 * (f0 + f1) * (x1 - x0)
+                segments[j].append((x0, 0.5 * (f0 + f1) * (x1 - x0)))
             else:
-                mid = 0.5 * (x0 + x1)
-                fm = probe(mid, capacity)[0]
-                stack += [(x0, mid, f0, fm), (mid, x1, fm, f1)]
-        above[a] = above[b] + total
-    return {x: (payment - x * units, above[x] - above[hi])
-            for x, (units, payment) in outcomes.items()}
+                split.append((j, x0, x1, f0, f1))
+        mids = [0.5 * (x0 + x1) for _, x0, x1, _, _ in split]
+        if mids:
+            at_mid = _swept(probe(np.array(mids), capacity)[0], len(mids))
+            split = [piece for (j, x0, x1, f0, f1), mid, fm in zip(split, mids, at_mid)
+                     for piece in ((j, x0, mid, f0, fm), (j, mid, x1, fm, f1))]
+    above = {xs[-1]: 0.0}  # integral from each scan point to the last
+    for j in reversed(range(len(xs) - 1)):
+        total = 0.0
+        for _, segment in sorted(segments[j], reverse=True):
+            total += segment
+        above[xs[j]] = above[xs[j + 1]] + total
+    return {x: (payment - x * u, above[x] - above[hi])
+            for x, u, payment in zip(xs, units, payments)}
 
 
 def audit_offered_utility(
@@ -321,7 +350,7 @@ def audit_offered_utility(
 
 
 def audit_dsic(
-    probe: Callable[[float, int], tuple[int, float]],
+    probe: Callable[[float | np.ndarray, int], tuple],
     true_cost: float,
     true_capacity: int,
     grid: DeviationGrid,
@@ -329,7 +358,8 @@ def audit_dsic(
     name: str = "dominant-strategy-truthfulness",
 ) -> AuditReport:
     """No grid deviation may beat truthful bidding by more than
-    ``_ROUND_OFF``, with the rival profile held fixed."""
+    ``_ROUND_OFF``, with the rival profile held fixed.  The truthful bid is
+    probed alone, then each capacity's costs in one call."""
     units_t, pay_t = probe(true_cost, true_capacity)
     u_truth = pay_t - true_cost * units_t
     deviations = grid.sweep(true_capacity)
@@ -337,11 +367,13 @@ def audit_dsic(
         name, 0.0, _ROUND_OFF,
         details={"truthful_utility": u_truth, "deviations": len(deviations)},
     )
-    for c, k in deviations:
-        units, pay = probe(c, k)
-        u_dev = pay - true_cost * units
-        report.note(u_dev - u_truth, {"cost": c, "capacity": k, "deviation_utility": u_dev,
-                                      "truthful_utility": u_truth})
+    costs = grid.costs.tolist()
+    for k in grid.capacities:
+        units, pays = (_swept(side, len(costs)) for side in probe(grid.costs, k))
+        for c, u, pay in zip(costs, units, pays):
+            u_dev = pay - true_cost * u
+            report.note(u_dev - u_truth, {"cost": c, "capacity": k, "deviation_utility": u_dev,
+                                          "truthful_utility": u_truth})
     return report
 
 

@@ -24,11 +24,12 @@ declares the library, which also holds the C code of ``resample``; a failed
 build raises ``UcbBuildError``.
 
 ``run_eps_separated`` is the explore-then-commit baseline: a fixed number of
-round-robin exploration units, then one optimal auction, the core of
+round-robin exploration units, then one optimal auction, the array core of
 ``optimal``, on the frozen quality estimates and the residual capacities.
-Handed several exploration budgets, one call runs them all on one table and
-admits the bids, the table and the draws once, as a simulation cell does
-for each realization.
+Handed several exploration budgets, one call runs them all, on one table or
+on a stack of tables, admitting the bids, the tables and the draws once and
+committing every (table, budget) run in one call of the core, as a
+simulation cell does for each block of realizations.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 
 from ._native import UcbBuildError, _library
 from .model import Bid, MarketConfig, RewardRealization
-from .optimal import MechanismOutcome, _threshold_auction
+from .optimal import MechanismOutcome, _auction, _priors
 from .resample import child_states, resample_streams, transform_premium
 # Only so that the attributes perfbench's tracer wraps exist
 # (tests/test_exports.py): no command calls them here, so their layers read 0.
@@ -103,10 +104,15 @@ def seeded_draws(config: MarketConfig, bids: Sequence[Bid], mu: float, seed):
 
 def _draw_arrays(draws, n: int, *runs: int) -> tuple[np.ndarray, np.ndarray]:
     """A pair ``(alpha, beta)`` as two float arrays, refused unless it holds
-    one alpha and one beta per bid, of shape ``(n,)``, or given a number of
-    runs, per bid of each run, of shape ``(runs, n)``."""
+    one alpha and one beta per bid, of shape ``(n,)``; given a number of
+    budgets E, per bid of each budget, ``(E, n)``; given a number of tables B
+    and of budgets E, per bid of each budget of each table, ``(B, E, n)``."""
     shape = (*runs, n)
-    want = f"per bid and budget: {runs[0]} budgets of {n} bids" if runs else f"per bid: {n} bids"
+    want = f"per bid: {n} bids"
+    if runs:
+        want = f"per bid and budget: {runs[-1]} budgets of {n} bids"
+    if len(runs) == 2:
+        want = f"per bid, budget and table: {runs[0]} tables of {runs[1]} budgets of {n} bids"
     alpha, beta = (np.asarray(side, dtype=float) for side in draws)
     if alpha.shape != shape or beta.shape != shape:
         raise ValueError(f"need one alpha and one beta {want}, got alpha of shape "
@@ -342,7 +348,7 @@ def _round_robin_split(caps: list[int], budget: int) -> list[int]:
 def run_eps_separated(
     config: MarketConfig, bids: Sequence[Bid], realization: RewardRealization, explore_rounds,
     mu: float, draws,
-) -> MechanismOutcome | list[MechanismOutcome]:
+):
     """Explore-then-commit baseline on the resampled bids ``(alpha, beta)``.
 
     Spreads ``explore_rounds`` units round-robin across agents regardless of
@@ -355,47 +361,73 @@ def run_eps_separated(
     ``explore_rounds`` is one budget, with draws of shape ``(n,)``, giving
     one outcome; or a 1-D sequence of E budgets, with draws of shape
     ``(E, n)``, giving a list of E outcomes, outcome e that of budget e on
-    row e of the draws.  Resampled costs must lie within their priors' bounds.
+    row e of the draws.  With E budgets, ``realization`` may instead hold a
+    ``(B, n, L)`` stack of tables, with draws of shape ``(B, E, n)``, giving
+    B such lists, one per table.  Every run of a call is admitted once and
+    committed in one call of the core.  Resampled costs must lie within
+    their priors' bounds.
     """
     n, n_rounds, dists = config.n_agents, config.units, config.distributions
-    if config.check_run(bids, realization):
-        raise ValueError(f"run_eps_separated takes one {n}x{n_rounds} table, got a stack")
+    stack = config.check_run(bids, realization)
     shape = np.shape(explore_rounds)
     if len(shape) > 1 or shape == (0,):
         raise ValueError(f"explore_rounds must be one budget or a non-empty 1-D sequence of "
                          f"budgets, got shape {shape}")
-    alpha, beta = _draw_arrays(draws, n, *shape)
-    alpha_rows = alpha.reshape(-1, n).tolist()
-    for costs in alpha_rows:
-        config.check_costs(costs)
+    if stack and not shape:
+        raise ValueError(f"run_eps_separated takes one {n}x{n_rounds} table, got a stack")
+    if len(stack) > 1:
+        raise ValueError(f"run_eps_separated takes one {n}x{n_rounds} table or one stack of "
+                         f"them, got shape {realization.table.shape}")
+    alpha, beta = _draw_arrays(draws, n, *stack, *shape)
+    lo, hi = np.array([dist.cost_bounds for dist in dists]).T
+    inside = ((lo <= alpha) & (alpha <= hi)).reshape(-1, n).all(axis=1)
+    if not inside.all():
+        config.check_costs(alpha.reshape(-1, n)[np.argmin(inside)].tolist())
 
-    reward_scale, table = config.reward_scale, realization.table
     caps = [bid.capacity for bid in bids]
     total_cap = sum(caps)
-    runs = []
-    for explore, costs in zip(explore_rounds if shape else [explore_rounds], alpha_rows):
+    explored = []
+    for explore in explore_rounds if shape else [explore_rounds]:
         if not n <= explore <= n_rounds:
             raise ValueError(f"explore_rounds must lie in [{n}, {n_rounds}], got {explore}")
         if explore > total_cap:
             warnings.warn(f"explore_rounds {explore} exceeds total reported capacity "
                           f"{total_cap}; clipping", stacklevel=2)
             explore = total_cap
-        split = _round_robin_split(caps, explore)
-        seen = [int(np.count_nonzero(table[i, :k])) for i, k in enumerate(split)]
-        q_hat = [s / k if k else 0.0 for s, k in zip(seen, split)]
-        residual = [cap - k for cap, k in zip(caps, split)]
-        units, pay = _threshold_auction(q_hat, reward_scale, costs, residual,
-                                        n_rounds - explore, dists)
-        bought = sum(int(np.count_nonzero(table[i, k : k + u]))
-                     for i, (k, u) in enumerate(zip(split, units)) if u)
-        runs.append((split, units, pay, sum(seen) + bought))
-
-    explored, exploit_units, exploit_pay, successes = zip(*runs)
+        explored.append(_round_robin_split(caps, explore))
     explored = np.array(explored, dtype=np.int64)
+
+    # Successes per (table, budget, agent) in exploration, read off running
+    # counts of the explored prefixes, then the commit auctions of every
+    # (table, budget) row on the frozen estimates.
+    tables = realization.table.reshape(-1, n, n_rounds)
+    window = int(explored.max())
+    prefix = np.zeros((len(tables), n, window + 1), dtype=np.int64)
+    np.cumsum(tables[:, :, :window], axis=2, dtype=np.int64, out=prefix[:, :, 1:])
+    seen = prefix[:, np.arange(n), explored]
+    q_hat = np.divide(seen, explored, out=np.zeros(seen.shape), where=explored > 0)
+    residual = np.tile(np.array(caps) - explored, (len(tables), 1))
+    budgets = np.tile(n_rounds - explored.sum(axis=1), len(tables))
+    units, exploit_pay = (side.reshape(seen.shape) for side in _auction(
+        q_hat.reshape(-1, n), alpha.reshape(-1, n), residual, budgets, config.reward_scale,
+        _priors(dists)))
+
+    successes = seen.sum(axis=2)
+    table_at, budget_at, agent_at = np.nonzero(units)
+    starts = explored[budget_at, agent_at]
+    bought = [np.count_nonzero(tables[t, i, k:stop]) for t, i, k, stop in zip(
+        table_at.tolist(), agent_at.tolist(), starts.tolist(),
+        (starts + units[table_at, budget_at, agent_at]).tolist())]
+    np.add.at(successes, (table_at, budget_at), bought)
+
     costs = np.array([bid.cost for bid in bids])
-    premium = transform_premium(explored, mu, costs, [d.cost_bounds[1] for d in dists], beta)
-    payments = costs * explored + np.array(exploit_pay) + premium
-    counts = explored + np.array(exploit_units, dtype=np.int64)
-    outcomes = [MechanismOutcome(c, p, reward_scale * s - float(p.sum()))
-                for c, p, s in zip(counts, payments, successes)]
-    return outcomes if shape else outcomes[0]
+    premium = transform_premium(explored, mu, costs, hi, beta)
+    payments = costs * explored + exploit_pay + premium
+    utilities = config.reward_scale * successes - payments.sum(axis=2)
+    outcomes = list(map(MechanismOutcome, (explored + units).reshape(-1, n),
+                        payments.reshape(-1, n), utilities.ravel().tolist()))
+    if not shape:
+        return outcomes[0]
+    if not stack:
+        return outcomes
+    return [outcomes[t : t + len(explored)] for t in range(0, len(outcomes), len(explored))]

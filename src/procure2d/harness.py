@@ -7,11 +7,12 @@ every replication's random stream is a pure function of (master seed, type
 sample, budget index, realization index), so the assembled results are
 byte-identical regardless of worker count or scheduling.  Each stream is
 the numpy stream of a ``SeedSequence`` on the key ``[master seed, tag,
-...]``, or of its child ``(i,)`` for bid ``i``'s resampler; a cell derives
-the PCG64 states of all its streams in one ``resample.stream_states`` call,
-draws every resampled bid in one ``resample.resample_streams`` call (each
-run gets one row of the (runs, n) alpha and beta arrays), and draws its
-types, capacities and reward tables on one reused generator.
+...]``, or of its child ``(i,)`` for bid ``i``'s resampler; a cell runs its
+realizations in blocks, and for each derives the PCG64 states of the
+block's streams in one ``resample.stream_states`` call, draws the block's
+resampled bids in one ``resample.resample_streams`` call (each run gets one
+row of the (runs, n) alpha and beta arrays), and draws its types,
+capacities and reward tables on one reused generator.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .bandit import _cpus, run_2d_ucb, run_eps_separated
-from .model import Bid, MarketConfig, sample_reward_realization, uniform_type_distribution
+from .model import (
+    Bid, MarketConfig, RewardRealization, sample_reward_realization, uniform_type_distribution,
+)
 from .optimal import run_2d_opt
 from .resample import generator_at, resample_streams, state_dict, stream_states
 
@@ -228,34 +231,53 @@ def write_config(config: ExperimentConfig, path) -> None:
 # explore-then-commit run's resamplers from the roots' children (i,).
 _TAG_TYPES, _TAG_CAPS, _TAG_REALIZATION, _TAG_UCB, _TAG_EPS = 11, 12, 13, 14, 15
 
+# Bytes of reward tables a cell holds at once, one (realizations, n, L) bool
+# stack: the cell runs its realizations in blocks that fill it.  Past a few
+# dozen rows the commit auctions' time per row no longer falls, and every
+# realization's learner reads its own table, so a larger block buys little;
+# 4 MiB keeps a worker's extra memory small, yet holds the 100 realizations
+# of a 5-agent cell whole up to L = 8,388.
+_BLOCK_BYTES = 1 << 22
+
 
 def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[str, np.ndarray]:
     """All replications for one (budget, type sample) cell.
 
     Costs and qualities are drawn once per type sample and shared across
     budgets; capacities are redrawn per budget because their prior scales
-    with it.  Every stream of the cell is derived up front by one
-    ``stream_states`` call.  One ``resample_streams`` call draws every
-    resampled bid of the cell; the types, capacities and reward tables are
-    drawn on one reused generator.  Each reward table is drawn only through
-    the agents' capacities, the most any run buys from them.  A
-    realization's explore-then-commit runs, one per exploration budget, go
-    through one ``run_eps_separated`` call.
+    with it.  The realizations run in blocks that fill ``_BLOCK_BYTES`` of
+    reward tables, so a cell's memory does not grow with its realization
+    count.  For each block one ``stream_states`` call derives the block's
+    streams (the first also the types' and capacities'), and one
+    ``resample_streams`` call draws the block's resampled bids; the types,
+    capacities and reward tables are drawn on one reused generator.  Each
+    reward table is drawn, only through the agents' capacities (the most any
+    run buys from them), into the block's stack; the learner runs on each
+    table, then one ``run_eps_separated`` call runs the explore-then-commit
+    baselines of every table and exploration budget of the block.
     """
     units = config.l_grid[l_index]
     n = config.n
     seed = config.master_seed
     reps = config.realizations
+    labels = config.mechanism_labels()
+    out = {label: np.empty(reps) for label in labels}
+    block = max(1, min(reps, _BLOCK_BYTES // (n * units)))
+    # One draw per bid of every run: each realization's learner, then its eps runs.
+    runs = 1 + len(config.eps_exponents)
 
-    rows = [([seed, _TAG_TYPES, type_sample], ()), ([seed, _TAG_CAPS, type_sample, l_index], ())]
-    rows += [([seed, _TAG_REALIZATION, type_sample, l_index, r], ()) for r in range(reps)]
-    for r in range(reps):
-        roots = [[seed, _TAG_UCB, type_sample, l_index, r]] + [
-            [seed, _TAG_EPS, type_sample, l_index, r, v] for v in range(len(config.eps_exponents))]
-        rows += [(root, (i,)) for root in roots for i in range(n)]
-    states = stream_states(rows)
+    def streams(start: int, stop: int, *heads) -> np.ndarray:
+        rows = [*heads, *(([seed, _TAG_REALIZATION, type_sample, l_index, r], ())
+                          for r in range(start, stop))]
+        for r in range(start, stop):
+            roots = [[seed, _TAG_UCB, type_sample, l_index, r]] + [
+                [seed, _TAG_EPS, type_sample, l_index, r, v] for v in range(runs - 1)]
+            rows += [(root, (i,)) for root in roots for i in range(n)]
+        return stream_states(rows)
+
+    states = streams(0, block, ([seed, _TAG_TYPES, type_sample], ()),
+                     ([seed, _TAG_CAPS, type_sample, l_index], ()))
     rng = generator_at(states[0])
-
     costs = rng.uniform(config.cost_lo, config.cost_hi, n)
     qualities = rng.uniform(config.quality_lo, config.quality_hi, n)
 
@@ -268,36 +290,38 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
             f"{capacities.sum()} cannot cover the budget",
             stacklevel=2,
         )
+    states = states[2:]
 
     dist = uniform_type_distribution(config.cost_lo, config.cost_hi, cap_lo, cap_hi)
     market = MarketConfig(units, config.reward_scale, (dist,) * n)
     bids = [Bid(float(costs[i]), int(capacities[i])) for i in range(n)]
 
-    labels = config.mechanism_labels()
-    out = {label: np.empty(reps) for label in labels}
-
     benchmark = run_2d_opt(market, qualities, bids)
     out["opt"][:] = benchmark.auctioneer_utility / units
 
     explore_grid = [max(n, int(round(units ** exponent))) for exponent in config.eps_exponents]
-
-    # One draw per bid of every run: each realization's learner, then its eps runs.
-    runs = 1 + len(explore_grid)
-    alpha, beta = (side.reshape(reps, runs, n) for side in resample_streams(
-        np.tile(costs, reps * runs), config.cost_hi, config.mu, states[2 + reps :]))
-
-    for r in range(reps):
-        rng.bit_generator.state = state_dict(states[2 + r])
-        realization = sample_reward_realization(qualities, units, rng, capacities)
-        ucb_outcome, _ = run_2d_ucb(
-            market, bids, realization, config.mu, (alpha[r, 0], beta[r, 0]), record_trace=False
-        )
-        out["ucb"][r] = ucb_outcome.auctioneer_utility / units
+    stack = np.empty((block, n, units), dtype=bool)
+    for start in range(0, reps, block):
+        size = min(block, reps - start)
+        if start:
+            states = streams(start, start + size)
+        alpha, beta = (side.reshape(size, runs, n) for side in resample_streams(
+            np.tile(costs, size * runs), config.cost_hi, config.mu, states[size:]))
+        for r in range(size):
+            rng.bit_generator.state = state_dict(states[r])
+            realization = sample_reward_realization(qualities, units, rng, capacities,
+                                                    out=stack[r])
+            ucb_outcome, _ = run_2d_ucb(
+                market, bids, realization, config.mu, (alpha[r, 0], beta[r, 0]),
+                record_trace=False,
+            )
+            out["ucb"][start + r] = ucb_outcome.auctioneer_utility / units
         eps_outcomes = run_eps_separated(
-            market, bids, realization, explore_grid, config.mu, (alpha[r, 1:], beta[r, 1:])
+            market, bids, RewardRealization(stack[:size], realization.drawn), explore_grid,
+            config.mu, (alpha[:, 1:], beta[:, 1:]),
         )
-        for label, eps_outcome in zip(labels[2:], eps_outcomes):
-            out[label][r] = eps_outcome.auctioneer_utility / units
+        for label, column in zip(labels[2:], zip(*eps_outcomes)):
+            out[label][start : start + size] = [o.auctioneer_utility / units for o in column]
     return out
 
 

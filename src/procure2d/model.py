@@ -256,13 +256,15 @@ class RewardRealization:
     is the outcome of the j-th unit procured from agent i (counted per agent,
     not globally); leading axes stack tables, as the audits do.  The one rule
     for outcome tables: bool or integer entries, each 0 or 1.  Kept read-only
-    C-contiguous uint8, with no copy of a table that already is one.
+    C-contiguous uint8, with no copy of a C-contiguous uint8 or bool table: a
+    bool table holds 0 and 1 by construction, so it is viewed as uint8
+    unchecked.
 
-    ``drawn`` is ``None`` for a whole table or a stack.  On one ``n x L``
-    table drawn only through row prefixes (``sample_reward_realization``
-    with ``capacities``), it holds each row's prefix length; the entries
-    past it are 0 and stand for no outcome, and ``MarketConfig.check_run``
-    refuses any run that could read them."""
+    ``drawn`` is ``None`` for whole tables.  On tables drawn only through
+    row prefixes (``sample_reward_realization`` with ``capacities``), it
+    holds each row's prefix length, the same for every table of a stack; the
+    entries past it are 0 and stand for no outcome, and
+    ``MarketConfig.check_run`` refuses any run that could read them."""
 
     table: np.ndarray
     drawn: tuple[int, ...] | None = None
@@ -276,21 +278,25 @@ class RewardRealization:
             raise TypeError(f"realization table must hold 0/1 integers, got dtype {table.dtype}")
         if kind != "b" and table.size and (table.max() > 1 or (kind == "i" and table.min() < 0)):
             raise ValueError("realization table entries must be 0 or 1")
-        table = np.ascontiguousarray(table, dtype=np.uint8).view()
+        if kind == "b":
+            table = np.ascontiguousarray(table).view(np.uint8)
+        else:
+            table = np.ascontiguousarray(table, dtype=np.uint8).view()
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
         if self.drawn is not None:
             drawn = tuple(_check_int(k, "drawn length") for k in self.drawn)
             n, width = table.shape[-2:]
-            if table.ndim != 2 or len(drawn) != n or not all(0 <= k <= width for k in drawn):
+            if len(drawn) != n or not all(0 <= k <= width for k in drawn):
                 raise ValueError(
-                    f"drawn must give one prefix length in [0, {width}] per row of one "
-                    f"{n}x{width} table, got {self.drawn!r}"
+                    f"drawn must give one prefix length in [0, {width}] per row of the "
+                    f"{n}x{width} tables, got {self.drawn!r}"
                 )
             object.__setattr__(self, "drawn", drawn)
 
 
-def sample_reward_realization(qualities, n_units: int, seed, capacities=None) -> RewardRealization:
+def sample_reward_realization(qualities, n_units: int, seed, capacities=None, *,
+                              out=None) -> RewardRealization:
     """Draw the n x L outcome table, row i i.i.d. Bernoulli(q_i).
 
     Deterministic given ``seed`` (int, SeedSequence, or Generator).  With
@@ -299,7 +305,10 @@ def sample_reward_realization(qualities, n_units: int, seed, capacities=None) ->
     agent of that capacity.  The drawn entries equal the whole table's, the
     rest are 0, ``drawn`` records the lengths, and a Generator passed in
     (which must run on PCG64, to skip the undrawn outputs) ends where the
-    whole table would leave it.
+    whole table would leave it.  The table is drawn as bool, which the
+    realization views as uint8 without a check; ``out``, a writable
+    C-contiguous bool ``n x L`` array (one table of a stack, say), receives
+    it in place of a new array.
     """
     q = _check_qualities(qualities)
     n_units = _check_int(n_units, "n_units")
@@ -315,7 +324,10 @@ def sample_reward_realization(qualities, n_units: int, seed, capacities=None) ->
             name = type(rng.bit_generator).__name__
             raise TypeError(f"drawing to capacities needs a PCG64 generator, got {name}")
         drawn = tuple(min(k, n_units) for k in caps)
-    table = np.empty((len(q), n_units), dtype=np.uint8)
+    table = np.empty((len(q), n_units), dtype=bool) if out is None else out
+    if not (isinstance(table, np.ndarray) and table.shape == (len(q), n_units)
+            and table.dtype == bool and table.flags.c_contiguous and table.flags.writeable):
+        raise ValueError(f"out must be a writable C-contiguous bool {len(q)}x{n_units} array")
     _draw_outcomes(rng, q, table, drawn)
     return RewardRealization(table, drawn)
 
@@ -324,9 +336,10 @@ _DRAW_FLOATS = 1 << 17  # uniforms ``_draw_outcomes`` holds at once (at least on
 
 
 def _draw_outcomes(rng: np.random.Generator, qualities, out: np.ndarray, lengths=None) -> None:
-    """Fill the C-contiguous uint8 ``out`` of shape ``(..., n, L)`` with ``u < qualities[i]``
-    at ``[..., i, j]``, ``u`` the matching uniform of one ``rng.random(out.shape)`` call,
-    drawn in blocks of whole rows through one reused buffer and compared in place.
+    """Fill the C-contiguous bool or uint8 ``out`` of shape ``(..., n, L)`` with
+    ``u < qualities[i]`` at ``[..., i, j]``, ``u`` the matching uniform of one
+    ``rng.random(out.shape)`` call, drawn in blocks of whole rows through one
+    reused buffer and compared in place.
 
     ``lengths`` (Python ints, one per row of one ``n x L`` table) draws row i
     only through ``lengths[i]`` and zeroes the rest.  ``random()`` spends one

@@ -263,6 +263,45 @@ def opt_auction_numpy(config, qualities, bids) -> MechanismOutcome:
     return MechanismOutcome(units, payments, utility)
 
 
+def threshold_auction_lists(q, reward_scale, costs, caps, budget, distributions):
+    """The optimal auction one profile at a time on plain lists, through the
+    priors' own ``g_score`` and ``g_inverse``: units and threshold payments
+    per agent.  Agents are sorted by score once (ties by ascending index);
+    the allocation walks that order, and each winner's rivals walk it again
+    over the residual capacities with the winner left out.  The reference
+    for the array core ``optimal._auction``, bit for bit."""
+    scores = [dist.g_score(q[i], reward_scale, costs[i], caps[i])
+              for i, dist in enumerate(distributions)]
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+
+    def walk(capacities, remaining):
+        units = [0] * len(scores)
+        for i in order:
+            if remaining <= 0 or scores[i] < 0.0:
+                break
+            units[i] = min(capacities[i], remaining)
+            remaining -= units[i]
+        return units
+
+    units = walk(caps, budget)
+    payments = [0.0] * len(units)
+    for i, won in enumerate(units):
+        if won == 0:
+            continue
+        dist_i = distributions[i]
+        price_cap = dist_i.g_inverse(q[i], reward_scale, 0.0, caps[i])
+        residual = [cap - taken for cap, taken in zip(caps, units)]
+        residual[i] = 0
+        rival_units = walk(residual, won)
+        pay = float(won - sum(rival_units)) * price_cap
+        for k, taken in enumerate(rival_units):  # in ascending index
+            if taken:
+                critical = dist_i.g_inverse(q[i], reward_scale, scores[k], caps[i])
+                pay += float(taken) * min(critical, price_cap)
+        payments[i] = pay
+    return units, payments
+
+
 def round_robin_explore(caps, budget) -> list[int]:
     """Units per agent when ``budget`` exploration units are dealt one at a
     time round-robin over the agents below capacity, stepped unit by unit:

@@ -53,7 +53,7 @@ class TestMonotoneAllocation:
     def test_broken_rule_fails_with_witness(self):
         # pays more units to pricier bids
         def backwards(cost, capacity):
-            return int(round(cost * 4))
+            return np.round(np.asarray(cost) * 4).astype(int)
 
         grid = DeviationGrid(np.linspace(0.0, 1.0, 11), (3,))
         report = audit_monotone_allocation(backwards, grid)
@@ -91,7 +91,7 @@ class TestOfferedUtility:
 
     def test_constant_payment_mechanism_fails_integral_identity(self):
         def flat(cost, capacity):
-            units = 3 if cost < 0.5 else 1
+            units = np.where(np.asarray(cost) < 0.5, 3, 1)
             return units, 2.5  # payment ignores everything
 
         grid = DeviationGrid(np.linspace(0.0, 1.0, 9), (3,))
@@ -109,12 +109,12 @@ class TestOfferedUtility:
         calls = []
 
         def counted(cost, capacity):
-            calls.append(cost)
+            calls.extend(np.atleast_1d(cost).tolist())
             return probe(cost, capacity)
 
         def shifted(cost, capacity):
             units, payment = probe(cost, capacity)
-            return units, payment + (1e-4 if 0 < units < capacity else 0.0)
+            return units, payment + np.where((0 < units) & (units < capacity), 1e-4, 0.0)
 
         grid = DeviationGrid(np.linspace(0.0, 1.0, 7), (4,))
         report = audit_offered_utility(counted, grid, 1.0)
@@ -128,18 +128,19 @@ class TestOfferedUtility:
 
     def test_step_free_probe_is_called_once_per_scan_point(self):
         # Constant allocation priced at the upper bound: no cell is bisected,
-        # so each capacity costs one probe per scan point and nothing more.
+        # so each capacity costs one call, on each scan point once.
         calls = []
 
         def flat(cost, capacity):
-            calls.append((cost, capacity))
+            calls.append([(c, capacity) for c in cost.tolist()])
             return capacity, capacity * 1.0
 
         grid = DeviationGrid(np.linspace(0.05, 0.95, 11), (1, 2, 3))
         report = audit_offered_utility(flat, grid, 1.0)
         assert report.passed, report.line()
-        budget = len(grid.capacities) * (audits._STEP_POINTS + len(grid.costs) + 1)
-        assert len(calls) <= budget
+        assert len(calls) == len(grid.capacities)
+        for points in calls:
+            assert len(set(points)) == len(points) <= audits._STEP_POINTS + len(grid.costs) + 1
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -160,7 +161,7 @@ class TestOfferedUtility:
         def units(x):
             return levels[sum(x >= s if closed else x > s for s in steps)]
 
-        scan = audits._scan_capacity(lambda c, k: (units(c), 0.0), 1, costs, hi)
+        scan = audits._scan_capacity(lambda c, k: ([units(x) for x in c], 0.0), 1, costs, hi)
         for c in costs:
             expected = step_integral(units, c, hi, audits._STEP_POINTS)
             assert abs(scan[c][1] - expected) <= 1e-12, (c, scan[c][1], expected)
@@ -168,16 +169,26 @@ class TestOfferedUtility:
 
 def test_opt_probe_runs_the_auction_once_per_bid(monkeypatch):
     # Audits sharing a probe revisit the same bids; equal costs of either
-    # float type are one bid.
+    # float type are one bid.  A call on an array of costs runs the bids no
+    # earlier call ran, each once, as the profiles of one run_2d_opt call.
     runs, run = [], audits.run_2d_opt
-    monkeypatch.setattr(audits, "run_2d_opt", lambda *args: runs.append(args) or run(*args))
+
+    def record(config, qualities, profiles):
+        runs.append([profile[1].cost for profile in profiles])
+        return run(config, qualities, profiles)
+
+    monkeypatch.setattr(audits, "run_2d_opt", record)
     market, types = instance(4)
     probe = make_opt_probe(market, np.array([t.quality for t in types]),
                            [t.truthful_bid() for t in types], 1)
     first = probe(0.25, 2)
-    assert probe(np.float64(0.25), np.int64(2)) == first and len(runs) == 1
+    assert probe(np.float64(0.25), np.int64(2)) == first and runs == [[0.25]]
     probe(0.25, 1)
-    assert len(runs) == 2
+    assert runs == [[0.25], [0.25]]
+    units, payments = probe(np.array([0.5, 0.25, 0.75, 0.5]), 2)
+    assert runs == [[0.25], [0.25], [0.5, 0.75]]
+    assert (units[1], payments[1]) == first and (units[0], payments[0]) == probe(0.5, 2)
+    assert units.dtype == np.int64 and payments.dtype == float and len(runs) == 3
 
 
 class TestDsic:
@@ -199,14 +210,18 @@ class TestDsic:
         bids = [t.truthful_bid() for t in types]
 
         def pay_bid(cost, capacity):
-            trial = list(bids)
-            trial[0] = Bid(cost, capacity)
-            scores = np.array(
-                [DIST.g_score(qualities[i], 30.0, trial[i].cost, trial[i].capacity)
-                 for i in range(len(trial))]
-            )
-            units = alloc_greedy(scores, np.array([b.capacity for b in trial]), market.units)
-            return int(units[0]), cost * int(units[0])
+            units = []
+            for c in np.atleast_1d(cost).tolist():
+                trial = list(bids)
+                trial[0] = Bid(c, capacity)
+                scores = np.array(
+                    [DIST.g_score(qualities[i], 30.0, trial[i].cost, trial[i].capacity)
+                     for i in range(len(trial))]
+                )
+                caps = np.array([b.capacity for b in trial])
+                units.append(int(alloc_greedy(scores, caps, market.units)[0]))
+            units = np.reshape(units, np.shape(cost))
+            return units, cost * units
 
         grid = DeviationGrid.spanning(DIST, types[0].capacity, n_costs=21)
         report = audit_dsic(pay_bid, types[0].cost, types[0].capacity, grid)

@@ -731,6 +731,76 @@ def test_one_budget_refuses_an_alpha_outside_its_prior():
     assert str(refused.value) == "agent 1 bid cost 1.25 outside [0.0, 1.0]"
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_block_runs_each_table_as_the_reference_does(data):
+    # A stack of tables drawn to the same capacity prefixes, each run at every
+    # budget on its own row of draws: outcome [t][e] is the reference run of
+    # table t at budget e.
+    n = data.draw(st.integers(1, 9), label="n")
+    units = data.draw(st.integers(n, 60), label="units")
+    caps = data.draw(st.lists(st.integers(0, 25), min_size=n, max_size=n), label="caps")
+    costs = data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                               min_size=n, max_size=n), label="costs")
+    m = MarketConfig(units, 30.0, (uniform_type_distribution(0.0, 1.0, 1, 25),) * n)
+    bids = [Bid(c, k) for c, k in zip(costs, caps)]
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    q = np.random.default_rng(seed).random(n)
+    tables = [sample_reward_realization(q, units, [seed, t], caps)
+              for t in range(data.draw(st.integers(1, 4), label="tables"))]
+    stack = RewardRealization(np.stack([t.table for t in tables]), tables[0].drawn)
+    budgets = data.draw(st.lists(st.integers(n, units), min_size=1, max_size=4), label="budgets")
+    mu = data.draw(st.sampled_from([0.1, 0.6]), label="mu")
+    rows = [[seeded_draws(m, bids, mu, [seed, t, e]) for e in range(len(budgets))]
+            for t in range(len(tables))]
+    alpha, beta = (np.array([[row[side] for row in table] for table in rows]) for side in (0, 1))
+
+    block, clipped = clipping_warnings(
+        lambda: run_eps_separated(m, bids, stack, budgets, mu, (alpha, beta)))
+    assert clipped == sum(b > sum(caps) for b in budgets)
+    assert [len(outcomes) for outcomes in block] == [len(budgets)] * len(tables)
+    for t, table in enumerate(tables):
+        for e, explore in enumerate(budgets):
+            expected, _ = clipping_warnings(lambda: eps_reference(
+                m, bids, table, explore, mu, (alpha[t, e], beta[t, e])))
+            got = block[t][e]
+            assert np.array_equal(got.allocation, expected.allocation)
+            assert np.array_equal(got.payments, expected.payments)
+            assert got.auctioneer_utility == expected.auctioneer_utility
+
+
+# Block calls the block form refuses, each with one line: two 3x20 tables
+# and two budgets take draws of shape (2, 2, 3).
+BLOCK_REFUSALS = {
+    "draws-of-one-table": (
+        (2, 3, 20), ([[0.3] * 3] * 2, [[0.3] * 3] * 2),
+        "need one alpha and one beta per bid, budget and table: 2 tables of 2 budgets of 3 "
+        "bids, got alpha of shape (2, 3) and beta of shape (2, 3)"),
+    "draws-of-too-few-bids": (
+        (2, 3, 20), ([[[0.3] * 2] * 2] * 2, [[[0.3] * 2] * 2] * 2),
+        "need one alpha and one beta per bid, budget and table: 2 tables of 2 budgets of 3 "
+        "bids, got alpha of shape (2, 2, 2) and beta of shape (2, 2, 2)"),
+    "beta-of-another-shape": (
+        (2, 3, 20), ([[[0.3] * 3] * 2] * 2, [[[0.3] * 3] * 2] * 3),
+        "need one alpha and one beta per bid, budget and table: 2 tables of 2 budgets of 3 "
+        "bids, got alpha of shape (2, 2, 3) and beta of shape (3, 2, 3)"),
+    "stack-of-stacks": (
+        (1, 2, 3, 20), ([[[[0.3] * 3] * 2] * 2], [[[[0.3] * 3] * 2] * 2]),
+        "run_eps_separated takes one 3x20 table or one stack of them, got shape "
+        "(1, 2, 3, 20)"),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_REFUSALS))
+def test_block_refusals_are_one_line(case):
+    m, bids = market(20, 3), [Bid(0.3, 5)] * 3
+    shape, draws, message = BLOCK_REFUSALS[case]
+    stack = RewardRealization(np.ones(shape, dtype=np.uint8))
+    with pytest.raises(ValueError) as refused:
+        run_eps_separated(m, bids, stack, [3, 4], 0.1, draws)
+    assert str(refused.value) == message
+
+
 def test_trace_csv_format(tmp_path):
     m = market(6, 2)
     bids = [Bid(0.2, 4), Bid(0.3, 4)]

@@ -198,6 +198,28 @@ def test_out_of_memory_in_simulate_is_a_clean_error(conf_file, tmp_path, capsys,
     assert not (out_dir / "results.csv").exists()
 
 
+def test_a_vast_realization_count_fails_at_once(tmp_path):
+    # Before its first block a cell builds nothing whose size grows with the
+    # realization count but its per-mechanism outputs, so 1e11 realizations
+    # fail at once on those, under a 4 GB address-space limit, with one line
+    # naming their shape.  Deriving every stream up front instead spends the
+    # whole limit (or, without it, runs until the timeout) first.
+    conf = tmp_path / "vast.ini"
+    conf.write_text("[experiment]\nl_grid = 1000\ntype_samples = 1\n"
+                    "realizations = 100000000000\n\n[capacity]\nlower_frac = 1\n")
+    argv = ["simulate", "--config", str(conf), "--out", str(tmp_path / "out")]
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+            "from procure2d.cli import main\n"
+            f"sys.exit(main({argv!r}))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+    assert "shape (100000000000,)" in proc.stderr and "Traceback" not in proc.stderr and not (tmp_path / "out" / "results.csv").exists()
+
+
 def test_import_leaves_scipy_unloaded():
     # Only the resampler audit needs scipy, which takes longer to import
     # than the rest of the package; a fresh interpreter shows the cost.
@@ -485,10 +507,12 @@ def test_verify_exits_1_when_an_audit_fails(capsys, monkeypatch, price):
 
     run_2d_opt = audits.run_2d_opt
 
-    def faulty(config, qualities, bids):
-        outcome = run_2d_opt(config, qualities, bids)
-        payments = np.array([price(b.cost, k) for b, k in zip(bids, outcome.allocation)])
-        return MechanismOutcome(outcome.allocation, payments, outcome.auctioneer_utility)
+    def faulty(config, qualities, profiles):
+        return [MechanismOutcome(
+            outcome.allocation,
+            np.array([price(b.cost, k) for b, k in zip(bids, outcome.allocation)]),
+            outcome.auctioneer_utility,
+        ) for bids, outcome in zip(profiles, run_2d_opt(config, qualities, profiles))]
 
     monkeypatch.setattr(audits, "run_2d_opt", faulty)
     assert main(["verify", "--seed", "0"]) == 1

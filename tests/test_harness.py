@@ -226,25 +226,52 @@ class TestRunExperiment:
             for label in expected:
                 assert got[label].tolist() == expected[label].tolist(), label
 
-    def test_baselines_run_in_one_call_per_realization(self, monkeypatch):
-        # Each realization's explore-then-commit runs go through one
-        # run_eps_separated call that carries every exploration budget and
-        # one row of draws per budget.
+    @pytest.mark.filterwarnings("ignore:.*(cannot cover the budget|clipping)")
+    def test_blocks_leave_results_unchanged(self, monkeypatch, tmp_path):
+        # At 360 bytes a block holds 3 realizations at L = 40 and 1 at L = 160,
+        # so the 7 realizations of a cell span 3 and 7 blocks.  results.csv
+        # is the one-block run's byte for byte, and every cell equals its
+        # streams built by numpy.  Capacities as low as 0.3 of a fair share
+        # leave some budgets uncovered and clip some exploration budgets.
+        config = ExperimentConfig(n=3, l_grid=(40, 160), type_samples=2, realizations=7,
+                                  cap_lower_frac=0.3, master_seed=3)
+        paths = {}
+        for name, budget in [("one-block", harness._BLOCK_BYTES), ("blocks", 360)]:
+            monkeypatch.setattr(harness, "_BLOCK_BYTES", budget)
+            paths[name] = tmp_path / f"{name}.csv"
+            emit_results(run_experiment(config), paths[name], tmp_path / f"{name}.svg")
+        assert paths["blocks"].read_bytes() == paths["one-block"].read_bytes()
+        for l_index, type_sample in [(0, 1), (1, 0)]:
+            got = _run_cell(config, l_index, type_sample)
+            expected = seed_sequence_cell(config, l_index, type_sample)
+            for label in expected:
+                assert got[label].tolist() == expected[label].tolist(), label
+
+    def test_baselines_run_in_one_call_per_block(self, monkeypatch):
+        # Each block's explore-then-commit runs go through one
+        # run_eps_separated call that carries the block's stack of tables,
+        # every exploration budget and one row of draws per table and budget.
+        # At 960 bytes, a block holds the 3 realizations of a cell at L = 40
+        # and 2 of them at L = 160.
         calls, run = [], harness.run_eps_separated
 
         def record(market, bids, realization, explore_rounds, mu, draws):
-            calls.append((market.units, list(explore_rounds), [np.shape(side) for side in draws]))
+            calls.append((market.units, realization.table.shape, list(explore_rounds),
+                          [np.shape(side) for side in draws]))
             return run(market, bids, realization, explore_rounds, mu, draws)
 
         monkeypatch.setattr(harness, "run_eps_separated", record)
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", 960)
         config = ExperimentConfig(n=3, l_grid=(40, 160), type_samples=2, realizations=3,
                                   eps_exponents=(1 / 3, 1 / 2, 2 / 3), cap_lower_frac=1.0,
                                   master_seed=4)
         rows = run_experiment(config)
-        assert len(calls) == 2 * 2 * 3
-        for units, budgets, shapes in calls:
+        assert [(units, shape[0]) for units, shape, _, _ in calls] == [
+            (40, 3), (40, 3), (160, 2), (160, 1), (160, 2), (160, 1)]
+        for units, shape, budgets, draw_shapes in calls:
+            assert shape == (shape[0], 3, units)
             assert budgets == [max(3, round(units ** e)) for e in config.eps_exponents]
-            assert shapes == [(3, 3), (3, 3)]
+            assert draw_shapes == [(shape[0], 3, 3)] * 2
         assert {row.mechanism for row in rows} == set(config.mechanism_labels())
 
     def test_infeasible_capacity_warns(self):

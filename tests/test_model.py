@@ -263,8 +263,41 @@ class TestCapacityPrefixes:
         (np.zeros((2, 4), dtype=np.uint8), (1,)),
         (np.zeros((2, 4), dtype=np.uint8), (1, 5)),
         (np.zeros((2, 4), dtype=np.uint8), (-1, 2)),
-        (np.zeros((3, 2, 4), dtype=np.uint8), (1, 2)),
-    ], ids=["one-short", "past-the-row", "negative", "stack"])
+        (np.zeros((3, 2, 4), dtype=np.uint8), (1,)),
+        (np.zeros((3, 2, 4), dtype=np.uint8), (1, 5)),
+    ], ids=["one-short", "past-the-row", "negative", "stack-one-short", "stack-past-the-row"])
     def test_drawn_lengths_must_fit_one_table(self, table, drawn):
-        with pytest.raises(ValueError, match="^drawn must give one prefix length"):
+        with pytest.raises(ValueError) as refused:
             RewardRealization(table, drawn)
+        assert str(refused.value) == (
+            f"drawn must give one prefix length in [0, 4] per row of the 2x4 tables, "
+            f"got {drawn!r}")
+
+    def test_a_stack_shares_one_prefix_length_per_row(self):
+        stack = RewardRealization(np.zeros((3, 2, 4), dtype=np.uint8), (1, 4))
+        assert stack.drawn == (1, 4)
+
+    def test_a_table_drawn_into_out_is_the_table_drawn_alone(self):
+        rng, alone_rng = np.random.default_rng(3), np.random.default_rng(3)
+        alone = sample_reward_realization([0.3, 0.8], 9, alone_rng, [4, 20])
+        stack = np.ones((2, 2, 9), dtype=bool)
+        into = sample_reward_realization([0.3, 0.8], 9, rng, [4, 20], out=stack[1])
+        assert np.shares_memory(into.table, stack)
+        assert np.array_equal(stack[1], alone.table) and into.drawn == alone.drawn == (4, 9)
+        assert rng.bit_generator.state == alone_rng.bit_generator.state
+
+    @pytest.mark.parametrize("out", [
+        np.empty((2, 8), dtype=bool), np.empty((2, 9), dtype=np.uint8),
+        np.empty((2, 18), dtype=bool)[:, ::2],
+    ], ids=["short", "uint8", "strided"])
+    def test_out_must_be_one_bool_table(self, out):
+        with pytest.raises(ValueError) as refused:
+            sample_reward_realization([0.3, 0.8], 9, 0, out=out)
+        assert str(refused.value) == "out must be a writable C-contiguous bool 2x9 array"
+
+    def test_a_bool_table_is_viewed_not_copied(self):
+        table = np.array([[True, False, True], [False, False, True]])
+        realization = RewardRealization(table)
+        assert realization.table.dtype == np.uint8 and np.shares_memory(realization.table, table)
+        assert realization.table.tolist() == [[1, 0, 1], [0, 0, 1]]
+        assert not realization.table.flags.writeable

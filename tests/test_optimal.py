@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from procure2d import (
     Bid,
@@ -10,6 +14,7 @@ from procure2d import (
     audit_offered_utility,
     auctioneer_utility,
     make_opt_probe,
+    optimal,
     run_2d_opt,
     sample_reward_realization,
     uniform_type_distribution,
@@ -20,6 +25,7 @@ from oracles import (
     integral_payment,
     opt_auction_numpy,
     random_small_instance,
+    threshold_auction_lists,
 )
 
 
@@ -262,3 +268,92 @@ def test_expected_vs_realized_utility_agree():
     expected = outcome.auctioneer_utility
     stderr = realized.std(ddof=1) / np.sqrt(draws)
     assert abs(realized.mean() - expected) < 3 * stderr
+
+
+SKEWED = TypeDistribution((0.0, 1.0), (0, 5), (0.25, 1.5))
+UNIFORM = uniform_type_distribution(0.0, 1.0, 0, 5)
+# Rows on the grid tie scores and, at reward scale 2 on the uniform prior
+# (score 2q - 2c), give zero scores; rows of free floats put critical prices
+# inside the cost range, where the order of a payment's additions shows in
+# its bits.
+GRID = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def auction_rows(draw):
+    """A reward scale, one prior per agent, and 1-6 rows of qualities, costs,
+    capacities and a budget, each row on the grid or of free floats."""
+    n = draw(st.integers(1, 9), label="n")
+    rows = draw(st.integers(1, 6), label="rows")
+    reward_scale = draw(st.sampled_from([2.0, 4.0, 30.0]), label="R")
+    dists = tuple(draw(st.lists(st.sampled_from([UNIFORM, SKEWED]), min_size=n, max_size=n)))
+    kinds = draw(st.lists(st.sampled_from([GRID, st.floats(0.0, 1.0)]), min_size=rows,
+                          max_size=rows), label="grid or free rows")
+    q = [draw(st.lists(kind, min_size=n, max_size=n), label="q") for kind in kinds]
+    costs = [draw(st.lists(kind, min_size=n, max_size=n), label="costs") for kind in kinds]
+    caps = [draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)) for _ in range(rows)]
+    budgets = draw(st.lists(st.integers(0, 40), min_size=rows, max_size=rows))
+    return reward_scale, dists, q, costs, caps, budgets
+
+
+# Agent 4 wins 3 units, of which agents 3 and 1 (in score order) would take
+# one each: its payment's last bit tells ascending index from score order.
+ORDER_SENSITIVE = (4.0, (UNIFORM,) * 5,
+                   [[0.28313637258961977, 0.2290986689034582, 0.14200318077421847,
+                     0.581822448179327, 0.40641271723259076]],
+                   [[0.031411062751482643, 0.396728905505352, 0.7361133914416175,
+                     0.9819923509606693, 0.3349077898307723]],
+                   [[1, 1, 1, 3, 3]], [6])
+
+
+@settings(max_examples=300, deadline=None)
+@example(case=ORDER_SENSITIVE)
+@given(case=auction_rows())
+def test_array_core_equals_the_list_core_and_the_numpy_reference(case):
+    # Rows of one call differ in qualities, costs, capacities and budget; no
+    # numpy warning may leak from a branch np.where discards.
+    reward_scale, dists, q, costs, caps, budgets = case
+    q, costs, budgets = np.array(q), np.array(costs), np.array(budgets)
+    caps = np.array(caps, dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        units, payments = optimal._auction(q, costs, caps, budgets, reward_scale,
+                                           optimal._priors(dists))
+    assert units.dtype == np.int64 and units.shape == payments.shape == caps.shape
+    for r in range(len(caps)):
+        want_units, want_pay = threshold_auction_lists(
+            q[r].tolist(), reward_scale, costs[r].tolist(), caps[r].tolist(), int(budgets[r]),
+            dists)
+        assert units[r].tolist() == want_units
+        assert payments[r].tobytes() == np.array(want_pay).tobytes()
+        market = MarketConfig(int(budgets[r]), reward_scale, dists)
+        bids = [Bid(float(c), int(k)) for c, k in zip(costs[r], caps[r])]
+        reference = opt_auction_numpy(market, q[r], bids)
+        assert units[r].tobytes() == reference.allocation.tobytes()
+        assert payments[r].tobytes() == reference.payments.tobytes()
+
+
+def test_a_sequence_of_profiles_runs_as_its_profiles_alone():
+    rng = np.random.default_rng(96)
+    for _ in range(40):
+        market, types = random_small_instance(rng)
+        qualities = np.array([t.quality for t in types])
+        profiles = [[Bid(float(rng.uniform(0.0, 1.0)), int(rng.integers(0, t.capacity + 1)))
+                     for t in types] for _ in range(int(rng.integers(1, 6)))]
+        outcomes = run_2d_opt(market, qualities, profiles)
+        assert isinstance(outcomes, list) and len(outcomes) == len(profiles)
+        for profile, got in zip(profiles, outcomes):
+            alone = run_2d_opt(market, qualities, tuple(profile))
+            assert got.allocation.tobytes() == alone.allocation.tobytes()
+            assert got.payments.tobytes() == alone.payments.tobytes()
+            assert got.auctioneer_utility == alone.auctioneer_utility
+
+
+def test_a_sequence_of_profiles_is_admitted_profile_by_profile():
+    market = MarketConfig(4, 30.0, (UNIFORM,) * 2)
+    good, bad = [Bid(0.2, 3), Bid(0.5, 4)], [Bid(0.2, 3), Bid(1.5, 4)]
+    with pytest.raises(ValueError) as refused:
+        run_2d_opt(market, [0.5, 0.5], [good, bad])
+    assert str(refused.value) == "agent 1 bid cost 1.5 outside [0.0, 1.0]"
+    with pytest.raises(ValueError, match="^expected 2 bids, got 1$"):
+        run_2d_opt(market, [0.5, 0.5], [good, good[:1]])
