@@ -51,10 +51,8 @@ _F64_OUT, _I64_OUT = _Array(np.float64, out=True), _Array(np.int64, out=True)
 _U8_OUT, _U64_OUT = _Array(np.uint8, out=True), _Array(np.uint64, out=True)
 # The return and argument types of every function ``_ucb.c`` defines.
 _SIGNATURES = {
-    "ucb_run": (_SIZE, [_SIZE, _SIZE, _REAL, _F64, _I64, _U8, _F64, _F64, _I64_OUT, _I64_OUT,
-                        _SIZE, _I64_OUT, _U8_OUT, _F64_OUT, _F64_OUT]),
-    "ucb_batch": (ctypes.c_int, [_SIZE, _SIZE, _SIZE, _REAL, _F64, _I64, _U8, _F64, _F64,
-                                 _I64_OUT, _I64_OUT]),
+    "ucb_run": (ctypes.c_int, [_SIZE, _SIZE, _SIZE, _REAL, _F64, _I64, _U8, _F64, _F64, _SIZE,
+                               _I64_OUT, _I64_OUT, _SIZE, _I64_OUT, _U8_OUT, _F64_OUT]),
     "seed_streams": (ctypes.c_int, [_SIZE, _U32, _SIZE, _I64, _I64, _U64_OUT]),
     "resample": (ctypes.c_int, [_SIZE, _SIZE, _REAL, _F64, _F64, _U64_OUT, _F64_OUT, _F64_OUT]),
 }

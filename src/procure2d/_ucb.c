@@ -14,21 +14,30 @@
  * round by round.  One auction's rounds form a single dependency chain (a
  * round's scan needs the previous round's divide), so a lone auction leaves
  * most of the CPU idle; the lanes of a block share no data, and the CPU
- * overlaps their chains.  ucb_batch walks stacked auctions in such blocks;
- * ucb_run is a block of one lane.
+ * overlaps their chains.  ucb_run, the one entry, walks stacked auctions
+ * either in such blocks or one at a time.
  *
- * The two keep their running best differently.  A block of one lane takes a
- * new best through a conditional jump: in a long auction the same leader
- * wins almost every round, so the CPU predicts the scan's outcome and starts
- * the next round's table load and divide before the compares resolve.
- * Replaying the 100 auctions of a run_experiment over the ten default
- * budgets with 10 realizations (5.05M rounds, 2-core Xeon, gcc 12), the jump
- * took 0.041-0.042 s against 0.140-0.146 s for the select (maxsd/cmova),
- * with the same outcomes.  A block of lanes keeps the branch-free select:
- * its short auctions change leader often, and its lanes already overlap
- * their chains.  On the 172 batches of procure2d verify seeds 0-3 the select
- * took 0.35-0.36 s, the jump in every block 0.58 s, and -fno-if-conversion
- * on the whole file 0.58 s.
+ * The two forms keep their running best differently.  One auction at a time
+ * takes a new best through a conditional jump: in a long auction the same
+ * leader wins almost every round, so the CPU predicts the scan's outcome and
+ * starts the next round's table load and divide before the compares
+ * resolve.  Replaying the 100 auctions of a run_experiment over the ten
+ * default budgets with 10 realizations (5.05M rounds, 2-core Xeon, gcc 12),
+ * the jump took 0.041-0.042 s against 0.140-0.146 s for the select
+ * (maxsd/cmova), with the same outcomes.  A block of lanes keeps the
+ * branch-free select: its short auctions change leader often, and its lanes
+ * already overlap their chains.  On the 172 batches of procure2d verify
+ * seeds 0-3 the select took 0.35-0.36 s, the jump in every block 0.58 s, and
+ * -fno-if-conversion on the whole file 0.58 s.
+ *
+ * ucb_run takes the jump, one auction at a time, for a traced call and from
+ * jump_rounds rounds on (_JUMP_ROUNDS in bandit.py, 1,000), and the select,
+ * in blocks of LANES, otherwise.  One call on random 5-agent markets took, in
+ * select and jump, 0.20 and 0.20 ms at 1,000 rounds and 20 auctions, 1.78
+ * and 1.41 ms at 10,000 rounds, and 4.5 and 1.35 ms at 100,000 rounds and 2
+ * auctions; below 1,000 rounds the two are close, and on 20,000 random
+ * 3-agent auctions of 30 rounds the select took 3.6 ms and the jump 4.1 ms
+ * (the README's Performance section has the whole table).
  */
 #include <math.h>
 #include <stdint.h>
@@ -51,29 +60,28 @@
  *
  * Writes lane l's units and successes to counts + l * n and succ + l * n, and
  * the winner, reward and score of round t to entry t - n of picks, rewards
- * and scores, offset by l * trace_len, while t - n < trace_len.  stop[l] gets
- * the round the auction stopped at, n_rounds when the budget ran out, and
- * stop_score[l] the non-positive best score that stopped it, or -inf when the
- * budget ran out or every agent was at its capacity.
+ * and scores, offset by l * trace_len, while t - n < trace_len; a round t
+ * that stops the auction writes only its score: the non-positive best score,
+ * or -inf when every agent was at its capacity.
  *
  * branch picks how the scan keeps its best: 1 takes a new best through a
- * jump, which the CPU predicts (ucb_run), 0 through a branch-free select
- * (ucb_batch); see the top of the file.  An empty asm statement in the jump's
- * body keeps it a jump: with a plain if, or __builtin_expect, gcc -O2 turns
- * it back into the select.
+ * jump, which the CPU predicts, 0 through a branch-free select; see the top
+ * of the file.  An empty asm statement in the jump's body keeps it a jump:
+ * with a plain if, or __builtin_expect, gcc -O2 turns it back into the
+ * select.
  *
- * Inline, so that the compiler specialises it in each caller: ucb_run's one
- * lane drops the lane loop and keeps only the jump, and ucb_batch's empty
- * trace drops the trace stores and frees their registers (about 15% of
- * ucb_batch's time) and keeps only the select.  Choosing the form at run
- * time, by lanes == 1, took 0.63-0.65 s on the verify batches above.
+ * Inline, so that the compiler specialises each of ucb_run's two calls: the
+ * jump's one lane drops the lane loop and keeps only the jump, and the
+ * select's empty trace drops the trace stores and frees their registers
+ * (about 15% of the select's time) and keeps only the select.  Choosing the
+ * form inside the loop at run time, by lanes == 1, took 0.63-0.65 s on the
+ * verify batches above, against 0.35 s.
  */
 static inline void ucb_lanes(int branch, int64_t lanes, int64_t n, int64_t n_rounds,
                              double reward_scale, const double *h, const int64_t *caps,
                              const uint8_t *table, const double *widths, const double *inv_sqrt,
                              int64_t *counts, int64_t *succ, double *q_hat, int64_t trace_len,
-                             int64_t *picks, uint8_t *rewards, double *scores,
-                             int64_t *stop, double *stop_score)
+                             int64_t *picks, uint8_t *rewards, double *scores)
 {
     int live[LANES];
     for (int64_t l = 0; l < lanes; l++) {
@@ -84,8 +92,6 @@ static inline void ucb_lanes(int branch, int64_t lanes, int64_t n, int64_t n_rou
             q_hat[k] = (double)succ[k];
         }
         live[l] = 1;
-        stop[l] = n_rounds;
-        stop_score[l] = -INFINITY;
     }
     int64_t n_live = lanes;
     for (int64_t t = n; t < n_rounds && n_live > 0; t++) {
@@ -115,9 +121,8 @@ static inline void ucb_lanes(int branch, int64_t lanes, int64_t n, int64_t n_rou
                 /* every agent at reported capacity, or no future units for anyone */
                 live[l] = 0;
                 n_live--;
-                stop[l] = t;
-                if (pick >= 0)
-                    stop_score[l] = best;
+                if (t - n < trace_len)
+                    scores[l * trace_len + t - n] = best;
                 continue;
             }
             int64_t k = l * n + pick;
@@ -134,49 +139,33 @@ static inline void ucb_lanes(int branch, int64_t lanes, int64_t n, int64_t n_rou
     }
 }
 
-/* One auction, a block of one lane: writes each agent's units and successes
- * to counts and succ, and the trace of rounds n .. n + trace_len - 1 to
- * picks, rewards and scores.  Returns the round the auction stopped at,
- * n_rounds when the budget ran out, or -1 when out of memory.  *stop_score
- * gets the non-positive best score that stopped the auction, or -inf when
- * the budget ran out or every agent was at its capacity.
- */
-int64_t ucb_run(int64_t n, int64_t n_rounds, double reward_scale,
-                const double *h, const int64_t *caps, const uint8_t *table,
-                const double *widths, const double *inv_sqrt,
-                int64_t *counts, int64_t *succ, int64_t trace_len,
-                int64_t *picks, uint8_t *rewards, double *scores,
-                double *stop_score)
-{
-    double *q_hat = malloc(n * sizeof *q_hat);
-    if (q_hat == NULL)
-        return -1;
-    int64_t stop;
-    ucb_lanes(1, 1, n, n_rounds, reward_scale, h, caps, table, widths, inv_sqrt, counts, succ,
-              q_hat, trace_len, picks, rewards, scores, &stop, stop_score);
-    free(q_hat);
-    return stop;
-}
-
-/* Stacked auctions that share n, n_rounds and caps, run in blocks of LANES
- * samples (the last block may be shorter): h is samples x n, table
- * samples x n x n_rounds, counts and succ samples x n.  Returns 0, or -1 when
- * out of memory. */
-int ucb_batch(int64_t samples, int64_t n, int64_t n_rounds, double reward_scale,
-              const double *h, const int64_t *caps, const uint8_t *table,
-              const double *widths, const double *inv_sqrt,
-              int64_t *counts, int64_t *succ)
+/* Stacked auctions that share n, n_rounds and caps (h samples x n, table
+ * samples x n x n_rounds, counts and succ samples x n): one at a time through
+ * the jump when traced (trace_len > 0, sample s's trace at s * trace_len) or
+ * from jump_rounds rounds on, else in blocks of LANES (the last may be
+ * shorter) through the select.  Returns 0, or -1 when out of memory. */
+int ucb_run(int64_t samples, int64_t n, int64_t n_rounds, double reward_scale,
+            const double *h, const int64_t *caps, const uint8_t *table,
+            const double *widths, const double *inv_sqrt, int64_t jump_rounds,
+            int64_t *counts, int64_t *succ, int64_t trace_len,
+            int64_t *picks, uint8_t *rewards, double *scores)
 {
     double *q_hat = malloc(LANES * n * sizeof *q_hat);
     if (q_hat == NULL)
         return -1;
-    int64_t stop[LANES];
-    double stop_score[LANES];
-    for (int64_t s = 0; s < samples; s += LANES) {
-        int64_t lanes = samples - s < LANES ? samples - s : LANES;
-        ucb_lanes(0, lanes, n, n_rounds, reward_scale, h + s * n, caps, table + s * n * n_rounds,
-                  widths, inv_sqrt, counts + s * n, succ + s * n, q_hat, 0, NULL, NULL, NULL,
-                  stop, stop_score);
+    if (trace_len > 0 || n_rounds >= jump_rounds) {
+        for (int64_t s = 0; s < samples; s++)
+            ucb_lanes(1, 1, n, n_rounds, reward_scale, h + s * n, caps,
+                      table + s * n * n_rounds, widths, inv_sqrt, counts + s * n, succ + s * n,
+                      q_hat, trace_len, picks + s * trace_len, rewards + s * trace_len,
+                      scores + s * trace_len);
+    } else {
+        for (int64_t s = 0; s < samples; s += LANES) {
+            int64_t lanes = samples - s < LANES ? samples - s : LANES;
+            ucb_lanes(0, lanes, n, n_rounds, reward_scale, h + s * n, caps,
+                      table + s * n * n_rounds, widths, inv_sqrt, counts + s * n, succ + s * n,
+                      q_hat, 0, NULL, NULL, NULL);
+        }
     }
     free(q_hat);
     return 0;

@@ -12,16 +12,16 @@ resampling transformation: bid cost per unit, plus the ``1/mu`` premium when
 the agent's beta moved (``resample.transform_premium``, the rule every
 mechanism here pays by).
 
-The rule has one implementation, the round loop in ``_ucb.c``, which
-advances a block of a few independent auctions (lanes) together round by
-round: ``run_2d_ucb`` runs a block of one lane (``ucb_run``) per auction,
-and ``run_ucb_batch`` walks the stacked tables of the truthfulness audits in
-blocks of lanes (``ucb_batch``), one chunk of samples per CPU, each on its
-own thread.  Both pass in the bonus widths and the ``1 / sqrt(n_i)`` table
-built here with ``math.log`` and ``math.sqrt``, so every score has the bits
-of the reference loop in the test suite.  ``_native`` builds, loads and
-declares the library, which also holds the C code of ``resample``; a failed
-build raises ``UcbBuildError``.
+The rule has one implementation, the round loop in ``_ucb.c``, reached
+through one C entry, ``ucb_run``, from one place, ``_run_chunks``, which runs
+a stack of auctions in chunks, one per CPU, each on its own thread, and
+passes in the bonus widths and the ``1 / sqrt(n_i)`` table built here with
+``math.log`` and ``math.sqrt``, so every score has the bits of the reference
+loop in the test suite.  ``run_2d_ucb`` runs one table or a stack of them,
+at the virtual costs ``a + b * alpha`` of its draws; ``run_ucb_batch`` runs
+the truthfulness audits' stacks at the virtual costs they build.
+``_native`` builds, loads and declares the library, which also holds the C
+code of ``resample``; a failed build raises ``UcbBuildError``.
 
 ``run_eps_separated`` is the explore-then-commit baseline: a fixed number of
 round-robin exploration units, then one optimal auction, the array core of
@@ -102,21 +102,24 @@ def seeded_draws(config: MarketConfig, bids: Sequence[Bid], mu: float, seed):
     return resample_streams([bid.cost for bid in bids], highs, mu, child_states(seed, len(bids)))
 
 
-def _draw_arrays(draws, n: int, *runs: int) -> tuple[np.ndarray, np.ndarray]:
-    """A pair ``(alpha, beta)`` as two float arrays, refused unless it holds
-    one alpha and one beta per bid, of shape ``(n,)``; given a number of
-    budgets E, per bid of each budget, ``(E, n)``; given a number of tables B
-    and of budgets E, per bid of each budget of each table, ``(B, E, n)``."""
-    shape = (*runs, n)
-    want = f"per bid: {n} bids"
-    if runs:
-        want = f"per bid and budget: {runs[-1]} budgets of {n} bids"
-    if len(runs) == 2:
-        want = f"per bid, budget and table: {runs[0]} tables of {runs[1]} budgets of {n} bids"
+def _admit_draws(config: MarketConfig, draws, tables=None, budgets=None):
+    """A pair ``(alpha, beta)`` as two float arrays of shape ``([tables,]
+    [budgets,] n)``, one alpha and one beta per bid (of each budget of each
+    table), refused unless it is one and every alpha lies within its prior."""
+    n = config.n_agents
+    runs = [(k, noun) for k, noun in ((tables, "table"), (budgets, "budget")) if k is not None]
+    nouns = ["bid"] + [noun for _, noun in reversed(runs)]
+    want = f"per {', '.join(nouns[:-1])} and {nouns[-1]}" if runs else "per bid"
+    want += ": " + "".join(f"{k} {noun}s of " for k, noun in runs) + f"{n} bids"
+    shape = (*(k for k, _ in runs), n)
     alpha, beta = (np.asarray(side, dtype=float) for side in draws)
     if alpha.shape != shape or beta.shape != shape:
         raise ValueError(f"need one alpha and one beta {want}, got alpha of shape "
                          f"{alpha.shape} and beta of shape {beta.shape}")
+    lo, hi = np.array([dist.cost_bounds for dist in config.distributions]).T
+    inside = ((lo <= alpha) & (alpha <= hi)).reshape(-1, n).all(axis=1)
+    if not inside.all():
+        config.check_costs(alpha.reshape(-1, n)[np.argmin(inside)].tolist())
     return alpha, beta
 
 
@@ -155,6 +158,83 @@ def _inv_sqrt_counts(n_counts: int) -> np.ndarray:
     return table
 
 
+# Fewest samples worth a thread of their own in ``_run_chunks``, and budgets
+# from which ``ucb_run`` runs one auction at a time (the top of ``_ucb.c``).
+_MIN_CHUNK, _JUMP_ROUNDS = 2048, 1000
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on: its affinity set where the
+    platform has one, else the CPU count.  Caps the threads of
+    ``_run_chunks`` and the worker processes of ``run_experiment``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _workers(samples: int) -> int:
+    """How many chunks ``_run_chunks`` splits ``samples`` into: one per CPU
+    this process may run on, each of at least ``_MIN_CHUNK`` samples."""
+    return max(1, min(_cpus(), samples // _MIN_CHUNK))
+
+
+def _run_chunks(config: MarketConfig, bids: Sequence[Bid], table: np.ndarray, h: np.ndarray,
+                trace_len: int = 0):
+    """``ucb_run`` on an admitted ``(samples, n, units)`` stack at the
+    ``(samples, n)`` virtual costs ``h``: units and successes, ``(samples,
+    n)``, and the winner, reward and score of each sample's first
+    ``trace_len`` rounds after seeding (a stopping round's score alone).
+
+    The samples are split into contiguous chunks, one per CPU this process
+    may run on but none under ``_MIN_CHUNK`` samples.  The calling thread
+    runs the first chunk and a new thread each other one, all in C without
+    the interpreter lock; every thread has ended when the call returns or
+    raises.  A batch too small for two chunks, or a one-CPU process, runs as
+    one chunk on the calling thread.  Each sample's result depends on its
+    own row alone, so the outputs are the same however the batch is split,
+    and whichever form of the loop ``_JUMP_ROUNDS`` picks.
+    """
+    samples, n, n_rounds = table.shape
+    # No run buys more than the budget from one agent.
+    caps = np.array([min(bid.capacity, n_rounds) for bid in bids], dtype=np.int64)
+    units, successes = (np.empty((samples, n), dtype=np.int64) for _ in range(2))
+    picks = np.empty((samples, trace_len), dtype=np.int64)
+    rewards = np.empty((samples, trace_len), dtype=np.uint8)
+    scores = np.empty((samples, trace_len))
+    # Resolved before any thread starts, so that no thread builds the library
+    # or grows the shared tables.
+    ucb_run, jump_rounds = _library().ucb_run, _JUMP_ROUNDS
+    widths, inv_sqrt = _bonus_widths(n_rounds), _inv_sqrt_counts(n_rounds + 1)
+    chunks = _workers(samples)
+    edges = [samples * k // chunks for k in range(chunks + 1)]
+    errors = [None] * chunks
+
+    def run(k):
+        a, b = edges[k], edges[k + 1]
+        try:
+            ucb_run(b - a, n, n_rounds, config.reward_scale, h[a:b], caps, table[a:b], widths,
+                    inv_sqrt, jump_rounds, units[a:b], successes[a:b], trace_len, picks[a:b],
+                    rewards[a:b], scores[a:b])
+        except BaseException as exc:  # raised in the caller once every thread ends
+            errors[k] = exc
+
+    started = []
+    try:
+        for k in range(1, chunks):
+            thread = threading.Thread(target=run, args=(k,))
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return units, successes, picks, rewards, scores
+
+
 def run_2d_ucb(
     config: MarketConfig,
     bids: Sequence[Bid],
@@ -163,9 +243,13 @@ def run_2d_ucb(
     draws,
     *,
     record_trace: bool = True,
-) -> tuple[MechanismOutcome, RunTrace | None]:
+):
     """One full learning auction over ``config.units`` rounds on the resampled
     bids ``draws``: ``(alpha, beta)``, one of each per bid (``seeded_draws``).
+    Returns its outcome and, with ``record_trace``, its trace.  Given a
+    ``(B, n, L)`` stack of tables, with draws of shape ``(B, n)`` and
+    ``record_trace=False``, returns a list of B outcomes, one per table.
+    Resampled costs must lie within their priors' bounds.
 
     Requires ``units >= n_agents`` so the seeding pass is feasible.  The
     reported auctioneer utility is realized (reward scale times observed
@@ -186,71 +270,42 @@ def run_2d_ucb(
     the seeding pass, but the round loop still starts at round ``n``, so a
     run buys at most ``units`` minus the number of such agents.
     """
-    n = config.n_agents
-    n_rounds = config.units
-    if config.check_run(bids, realization):
-        raise ValueError(f"run_2d_ucb takes one {n}x{n_rounds} table, got a stack")
-
-    alpha, beta = _draw_arrays(draws, n)
-    reward_scale = config.reward_scale
-    h = [float(dist.virtual_cost(a, bid.capacity))
-         for dist, a, bid in zip(config.distributions, alpha.tolist(), bids)]
-    # No run buys more than the budget from one agent.
-    caps = [min(bid.capacity, n_rounds) for bid in bids]
-    table = realization.table
-    units = np.empty(n, dtype=np.int64)
-    succ = np.empty(n, dtype=np.int64)
+    n, n_rounds = config.n_agents, config.units
+    stack = config.check_run(bids, realization)
+    if len(stack) > 1:
+        raise ValueError(f"run_2d_ucb takes one {n}x{n_rounds} table or one stack of them, "
+                         f"got shape {realization.table.shape}")
+    if stack and record_trace:
+        raise ValueError("run_2d_ucb records no trace on a stack: pass record_trace=False")
+    alpha, beta = _admit_draws(config, draws, *stack)
+    a, b, _, cost_highs = _priors(config.distributions)[:, 0]
+    table = realization.table.reshape(-1, n, n_rounds)
     # Winner, reward and score of rounds n, n+1, ... when a trace is asked for.
     trace_len = n_rounds - n if record_trace else 0
-    picks = np.empty(trace_len, dtype=np.int64)
-    rewards = np.empty(trace_len, dtype=np.uint8)
-    scores = np.empty(trace_len)
-    stop_score = np.empty(1)
-    stop = _library().ucb_run(
-        n, n_rounds, reward_scale, np.array(h), np.array(caps, dtype=np.int64), table,
-        _bonus_widths(n_rounds), _inv_sqrt_counts(n_rounds + 1),
-        units, succ, trace_len, picks, rewards, scores, stop_score,
-    )
-
-    trace = None
-    if record_trace:
-        seeded = [i for i in range(n) if caps[i] >= 1]
-        trace = RunTrace([TraceStep(u, i, int(table[i, 0]), None) for u, i in enumerate(seeded)])
-        bought = stop - n
-        trace.steps += map(
-            TraceStep, range(n, stop), picks[:bought].tolist(), rewards[:bought].tolist(),
-            scores[:bought].tolist(),
-        )
-        if stop_score[0] > -math.inf:
-            trace.steps.append(TraceStep(stop, None, None, stop_score.item()))
+    units, succ, picks, rewards, scores = _run_chunks(
+        config, bids, table, (a + b * alpha).reshape(-1, n), trace_len)
 
     costs = np.array([bid.cost for bid in bids])
-    cost_highs = [dist.cost_bounds[1] for dist in config.distributions]
-    premium = transform_premium(units, mu, costs, cost_highs, beta)
-    payments = costs * units + premium
-    utility = reward_scale * int(succ.sum()) - float(payments.sum())
-    outcome = MechanismOutcome(units, payments, utility)
-    return outcome, trace
+    payments = costs * units + transform_premium(units, mu, costs, cost_highs,
+                                                 beta.reshape(-1, n))
+    utilities = config.reward_scale * succ.sum(axis=1) - payments.sum(axis=1)
+    outcomes = list(map(MechanismOutcome, units, payments, utilities.tolist()))
+    if stack:
+        return outcomes
+    if not record_trace:
+        return outcomes[0], None
 
-
-# Fewest samples worth a thread of their own in ``run_ucb_batch``.
-_MIN_CHUNK = 2048
-
-
-def _cpus() -> int:
-    """How many CPUs this process may run on: its affinity set where the
-    platform has one, else the CPU count.  Caps the threads of
-    ``run_ucb_batch`` and the worker processes of ``run_experiment``."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _workers(samples: int) -> int:
-    """How many chunks ``run_ucb_batch`` splits ``samples`` into: one per CPU
-    this process may run on, each of at least ``_MIN_CHUNK`` samples."""
-    return max(1, min(_cpus(), samples // _MIN_CHUNK))
+    # Every round from n on buys one unit until the one that stops.
+    seeded = [i for i, bid in enumerate(bids) if bid.capacity >= 1]
+    trace = RunTrace([TraceStep(u, i, int(table[0, i, 0]), None) for u, i in enumerate(seeded)])
+    bought = int(units.sum()) - len(seeded)
+    trace.steps += map(
+        TraceStep, range(n, n + bought), picks[0, :bought].tolist(),
+        rewards[0, :bought].tolist(), scores[0, :bought].tolist(),
+    )
+    if bought < trace_len and scores[0, bought] > -math.inf:
+        trace.steps.append(TraceStep(n + bought, None, None, scores[0, bought].item()))
+    return outcomes[0], trace
 
 
 def run_ucb_batch(
@@ -263,60 +318,20 @@ def run_ucb_batch(
     same ``MarketConfig.check_run``: reward scale and budget from ``config``,
     capacities from ``bids``.  ``realizations`` holds a (samples, n, units)
     stack and ``virtual_costs`` the (samples, n) H values at each sample's
-    resampled costs.  Returns (units, successes), each (samples, n).  Every
-    sample runs ``run_2d_ucb``'s round loop with the same bonus widths, so
-    the two make the same decisions; the C loop advances the samples in
-    blocks of a few at a time.
-
-    The samples are split into contiguous chunks, one per CPU this process
-    may run on but none under ``_MIN_CHUNK`` samples.  The calling thread
-    runs the first chunk and a new thread each other one, all in C without
-    the interpreter lock; every thread has ended when the call returns or
-    raises.  A batch too small for two chunks, or a one-CPU process, runs as
-    one chunk on the calling thread.  Each sample's result depends on its
-    own row alone, so the outputs are the same however the batch is split.
+    resampled costs.  Returns (units, successes), each (samples, n), from the
+    one round loop ``run_2d_ucb`` runs (``_run_chunks``), so the two make the
+    same decisions.
     """
     table = realizations.table
     if len(config.check_run(bids, realizations)) != 1:
         raise ValueError(f"run_ucb_batch takes a (samples, n, units) stack, got {table.shape}")
-    (samples, n, n_rounds), h = table.shape, np.ascontiguousarray(virtual_costs, dtype=float)
-    if h.shape != (samples, n):
-        raise ValueError(f"virtual costs must be {samples}x{n}, got shape {h.shape!r}")
+    h = np.ascontiguousarray(virtual_costs, dtype=float)
+    if h.shape != table.shape[:2]:
+        raise ValueError(f"virtual costs must be {table.shape[0]}x{table.shape[1]}, got shape "
+                         f"{h.shape!r}")
     if not np.isfinite(h).all():
         raise ValueError("virtual costs must be finite")
-
-    caps = np.array([min(bid.capacity, n_rounds) for bid in bids], dtype=np.int64)
-    units = np.empty((samples, n), dtype=np.int64)
-    successes = np.empty((samples, n), dtype=np.int64)
-    # Resolved before any thread starts, so that no thread builds the library
-    # or grows the shared tables.
-    ucb_batch = _library().ucb_batch
-    widths, inv_sqrt = _bonus_widths(n_rounds), _inv_sqrt_counts(n_rounds + 1)
-    chunks = _workers(samples)
-    edges = [samples * k // chunks for k in range(chunks + 1)]
-    errors = [None] * chunks
-
-    def run(k):
-        a, b = edges[k], edges[k + 1]
-        try:
-            ucb_batch(b - a, n, n_rounds, config.reward_scale, h[a:b], caps, table[a:b],
-                      widths, inv_sqrt, units[a:b], successes[a:b])
-        except BaseException as exc:  # raised in the caller once every thread ends
-            errors[k] = exc
-
-    started = []
-    try:
-        for k in range(1, chunks):
-            thread = threading.Thread(target=run, args=(k,))
-            thread.start()
-            started.append(thread)
-        run(0)
-    finally:
-        for thread in started:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    units, successes, *_ = _run_chunks(config, bids, table, h)
     return units, successes
 
 
@@ -367,7 +382,7 @@ def run_eps_separated(
     committed in one call of the core.  Resampled costs must lie within
     their priors' bounds.
     """
-    n, n_rounds, dists = config.n_agents, config.units, config.distributions
+    n, n_rounds = config.n_agents, config.units
     stack = config.check_run(bids, realization)
     shape = np.shape(explore_rounds)
     if len(shape) > 1 or shape == (0,):
@@ -378,11 +393,7 @@ def run_eps_separated(
     if len(stack) > 1:
         raise ValueError(f"run_eps_separated takes one {n}x{n_rounds} table or one stack of "
                          f"them, got shape {realization.table.shape}")
-    alpha, beta = _draw_arrays(draws, n, *stack, *shape)
-    lo, hi = np.array([dist.cost_bounds for dist in dists]).T
-    inside = ((lo <= alpha) & (alpha <= hi)).reshape(-1, n).all(axis=1)
-    if not inside.all():
-        config.check_costs(alpha.reshape(-1, n)[np.argmin(inside)].tolist())
+    alpha, beta = _admit_draws(config, draws, *stack, budgets=shape[0] if shape else None)
 
     caps = [bid.capacity for bid in bids]
     total_cap = sum(caps)
@@ -408,9 +419,10 @@ def run_eps_separated(
     q_hat = np.divide(seen, explored, out=np.zeros(seen.shape), where=explored > 0)
     residual = np.tile(np.array(caps) - explored, (len(tables), 1))
     budgets = np.tile(n_rounds - explored.sum(axis=1), len(tables))
+    priors = _priors(config.distributions)
     units, exploit_pay = (side.reshape(seen.shape) for side in _auction(
         q_hat.reshape(-1, n), alpha.reshape(-1, n), residual, budgets, config.reward_scale,
-        _priors(dists)))
+        priors))
 
     successes = seen.sum(axis=2)
     table_at, budget_at, agent_at = np.nonzero(units)
@@ -421,7 +433,7 @@ def run_eps_separated(
     np.add.at(successes, (table_at, budget_at), bought)
 
     costs = np.array([bid.cost for bid in bids])
-    premium = transform_premium(explored, mu, costs, hi, beta)
+    premium = transform_premium(explored, mu, costs, priors[3, 0], beta)
     payments = costs * explored + exploit_pay + premium
     utilities = config.reward_scale * successes - payments.sum(axis=2)
     outcomes = list(map(MechanismOutcome, (explored + units).reshape(-1, n),

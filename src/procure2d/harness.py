@@ -185,7 +185,9 @@ def parse_config(path: str | os.PathLike | None) -> ExperimentConfig:
         return ExperimentConfig()
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    # No interpolation: a value is read as written.  No default section: a
+    # [DEFAULT] header names a section like any other, and is refused.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -233,10 +235,10 @@ _TAG_TYPES, _TAG_CAPS, _TAG_REALIZATION, _TAG_UCB, _TAG_EPS = 11, 12, 13, 14, 15
 
 # Bytes of reward tables a cell holds at once, one (realizations, n, L) bool
 # stack: the cell runs its realizations in blocks that fill it.  Past a few
-# dozen rows the commit auctions' time per row no longer falls, and every
-# realization's learner reads its own table, so a larger block buys little;
-# 4 MiB keeps a worker's extra memory small, yet holds the 100 realizations
-# of a 5-agent cell whole up to L = 8,388.
+# dozen rows the commit auctions' time per row no longer falls, and the
+# learner's round loop spends the same time per table in any block, so a
+# larger block buys little; 4 MiB keeps a worker's extra memory small, yet
+# holds the 100 realizations of a 5-agent cell whole up to L = 8,388.
 _BLOCK_BYTES = 1 << 22
 
 
@@ -247,13 +249,14 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
     budgets; capacities are redrawn per budget because their prior scales
     with it.  The realizations run in blocks that fill ``_BLOCK_BYTES`` of
     reward tables, so a cell's memory does not grow with its realization
-    count.  For each block one ``stream_states`` call derives the block's
-    streams (the first also the types' and capacities'), and one
-    ``resample_streams`` call draws the block's resampled bids; the types,
-    capacities and reward tables are drawn on one reused generator.  Each
-    reward table is drawn, only through the agents' capacities (the most any
-    run buys from them), into the block's stack; the learner runs on each
-    table, then one ``run_eps_separated`` call runs the explore-then-commit
+    count.  A block runs in four stages.  Streams: one ``stream_states``
+    call derives the block's streams (the first also the types' and
+    capacities'), and one ``resample_streams`` call draws the block's
+    resampled bids.  Tables: each reward table is drawn, only through the
+    agents' capacities (the most any run buys from them), into the block's
+    stack, on the generator that also drew the types and capacities.
+    Learner: one ``run_2d_ucb`` call runs every table of the block.
+    Baselines: one ``run_eps_separated`` call runs the explore-then-commit
     baselines of every table and exploration budget of the block.
     """
     units = config.l_grid[l_index]
@@ -309,17 +312,14 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
             np.tile(costs, size * runs), config.cost_hi, config.mu, states[size:]))
         for r in range(size):
             rng.bit_generator.state = state_dict(states[r])
-            realization = sample_reward_realization(qualities, units, rng, capacities,
-                                                    out=stack[r])
-            ucb_outcome, _ = run_2d_ucb(
-                market, bids, realization, config.mu, (alpha[r, 0], beta[r, 0]),
-                record_trace=False,
-            )
-            out["ucb"][start + r] = ucb_outcome.auctioneer_utility / units
-        eps_outcomes = run_eps_separated(
-            market, bids, RewardRealization(stack[:size], realization.drawn), explore_grid,
-            config.mu, (alpha[:, 1:], beta[:, 1:]),
-        )
+            drawn = sample_reward_realization(qualities, units, rng, capacities,
+                                              out=stack[r]).drawn
+        tables = RewardRealization(stack[:size], drawn)
+        ucb_outcomes = run_2d_ucb(market, bids, tables, config.mu, (alpha[:, 0], beta[:, 0]),
+                                  record_trace=False)
+        out["ucb"][start : start + size] = [o.auctioneer_utility / units for o in ucb_outcomes]
+        eps_outcomes = run_eps_separated(market, bids, tables, explore_grid, config.mu,
+                                         (alpha[:, 1:], beta[:, 1:]))
         for label, column in zip(labels[2:], zip(*eps_outcomes)):
             out[label][start : start + size] = [o.auctioneer_utility / units for o in column]
     return out

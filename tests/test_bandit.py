@@ -21,6 +21,7 @@ from procure2d import (
     self_resample,
     uniform_type_distribution,
 )
+from procure2d import bandit
 from procure2d.bandit import _round_robin_split
 
 from oracles import eps_reference, patched_bonus_scale, round_robin_explore
@@ -459,15 +460,14 @@ def test_runs_on_capacity_drawn_tables_equal_runs_on_whole_tables(case):
 
 
 def test_runners_refuse_a_table_of_the_wrong_rank():
-    # The batch runner takes one stack of tables, the scalar runners one table.
+    # The batch runner takes one stack of tables, one-budget explore-then-
+    # commit one table (the learner takes either: UCB_REFUSALS).
     m, bids = market(20, 3), [Bid(0.3, 5)] * 3
     table = sample_reward_realization([0.9, 0.4, 0.7], 20, 1)
     stack = RewardRealization(np.stack([table.table] * 2))
     with pytest.raises(ValueError) as refused:
         run_ucb_batch(m, bids, table, np.zeros((1, 3)))
     assert str(refused.value) == "run_ucb_batch takes a (samples, n, units) stack, got (3, 20)"
-    with pytest.raises(ValueError, match="^run_2d_ucb takes one 3x20 table, got a stack$"):
-        run_2d_ucb(m, bids, stack, 0.1, pinned(bids))
     with pytest.raises(ValueError, match="^run_eps_separated takes one 3x20 table, got a stack$"):
         run_eps_separated(m, bids, stack, 3, 0.1, pinned(bids))
 
@@ -798,6 +798,82 @@ def test_block_refusals_are_one_line(case):
     stack = RewardRealization(np.ones(shape, dtype=np.uint8))
     with pytest.raises(ValueError) as refused:
         run_eps_separated(m, bids, stack, [3, 4], 0.1, draws)
+    assert str(refused.value) == message
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_stack_runs_each_table_as_its_one_table_run(data):
+    # One learner call on a stack of tables drawn to the same capacity
+    # prefixes: outcome t is table t's one-table run on row t of the draws.
+    # The one-table run is traced, so it takes the jump form; the cut puts
+    # the stack on either side of it.  Zero capacities skip the seeding
+    # pass; tied costs and tables tie the scores.
+    n = data.draw(st.integers(1, 9), label="n")
+    units = data.draw(st.integers(n, 80), label="units")
+    caps = data.draw(st.lists(st.integers(0, 25) | st.integers(0, units), min_size=n,
+                              max_size=n), label="caps")
+    costs = data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                               min_size=n, max_size=n), label="costs")
+    m = MarketConfig(units, data.draw(st.sampled_from([30.0, 1.0]), label="reward_scale"),
+                     (uniform_type_distribution(0.0, 1.0, 0, 80),) * n)
+    bids = [Bid(c, k) for c, k in zip(costs, caps)]
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    q = np.random.default_rng(seed).random(n)
+    if data.draw(st.booleans(), label="tied-tables"):
+        q[:] = q[0]
+    size = data.draw(st.integers(1, 9), label="tables")  # past two blocks of lanes
+    tables = [sample_reward_realization(q, units, [seed, t], caps) for t in range(size)]
+    stack = RewardRealization(np.stack([t.table for t in tables]), tables[0].drawn)
+    mu = data.draw(st.sampled_from([0.1, 0.6]), label="mu")
+    rows = [seeded_draws(m, bids, mu, [seed, t]) for t in range(size)]
+    alpha, beta = (np.array(side) for side in zip(*rows))
+    cut = data.draw(st.sampled_from([0, units, units + 1, 2**62]), label="cut")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bandit, "_JUMP_ROUNDS", cut)
+        block = run_2d_ucb(m, bids, stack, mu, (alpha, beta), record_trace=False)
+    assert len(block) == size
+    for t, table in enumerate(tables):
+        expected, _ = run_2d_ucb(m, bids, table, mu, (alpha[t], beta[t]))
+        assert np.array_equal(block[t].allocation, expected.allocation)
+        assert np.array_equal(block[t].payments, expected.payments)
+        assert block[t].auctioneer_utility == expected.auctioneer_utility
+
+
+# Learner calls refused with one line: one 3x20 table takes draws of shape
+# (3,), a stack of two of them draws of shape (2, 3).
+UCB_REFUSALS = {
+    "draws-of-one-table": (
+        (2, 3, 20), ([0.3] * 3, [0.3] * 3), {"record_trace": False},
+        "need one alpha and one beta per bid and table: 2 tables of 3 bids, got alpha of "
+        "shape (3,) and beta of shape (3,)"),
+    "draws-of-too-few-tables": (
+        (2, 3, 20), ([[0.3] * 3], [[0.3] * 3]), {"record_trace": False},
+        "need one alpha and one beta per bid and table: 2 tables of 3 bids, got alpha of "
+        "shape (1, 3) and beta of shape (1, 3)"),
+    "stack-alpha-above-its-prior": (
+        (2, 3, 20), ([[0.3] * 3, [0.3, 0.3, 1.5]], [[0.3] * 3] * 2), {"record_trace": False},
+        "agent 2 bid cost 1.5 outside [0.0, 1.0]"),
+    "one-table-alpha-above-its-prior": (
+        (3, 20), ([0.3, 1.25, 0.3], [0.3] * 3), {},
+        "agent 1 bid cost 1.25 outside [0.0, 1.0]"),
+    "stack-of-stacks": (
+        (1, 2, 3, 20), ([[[0.3] * 3] * 2], [[[0.3] * 3] * 2]), {"record_trace": False},
+        "run_2d_ucb takes one 3x20 table or one stack of them, got shape (1, 2, 3, 20)"),
+    "traced-stack": (
+        (2, 3, 20), ([[0.3] * 3] * 2, [[0.3] * 3] * 2), {},
+        "run_2d_ucb records no trace on a stack: pass record_trace=False"),
+}
+
+
+@pytest.mark.parametrize("case", list(UCB_REFUSALS))
+def test_learner_refusals_are_one_line(case):
+    m, bids = market(20, 3), [Bid(0.3, 5)] * 3
+    shape, draws, kwargs, message = UCB_REFUSALS[case]
+    tables = RewardRealization(np.ones(shape, dtype=np.uint8))
+    with pytest.raises(ValueError) as refused:
+        run_2d_ucb(m, bids, tables, 0.1, draws, **kwargs)
     assert str(refused.value) == message
 
 

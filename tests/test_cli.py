@@ -198,6 +198,22 @@ def test_out_of_memory_in_simulate_is_a_clean_error(conf_file, tmp_path, capsys,
     assert not (out_dir / "results.csv").exists()
 
 
+@pytest.mark.parametrize("text", ["[market]\nn = 5%\n", "[DEFAULT]\nn = 3\n"],
+                         ids=["percent-sign", "default-section"])
+def test_config_a_parser_would_misread_is_a_clean_error(tmp_path, text):
+    # A percent sign once escaped as an interpolation error's traceback, and
+    # a lone [DEFAULT] section was ignored.
+    conf = tmp_path / "conf.ini"
+    conf.write_text(text)
+    argv = ["simulate", "--config", str(conf), "--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "procure2d", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and not (tmp_path / "out").exists()
+
+
 def test_a_vast_realization_count_fails_at_once(tmp_path):
     # Before its first block a cell builds nothing whose size grows with the
     # realization count but its per-mechanism outputs, so 1e11 realizations

@@ -68,6 +68,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="market.budget"):
             parse_config(path)
 
+    # A value is read as written, and a [DEFAULT] section is refused, alone or
+    # beside another section: it would otherwise be ignored, set keys of every
+    # section, or turn up as an unknown key of another section.
+    @pytest.mark.parametrize("text, message", [
+        ("[market]\nn = 5%\n", "cannot parse market.n = '5%'"),
+        ("[DEFAULT]\nn = 3\n", "unknown config section [DEFAULT]"),
+        ("[DEFAULT]\nn = 3\n\n[market]\nreward_scale = 20\n",
+         "unknown config section [DEFAULT]"),
+        ("[DEFAULT]\nmu = 0.2\n\n[market]\nn = 3\n", "unknown config section [DEFAULT]"),
+    ], ids=["percent-sign", "default-alone", "default-beside-market", "default-key-of-ucb"])
+    def test_values_read_as_written_and_default_section_refused(self, tmp_path, text, message):
+        path = tmp_path / "conf.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as refused:
+            parse_config(path)
+        assert str(refused.value) == message
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "nope.ini")
@@ -248,18 +265,26 @@ class TestRunExperiment:
                 assert got[label].tolist() == expected[label].tolist(), label
 
     def test_baselines_run_in_one_call_per_block(self, monkeypatch):
-        # Each block's explore-then-commit runs go through one
-        # run_eps_separated call that carries the block's stack of tables,
-        # every exploration budget and one row of draws per table and budget.
-        # At 960 bytes, a block holds the 3 realizations of a cell at L = 40
-        # and 2 of them at L = 160.
+        # Each block's learner runs go through one run_2d_ucb call that
+        # carries the block's stack of tables and one row of draws per table,
+        # and its explore-then-commit runs through one run_eps_separated call
+        # that carries the same stack, every exploration budget and one row
+        # of draws per table and budget.  At 960 bytes, a block holds the 3
+        # realizations of a cell at L = 40 and 2 of them at L = 160.
+        learner_calls, run_learner = [], harness.run_2d_ucb
         calls, run = [], harness.run_eps_separated
+
+        def record_learner(market, bids, realization, mu, draws, **kwargs):
+            learner_calls.append((market.units, realization.table.shape,
+                                  [np.shape(side) for side in draws]))
+            return run_learner(market, bids, realization, mu, draws, **kwargs)
 
         def record(market, bids, realization, explore_rounds, mu, draws):
             calls.append((market.units, realization.table.shape, list(explore_rounds),
                           [np.shape(side) for side in draws]))
             return run(market, bids, realization, explore_rounds, mu, draws)
 
+        monkeypatch.setattr(harness, "run_2d_ucb", record_learner)
         monkeypatch.setattr(harness, "run_eps_separated", record)
         monkeypatch.setattr(harness, "_BLOCK_BYTES", 960)
         config = ExperimentConfig(n=3, l_grid=(40, 160), type_samples=2, realizations=3,
@@ -272,6 +297,7 @@ class TestRunExperiment:
             assert shape == (shape[0], 3, units)
             assert budgets == [max(3, round(units ** e)) for e in config.eps_exponents]
             assert draw_shapes == [(shape[0], 3, 3)] * 2
+        assert learner_calls == [(units, shape, [shape[:2]] * 2) for units, shape, _, _ in calls]
         assert {row.mechanism for row in rows} == set(config.mechanism_labels())
 
     def test_infeasible_capacity_warns(self):

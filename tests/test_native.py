@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from procure2d import RewardRealization, _native, bandit, sample_reward_realization
+from procure2d import RewardRealization, _native, bandit
 
 
 def arguments(name):
@@ -17,20 +17,16 @@ def arguments(name):
     positions of its output arrays."""
     rng = np.random.default_rng(5)
     if name == "ucb_run":
-        table = sample_reward_realization([0.9, 0.5, 0.7], 12, 0).table
-        args = [3, 12, 10.0, np.array([0.2, 0.5, 0.9]), np.full(3, 5, dtype=np.int64), table,
-                bandit._bonus_widths(12).copy(), bandit._inv_sqrt_counts(13).copy(),
-                np.full(3, -7, dtype=np.int64), np.full(3, -7, dtype=np.int64), 9,
-                np.full(9, -7, dtype=np.int64), np.full(9, 7, dtype=np.uint8), np.full(9, -7.0),
-                np.full(1, -7.0)]
-        outputs = {8, 9, 11, 12, 13, 14}
-    elif name == "ucb_batch":
+        # Two traced samples: the traced call runs the jump form, which
+        # writes every output.
         table = RewardRealization(rng.random((2, 3, 12)) < 0.7).table
         args = [2, 3, 12, 10.0, np.array([[0.2, 0.5, 0.9], [0.9, 0.2, 0.5]]),
                 np.full(3, 5, dtype=np.int64), table, bandit._bonus_widths(12).copy(),
-                bandit._inv_sqrt_counts(13).copy(), np.full((2, 3), -7, dtype=np.int64),
-                np.full((2, 3), -7, dtype=np.int64)]
-        outputs = {9, 10}
+                bandit._inv_sqrt_counts(13).copy(), bandit._JUMP_ROUNDS,
+                np.full((2, 3), -7, dtype=np.int64), np.full((2, 3), -7, dtype=np.int64), 9,
+                np.full((2, 9), -7, dtype=np.int64), np.full((2, 9), 7, dtype=np.uint8),
+                np.full((2, 9), -7.0)]
+        outputs = {10, 11, 13, 14, 15}
     elif name == "seed_streams":
         # Pieces [5, 9], [7] and [], of lengths 2, 1 and 0: rows (entropy
         # [5, 9], key (7,)) and (entropy [5, 9], key ()).
@@ -64,7 +60,7 @@ def read_only(a):
     return a
 
 
-@pytest.mark.parametrize("name", ["ucb_run", "ucb_batch", "seed_streams", "resample"])
+@pytest.mark.parametrize("name", ["ucb_run", "seed_streams", "resample"])
 def test_declared_function_refuses_an_array_it_cannot_take(name):
     args, outputs = arguments(name)
     func = getattr(_native._library(), name)
@@ -85,7 +81,7 @@ def test_declared_function_refuses_an_array_it_cannot_take(name):
     assert all(args[k].tobytes() == a.tobytes() for k, a in given.items())
     # The same arrays are taken, read-only inputs included (a reward table as
     # RewardRealization holds it), and the C code writes every output.
-    assert func(*args) == {"ucb_run": 12}.get(name, 0)
+    assert func(*args) == 0
     assert not any(args[k].tobytes() == given[k].tobytes() for k in outputs)
 
 
@@ -99,7 +95,6 @@ def test_every_c_function_is_declared():
 
 @pytest.mark.parametrize("name, status, error, message", [
     ("ucb_run", -1, MemoryError, "out of memory in the UCB round loop"),
-    ("ucb_batch", -1, MemoryError, "out of memory in the UCB round loop"),
     ("seed_streams", -1, MemoryError, "out of memory in the stream seeding"),
     ("resample", -1, MemoryError, "out of memory in the resampler"),
     ("resample", -2, RuntimeError, "resampling recursion exceeded the iteration cap"),

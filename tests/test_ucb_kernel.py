@@ -153,7 +153,7 @@ def test_leader_changes_on_most_rounds(caps, rival_cost, bonus_scale):
 def test_harness_instances_match_scalar_loop(monkeypatch, master_seed):
     # Five agents with the types, capacities, rewards and resample draws that
     # run_experiment draws at L = 20,000, the instances the paper's
-    # experiment runs.
+    # experiment runs: the one table of a one-realization cell's block.
     calls = []
 
     def record(market, bids, realization, mu, draws, **kwargs):
@@ -164,7 +164,9 @@ def test_harness_instances_match_scalar_loop(monkeypatch, master_seed):
     config = ExperimentConfig(l_grid=(20_000,), type_samples=1, realizations=1,
                               master_seed=master_seed)
     harness._run_cell(config, 0, 0)
-    ((market, bids, realization, draws),) = calls
+    ((market, bids, block, (alpha, beta)),) = calls
+    realization = RewardRealization(block.table[0], block.drawn)
+    draws = alpha[0], beta[0]
     for bonus_scale in (0.5, 2.0):
         trace = assert_matches_oracle(market, bids, realization, draws, bonus_scale)
         assert len(set(trace.agents())) == 5
@@ -406,28 +408,70 @@ def virtual_costs(alphas, caps):
     return np.array([[DIST.virtual_cost(a, k) for a, k in zip(row, caps)] for row in alphas])
 
 
+# The cut ``ucb_run`` compares the budget with: the 40-round batches below
+# run the jump form at 0 and the select form past 40.
+FORMS = {"jump": 0, "select": 41}
+
+
 @pytest.mark.parametrize("samples", sorted({1, LANES - 1, LANES, LANES + 1, 2 * LANES + 1} - {0}))
 def test_batch_sizes_straddle_block_edges(samples):
-    # Every row equals the reference loop whatever block it falls in, and a
-    # short last block writes no row past the batch: the inputs and outputs
-    # handed to the C loop are the leading rows of larger arrays whose
-    # trailing rows are guards.
+    # Every row equals the reference loop whatever block it falls in, in both
+    # forms, and a short last block writes no row past the batch: the inputs
+    # and outputs handed to the C loop are the leading rows of larger arrays
+    # whose trailing rows are guards.
     caps = [8, 8, 1]
     alphas, tables = mixed_stop_batch(samples)
     pad = ((0, LANES), (0, 0))
     h = np.pad(virtual_costs(alphas, caps), pad, constant_values=math.nan)
     table = np.pad(tables, pad + ((0, 0),), constant_values=1)
-    guarded = [np.full((samples + LANES, 3), -7, dtype=np.int64) for _ in range(2)]
-    _native._library().ucb_batch(
-        samples, 3, 40, 1.0, h[:samples], np.array(caps, dtype=np.int64), table[:samples],
-        bandit._bonus_widths(40), bandit._inv_sqrt_counts(41),
-        guarded[0][:samples], guarded[1][:samples],
-    )
-    assert (guarded[0][samples:] == -7).all() and (guarded[1][samples:] == -7).all()
     assert_batch_matches_oracle(1.0, alphas, caps, tables)
     units_out, successes = batch_run(1.0, caps, tables, h[:samples])
-    assert np.array_equal(guarded[0][:samples], units_out)
-    assert np.array_equal(guarded[1][:samples], successes)
+    for form, jump_rounds in FORMS.items():
+        counts = [np.full((samples + LANES, 3), -7, dtype=np.int64) for _ in range(2)]
+        empty = [np.empty((samples, 0), dtype) for dtype in (np.int64, np.uint8, float)]
+        _native._library().ucb_run(
+            samples, 3, 40, 1.0, h[:samples], np.array(caps, dtype=np.int64), table[:samples],
+            bandit._bonus_widths(40), bandit._inv_sqrt_counts(41), jump_rounds,
+            counts[0][:samples], counts[1][:samples], 0, *empty,
+        )
+        for guarded in counts:
+            assert (guarded[samples:] == -7).all(), form
+        assert np.array_equal(counts[0][:samples], units_out), form
+        assert np.array_equal(counts[1][:samples], successes), form
+
+
+def test_a_traced_call_below_the_cut_takes_the_jump_form():
+    # Only the jump form writes a trace: a traced call of samples far below
+    # the cut gives each sample's reference trace at its offset, ending at
+    # the score that stopped it, or -inf when every agent is full.
+    caps = [8, 8, 1]
+    alphas, tables = mixed_stop_batch(6)
+    market = MarketConfig(40, 1.0, (DIST,) * 3)
+    trace_len = 37
+    picks = np.full((6, trace_len), -7, dtype=np.int64)
+    rewards, scores = np.full((6, trace_len), 7, dtype=np.uint8), np.full((6, trace_len), -7.0)
+    counts = [np.empty((6, 3), dtype=np.int64) for _ in range(2)]
+    assert 40 < bandit._JUMP_ROUNDS
+    _native._library().ucb_run(
+        6, 3, 40, 1.0, virtual_costs(alphas, caps), np.array(caps, dtype=np.int64), tables,
+        bandit._bonus_widths(40), bandit._inv_sqrt_counts(41), bandit._JUMP_ROUNDS, *counts,
+        trace_len, picks, rewards, scores,
+    )
+    ends = set()
+    for s in range(6):
+        bids = [Bid(float(a), k) for a, k in zip(alphas[s], caps)]
+        draws = (alphas[s].tolist(),) * 2
+        expected, trace = scalar_ucb_run(market, bids, RewardRealization(tables[s]), 0.1, draws)
+        steps = trace.steps[3:]
+        bought = int(counts[0][s].sum()) - 3
+        assert picks[s, :bought].tolist() == [step.agent for step in steps[:bought]]
+        assert rewards[s, :bought].tolist() == [step.reward for step in steps[:bought]]
+        assert scores[s, :bought].tolist() == [step.g_hat for step in steps[:bought]]
+        end = steps[bought].g_hat if bought < len(steps) else -math.inf
+        assert scores[s, bought] == end
+        ends.add(end == -math.inf)
+        assert counts[0][s].tolist() == expected.allocation.tolist()
+    assert ends == {True, False}
 
 
 def stop_of(trace, units):
@@ -510,7 +554,7 @@ def test_splitting_a_batch_leaves_every_row_as_it_was(monkeypatch, split_batch, 
 
 
 class _FailingLibrary:
-    """A library whose ``ucb_batch`` raises on the chunks starting at the rows
+    """A library whose ``ucb_run`` raises on the chunks starting at the rows
     in ``fail_at``, each with an exception naming its row, and otherwise
     waits a little before it writes its rows, so that a chunk that raises
     early is not the last one running."""
@@ -518,8 +562,8 @@ class _FailingLibrary:
     def __init__(self, fail_at):
         self.fail_at, self.finished = fail_at, []
 
-    def ucb_batch(self, samples, n, n_rounds, reward_scale, h, caps, table, widths, inv_sqrt,
-                  units, successes):
+    def ucb_run(self, samples, n, n_rounds, reward_scale, h, caps, table, widths, inv_sqrt,
+                jump_rounds, units, successes, trace_len, picks, rewards, scores):
         row = int(h[0, 0])
         if row in self.fail_at:
             raise MemoryError(f"chunk at row {row}")
