@@ -59,6 +59,7 @@ __all__ = [
     "sample_reward_realization",
     "seeded_draws",
     "self_resample",
+    "stream_reward_realization",
     "transform_premium",
     "uniform_type_distribution",
 ]

@@ -31,13 +31,16 @@ class ResampleCapError(RuntimeError):
 
 class _Array:
     """The argtype of a C-contiguous array of ``dtype``, writable when
-    ``out``, checked before any C code runs.  It passes the address as a
-    ``c_void_p``: ctypes would pass a bare int as a C ``int``."""
+    ``out``, checked before any C code runs, or of ``None`` (a NULL pointer)
+    when ``optional``.  It passes the address as a ``c_void_p``: ctypes would
+    pass a bare int as a C ``int``."""
 
-    def __init__(self, dtype, out: bool = False):
-        self.dtype, self.out = np.dtype(dtype), out
+    def __init__(self, dtype, out: bool = False, optional: bool = False):
+        self.dtype, self.out, self.optional = np.dtype(dtype), out, optional
 
     def from_param(self, a):
+        if a is None and self.optional:
+            return None
         if not (isinstance(a, np.ndarray) and a.dtype == self.dtype and a.flags.c_contiguous
                 and (a.flags.writeable or not self.out)):
             raise TypeError(f"expected a C-contiguous{' writable' * self.out} {self.dtype} array")
@@ -46,13 +49,22 @@ class _Array:
 
 _SIZE, _REAL = ctypes.c_int64, ctypes.c_double
 _F64, _I64, _U8 = _Array(np.float64), _Array(np.int64), _Array(np.uint8)
-_U32 = _Array(np.uint32)
+_U32, _U64 = _Array(np.uint32), _Array(np.uint64)
 _F64_OUT, _I64_OUT = _Array(np.float64, out=True), _Array(np.int64, out=True)
 _U8_OUT, _U64_OUT = _Array(np.uint8, out=True), _Array(np.uint64, out=True)
 # The return and argument types of every function ``_ucb.c`` defines.
+# ``ucb_run`` takes a whole table with no qualities, row streams or drawn
+# counts (``None``), and its table as an input, so that a read-only whole
+# table reaches it without a copy: it writes only a streamed realization's
+# tables, which are writable.
 _SIGNATURES = {
-    "ucb_run": (ctypes.c_int, [_SIZE, _SIZE, _SIZE, _REAL, _F64, _I64, _U8, _F64, _F64, _SIZE,
+    "ucb_run": (ctypes.c_int, [_SIZE, _SIZE, _SIZE, _REAL, _F64, _I64,
+                               _Array(np.float64, optional=True),
+                               _Array(np.uint64, out=True, optional=True),
+                               _Array(np.int64, out=True, optional=True), _U8, _F64, _F64, _SIZE,
                                _I64_OUT, _I64_OUT, _SIZE, _I64_OUT, _U8_OUT, _F64_OUT]),
+    "row_streams": (ctypes.c_int, [_SIZE, _SIZE, _SIZE, _U64, _U64_OUT]),
+    "draw_rows": (ctypes.c_int, [_SIZE, _SIZE, _SIZE, _F64, _U64_OUT, _I64_OUT, _I64, _U8_OUT]),
     "seed_streams": (ctypes.c_int, [_SIZE, _U32, _SIZE, _I64, _I64, _U64_OUT]),
     "resample": (ctypes.c_int, [_SIZE, _SIZE, _REAL, _F64, _F64, _U64_OUT, _F64_OUT, _F64_OUT]),
 }

@@ -12,8 +12,8 @@ Reports also carry the sampling parameters and serialize to a one-line
 record.
 
 Statistical audits use paired common random numbers: identical reward tables
-(``model._draw_outcomes``) and resampling draws across every deviation, so
-measured differences reflect the bid change alone.
+(one stack drawn by ``model._draw_tables``) and resampling draws across
+every deviation, so measured differences reflect the bid change alone.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .bandit import run_ucb_batch
 from .model import (
-    Bid, MarketConfig, RewardRealization, TypeDistribution, _check_qualities, _draw_outcomes,
+    Bid, MarketConfig, RewardRealization, TypeDistribution, _check_qualities, _draw_tables,
 )
 from .optimal import run_2d_opt
 from .resample import child_states, generator_at, resample_batch, transform_premium
@@ -182,10 +182,11 @@ def make_ucb_batch_utility(
     config.check_bids(bids)
     n = config.n_agents
     qualities = _check_qualities(true_qualities, n)
-    realization_state, rival_state, dev_state = child_states(seed, 3)
+    states = child_states(seed, 3)
+    _, rival_state, dev_state = states
 
     stack = np.empty((samples, n, config.units), dtype=bool)
-    _draw_outcomes(generator_at(realization_state), qualities, stack)
+    _draw_tables(states[:1], qualities, stack)
     realizations = RewardRealization(stack)
 
     rival_rng = generator_at(rival_state)

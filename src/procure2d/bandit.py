@@ -19,9 +19,12 @@ passes in the bonus widths and the ``1 / sqrt(n_i)`` table built here with
 ``math.log`` and ``math.sqrt``, so every score has the bits of the reference
 loop in the test suite.  ``run_2d_ucb`` runs one table or a stack of them,
 at the virtual costs ``a + b * alpha`` of its draws; ``run_ucb_batch`` runs
-the truthfulness audits' stacks at the virtual costs they build.
-``_native`` builds, loads and declares the library, which also holds the C
-code of ``resample``; a failed build raises ``UcbBuildError``.
+the truthfulness audits' stacks at the virtual costs they build.  On a
+streamed realization (``model.stream_reward_realization``) the round loop
+draws each row's outcomes, a few dozen at a time, when a pick first reaches
+them.  ``_native`` builds, loads and declares the library, which also holds
+the C code of the outcome drawer and of ``resample``; a failed build raises
+``UcbBuildError``.
 
 ``run_eps_separated`` is the explore-then-commit baseline: a fixed number of
 round-robin exploration units, then one optimal auction, the array core of
@@ -29,7 +32,10 @@ round-robin exploration units, then one optimal auction, the array core of
 Handed several exploration budgets, one call runs them all, on one table or
 on a stack of tables, admitting the bids, the tables and the draws once and
 committing every (table, budget) run in one call of the core, as a
-simulation cell does for each block of realizations.
+simulation cell does for each block of realizations.  A streamed block is
+drawn in two calls: through every row's exploration window before the
+estimates are counted, then through the units bought before the successes
+are.
 """
 
 from __future__ import annotations
@@ -179,12 +185,14 @@ def _workers(samples: int) -> int:
     return max(1, min(_cpus(), samples // _MIN_CHUNK))
 
 
-def _run_chunks(config: MarketConfig, bids: Sequence[Bid], table: np.ndarray, h: np.ndarray,
-                trace_len: int = 0):
-    """``ucb_run`` on an admitted ``(samples, n, units)`` stack at the
-    ``(samples, n)`` virtual costs ``h``: units and successes, ``(samples,
-    n)``, and the winner, reward and score of each sample's first
-    ``trace_len`` rounds after seeding (a stopping round's score alone).
+def _run_chunks(config: MarketConfig, bids: Sequence[Bid], realization: RewardRealization,
+                h: np.ndarray, trace_len: int = 0):
+    """``ucb_run`` on an admitted realization's ``(samples, n, units)``
+    stack at the ``(samples, n)`` virtual costs ``h``: units and successes,
+    ``(samples, n)``, and the winner, reward and score of each sample's first
+    ``trace_len`` rounds after seeding (a stopping round's score alone).  On
+    a streamed realization the loop draws each row as it reads it; a whole
+    one passes no row streams, and the loop never draws.
 
     The samples are split into contiguous chunks, one per CPU this process
     may run on but none under ``_MIN_CHUNK`` samples.  The calling thread
@@ -195,7 +203,13 @@ def _run_chunks(config: MarketConfig, bids: Sequence[Bid], table: np.ndarray, h:
     own row alone, so the outputs are the same however the batch is split,
     and whichever form of the loop ``_JUMP_ROUNDS`` picks.
     """
-    samples, n, n_rounds = table.shape
+    n, n_rounds = realization.table.shape[-2:]
+    table = realization.table.reshape(-1, n, n_rounds)
+    samples, streams = len(table), realization.streams
+    q = states = drawn = None  # a whole table: nothing to draw
+    if streams is not None:
+        q, states = streams.qualities, streams.states.reshape(-1, n, 4)
+        drawn = streams.counts.reshape(-1, n)
     # No run buys more than the budget from one agent.
     caps = np.array([min(bid.capacity, n_rounds) for bid in bids], dtype=np.int64)
     units, successes = (np.empty((samples, n), dtype=np.int64) for _ in range(2))
@@ -212,10 +226,11 @@ def _run_chunks(config: MarketConfig, bids: Sequence[Bid], table: np.ndarray, h:
 
     def run(k):
         a, b = edges[k], edges[k + 1]
+        rows = (None, None) if streams is None else (states[a:b], drawn[a:b])
         try:
-            ucb_run(b - a, n, n_rounds, config.reward_scale, h[a:b], caps, table[a:b], widths,
-                    inv_sqrt, jump_rounds, units[a:b], successes[a:b], trace_len, picks[a:b],
-                    rewards[a:b], scores[a:b])
+            ucb_run(b - a, n, n_rounds, config.reward_scale, h[a:b], caps, q, *rows, table[a:b],
+                    widths, inv_sqrt, jump_rounds, units[a:b], successes[a:b], trace_len,
+                    picks[a:b], rewards[a:b], scores[a:b])
         except BaseException as exc:  # raised in the caller once every thread ends
             errors[k] = exc
 
@@ -279,11 +294,10 @@ def run_2d_ucb(
         raise ValueError("run_2d_ucb records no trace on a stack: pass record_trace=False")
     alpha, beta = _admit_draws(config, draws, *stack)
     a, b, _, cost_highs = _priors(config.distributions)[:, 0]
-    table = realization.table.reshape(-1, n, n_rounds)
     # Winner, reward and score of rounds n, n+1, ... when a trace is asked for.
     trace_len = n_rounds - n if record_trace else 0
     units, succ, picks, rewards, scores = _run_chunks(
-        config, bids, table, (a + b * alpha).reshape(-1, n), trace_len)
+        config, bids, realization, (a + b * alpha).reshape(-1, n), trace_len)
 
     costs = np.array([bid.cost for bid in bids])
     payments = costs * units + transform_premium(units, mu, costs, cost_highs,
@@ -297,7 +311,8 @@ def run_2d_ucb(
 
     # Every round from n on buys one unit until the one that stops.
     seeded = [i for i, bid in enumerate(bids) if bid.capacity >= 1]
-    trace = RunTrace([TraceStep(u, i, int(table[0, i, 0]), None) for u, i in enumerate(seeded)])
+    table = realization.table
+    trace = RunTrace([TraceStep(u, i, int(table[i, 0]), None) for u, i in enumerate(seeded)])
     bought = int(units.sum()) - len(seeded)
     trace.steps += map(
         TraceStep, range(n, n + bought), picks[0, :bought].tolist(),
@@ -331,7 +346,7 @@ def run_ucb_batch(
                          f"{h.shape!r}")
     if not np.isfinite(h).all():
         raise ValueError("virtual costs must be finite")
-    units, successes, *_ = _run_chunks(config, bids, table, h)
+    units, successes, *_ = _run_chunks(config, bids, realizations, h)
     return units, successes
 
 
@@ -410,8 +425,11 @@ def run_eps_separated(
 
     # Successes per (table, budget, agent) in exploration, read off running
     # counts of the explored prefixes, then the commit auctions of every
-    # (table, budget) row on the frozen estimates.
+    # (table, budget) row on the frozen estimates.  A streamed realization is
+    # drawn through each row's exploration window first, then through its
+    # bought units; a running count reads only the drawn part of its row.
     tables = realization.table.reshape(-1, n, n_rounds)
+    realization.draw_through(explored.max(axis=0))
     window = int(explored.max())
     prefix = np.zeros((len(tables), n, window + 1), dtype=np.int64)
     np.cumsum(tables[:, :, :window], axis=2, dtype=np.int64, out=prefix[:, :, 1:])
@@ -425,11 +443,13 @@ def run_eps_separated(
         priors))
 
     successes = seen.sum(axis=2)
+    stops = explored + units
+    realization.draw_through(stops.max(axis=1))
     table_at, budget_at, agent_at = np.nonzero(units)
     starts = explored[budget_at, agent_at]
     bought = [np.count_nonzero(tables[t, i, k:stop]) for t, i, k, stop in zip(
         table_at.tolist(), agent_at.tolist(), starts.tolist(),
-        (starts + units[table_at, budget_at, agent_at]).tolist())]
+        stops[table_at, budget_at, agent_at].tolist())]
     np.add.at(successes, (table_at, budget_at), bought)
 
     costs = np.array([bid.cost for bid in bids])

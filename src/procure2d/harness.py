@@ -9,10 +9,11 @@ byte-identical regardless of worker count or scheduling.  Each stream is
 the numpy stream of a ``SeedSequence`` on the key ``[master seed, tag,
 ...]``, or of its child ``(i,)`` for bid ``i``'s resampler; a cell runs its
 realizations in blocks, and for each derives the PCG64 states of the
-block's streams in one ``resample.stream_states`` call, draws the block's
+block's streams in one ``resample.stream_states`` call and draws the block's
 resampled bids in one ``resample.resample_streams`` call (each run gets one
-row of the (runs, n) alpha and beta arrays), and draws its types,
-capacities and reward tables on one reused generator.
+row of the (runs, n) alpha and beta arrays).  Its types and capacities are
+drawn on one reused generator; its reward tables are drawn on their own
+streams in C, each outcome when a run first reads it.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .bandit import _cpus, run_2d_ucb, run_eps_separated
-from .model import (
-    Bid, MarketConfig, RewardRealization, sample_reward_realization, uniform_type_distribution,
-)
+from .model import Bid, MarketConfig, stream_reward_realization, uniform_type_distribution
+# Only so that the attribute perfbench's tracer wraps exists
+# (tests/test_exports.py): a cell's tables are streamed, so its layer reads 0.
+from .model import sample_reward_realization  # noqa: F401
 from .optimal import run_2d_opt
 from .resample import generator_at, resample_streams, state_dict, stream_states
 
@@ -252,12 +254,14 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
     count.  A block runs in four stages.  Streams: one ``stream_states``
     call derives the block's streams (the first also the types' and
     capacities'), and one ``resample_streams`` call draws the block's
-    resampled bids.  Tables: each reward table is drawn, only through the
-    agents' capacities (the most any run buys from them), into the block's
-    stack, on the generator that also drew the types and capacities.
-    Learner: one ``run_2d_ucb`` call runs every table of the block.
+    resampled bids.  Tables: one ``stream_reward_realization`` call jumps
+    each table row's stream to its first outcome and draws nothing; the
+    block's stack is filled as the runs read it, never past the agents'
+    capacities (the most any run buys from them).  Learner: one
+    ``run_2d_ucb`` call runs every table of the block, drawing as it picks.
     Baselines: one ``run_eps_separated`` call runs the explore-then-commit
-    baselines of every table and exploration budget of the block.
+    baselines of every table and exploration budget of the block, drawing
+    what they count.
     """
     units = config.l_grid[l_index]
     n = config.n
@@ -303,18 +307,16 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
     out["opt"][:] = benchmark.auctioneer_utility / units
 
     explore_grid = [max(n, int(round(units ** exponent))) for exponent in config.eps_exponents]
-    stack = np.empty((block, n, units), dtype=bool)
+    # Zeroed, so that every entry, drawn or not, is 0 or 1: each table of the
+    # stack stays a valid outcome table.
+    stack = np.zeros((block, n, units), dtype=bool)
     for start in range(0, reps, block):
         size = min(block, reps - start)
         if start:
             states = streams(start, start + size)
         alpha, beta = (side.reshape(size, runs, n) for side in resample_streams(
             np.tile(costs, size * runs), config.cost_hi, config.mu, states[size:]))
-        for r in range(size):
-            rng.bit_generator.state = state_dict(states[r])
-            drawn = sample_reward_realization(qualities, units, rng, capacities,
-                                              out=stack[r]).drawn
-        tables = RewardRealization(stack[:size], drawn)
+        tables = stream_reward_realization(qualities, capacities, states[:size], stack[:size])
         ucb_outcomes = run_2d_ucb(market, bids, tables, config.mu, (alpha[:, 0], beta[:, 0]),
                                   record_trace=False)
         out["ucb"][start : start + size] = [o.auctioneer_utility / units for o in ucb_outcomes]

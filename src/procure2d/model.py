@@ -4,14 +4,20 @@ Each agent sells units of a single good at a private per-unit cost and up to
 a private integer capacity; every delivered unit independently succeeds with
 the agent's fixed but unobserved quality.  The buyer values a successful unit
 at the reward scale R, so a unit from agent i is worth ``R * q_i`` in
-expectation.  ``_draw_outcomes`` draws every table of such outcomes.
+expectation.  A table of such outcomes has one numpy PCG64 stream: outcome
+``(i, j)`` of an ``n x L`` table is ``u < q_i`` for uniform ``i * L + j``.
+The one drawer of outcomes is C code in ``_ucb.c``, which starts each row
+on its own stream, jumped to ``i * L``, so a row can be drawn in pieces and
+in any order.
 
 No mechanism buys more than ``min(k_i, L)`` units from an agent reporting
 capacity ``k_i``, so a simulation table need only hold row i's outcomes
 through that length: ``sample_reward_realization(..., capacities=)`` draws
 just those prefixes, bit for bit the outcomes of the whole table, and
 records them as ``RewardRealization.drawn``; ``MarketConfig.check_run``
-refuses a bid that would read past its row's drawn prefix.
+refuses a bid that would read past its row's drawn prefix.  A simulation
+draws less still: ``stream_reward_realization`` draws nothing up front, and
+the learner and the baselines draw each row as far as they read it.
 
 ``TypeDistribution`` carries one agent's (cost, capacity) prior as the
 virtual cost driving the auctions: the information-rent-adjusted cost
@@ -27,6 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._native import _library
+from .resample import generator_words
+
 __all__ = [
     "AgentType",
     "Bid",
@@ -35,6 +44,7 @@ __all__ = [
     "RewardRealization",
     "uniform_type_distribution",
     "sample_reward_realization",
+    "stream_reward_realization",
 ]
 
 
@@ -251,6 +261,19 @@ class MarketConfig:
 
 
 @dataclass(frozen=True)
+class RowStreams:
+    """Where each row of a streamed realization stands: its quality (one per
+    agent), its stream's four state words at its next undrawn outcome, and
+    its drawn count, for every row of every table (``(..., n, 4)`` and
+    ``(..., n)``).  Built by ``stream_reward_realization``; the runs and
+    ``RewardRealization.draw_through`` advance it in place."""
+
+    qualities: np.ndarray
+    states: np.ndarray
+    counts: np.ndarray
+
+
+@dataclass(frozen=True)
 class RewardRealization:
     """Bernoulli outcome table of shape ``(..., n, L)``: entry ``[..., i, j]``
     is the outcome of the j-th unit procured from agent i (counted per agent,
@@ -264,10 +287,19 @@ class RewardRealization:
     row prefixes (``sample_reward_realization`` with ``capacities``), it
     holds each row's prefix length, the same for every table of a stack; the
     entries past it are 0 and stand for no outcome, and
-    ``MarketConfig.check_run`` refuses any run that could read them."""
+    ``MarketConfig.check_run`` refuses any run that could read them.
+
+    A streamed realization (``stream_reward_realization``) also carries
+    ``streams``: its rows are drawn only as far as the runs have read them,
+    each at most through its ``drawn`` length.  Its tables are the caller's
+    writable buffer, viewed as uint8 and kept writable, and hold no outcome
+    past a row's drawn count; the runs draw as they read, and
+    ``draw_through`` draws ahead.  An outcome is the same whenever it is
+    drawn."""
 
     table: np.ndarray
     drawn: tuple[int, ...] | None = None
+    streams: RowStreams | None = None
 
     def __post_init__(self):
         table = np.asarray(self.table)
@@ -276,13 +308,20 @@ class RewardRealization:
         kind = table.dtype.kind
         if kind not in "biu":
             raise TypeError(f"realization table must hold 0/1 integers, got dtype {table.dtype}")
-        if kind != "b" and table.size and (table.max() > 1 or (kind == "i" and table.min() < 0)):
+        if self.streams is not None:
+            if not (table.dtype in (bool, np.uint8) and table.flags.c_contiguous
+                    and table.flags.writeable):
+                raise ValueError("a streamed realization's tables must be a writable "
+                                 "C-contiguous bool or uint8 array")
+            table = table.view(np.uint8)  # the caller's buffer, written as the runs draw
+        elif kind != "b" and table.size and (table.max() > 1 or (kind == "i" and table.min() < 0)):
             raise ValueError("realization table entries must be 0 or 1")
-        if kind == "b":
+        elif kind == "b":
             table = np.ascontiguousarray(table).view(np.uint8)
         else:
             table = np.ascontiguousarray(table, dtype=np.uint8).view()
-        table.flags.writeable = False
+        if self.streams is None:
+            table.flags.writeable = False
         object.__setattr__(self, "table", table)
         if self.drawn is not None:
             drawn = tuple(_check_int(k, "drawn length") for k in self.drawn)
@@ -293,80 +332,119 @@ class RewardRealization:
                     f"{n}x{width} tables, got {self.drawn!r}"
                 )
             object.__setattr__(self, "drawn", drawn)
+        if self.streams is not None:
+            self._check_streams(table.shape)
+
+    def _check_streams(self, shape) -> None:
+        """The C code trusts a streamed realization's arrays for their
+        shapes, and its drawn counts for where it writes."""
+        def fits(a, dtype, shape, writable=True):
+            return (isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape
+                    and a.flags.c_contiguous and (a.flags.writeable or not writable))
+
+        s = self.streams
+        if not (self.drawn is not None and fits(s.qualities, np.float64, shape[-2:-1], False)
+                and fits(s.states, np.uint64, shape[:-1] + (4,))
+                and fits(s.counts, np.int64, shape[:-1])):
+            raise ValueError(f"a streamed realization of {shape} tables needs its drawn lengths, "
+                             "n float64 qualities, and writable C-contiguous uint64 states "
+                             "(..., n, 4) and int64 drawn counts (..., n)")
+        if not ((s.counts >= 0) & (s.counts <= np.array(self.drawn))).all():
+            raise ValueError("a row's drawn count must lie in [0, its drawn length]")
+
+    def draw_through(self, lengths) -> None:
+        """Draw every row of a streamed realization through at least
+        ``lengths`` outcomes, an int64 array broadcast to its ``(..., n)``
+        rows, each at most its row's ``drawn`` length.  A realization that is
+        not streamed holds all its outcomes already."""
+        streams = self.streams
+        if streams is None:
+            return
+        to = np.empty(streams.counts.shape, dtype=np.int64)
+        to[...] = lengths
+        n, width = self.table.shape[-2:]
+        _library().draw_rows(to.size, n, width, streams.qualities, streams.states,
+                             streams.counts, to, self.table)
 
 
 def sample_reward_realization(qualities, n_units: int, seed, capacities=None, *,
                               out=None) -> RewardRealization:
-    """Draw the n x L outcome table, row i i.i.d. Bernoulli(q_i).
+    """Draw the n x L outcome table, row i i.i.d. Bernoulli(q_i): outcome
+    ``(i, j)`` is ``u < q_i`` for uniform ``i * L + j`` of the stream of
+    ``np.random.default_rng(seed)``, as ``random((n, L)) < q`` would draw it.
 
-    Deterministic given ``seed`` (int, SeedSequence, or Generator).  With
-    ``capacities`` (one integer >= 0 per row), row i is drawn only through
-    ``min(capacities[i], L)``, the most units any mechanism buys from an
-    agent of that capacity.  The drawn entries equal the whole table's, the
-    rest are 0, ``drawn`` records the lengths, and a Generator passed in
-    (which must run on PCG64, to skip the undrawn outputs) ends where the
-    whole table would leave it.  The table is drawn as bool, which the
-    realization views as uint8 without a check; ``out``, a writable
-    C-contiguous bool ``n x L`` array (one table of a stack, say), receives
-    it in place of a new array.
+    Deterministic given ``seed`` (int, SeedSequence, or Generator, which
+    must run on PCG64).  With ``capacities`` (one integer >= 0 per row), row
+    i is drawn only through ``min(capacities[i], L)``, the most units any
+    mechanism buys from an agent of that capacity; the rest are 0, and
+    ``drawn`` records the lengths.  A Generator passed in ends where the
+    whole table leaves it, its buffered 32-bit half-word kept.  The table is
+    drawn as bool, which the realization views as uint8 without a check;
+    ``out``, a writable C-contiguous bool ``n x L`` array (one table of a
+    stack, say), receives it in place of a new array.
     """
     q = _check_qualities(qualities)
     n_units = _check_int(n_units, "n_units")
     if n_units < 0:
         raise ValueError(f"n_units must be >= 0, got {n_units}")
-    rng = np.random.default_rng(seed)
     drawn = None
     if capacities is not None:
         caps = [_check_int(k, "capacity") for k in capacities]
         if len(caps) != len(q) or min(caps, default=0) < 0:
             raise ValueError(f"expected {len(q)} capacities >= 0, got {capacities!r}")
-        if not isinstance(rng.bit_generator, np.random.PCG64):
-            name = type(rng.bit_generator).__name__
-            raise TypeError(f"drawing to capacities needs a PCG64 generator, got {name}")
         drawn = tuple(min(k, n_units) for k in caps)
     table = np.empty((len(q), n_units), dtype=bool) if out is None else out
     if not (isinstance(table, np.ndarray) and table.shape == (len(q), n_units)
             and table.dtype == bool and table.flags.c_contiguous and table.flags.writeable):
         raise ValueError(f"out must be a writable C-contiguous bool {len(q)}x{n_units} array")
-    _draw_outcomes(rng, q, table, drawn)
+    with generator_words(np.random.default_rng(seed), "drawing reward outcomes needs") as words:
+        _draw_tables(words, q, table, drawn)
+    for i, k in enumerate(drawn or ()):
+        table[i, k:] = False
     return RewardRealization(table, drawn)
 
 
-_DRAW_FLOATS = 1 << 17  # uniforms ``_draw_outcomes`` holds at once (at least one row)
+def stream_reward_realization(qualities, capacities, states, out) -> RewardRealization:
+    """A streamed realization of ``len(states)`` tables, drawn as the runs
+    read them: table t is ``sample_reward_realization(qualities, L, seed,
+    capacities)``'s table for the stream whose state words are row t of
+    ``states`` (``resample.stream_states`` rows, not spent).  ``out``, a
+    writable C-contiguous ``(len(states), n, L)`` bool array, holds the
+    tables; each row's outcomes are written into it when a run first reads
+    them, in chunks of a few dozen, never past ``min(capacities[i], L)``.
+
+    Jumping each row's stream to its first outcome, in log time, is all the
+    drawing done here: no outcome no run reads is drawn, and the table's
+    entries past a row's drawn count are never read."""
+    q = np.array(_check_qualities(qualities))
+    states = np.ascontiguousarray(states, dtype=np.uint64)
+    tables, n, width = out.shape
+    if n != len(q) or states.shape != (tables, 4):
+        raise ValueError(f"expected {tables} streams of 4 state words and {len(q)} rows per "
+                         f"table, got states of shape {states.shape} and {n} rows")
+    rows = np.empty((tables, n, 4), dtype=np.uint64)
+    _library().row_streams(tables, n, width, states, rows)
+    drawn = tuple(min(_check_int(k, "capacity"), width) for k in capacities)
+    streams = RowStreams(q, rows, np.zeros((tables, n), dtype=np.int64))
+    return RewardRealization(out, drawn, streams)
 
 
-def _draw_outcomes(rng: np.random.Generator, qualities, out: np.ndarray, lengths=None) -> None:
-    """Fill the C-contiguous bool or uint8 ``out`` of shape ``(..., n, L)`` with
-    ``u < qualities[i]`` at ``[..., i, j]``, ``u`` the matching uniform of one
-    ``rng.random(out.shape)`` call, drawn in blocks of whole rows through one
-    reused buffer and compared in place.
+def _draw_tables(words: np.ndarray, qualities, out: np.ndarray, lengths=None) -> None:
+    """Fill the writable C-contiguous bool or uint8 ``out`` of shape ``(..., n,
+    L)`` on the one stream whose state words are ``words``: its row ``r`` (of
+    every table in turn) is ``u < qualities[r % n]`` for uniforms ``r * L``
+    on, drawn through ``lengths[r % n]`` (default ``L``).  ``words`` is spent
+    in place to the end of the last table.
 
-    ``lengths`` (Python ints, one per row of one ``n x L`` table) draws row i
-    only through ``lengths[i]`` and zeroes the rest.  ``random()`` spends one
-    64-bit output per uniform, so row i starts at output ``i * L``: the gaps
-    are skipped by ``bit_generator.advance``, and the last one leaves ``rng``
-    at the whole table's end (advancing also drops PCG64's buffered 32-bit
-    half-word, which ``random()`` never reads)."""
-    if lengths is not None:
-        width, bits = out.shape[-1], rng.bit_generator
-        uniforms = np.empty(max(lengths, default=0))
-        at = 0  # outputs consumed so far
-        for i, (q, k) in enumerate(zip(qualities, lengths)):
-            if at != i * width:
-                bits.advance(i * width - at)
-            chunk = uniforms[:k]
-            rng.random(out=chunk)
-            np.less(chunk, q, out=out[i, :k])
-            out[i, k:] = 0
-            at = i * width + k
-        if at != out.size:
-            bits.advance(out.size - at)
-    elif out.size:
-        rows = out.reshape(-1, out.shape[-1])
-        q = np.tile(qualities, len(rows) // out.shape[-2])[:, None]  # one per stacked table
-        step = min(len(rows), max(1, _DRAW_FLOATS // rows.shape[1]))
-        uniforms = np.empty((step, rows.shape[1]))
-        for start in range(0, len(rows), step):
-            chunk = uniforms[: len(rows) - start]
-            rng.random(out=chunk)
-            np.less(chunk, q[start : start + step], out=rows[start : start + step])
+    Each row starts on its own stream, jumped there by ``row_streams``, so
+    the rows past a short one need no skip."""
+    n, width = out.shape[-2:]
+    m = math.prod(out.shape[:-1])
+    rows = np.empty((m + 1, 4), dtype=np.uint64)  # the last, the stream's end
+    lib = _library()
+    lib.row_streams(1, m + 1, width, words, rows)
+    to = np.empty(out.shape[:-1], dtype=np.int64)
+    to[...] = width if lengths is None else lengths
+    lib.draw_rows(m, n, width, np.array(qualities, dtype=float), rows, np.zeros(m, np.int64),
+                  to.reshape(m), out.reshape(m, width).view(np.uint8))
+    words[...] = rows[m]

@@ -27,11 +27,13 @@ stream: it reads each distinct entropy and key into uint32 words once, and
 one C call, ``seed_streams`` in ``_ucb.c``, runs numpy's seed hash and
 PCG64's seeding step on every row.  ``child_states`` gives the per-bid
 children ``(i,)`` of a public seed.  A numpy generator draws a stream once
-its state is set from ``state_dict``, or by ``generator_at``.
+its state is set from ``state_dict``, or by ``generator_at``; C code draws
+on a generator's stream through ``generator_words``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -129,6 +131,25 @@ def generator_at(words) -> np.random.Generator:
     return rng
 
 
+@contextlib.contextmanager
+def generator_words(rng: np.random.Generator, drawer: str):
+    """The state words of ``rng``'s stream as a (1, 4) row, for C code to
+    spend in place; on exit ``rng`` continues where the words end, PCG64's
+    buffered 32-bit half-word kept.  ``rng`` must run on PCG64: ``drawer``
+    names what needs it in the ``TypeError`` otherwise."""
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise TypeError(f"{drawer} a PCG64 generator, got {type(bits).__name__}")
+    state = bits.state
+    pcg = state["state"]
+    words = np.array([[pcg["state"] >> 64, pcg["state"] & _WORD64, pcg["inc"] >> 64,
+                       pcg["inc"] & _WORD64]], dtype=np.uint64)
+    yield words
+    s_hi, s_lo = words[0, :2].tolist()
+    pcg["state"] = s_hi << 64 | s_lo
+    bits.state = state
+
+
 def child_states(seed, n: int) -> np.ndarray:
     """``stream_states`` of the children ``(i,)``, ``i < n``, of ``seed``:
     anything ``SeedSequence`` accepts, or a ``SeedSequence`` of the default
@@ -202,17 +223,8 @@ def resample_batch(
     generators are coupled draw-by-draw across different bid values (the
     coupling behind the monotonicity property).
     """
-    bits = rng.bit_generator
-    if not isinstance(bits, np.random.PCG64):
-        raise TypeError(f"the resampler draws on a PCG64 generator, got {type(bits).__name__}")
-    state = bits.state
-    pcg = state["state"]
-    words = np.array([[pcg["state"] >> 64, pcg["state"] & _WORD64, pcg["inc"] >> 64,
-                       pcg["inc"] & _WORD64]], dtype=np.uint64)
-    alpha, beta = _resample(bid_cost, cost_hi, mu, size, words)
-    s_hi, s_lo = words[0, :2].tolist()
-    pcg["state"] = s_hi << 64 | s_lo
-    bits.state = state  # keeps PCG64's buffered 32-bit half-word
+    with generator_words(rng, "the resampler draws on") as words:
+        alpha, beta = _resample(bid_cost, cost_hi, mu, size, words)
     return alpha[0], beta[0]
 
 

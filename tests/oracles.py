@@ -390,6 +390,48 @@ def seed_sequence_cell(config, l_index, type_sample) -> dict[str, np.ndarray]:
     return out
 
 
+# The reference for the outcome drawer in ``_ucb.c``, which every table of
+# ``model`` must reproduce bit for bit: numpy's own ``random()`` and ``less``.
+_DRAW_FLOATS = 1 << 17  # uniforms ``_draw_outcomes`` holds at once (at least one row)
+
+
+def _draw_outcomes(rng: np.random.Generator, qualities, out: np.ndarray, lengths=None) -> None:
+    """Fill the C-contiguous bool or uint8 ``out`` of shape ``(..., n, L)`` with
+    ``u < qualities[i]`` at ``[..., i, j]``, ``u`` the matching uniform of one
+    ``rng.random(out.shape)`` call, drawn in blocks of whole rows through one
+    reused buffer and compared in place.
+
+    ``lengths`` (Python ints, one per row of one ``n x L`` table) draws row i
+    only through ``lengths[i]`` and zeroes the rest.  ``random()`` spends one
+    64-bit output per uniform, so row i starts at output ``i * L``: the gaps
+    are skipped by ``bit_generator.advance``, and the last one leaves ``rng``
+    at the whole table's end (advancing also drops PCG64's buffered 32-bit
+    half-word, which ``random()`` never reads)."""
+    if lengths is not None:
+        width, bits = out.shape[-1], rng.bit_generator
+        uniforms = np.empty(max(lengths, default=0))
+        at = 0  # outputs consumed so far
+        for i, (q, k) in enumerate(zip(qualities, lengths)):
+            if at != i * width:
+                bits.advance(i * width - at)
+            chunk = uniforms[:k]
+            rng.random(out=chunk)
+            np.less(chunk, q, out=out[i, :k])
+            out[i, k:] = 0
+            at = i * width + k
+        if at != out.size:
+            bits.advance(out.size - at)
+    elif out.size:
+        rows = out.reshape(-1, out.shape[-1])
+        q = np.tile(qualities, len(rows) // out.shape[-2])[:, None]  # one per stacked table
+        step = min(len(rows), max(1, _DRAW_FLOATS // rows.shape[1]))
+        uniforms = np.empty((step, rows.shape[1]))
+        for start in range(0, len(rows), step):
+            chunk = uniforms[: len(rows) - start]
+            rng.random(out=chunk)
+            np.less(chunk, q[start : start + step], out=rows[start : start + step])
+
+
 # Two reference loops for the resampling law in ``_ucb.c``, which must
 # reproduce both bit for bit.
 _MAX_RESAMPLE_ITERATIONS = 10**6

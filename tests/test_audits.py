@@ -244,10 +244,10 @@ class TestDsic:
 
 
 class TestStochasticBic:
-    def make_batch(self, samples=4000, seed=21):
+    def make_batch(self, samples=4000, seed=21, units=18):
         types = [AgentType(0.35, 4, 0.8), AgentType(0.55, 4, 0.6), AgentType(0.5, 3, 0.7)]
         dist = uniform_type_distribution(0.0, 1.0, 1, 6)
-        market = MarketConfig(18, 30.0, (dist,) * 3)
+        market = MarketConfig(units, 30.0, (dist,) * 3)
         bids = [t.truthful_bid() for t in types]
         batch = make_ucb_batch_utility(
             market, bids, 0, types[0].cost,
@@ -260,6 +260,33 @@ class TestStochasticBic:
         grid = DeviationGrid(np.linspace(0.0, 1.0, 7), (2, 4))
         report = audit_stochastic_bic(batch, agent.cost, agent.capacity, grid)
         assert report.passed, report.line()
+
+    # A competing market: the same agents at 8 units against their 11 units
+    # of capacity, so the learner's allocation, not only its premium,
+    # decides the verdict.  In the 18-unit market every agent sells its whole
+    # capacity at any bid.  A learner whose score for agent 0 rises with its
+    # cost (its virtual cost H replaced by 2 - H) gains by misreporting only
+    # by a few hundredths of a utility unit, so the audit needs about 100,000
+    # samples to see it; at 20,000 it passes.
+    def test_ucb_passes_a_competing_market(self):
+        batch, agent, dist = self.make_batch(samples=100_000, units=8)
+        grid = DeviationGrid(np.linspace(0.0, 1.0, 7), (2, 4))
+        report = audit_stochastic_bic(batch, agent.cost, agent.capacity, grid)
+        assert report.passed, report.line()
+
+    def test_cost_increasing_learner_fails_a_competing_market(self, monkeypatch):
+        honest = audits.run_ucb_batch
+
+        def cost_increasing(config, bids, realizations, virtual_costs):
+            mutated = virtual_costs.copy()
+            mutated[:, 0] = 2.0 - mutated[:, 0]
+            return honest(config, bids, realizations, mutated)
+
+        monkeypatch.setattr(audits, "run_ucb_batch", cost_increasing)
+        batch, agent, dist = self.make_batch(samples=100_000, units=8)
+        grid = DeviationGrid(np.linspace(0.0, 1.0, 7), (2, 4))
+        report = audit_stochastic_bic(batch, agent.cost, agent.capacity, grid)
+        assert not report.passed, report.line()
 
     def test_premium_stripped_mechanism_fails(self, monkeypatch):
         # The counterexample mechanism pays the bid cost alone.

@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +21,13 @@ from procure2d import (
     sample_reward_realization,
     seeded_draws,
     self_resample,
+    stream_reward_realization,
     uniform_type_distribution,
 )
-from procure2d import bandit
+from procure2d import _native, bandit
 from procure2d.bandit import _round_robin_split
+from procure2d.model import RowStreams
+from procure2d.resample import generator_at, stream_states
 
 from oracles import eps_reference, patched_bonus_scale, round_robin_explore
 
@@ -889,3 +894,144 @@ def test_trace_csv_format(tmp_path):
     assert len(lines) == len(trace.steps) + 1
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0" and first[3] == ""
+
+
+# -- streamed realizations ----------------------------------------------------
+# A block of ``_run_cell`` is a streamed realization: nothing is drawn up
+# front, the learner draws a row DRAW_CHUNK outcomes at a time when a pick
+# reaches the row's drawn count, and the baselines draw through their
+# exploration windows, then through their bought units.  The block's stack is
+# filled with 2s, so a read of an undrawn entry changes an outcome: every run
+# must equal its run on the same tables drawn whole, and no row may be drawn
+# past min(k_i, L).
+
+CHUNK = int(re.search(r"^#define DRAW_CHUNK (\d+)$", Path(_native._SOURCE).read_text(),
+                      re.M).group(1))
+STREAM_UNITS = 2 * CHUNK + 7
+STREAM_CAPS = {
+    "straddling-chunks": [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, STREAM_UNITS, STREAM_UNITS + 3],
+    # CHUNK + 4 units in all: the larger explore budgets clip.
+    "short-of-the-budget": [0, 1, 2, CHUNK + 1],
+}
+
+
+def streamed_block(q, caps, units, tables, seed):
+    """A streamed realization of ``tables`` tables on a stack of 2s, and the
+    same tables drawn whole, one realization each."""
+    roots = stream_states([([seed, t], ()) for t in range(tables)])
+    stack = np.full((tables, len(q), units), 2, dtype=np.uint8)
+    block = stream_reward_realization(q, caps, roots, stack)
+    return block, [sample_reward_realization(q, units, generator_at(root)) for root in roots]
+
+
+def assert_same_outcomes(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.allocation, b.allocation)
+        assert np.array_equal(a.payments, b.payments)
+        assert a.auctioneer_utility == b.auctioneer_utility
+
+
+def assert_drawn_within_capacity(block, caps):
+    limit = np.minimum(caps, block.table.shape[-1])
+    assert (block.streams.counts <= limit).all(), block.streams.counts
+
+
+def stream_market(caps, units, seed):
+    pick = np.random.default_rng(seed)
+    n = len(caps)
+    q = pick.random(n)
+    q[0], q[-1] = 1.0, 0.5
+    m = MarketConfig(units, 30.0, (uniform_type_distribution(0.0, 1.0, 0, max(caps)),) * n)
+    return m, q, [Bid(float(c), k) for c, k in zip(pick.random(n), caps)]
+
+
+def block_draws(m, bids, tables, runs, seed):
+    """``(alpha, beta)`` of shape ``(tables, runs, n)``."""
+    rows = [[seeded_draws(m, bids, 0.1, [seed, t, v]) for v in range(runs)]
+            for t in range(tables)]
+    return tuple(np.array([[row[side] for row in table] for table in rows]) for side in (0, 1))
+
+
+def learner_and_baselines(m, bids, realizations, draws, budgets):
+    """The learner's outcomes, then the baselines', on a block or on each of
+    a list of whole tables, with their draws."""
+    alpha, beta = draws
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # budgets past total capacity clip
+        if isinstance(realizations, RewardRealization):
+            learner = run_2d_ucb(m, bids, realizations, 0.1, (alpha[:, 0], beta[:, 0]),
+                                 record_trace=False)
+            baselines = run_eps_separated(m, bids, realizations, budgets, 0.1,
+                                          (alpha[:, 1:], beta[:, 1:]))
+        else:
+            learner = [run_2d_ucb(m, bids, table, 0.1, (alpha[t, 0], beta[t, 0]),
+                                  record_trace=False)[0] for t, table in enumerate(realizations)]
+            baselines = [run_eps_separated(m, bids, table, budgets, 0.1,
+                                           (alpha[t, 1:], beta[t, 1:]))
+                         for t, table in enumerate(realizations)]
+    return learner, [o for row in baselines for o in row]
+
+
+@pytest.mark.parametrize("order", ["learner-first", "baselines-first"])
+@pytest.mark.parametrize("kind", list(STREAM_CAPS))
+def test_streamed_block_runs_equal_whole_table_runs(kind, order):
+    caps, units = STREAM_CAPS[kind], STREAM_UNITS
+    m, q, bids = stream_market(caps, units, 3)
+    budgets = [m.n_agents, CHUNK - 1, CHUNK + 5, units]
+    draws = block_draws(m, bids, 3, 1 + len(budgets), 4)
+    block, whole = streamed_block(q, caps, units, 3, 5)
+    assert not block.streams.counts.any()
+    if order == "baselines-first":  # the learner then reads rows drawn ahead of it
+        alpha, beta = draws
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_eps_separated(m, bids, block, budgets, 0.1, (alpha[:, 1:], beta[:, 1:]))
+        assert_drawn_within_capacity(block, caps)
+    got, expected = (learner_and_baselines(m, bids, r, draws, budgets) for r in (block, whole))
+    assert_same_outcomes(got[0], expected[0])
+    assert_same_outcomes(got[1], expected[1])
+    assert_drawn_within_capacity(block, caps)
+    counts = block.streams.counts
+    for t, table in enumerate(whole):
+        for i, k in enumerate(counts[t].tolist()):
+            assert np.array_equal(block.table[t, i, :k], table.table[i, :k])
+            assert (block.table[t, i, k:] == 2).all()  # nothing past the drawn count
+
+
+@pytest.mark.parametrize("kind", list(STREAM_CAPS))
+def test_a_streamed_table_traces_as_the_whole_table(tmp_path, kind):
+    # One table of a block, with its row streams, run with a trace: the
+    # trace file and the outcome are the whole table's byte for byte.
+    caps, units = STREAM_CAPS[kind], STREAM_UNITS
+    m, q, bids = stream_market(caps, units, 6)
+    block, whole = streamed_block(q, caps, units, 2, 7)
+    for t, table in enumerate(whole):
+        streams = block.streams
+        one = RewardRealization(block.table[t], block.drawn,
+                                RowStreams(q, streams.states[t], streams.counts[t]))
+        draws, outcomes = seeded_draws(m, bids, 0.1, t), {}
+        for name, realization in (("streamed", one), ("whole", table)):
+            outcomes[name], trace = run_2d_ucb(m, bids, realization, 0.1, draws)
+            trace.to_csv(tmp_path / f"{name}.csv")
+        assert_same_outcomes([outcomes["streamed"]], [outcomes["whole"]])
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert_drawn_within_capacity(block, caps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_streamed_blocks_equal_whole_tables_on_random_markets(data):
+    n = data.draw(st.integers(1, 5), label="n")
+    units = data.draw(st.integers(n, 3 * CHUNK), label="units")
+    caps = data.draw(st.lists(st.integers(0, units + 3), min_size=n, max_size=n), label="caps")
+    tables = data.draw(st.integers(1, 3), label="tables")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    m, q, bids = stream_market(caps, units, seed)
+    budgets = data.draw(st.lists(st.integers(n, units), min_size=1, max_size=4), label="budgets")
+    draws = block_draws(m, bids, tables, 1 + len(budgets), seed)
+    block, whole = streamed_block(q, caps, units, tables, seed)
+    got, expected = (learner_and_baselines(m, bids, r, draws, budgets) for r in (block, whole))
+    assert_same_outcomes(got[0], expected[0])
+    assert_same_outcomes(got[1], expected[1])
+    assert_drawn_within_capacity(block, caps)

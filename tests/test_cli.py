@@ -190,7 +190,7 @@ def test_out_of_memory_in_ucb_is_a_clean_error(bids_file, tmp_path, capsys, monk
 
 
 def test_out_of_memory_in_simulate_is_a_clean_error(conf_file, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(harness, "sample_reward_realization", _exhausted)
+    monkeypatch.setattr(harness, "stream_reward_realization", _exhausted)
     out_dir = tmp_path / "out"
     assert main(["simulate", "--config", str(conf_file), "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err

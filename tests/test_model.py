@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procure2d import (
     AgentType,
@@ -8,9 +10,13 @@ from procure2d import (
     RewardRealization,
     TypeDistribution,
     sample_reward_realization,
+    stream_reward_realization,
     uniform_type_distribution,
 )
-from procure2d.model import _DRAW_FLOATS, _draw_outcomes
+from procure2d._native import _library
+from procure2d.model import RowStreams, _draw_tables
+from procure2d.resample import generator_at, stream_states
+from oracles import _DRAW_FLOATS, _draw_outcomes
 
 
 @pytest.fixture
@@ -301,3 +307,111 @@ class TestCapacityPrefixes:
         assert realization.table.dtype == np.uint8 and np.shares_memory(realization.table, table)
         assert realization.table.tolist() == [[1, 0, 1], [0, 0, 1]]
         assert not realization.table.flags.writeable
+
+
+# Qualities at which ``u < q`` turns on the last bit of a uniform: the drawer
+# must compare the double ``(x >> 11) * 2**-53`` exactly as numpy does.
+EDGE_QUALITIES = [0.0, 1.0, 0.5, 2.0**-53, 1.0 - 2.0**-53]
+
+
+class TestOutcomeDrawer:
+    """The C drawer of ``_ucb.c`` against the numpy reference
+    ``oracles._draw_outcomes``: outcomes, tails and end states."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_tables_stacks_and_prefixes_equal_the_reference(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        width = data.draw(st.integers(0, 150), label="L")
+        quality = st.sampled_from(EDGE_QUALITIES) | st.floats(0.0, 1.0)
+        q = data.draw(st.lists(quality, min_size=n, max_size=n), label="q")
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        # A stack of tables is drawn whole; one table may stop each row short.
+        stacked = data.draw(st.integers(0, 3), label="stacked tables")
+        lengths = None if stacked else data.draw(
+            st.none() | st.lists(st.integers(0, width), min_size=n, max_size=n), label="lengths")
+        shape = (stacked, n, width) if stacked else (n, width)
+        words = stream_states([(seed, ())])
+        reference = generator_at(words[0])
+        got, expected = np.full(shape, 7, np.uint8), np.full(shape, 7, np.uint8)
+        _draw_tables(words, q, got, lengths)
+        _draw_outcomes(reference, q, expected, lengths)
+        for i, k in enumerate(lengths or [width] * n):
+            assert np.array_equal(got[..., i, :k], expected[..., i, :k])
+            assert (got[..., i, k:] == 7).all()  # no entry past a prefix is written
+        end = reference.bit_generator.state["state"]
+        assert words[0].tolist() == [end["state"] >> 64, end["state"] & (2**64 - 1),
+                                     end["inc"] >> 64, end["inc"] & (2**64 - 1)]
+
+    @pytest.mark.parametrize("capacities", [None, [3, 0, 50]], ids=["whole", "prefixes"])
+    def test_a_generator_ends_where_the_whole_table_leaves_it(self, capacities):
+        # Three uint32 draws leave PCG64's buffered 32-bit half-word full; both
+        # paths keep it, as numpy's own random((n, L)) does.
+        q = [0.2, 0.9, 0.5]
+        passed, whole = np.random.default_rng(9), np.random.default_rng(9)
+        for rng in (passed, whole):
+            rng.integers(0, 10, 3, dtype=np.uint32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        table = sample_reward_realization(q, 20, passed, capacities).table
+        expected = whole.random((3, 20)) < np.array(q)[:, None]
+        for i, k in enumerate(capacities or [20] * 3):
+            assert np.array_equal(table[i, :k], expected[i, :k]) and not table[i, k:].any()
+        assert passed.bit_generator.state == whole.bit_generator.state
+        assert passed.integers(0, 2**32, dtype=np.uint32) == whole.integers(0, 2**32,
+                                                                             dtype=np.uint32)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), stride=st.integers(0, 2**40), rows=st.integers(1, 5))
+    def test_row_streams_jump_as_numpy_advances(self, seed, stride, rows):
+        roots = stream_states([(seed, ()), ([seed, 1], ())])
+        jumped = np.empty((2, rows, 4), dtype=np.uint64)
+        _library().row_streams(2, rows, stride, roots, jumped)
+        for t in range(2):
+            for i in range(rows):
+                bits = generator_at(roots[t]).bit_generator
+                bits.advance(i * stride)
+                pcg = bits.state["state"]
+                words = jumped[t, i].tolist()
+                assert words[0] << 64 | words[1] == pcg["state"]
+                assert words[2] << 64 | words[3] == pcg["inc"]
+
+
+class TestStreamedRealization:
+    """The C loop trusts a streamed realization's arrays for their shapes
+    and its drawn counts for where it writes, so both are checked once."""
+
+    def block(self, tables=2):
+        q, caps = [0.4, 0.9], [3, 20]
+        states = stream_states([([8, t], ()) for t in range(tables)])
+        return stream_reward_realization(q, caps, states, np.zeros((tables, 2, 6), dtype=bool))
+
+    def test_a_block_starts_undrawn_with_capacity_limits(self):
+        block = self.block()
+        assert block.drawn == (3, 6) and not block.streams.counts.any()
+        assert block.table.flags.writeable and block.table.dtype == np.uint8
+
+    def test_states_of_the_wrong_shape_are_refused(self):
+        with pytest.raises(ValueError, match="4 state words"):
+            stream_reward_realization([0.4, 0.9], [3, 20], np.zeros((2, 3), np.uint64),
+                                      np.zeros((2, 2, 6), dtype=bool))
+
+    @pytest.mark.parametrize("field, bad", [
+        ("qualities", np.array([0.4, 0.9, 0.5])),
+        ("states", np.zeros((2, 2, 3), np.uint64)),
+        ("counts", np.zeros((2, 2), np.int32)),
+        ("counts", np.zeros((2, 2), np.int64)[:, ::-1]),
+    ])
+    def test_mis_shaped_streams_are_refused(self, field, bad):
+        block = self.block()
+        streams = RowStreams(**{**vars(block.streams), field: bad})
+        with pytest.raises(ValueError, match="streamed realization"):
+            RewardRealization(block.table, block.drawn, streams)
+
+    @pytest.mark.parametrize("count", [-1, 4])
+    def test_a_drawn_count_outside_its_row_is_refused(self, count):
+        block = self.block()
+        counts = block.streams.counts.copy()
+        counts[1, 0] = count  # row 0 holds at most 3 outcomes
+        streams = RowStreams(block.streams.qualities, block.streams.states, counts)
+        with pytest.raises(ValueError, match="drawn count"):
+            RewardRealization(block.table, block.drawn, streams)

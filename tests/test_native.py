@@ -17,27 +17,42 @@ def arguments(name):
     positions of its output arrays."""
     rng = np.random.default_rng(5)
     if name == "ucb_run":
-        # Two traced samples: the traced call runs the jump form, which
-        # writes every output.
+        # Two traced samples on undrawn rows: the traced call runs the jump
+        # form, which writes every output, and draws the rows it reads into
+        # the table, an input that a whole table passes read-only.
         table = RewardRealization(rng.random((2, 3, 12)) < 0.7).table
         args = [2, 3, 12, 10.0, np.array([[0.2, 0.5, 0.9], [0.9, 0.2, 0.5]]),
-                np.full(3, 5, dtype=np.int64), table, bandit._bonus_widths(12).copy(),
-                bandit._inv_sqrt_counts(13).copy(), bandit._JUMP_ROUNDS,
-                np.full((2, 3), -7, dtype=np.int64), np.full((2, 3), -7, dtype=np.int64), 9,
-                np.full((2, 9), -7, dtype=np.int64), np.full((2, 9), 7, dtype=np.uint8),
-                np.full((2, 9), -7.0)]
-        outputs = {10, 11, 13, 14, 15}
+                np.full(3, 5, dtype=np.int64), np.array([0.3, 0.6, 0.9]),
+                np.arange(1, 25, dtype=np.uint64).reshape(2, 3, 4), np.zeros((2, 3), np.int64),
+                table, bandit._bonus_widths(12).copy(), bandit._inv_sqrt_counts(13).copy(),
+                bandit._JUMP_ROUNDS, np.full((2, 3), -7, dtype=np.int64),
+                np.full((2, 3), -7, dtype=np.int64), 9, np.full((2, 9), -7, dtype=np.int64),
+                np.full((2, 9), 7, dtype=np.uint8), np.full((2, 9), -7.0)]
+        outputs = {7, 8, 13, 14, 16, 17, 18}
+    elif name == "row_streams":
+        # Two tables of three rows, 12 uniforms each.
+        args = [2, 3, 12, np.arange(1, 9, dtype=np.uint64).reshape(2, 4),
+                np.full((2, 3, 4), 7, dtype=np.uint64)]
+        outputs = {4}
+    elif name == "draw_rows":
+        # Two undrawn rows of 12 outcomes, drawn through 5 and 12.
+        args = [2, 2, 12, np.array([0.3, 0.8]), np.arange(1, 9, dtype=np.uint64).reshape(2, 4),
+                np.zeros(2, dtype=np.int64), np.array([5, 12], dtype=np.int64),
+                np.full((2, 12), 7, dtype=np.uint8)]
+        outputs = {4, 5, 7}
     elif name == "seed_streams":
         # Pieces [5, 9], [7] and [], of lengths 2, 1 and 0: rows (entropy
         # [5, 9], key (7,)) and (entropy [5, 9], key ()).
         args = [2, np.array([5, 9, 7], dtype=np.uint32), 3, np.array([2, 1, 0], dtype=np.int64),
                 np.array([[0, 1], [0, 2]], dtype=np.int64), np.full((2, 4), 7, dtype=np.uint64)]
         outputs = {5}
-    else:
+    elif name == "resample":
         args = [2, 3, 0.4, rng.random((2, 3)) * 0.5, np.array([0.5, 0.75]),
                 np.arange(1, 9, dtype=np.uint64).reshape(2, 4), np.full((2, 3), -7.0),
                 np.full((2, 3), -7.0)]
         outputs = {5, 6, 7}
+    else:
+        raise KeyError(f"no arguments for {name}: give each declared function its own branch")
     for k, arg in enumerate(args):
         if isinstance(arg, np.ndarray) and k not in outputs:
             arg.flags.writeable = False
@@ -60,7 +75,7 @@ def read_only(a):
     return a
 
 
-@pytest.mark.parametrize("name", ["ucb_run", "seed_streams", "resample"])
+@pytest.mark.parametrize("name", sorted(_native._SIGNATURES))
 def test_declared_function_refuses_an_array_it_cannot_take(name):
     args, outputs = arguments(name)
     func = getattr(_native._library(), name)

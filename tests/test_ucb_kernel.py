@@ -413,6 +413,10 @@ def virtual_costs(alphas, caps):
 FORMS = {"jump": 0, "select": 41}
 
 
+# ``ucb_run``'s qualities, row streams and drawn counts for whole tables.
+WHOLE = (None, None, None)
+
+
 @pytest.mark.parametrize("samples", sorted({1, LANES - 1, LANES, LANES + 1, 2 * LANES + 1} - {0}))
 def test_batch_sizes_straddle_block_edges(samples):
     # Every row equals the reference loop whatever block it falls in, in both
@@ -430,7 +434,8 @@ def test_batch_sizes_straddle_block_edges(samples):
         counts = [np.full((samples + LANES, 3), -7, dtype=np.int64) for _ in range(2)]
         empty = [np.empty((samples, 0), dtype) for dtype in (np.int64, np.uint8, float)]
         _native._library().ucb_run(
-            samples, 3, 40, 1.0, h[:samples], np.array(caps, dtype=np.int64), table[:samples],
+            samples, 3, 40, 1.0, h[:samples], np.array(caps, dtype=np.int64),
+            *WHOLE, table[:samples],
             bandit._bonus_widths(40), bandit._inv_sqrt_counts(41), jump_rounds,
             counts[0][:samples], counts[1][:samples], 0, *empty,
         )
@@ -453,7 +458,8 @@ def test_a_traced_call_below_the_cut_takes_the_jump_form():
     counts = [np.empty((6, 3), dtype=np.int64) for _ in range(2)]
     assert 40 < bandit._JUMP_ROUNDS
     _native._library().ucb_run(
-        6, 3, 40, 1.0, virtual_costs(alphas, caps), np.array(caps, dtype=np.int64), tables,
+        6, 3, 40, 1.0, virtual_costs(alphas, caps), np.array(caps, dtype=np.int64),
+        *WHOLE, tables,
         bandit._bonus_widths(40), bandit._inv_sqrt_counts(41), bandit._JUMP_ROUNDS, *counts,
         trace_len, picks, rewards, scores,
     )
@@ -562,8 +568,9 @@ class _FailingLibrary:
     def __init__(self, fail_at):
         self.fail_at, self.finished = fail_at, []
 
-    def ucb_run(self, samples, n, n_rounds, reward_scale, h, caps, table, widths, inv_sqrt,
-                jump_rounds, units, successes, trace_len, picks, rewards, scores):
+    def ucb_run(self, samples, n, n_rounds, reward_scale, h, caps, quality, states, drawn, table,
+                widths, inv_sqrt, jump_rounds, units, successes, trace_len, picks, rewards,
+                scores):
         row = int(h[0, 0])
         if row in self.fail_at:
             raise MemoryError(f"chunk at row {row}")
