@@ -65,6 +65,7 @@ _SIGNATURES = {
                                _I64_OUT, _I64_OUT, _SIZE, _I64_OUT, _U8_OUT, _F64_OUT]),
     "row_streams": (ctypes.c_int, [_SIZE, _SIZE, _SIZE, _U64, _U64_OUT]),
     "draw_rows": (ctypes.c_int, [_SIZE, _SIZE, _SIZE, _F64, _U64_OUT, _I64_OUT, _I64, _U8_OUT]),
+    "count_rows": (ctypes.c_int, [_SIZE, _SIZE, _U8, _I64, _I64, _I64, _I64_OUT]),
     "seed_streams": (ctypes.c_int, [_SIZE, _U32, _SIZE, _I64, _I64, _U64_OUT]),
     "resample": (ctypes.c_int, [_SIZE, _SIZE, _REAL, _F64, _F64, _U64_OUT, _F64_OUT, _F64_OUT]),
 }

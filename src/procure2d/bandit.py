@@ -35,7 +35,8 @@ committing every (table, budget) run in one call of the core, as a
 simulation cell does for each block of realizations.  A streamed block is
 drawn in two calls: through every row's exploration window before the
 estimates are counted, then through the units bought before the successes
-are.
+are.  Each count is one call of ``count_rows`` in ``_ucb.c`` over every
+(table, budget, agent) window.
 """
 
 from __future__ import annotations
@@ -375,6 +376,20 @@ def _round_robin_split(caps: list[int], budget: int) -> list[int]:
     return units
 
 
+def _count_ones(tables: np.ndarray, budgets: int, start, stop) -> np.ndarray:
+    """The ones of ``tables[t, i, start:stop]`` for every (table, budget,
+    agent), ``start`` and ``stop`` broadcast to ``(tables, budgets, n)``:
+    one ``count_rows`` call in ``_ucb.c`` over every window."""
+    m, n, width = tables.shape
+    shape = (m, budgets, n)
+    rows = (np.arange(m) * n)[:, None, None] + np.arange(n)  # window (t, e, i) reads row t * n + i
+    rows, start, stop = (np.ascontiguousarray(np.broadcast_to(k, shape), dtype=np.int64)
+                         for k in (rows, start, stop))
+    ones = np.empty(shape, dtype=np.int64)
+    _library().count_rows(ones.size, width, tables, rows, start, stop, ones)
+    return ones
+
+
 def run_eps_separated(
     config: MarketConfig, bids: Sequence[Bid], realization: RewardRealization, explore_rounds,
     mu: float, draws,
@@ -423,17 +438,14 @@ def run_eps_separated(
         explored.append(_round_robin_split(caps, explore))
     explored = np.array(explored, dtype=np.int64)
 
-    # Successes per (table, budget, agent) in exploration, read off running
-    # counts of the explored prefixes, then the commit auctions of every
-    # (table, budget) row on the frozen estimates.  A streamed realization is
-    # drawn through each row's exploration window first, then through its
-    # bought units; a running count reads only the drawn part of its row.
+    # Successes per (table, budget, agent) in exploration, then the commit
+    # auctions of every (table, budget) row on the frozen estimates, then the
+    # successes of the units bought.  A streamed realization is drawn through
+    # each row's exploration window first, then through its bought units, so
+    # each count reads only the drawn part of its row.
     tables = realization.table.reshape(-1, n, n_rounds)
     realization.draw_through(explored.max(axis=0))
-    window = int(explored.max())
-    prefix = np.zeros((len(tables), n, window + 1), dtype=np.int64)
-    np.cumsum(tables[:, :, :window], axis=2, dtype=np.int64, out=prefix[:, :, 1:])
-    seen = prefix[:, np.arange(n), explored]
+    seen = _count_ones(tables, len(explored), 0, explored)
     q_hat = np.divide(seen, explored, out=np.zeros(seen.shape), where=explored > 0)
     residual = np.tile(np.array(caps) - explored, (len(tables), 1))
     budgets = np.tile(n_rounds - explored.sum(axis=1), len(tables))
@@ -442,15 +454,9 @@ def run_eps_separated(
         q_hat.reshape(-1, n), alpha.reshape(-1, n), residual, budgets, config.reward_scale,
         priors))
 
-    successes = seen.sum(axis=2)
     stops = explored + units
     realization.draw_through(stops.max(axis=1))
-    table_at, budget_at, agent_at = np.nonzero(units)
-    starts = explored[budget_at, agent_at]
-    bought = [np.count_nonzero(tables[t, i, k:stop]) for t, i, k, stop in zip(
-        table_at.tolist(), agent_at.tolist(), starts.tolist(),
-        stops[table_at, budget_at, agent_at].tolist())]
-    np.add.at(successes, (table_at, budget_at), bought)
+    successes = (seen + _count_ones(tables, len(explored), explored, stops)).sum(axis=2)
 
     costs = np.array([bid.cost for bid in bids])
     premium = transform_premium(explored, mu, costs, priors[3, 0], beta)

@@ -9,11 +9,13 @@ byte-identical regardless of worker count or scheduling.  Each stream is
 the numpy stream of a ``SeedSequence`` on the key ``[master seed, tag,
 ...]``, or of its child ``(i,)`` for bid ``i``'s resampler; a cell runs its
 realizations in blocks, and for each derives the PCG64 states of the
-block's streams in one ``resample.stream_states`` call and draws the block's
-resampled bids in one ``resample.resample_streams`` call (each run gets one
-row of the (runs, n) alpha and beta arrays).  Its types and capacities are
-drawn on one reused generator; its reward tables are drawn on their own
-streams in C, each outcome when a run first reads it.
+block's streams from arrays in one ``resample._block_states`` call and draws
+the block's resampled bids in one ``resample.resample_streams`` call (each
+run gets one row of the (runs, n) alpha and beta arrays).  A block's Python
+work is a fixed number of calls, whatever its realization count.  Its types
+and capacities are drawn on one reused generator, from the two streams of
+one ``resample.stream_states`` call per cell; its reward tables are drawn
+on their own streams in C, each outcome when a run first reads it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from .model import Bid, MarketConfig, stream_reward_realization, uniform_type_di
 # (tests/test_exports.py): a cell's tables are streamed, so its layer reads 0.
 from .model import sample_reward_realization  # noqa: F401
 from .optimal import run_2d_opt
-from .resample import generator_at, resample_streams, state_dict, stream_states
+from .resample import (_block_states, generator_at, resample_streams, state_dict,
+                       stream_states)
 
 __all__ = [
     "ExperimentConfig",
@@ -251,17 +254,18 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
     budgets; capacities are redrawn per budget because their prior scales
     with it.  The realizations run in blocks that fill ``_BLOCK_BYTES`` of
     reward tables, so a cell's memory does not grow with its realization
-    count.  A block runs in four stages.  Streams: one ``stream_states``
-    call derives the block's streams (the first also the types' and
-    capacities'), and one ``resample_streams`` call draws the block's
-    resampled bids.  Tables: one ``stream_reward_realization`` call jumps
+    count.  A block runs in four stages.  Streams: one ``_block_states``
+    call derives the block's streams from arrays, the same few numpy calls
+    and one C call for any block size, and one ``resample_streams`` call
+    draws the block's resampled bids.  Tables: one ``stream_reward_realization`` call jumps
     each table row's stream to its first outcome and draws nothing; the
     block's stack is filled as the runs read it, never past the agents'
     capacities (the most any run buys from them).  Learner: one
     ``run_2d_ucb`` call runs every table of the block, drawing as it picks.
     Baselines: one ``run_eps_separated`` call runs the explore-then-commit
     baselines of every table and exploration budget of the block, drawing
-    what they count.
+    what they count and counting it in C.  The types' and capacities'
+    streams come from one ``stream_states`` call before the first block.
     """
     units = config.l_grid[l_index]
     n = config.n
@@ -272,24 +276,16 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
     block = max(1, min(reps, _BLOCK_BYTES // (n * units)))
     # One draw per bid of every run: each realization's learner, then its eps runs.
     runs = 1 + len(config.eps_exponents)
+    heads = [[seed, tag, type_sample, l_index] for tag in (_TAG_REALIZATION, _TAG_UCB, _TAG_EPS)]
 
-    def streams(start: int, stop: int, *heads) -> np.ndarray:
-        rows = [*heads, *(([seed, _TAG_REALIZATION, type_sample, l_index, r], ())
-                          for r in range(start, stop))]
-        for r in range(start, stop):
-            roots = [[seed, _TAG_UCB, type_sample, l_index, r]] + [
-                [seed, _TAG_EPS, type_sample, l_index, r, v] for v in range(runs - 1)]
-            rows += [(root, (i,)) for root in roots for i in range(n)]
-        return stream_states(rows)
-
-    states = streams(0, block, ([seed, _TAG_TYPES, type_sample], ()),
-                     ([seed, _TAG_CAPS, type_sample, l_index], ()))
-    rng = generator_at(states[0])
+    types, caps = stream_states([([seed, _TAG_TYPES, type_sample], ()),
+                                 ([seed, _TAG_CAPS, type_sample, l_index], ())])
+    rng = generator_at(types)
     costs = rng.uniform(config.cost_lo, config.cost_hi, n)
     qualities = rng.uniform(config.quality_lo, config.quality_hi, n)
 
     cap_lo, cap_hi = config.cap_bounds(units)
-    rng.bit_generator.state = state_dict(states[1])
+    rng.bit_generator.state = state_dict(caps)
     capacities = rng.integers(cap_lo, cap_hi, n, endpoint=True)
     if capacities.sum() < units:
         warnings.warn(
@@ -297,7 +293,6 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
             f"{capacities.sum()} cannot cover the budget",
             stacklevel=2,
         )
-    states = states[2:]
 
     dist = uniform_type_distribution(config.cost_lo, config.cost_hi, cap_lo, cap_hi)
     market = MarketConfig(units, config.reward_scale, (dist,) * n)
@@ -312,8 +307,7 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
     stack = np.zeros((block, n, units), dtype=bool)
     for start in range(0, reps, block):
         size = min(block, reps - start)
-        if start:
-            states = streams(start, start + size)
+        states = _block_states(heads, start, start + size, n, len(config.eps_exponents))
         alpha, beta = (side.reshape(size, runs, n) for side in resample_streams(
             np.tile(costs, size * runs), config.cost_hi, config.mu, states[size:]))
         tables = stream_reward_realization(qualities, capacities, states[:size], stack[:size])

@@ -367,8 +367,7 @@ class RewardRealization:
                              streams.counts, to, self.table)
 
 
-def sample_reward_realization(qualities, n_units: int, seed, capacities=None, *,
-                              out=None) -> RewardRealization:
+def sample_reward_realization(qualities, n_units: int, seed, capacities=None) -> RewardRealization:
     """Draw the n x L outcome table, row i i.i.d. Bernoulli(q_i): outcome
     ``(i, j)`` is ``u < q_i`` for uniform ``i * L + j`` of the stream of
     ``np.random.default_rng(seed)``, as ``random((n, L)) < q`` would draw it.
@@ -379,9 +378,7 @@ def sample_reward_realization(qualities, n_units: int, seed, capacities=None, *,
     mechanism buys from an agent of that capacity; the rest are 0, and
     ``drawn`` records the lengths.  A Generator passed in ends where the
     whole table leaves it, its buffered 32-bit half-word kept.  The table is
-    drawn as bool, which the realization views as uint8 without a check;
-    ``out``, a writable C-contiguous bool ``n x L`` array (one table of a
-    stack, say), receives it in place of a new array.
+    drawn as bool, which the realization views as uint8 without a check.
     """
     q = _check_qualities(qualities)
     n_units = _check_int(n_units, "n_units")
@@ -393,10 +390,7 @@ def sample_reward_realization(qualities, n_units: int, seed, capacities=None, *,
         if len(caps) != len(q) or min(caps, default=0) < 0:
             raise ValueError(f"expected {len(q)} capacities >= 0, got {capacities!r}")
         drawn = tuple(min(k, n_units) for k in caps)
-    table = np.empty((len(q), n_units), dtype=bool) if out is None else out
-    if not (isinstance(table, np.ndarray) and table.shape == (len(q), n_units)
-            and table.dtype == bool and table.flags.c_contiguous and table.flags.writeable):
-        raise ValueError(f"out must be a writable C-contiguous bool {len(q)}x{n_units} array")
+    table = np.empty((len(q), n_units), dtype=bool)
     with generator_words(np.random.default_rng(seed), "drawing reward outcomes needs") as words:
         _draw_tables(words, q, table, drawn)
     for i, k in enumerate(drawn or ()):

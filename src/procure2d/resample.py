@@ -25,8 +25,11 @@ spawn_key=key))``, but ``stream_states`` derives the state words of many
 streams at once, without building a ``SeedSequence`` or a generator per
 stream: it reads each distinct entropy and key into uint32 words once, and
 one C call, ``seed_streams`` in ``_ucb.c``, runs numpy's seed hash and
-PCG64's seeding step on every row.  ``child_states`` gives the per-bid
-children ``(i,)`` of a public seed.  A numpy generator draws a stream once
+PCG64's seeding step on every row.  A simulation block's rows differ only
+in their tails and keys, so ``_block_states`` derives them from numpy
+arrays instead, reading each of three entropy heads once, and makes the
+same one C call: its Python work does not grow with the block.
+``child_states`` gives the per-bid children ``(i,)`` of a public seed.  A numpy generator draws a stream once
 its state is set from ``state_dict``, or by ``generator_at``; C code draws
 on a generator's stream through ``generator_words``.
 """
@@ -112,6 +115,52 @@ def stream_states(rows) -> np.ndarray:
     row_pieces = np.stack([entropy_rows, key_rows + len(entropy_at)], axis=1)
     states = np.empty((m, 4), dtype=np.uint64)
     _library().seed_streams(m, words, len(pieces), lengths, row_pieces, states)
+    return states
+
+
+def _block_states(heads, start: int, stop: int, n: int, eps_runs: int) -> np.ndarray:
+    """``stream_states`` of a block of simulation realizations ``start <= r <
+    stop``, whose streams are keyed by the entropy heads ``(table, learner,
+    eps)``, lists of ints.  The rows are the tables' ``(table + [r], ())``,
+    then for each realization its learner's ``(learner + [r], (i,))`` and
+    each of its explore-then-commit runs' ``(eps + [r, v], (i,))``, ``v <
+    eps_runs``, each for every bid ``i < n``.
+
+    The rows are derived from arrays, never built, so the Python work is the
+    same for any block size: each head is read into words once, each ``r``
+    is split into 32-bit words as ``SeedSequence`` reads it (from 2**32 on,
+    two words), each ``v`` is one word, and the keys ``()`` and ``(i,)`` are
+    pieces every row shares.  One ``seed_streams`` call runs on every row."""
+    size, runs = stop - start, 1 + eps_runs
+    head_words = [_uint32_words(head) for head in heads]
+    width = max(map(len, head_words))
+    # Entropy pieces, realization by realization: its table's, its learner's,
+    # then its eps runs', each the words of a head, of r (low, then high when
+    # r >= 2**32) and, for an eps run, of v; used marks the words a piece has.
+    pieces = np.zeros((size, runs + 1, width + 3), dtype=np.uint32)
+    used = np.zeros(pieces.shape, dtype=bool)
+    kind = np.minimum(np.arange(runs + 1), len(heads) - 1)
+    for k, words in enumerate(head_words):
+        pieces[:, kind == k, : len(words)] = words
+        used[:, kind == k, : len(words)] = True
+    r = np.arange(start, stop, dtype=np.uint64)[:, None]
+    pieces[:, :, width] = r & np.uint64(_WORD)
+    pieces[:, :, width + 1] = high = r >> np.uint64(32)
+    used[:, :, width] = True
+    used[:, :, width + 1] = high > 0
+    pieces[:, 2:, width + 2] = np.arange(eps_runs)
+    used[:, 2:, width + 2] = True
+    # The key pieces follow the entropy pieces: () and then (i,) for i < n.
+    keys = size * (runs + 1)
+    words = np.concatenate([pieces[used], np.arange(n, dtype=np.uint32)])
+    lengths = np.concatenate([used.sum(axis=2).ravel(), [0], np.ones(n, dtype=np.int64)])
+    rows = np.empty((size * (1 + runs * n), 2), dtype=np.int64)
+    first = np.arange(0, keys, runs + 1)
+    rows[:size] = np.stack([first, np.full(size, keys)], axis=1)
+    rows[size:, 0] = np.repeat(first[:, None] + 1 + np.arange(runs), n)
+    rows[size:, 1] = np.tile(keys + 1 + np.arange(n), size * runs)
+    states = np.empty((len(rows), 4), dtype=np.uint64)
+    _library().seed_streams(len(rows), words, len(lengths), lengths, rows, states)
     return states
 
 

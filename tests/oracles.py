@@ -390,6 +390,20 @@ def seed_sequence_cell(config, l_index, type_sample) -> dict[str, np.ndarray]:
     return out
 
 
+def block_stream_rows(seed, type_sample, l_index, start, stop, n, runs) -> list:
+    """The ``(entropy, key)`` rows of a simulation block's streams, built one
+    by one as ``resample.stream_states`` takes them: each realization's
+    table root ``[seed, 13, type_sample, l_index, r]``, then per realization
+    its learner's children ``(i,)`` of ``[seed, 14, ..., r]`` and each of its
+    ``runs - 1`` explore-then-commit runs' of ``[seed, 15, ..., r, v]``."""
+    rows = [([seed, 13, type_sample, l_index, r], ()) for r in range(start, stop)]
+    for r in range(start, stop):
+        roots = [[seed, 14, type_sample, l_index, r]] + [
+            [seed, 15, type_sample, l_index, r, v] for v in range(runs - 1)]
+        rows += [(root, (i,)) for root in roots for i in range(n)]
+    return rows
+
+
 # The reference for the outcome drawer in ``_ucb.c``, which every table of
 # ``model`` must reproduce bit for bit: numpy's own ``random()`` and ``less``.
 _DRAW_FLOATS = 1 << 17  # uniforms ``_draw_outcomes`` holds at once (at least one row)

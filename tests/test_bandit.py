@@ -1035,3 +1035,23 @@ def test_streamed_blocks_equal_whole_tables_on_random_markets(data):
     assert_same_outcomes(got[0], expected[0])
     assert_same_outcomes(got[1], expected[1])
     assert_drawn_within_capacity(block, caps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_count_rows_counts_each_window_as_count_nonzero(data):
+    # Windows of a (B, n, L) stack, one per (table, budget, agent): empty
+    # ones, ones ending at the width, and rows one outcome wide among them.
+    tables, n, budgets = (data.draw(st.integers(1, 4)) for _ in range(3))
+    width = data.draw(st.sampled_from([1, 2, 7, 8, 9, 40]))
+    stack = np.random.default_rng(data.draw(st.integers(0, 2**32))).random(
+        (tables, n, width)) < data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    ends = st.lists(st.integers(0, width), min_size=2, max_size=2).map(sorted)
+    windows = np.array(data.draw(st.lists(ends, min_size=tables * budgets * n,
+                                          max_size=tables * budgets * n)))
+    start, stop = windows.T.reshape(2, tables, budgets, n)
+    ones = bandit._count_ones(stack.view(np.uint8), budgets, start, stop)
+    assert ones.dtype == np.int64
+    assert ones.tolist() == [[[np.count_nonzero(stack[t, i, start[t, e, i]:stop[t, e, i]])
+                               for i in range(n)] for e in range(budgets)]
+                             for t in range(tables)]

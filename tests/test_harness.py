@@ -15,7 +15,7 @@ from procure2d import (
     render_results_svg,
     run_experiment,
 )
-from procure2d import harness
+from procure2d import harness, resample
 from procure2d.harness import _run_cell, write_config
 
 from oracles import seed_sequence_cell
@@ -242,6 +242,24 @@ class TestRunExperiment:
             assert list(got) == list(expected)
             for label in expected:
                 assert got[label].tolist() == expected[label].tolist(), label
+
+    def test_stream_words_are_read_a_fixed_number_of_times_per_block(self, monkeypatch):
+        # A block's streams are derived from arrays: the entropies are read
+        # into words as often at 40 realizations as at 2, one block each.
+        calls, words = [], resample._uint32_words
+
+        def counted(value):
+            calls.append(value)
+            return words(value)
+
+        monkeypatch.setattr(resample, "_uint32_words", counted)
+        counts = []
+        for reps in (2, 40):
+            calls.clear()
+            _run_cell(ExperimentConfig(n=3, l_grid=(40,), type_samples=1, realizations=reps,
+                                       master_seed=2**64 - 1), 0, 0)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     @pytest.mark.filterwarnings("ignore:.*(cannot cover the budget|clipping)")
     def test_blocks_leave_results_unchanged(self, monkeypatch, tmp_path):

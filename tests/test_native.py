@@ -40,6 +40,13 @@ def arguments(name):
                 np.zeros(2, dtype=np.int64), np.array([5, 12], dtype=np.int64),
                 np.full((2, 12), 7, dtype=np.uint8)]
         outputs = {4, 5, 7}
+    elif name == "count_rows":
+        # Three windows of a 2x12 table: a whole row, an empty window and
+        # one ending at the width.
+        args = [3, 12, (rng.random((2, 12)) < 0.5).astype(np.uint8),
+                np.array([0, 1, 1], dtype=np.int64), np.array([0, 4, 3], dtype=np.int64),
+                np.array([12, 4, 12], dtype=np.int64), np.full(3, -7, dtype=np.int64)]
+        outputs = {6}
     elif name == "seed_streams":
         # Pieces [5, 9], [7] and [], of lengths 2, 1 and 0: rows (entropy
         # [5, 9], key (7,)) and (entropy [5, 9], key ()).

@@ -12,10 +12,12 @@ from procure2d import (
     transform_premium,
 )
 from procure2d.resample import (
-    child_states, generator_at, resample_streams, state_dict, stream_states,
+    _block_states, child_states, generator_at, resample_streams, state_dict, stream_states,
 )
 
-from oracles import numpy_resample_batch, scalar_resample, units_vs_own_score
+from oracles import (
+    block_stream_rows, numpy_resample_batch, scalar_resample, units_vs_own_score,
+)
 
 MU = 0.1
 BOUNDS = (0.0, 1.0)
@@ -373,6 +375,23 @@ def test_stream_states_refuse_what_seed_sequence_refuses(entropy, error):
         np.random.SeedSequence(entropy)
     with pytest.raises(error):
         stream_states([(entropy, ())])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**70]),
+       st.integers(0, 2**33), st.integers(0, 2**33),
+       st.one_of(st.integers(0, 6), st.integers(2**32 - 4, 2**32 + 2)),
+       st.integers(1, 4), st.integers(1, 9), st.integers(1, 4))
+def test_block_states_equal_stream_states_of_the_rows(seed, type_sample, l_index, start, size,
+                                                      n, eps_runs):
+    # Master seeds of one to three words, realization starts at and across
+    # 2**32 (where a realization index becomes two words), and the heads of
+    # a cell's tags: the array-derived states are those of the rows a block
+    # names, built one by one.
+    heads = [[seed, tag, type_sample, l_index] for tag in (13, 14, 15)]
+    rows = block_stream_rows(seed, type_sample, l_index, start, start + size, n, 1 + eps_runs)
+    states = _block_states(heads, start, start + size, n, eps_runs)
+    assert states.dtype == np.uint64 and np.array_equal(states, stream_states(rows))
 
 
 @pytest.mark.parametrize("seed", [0, 2**63 + 5, [3, 1, 4], np.random.SeedSequence(9),
