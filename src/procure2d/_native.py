@@ -2,7 +2,9 @@
 signature of every function it defines.  Callers pass numpy arrays straight
 to the declared functions and get a negative status back as an exception."""
 
+import contextlib
 import ctypes
+import glob
 import hashlib
 import os
 import shlex
@@ -53,15 +55,15 @@ _U32, _U64 = _Array(np.uint32), _Array(np.uint64)
 _F64_OUT, _I64_OUT = _Array(np.float64, out=True), _Array(np.int64, out=True)
 _U8_OUT, _U64_OUT = _Array(np.uint8, out=True), _Array(np.uint64, out=True)
 # The return and argument types of every function ``_ucb.c`` defines.
-# ``ucb_run`` takes a whole table with no qualities, row streams or drawn
-# counts (``None``), and its table as an input, so that a read-only whole
-# table reaches it without a copy: it writes only a streamed realization's
-# tables, which are writable.
+# ``ucb_run`` runs its stacked auctions one at a time.  It takes a whole table
+# with no qualities, row streams or drawn counts (``None``), and its table as
+# an input, so that a read-only whole table reaches it without a copy: it
+# writes only a streamed realization's tables, which are writable.
 _SIGNATURES = {
     "ucb_run": (ctypes.c_int, [_SIZE, _SIZE, _SIZE, _REAL, _F64, _I64,
                                _Array(np.float64, optional=True),
                                _Array(np.uint64, out=True, optional=True),
-                               _Array(np.int64, out=True, optional=True), _U8, _F64, _F64, _SIZE,
+                               _Array(np.int64, out=True, optional=True), _U8, _F64, _F64,
                                _I64_OUT, _I64_OUT, _SIZE, _I64_OUT, _U8_OUT, _F64_OUT]),
     "row_streams": (ctypes.c_int, [_SIZE, _SIZE, _SIZE, _U64, _U64_OUT]),
     "draw_rows": (ctypes.c_int, [_SIZE, _SIZE, _SIZE, _F64, _U64_OUT, _I64_OUT, _I64, _U8_OUT]),
@@ -87,9 +89,10 @@ def _check_status(status, func, args):
 
 
 def _build(command: list[str], path: str) -> None:
-    """Compile ``_ucb.c`` to ``path``.  Each build writes a name of its own
-    and renames it into place, so processes that build at once each load a
-    whole library."""
+    """Compile ``_ucb.c`` to ``path``, then remove the cache's builds of
+    other sources or commands.  Each build writes a name of its own and
+    renames it into place, so processes that build at once each load a whole
+    library; a build's temporary name never matches ``_ucb-*.so``."""
     os.makedirs(_CACHE, exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=_CACHE)
     os.close(fd)
@@ -102,6 +105,10 @@ def _build(command: list[str], path: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for stale in glob.glob(os.path.join(_CACHE, "_ucb-*.so")):
+        if stale != path:
+            with contextlib.suppress(OSError):  # another process may remove it first
+                os.unlink(stale)
 
 
 def _library() -> ctypes.CDLL:

@@ -13,34 +13,18 @@
  * with math.log and math.sqrt, so the scores carry the same bits as those of
  * the reference loop in tests/oracles.py.
  *
- * The loop advances a block of up to LANES independent auctions together,
- * round by round.  One auction's rounds form a single dependency chain (a
- * round's scan needs the previous round's divide), so a lone auction leaves
- * most of the CPU idle; the lanes of a block share no data, and the CPU
- * overlaps their chains.  ucb_run, the one entry, walks stacked auctions
- * either in such blocks or one at a time.
- *
- * The two forms keep their running best differently.  One auction at a time
- * takes a new best through a conditional jump: in a long auction the same
- * leader wins almost every round, so the CPU predicts the scan's outcome and
- * starts the next round's table load and divide before the compares
- * resolve.  Replaying the 100 auctions of a run_experiment over the ten
- * default budgets with 10 realizations (5.05M rounds, 2-core Xeon, gcc 12),
- * the jump took 0.041-0.042 s against 0.140-0.146 s for the select
- * (maxsd/cmova), with the same outcomes.  A block of lanes keeps the
- * branch-free select: its short auctions change leader often, and its lanes
- * already overlap their chains.  On the 172 batches of procure2d verify
- * seeds 0-3 the select took 0.35-0.36 s, the jump in every block 0.58 s, and
- * -fno-if-conversion on the whole file 0.58 s.
- *
- * ucb_run takes the jump, one auction at a time, for a traced call and from
- * jump_rounds rounds on (_JUMP_ROUNDS in bandit.py, 1,000), and the select,
- * in blocks of LANES, otherwise.  One call on random 5-agent markets took, in
- * select and jump, 0.20 and 0.20 ms at 1,000 rounds and 20 auctions, 1.78
- * and 1.41 ms at 10,000 rounds, and 4.5 and 1.35 ms at 100,000 rounds and 2
- * auctions; below 1,000 rounds the two are close, and on 20,000 random
- * 3-agent auctions of 30 rounds the select took 3.6 ms and the jump 4.1 ms
- * (the README's Performance section has the whole table).
+ * ucb_run, the loop's one entry, runs stacked auctions one at a time, and
+ * the scan of a round takes a new best through a conditional jump.  In a
+ * long auction the same leader wins almost every round, so the CPU predicts
+ * the scan's outcome and starts the next round's table load and divide
+ * before the compares resolve.  Replaying the 100 auctions of a
+ * run_experiment over the ten default budgets with 10 realizations (5.05M
+ * rounds, 2-core Xeon, gcc 12), the jump took 0.041-0.042 s against
+ * 0.140-0.146 s when conditional moves kept the best (maxsd/cmova), with the
+ * same outcomes.  The audits' short auctions (3 agents, 30 to 50 rounds)
+ * keep their leader long enough too: on the batches of procure2d verify the
+ * jump was as fast as conditional moves on blocks of four auctions advanced
+ * together (the README's Performance section has the figures).
  */
 #include <math.h>
 #include <stdint.h>
@@ -108,7 +92,7 @@ static void pcg64_jump(int64_t k, u128 *mult, u128 *plus)
  * can be drawn on its own stream, jumped to i * L, in any number of pieces.
  * A row's stream stands at its next undrawn outcome, and its drawn count
  * says how many it holds.  draw_row is the one drawer: row_streams jumps the
- * rows' streams, draw_rows extends rows, and ucb_lanes extends a row in
+ * rows' streams, draw_rows extends rows, and ucb_auction extends a row in
  * chunks of DRAW_CHUNK when a pick reaches its drawn count.
  *
  * Draws row[*drawn] to row[to - 1] with quality q on the stream at w, and
@@ -122,7 +106,7 @@ static inline void draw_row(uint64_t *w, double q, uint8_t *row, int64_t *drawn,
     *drawn = to > *drawn ? to : *drawn;
 }
 
-/* The outcomes ucb_lanes draws at once, from a pick that reaches its row's
+/* The outcomes ucb_auction draws at once, from a pick that reaches its row's
  * drawn count, never past the row's capacity.  On the cells of the
  * benchmark's trend-grid workload (master seeds 0-7), where the learner and
  * the baselines read 60.5% of the capacity prefixes, chunks of 64 drew 0.5%
@@ -186,116 +170,77 @@ int count_rows(int64_t m, int64_t width, const uint8_t *table, const int64_t *ro
     return 0;
 }
 
-/* Auctions per block.  Replaying the batches of procure2d verify (3 agents,
- * 30 to 50 rounds), 2, 4, 8 and 16 lanes ran within 5% of each other and
- * about a quarter faster than one lane; 4 was the fastest or within 2% of it. */
-#define LANES 4
-
-/* Runs lanes (1 to LANES) auctions of n agents over n_rounds rounds that
- * share caps.  Lane l reads its n virtual costs at h + l * n and its
- * n x n_rounds reward table at table + l * n * n_rounds, whose row i holds
- * agent i's outcomes in the order its units are bought; q_hat + l * n is its
- * scratch.  With stream, row i holds drawn[l * n + i] outcomes: a pick that
- * reaches them first draws the row's next DRAW_CHUNK, never past caps[i],
- * with quality quality[i] on the row's stream at states + 4 * (l * n + i).
- * Without, every row is whole, and the three are not read.
+/* Runs one auction of n agents over n_rounds rounds.  It reads its n
+ * virtual costs at h and its n x n_rounds reward table at table, whose row i
+ * holds agent i's outcomes in the order its units are bought; q_hat is its
+ * scratch.  With stream, row i holds drawn[i] outcomes: a pick that reaches
+ * them first draws the row's next DRAW_CHUNK, never past caps[i], with
+ * quality quality[i] on the row's stream at states + 4 * i.  Without, every
+ * row is whole, and the three are not read.
  *
  * A seeding pass buys one unit from every agent with capacity; every later
  * round t goes to the agent below capacity with the largest score
  * reward_scale * (q_hat + widths[t] * inv_sqrt[count]) - h, the lowest index
- * on a tie, and the first non-positive best score ends that lane's auction.
- * The other lanes go on.
+ * on a tie, and the first non-positive best score ends the auction.
  *
- * Writes lane l's units and successes to counts + l * n and succ + l * n, and
- * the winner, reward and score of round t to entry t - n of picks, rewards
- * and scores, offset by l * trace_len, while t - n < trace_len; a round t
- * that stops the auction writes only its score: the non-positive best score,
- * or -inf when every agent was at its capacity.
+ * Writes the units and successes to counts and succ, and the winner, reward
+ * and score of round t to entry t - n of picks, rewards and scores while
+ * t - n < trace_len; a round t that stops the auction writes only its score:
+ * the non-positive best score, or -inf when every agent was at its capacity.
  *
- * branch picks how the scan keeps its best: 1 takes a new best through a
- * jump, which the CPU predicts, 0 through a branch-free select; see the top
- * of the file.  An empty asm statement in the jump's body keeps it a jump:
- * with a plain if, or __builtin_expect, gcc -O2 turns it back into the
- * select.  stream is a constant in the select's calls, so that whole tables
- * get a copy without the drawn-count test: on verify-like batches (3
- * agents, 30 rounds) the test took 5-7% of the select's time.
+ * The scan takes a new best through a jump (the top of the file).  An empty
+ * asm statement in the jump's body keeps it a jump: with a plain if, or
+ * __builtin_expect, gcc -O2 turns it into conditional moves.
  *
- * Always inline, so that the compiler specialises each of ucb_run's calls:
- * the jump's one lane drops the lane loop and keeps only the jump, and the
- * select's empty trace drops the trace stores and frees their registers
- * (about 15% of the select's time) and keeps only the select.  Choosing the
- * form inside the loop at run time, by lanes == 1, took 0.63-0.65 s on the
- * verify batches above, against 0.35 s.  A plain inline no longer holds once
- * the loop draws: gcc 12 then calls one shared copy, and the learner's loop
- * ran 30% slower on the benchmark's trend-grid markets.
+ * Kept out of line: inlined into ucb_run, gcc 12 laid the loop out so that
+ * replays of the benchmark's grid auctions ran about 6% slower, and of the
+ * batches of procure2d verify about 9% slower.
  */
-static inline __attribute__((always_inline)) void
-ucb_lanes(int branch, int stream, int64_t lanes, int64_t n, int64_t n_rounds, double reward_scale,
-          const double *h, const int64_t *caps, const double *quality, uint64_t *states,
-          int64_t *drawn, uint8_t *table, const double *widths, const double *inv_sqrt,
-          int64_t *counts, int64_t *succ, double *q_hat, int64_t trace_len, int64_t *picks,
-          uint8_t *rewards, double *scores)
+static __attribute__((noinline)) void
+ucb_auction(int stream, int64_t n, int64_t n_rounds, double reward_scale, const double *h,
+            const int64_t *caps, const double *quality, uint64_t *states, int64_t *drawn,
+            uint8_t *table, const double *widths, const double *inv_sqrt, int64_t *counts,
+            int64_t *succ, double *q_hat, int64_t trace_len, int64_t *picks, uint8_t *rewards,
+            double *scores)
 {
-    int live[LANES];
-    for (int64_t l = 0; l < lanes; l++) {
-        for (int64_t i = 0; i < n; i++) {
-            int64_t k = l * n + i;
-            counts[k] = caps[i] >= 1;
-            if (stream && counts[k] && drawn[k] == 0)
-                draw_row(states + 4 * k, quality[i], table + k * n_rounds, drawn + k,
-                         DRAW_CHUNK < caps[i] ? DRAW_CHUNK : caps[i]);
-            succ[k] = counts[k] ? table[k * n_rounds] : 0;
-            q_hat[k] = (double)succ[k];
-        }
-        live[l] = 1;
+    for (int64_t i = 0; i < n; i++) {
+        counts[i] = caps[i] >= 1;
+        if (stream && counts[i] && drawn[i] == 0)
+            draw_row(states + 4 * i, quality[i], table + i * n_rounds, drawn + i,
+                     DRAW_CHUNK < caps[i] ? DRAW_CHUNK : caps[i]);
+        succ[i] = counts[i] ? table[i * n_rounds] : 0;
+        q_hat[i] = (double)succ[i];
     }
-    int64_t n_live = lanes;
-    for (int64_t t = n; t < n_rounds && n_live > 0; t++) {
-        double width = widths[t];
-        for (int64_t l = 0; l < lanes; l++) {
-            if (!live[l])
-                continue;
-            int64_t *c = counts + l * n;
-            const double *q = q_hat + l * n, *hl = h + l * n;
-            double best = -INFINITY;
-            int64_t pick = -1;
-            for (int64_t j = 0; j < n; j++) {
-                double s = reward_scale * (q[j] + width * inv_sqrt[c[j]]) - hl[j];
-                int better = c[j] < caps[j] && s > best;
-                if (branch) {
-                    if (better) {
-                        __asm__ volatile("" ::: "memory");
-                        best = s;
-                        pick = j;
-                    }
-                } else {
-                    best = better ? s : best;
-                    pick = better ? j : pick;
-                }
+    for (int64_t t = n; t < n_rounds; t++) {
+        double width = widths[t], best = -INFINITY;
+        int64_t pick = -1;
+        for (int64_t j = 0; j < n; j++) {
+            double s = reward_scale * (q_hat[j] + width * inv_sqrt[counts[j]]) - h[j];
+            if (counts[j] < caps[j] && s > best) {
+                __asm__ volatile("" ::: "memory");
+                best = s;
+                pick = j;
             }
-            if (pick < 0 || best <= 0.0) {
-                /* every agent at reported capacity, or no future units for anyone */
-                live[l] = 0;
-                n_live--;
-                if (t - n < trace_len)
-                    scores[l * trace_len + t - n] = best;
-                continue;
-            }
-            int64_t k = l * n + pick;
-            if (stream && c[pick] == drawn[k]) {
-                int64_t to = c[pick] + DRAW_CHUNK;
-                draw_row(states + 4 * k, quality[pick], table + k * n_rounds, drawn + k,
-                         to < caps[pick] ? to : caps[pick]);
-            }
-            uint8_t r = table[k * n_rounds + c[pick]];
-            succ[k] += r;
-            c[pick] += 1;
-            q_hat[k] = (double)succ[k] / (double)c[pick];
-            if (t - n < trace_len) {
-                picks[l * trace_len + t - n] = pick;
-                rewards[l * trace_len + t - n] = r;
-                scores[l * trace_len + t - n] = best;
-            }
+        }
+        if (pick < 0 || best <= 0.0) {
+            /* every agent at reported capacity, or no future units for anyone */
+            if (t - n < trace_len)
+                scores[t - n] = best;
+            return;
+        }
+        if (stream && counts[pick] == drawn[pick]) {
+            int64_t to = counts[pick] + DRAW_CHUNK;
+            draw_row(states + 4 * pick, quality[pick], table + pick * n_rounds, drawn + pick,
+                     to < caps[pick] ? to : caps[pick]);
+        }
+        uint8_t r = table[pick * n_rounds + counts[pick]];
+        succ[pick] += r;
+        counts[pick] += 1;
+        q_hat[pick] = (double)succ[pick] / (double)counts[pick];
+        if (t - n < trace_len) {
+            picks[t - n] = pick;
+            rewards[t - n] = r;
+            scores[t - n] = best;
         }
     }
 }
@@ -303,43 +248,26 @@ ucb_lanes(int branch, int stream, int64_t lanes, int64_t n, int64_t n_rounds, do
 /* p + off, or NULL for a NULL p. */
 #define OFFSET(p, off) ((p) ? (p) + (off) : NULL)
 
-/* Stacked auctions that share n, n_rounds and caps (h, counts and succ
- * samples x n, table samples x n x n_rounds): one at a time through the jump
- * when traced (trace_len > 0, sample s's trace at s * trace_len) or from
- * jump_rounds rounds on, else in blocks of LANES (the last may be shorter)
- * through the select.  The rows of streamed tables share quality, and have
- * states samples x n x 4 and drawn samples x n; for whole tables the three
- * are NULL.  Returns 0, or -1 when out of memory. */
+/* Stacked auctions that share n, n_rounds and caps, run one at a time:
+ * sample s has its h, counts and succ at s * n, its table at s * n * n_rounds
+ * and, when traced (trace_len > 0), its trace at s * trace_len.  The rows of
+ * streamed tables share quality, and have states samples x n x 4 and drawn
+ * samples x n; for whole tables the three are NULL.  Returns 0, or -1 when
+ * out of memory. */
 int ucb_run(int64_t samples, int64_t n, int64_t n_rounds, double reward_scale,
             const double *h, const int64_t *caps, const double *quality, uint64_t *states,
             int64_t *drawn, uint8_t *table, const double *widths, const double *inv_sqrt,
-            int64_t jump_rounds, int64_t *counts, int64_t *succ, int64_t trace_len,
-            int64_t *picks, uint8_t *rewards, double *scores)
+            int64_t *counts, int64_t *succ, int64_t trace_len, int64_t *picks, uint8_t *rewards,
+            double *scores)
 {
-    double *q_hat = malloc(LANES * n * sizeof *q_hat);
+    double *q_hat = malloc(n * sizeof *q_hat);
     if (q_hat == NULL)
         return -1;
-    int stream = drawn != NULL;
-    if (trace_len > 0 || n_rounds >= jump_rounds) {
-        for (int64_t s = 0; s < samples; s++)
-            ucb_lanes(1, stream, 1, n, n_rounds, reward_scale, h + s * n, caps, quality,
-                      OFFSET(states, 4 * s * n), OFFSET(drawn, s * n),
-                      table + s * n * n_rounds, widths, inv_sqrt, counts + s * n, succ + s * n,
-                      q_hat, trace_len, picks + s * trace_len, rewards + s * trace_len,
-                      scores + s * trace_len);
-    } else {
-        for (int64_t s = 0; s < samples; s += LANES) {
-            int64_t lanes = samples - s < LANES ? samples - s : LANES;
-            if (stream)
-                ucb_lanes(0, 1, lanes, n, n_rounds, reward_scale, h + s * n, caps, quality,
-                          states + 4 * s * n, drawn + s * n, table + s * n * n_rounds, widths,
-                          inv_sqrt, counts + s * n, succ + s * n, q_hat, 0, NULL, NULL, NULL);
-            else
-                ucb_lanes(0, 0, lanes, n, n_rounds, reward_scale, h + s * n, caps, NULL, NULL,
-                          NULL, table + s * n * n_rounds, widths, inv_sqrt, counts + s * n,
-                          succ + s * n, q_hat, 0, NULL, NULL, NULL);
-        }
-    }
+    for (int64_t s = 0; s < samples; s++)
+        ucb_auction(drawn != NULL, n, n_rounds, reward_scale, h + s * n, caps, quality,
+                    OFFSET(states, 4 * s * n), OFFSET(drawn, s * n), table + s * n * n_rounds,
+                    widths, inv_sqrt, counts + s * n, succ + s * n, q_hat, trace_len,
+                    picks + s * trace_len, rewards + s * trace_len, scores + s * trace_len);
     free(q_hat);
     return 0;
 }

@@ -165,9 +165,8 @@ def _inv_sqrt_counts(n_counts: int) -> np.ndarray:
     return table
 
 
-# Fewest samples worth a thread of their own in ``_run_chunks``, and budgets
-# from which ``ucb_run`` runs one auction at a time (the top of ``_ucb.c``).
-_MIN_CHUNK, _JUMP_ROUNDS = 2048, 1000
+# Fewest samples worth a thread of their own in ``_run_chunks``.
+_MIN_CHUNK = 2048
 
 
 def _cpus() -> int:
@@ -201,8 +200,7 @@ def _run_chunks(config: MarketConfig, bids: Sequence[Bid], realization: RewardRe
     the interpreter lock; every thread has ended when the call returns or
     raises.  A batch too small for two chunks, or a one-CPU process, runs as
     one chunk on the calling thread.  Each sample's result depends on its
-    own row alone, so the outputs are the same however the batch is split,
-    and whichever form of the loop ``_JUMP_ROUNDS`` picks.
+    own row alone, so the outputs are the same however the batch is split.
     """
     n, n_rounds = realization.table.shape[-2:]
     table = realization.table.reshape(-1, n, n_rounds)
@@ -219,7 +217,7 @@ def _run_chunks(config: MarketConfig, bids: Sequence[Bid], realization: RewardRe
     scores = np.empty((samples, trace_len))
     # Resolved before any thread starts, so that no thread builds the library
     # or grows the shared tables.
-    ucb_run, jump_rounds = _library().ucb_run, _JUMP_ROUNDS
+    ucb_run = _library().ucb_run
     widths, inv_sqrt = _bonus_widths(n_rounds), _inv_sqrt_counts(n_rounds + 1)
     chunks = _workers(samples)
     edges = [samples * k // chunks for k in range(chunks + 1)]
@@ -230,8 +228,8 @@ def _run_chunks(config: MarketConfig, bids: Sequence[Bid], realization: RewardRe
         rows = (None, None) if streams is None else (states[a:b], drawn[a:b])
         try:
             ucb_run(b - a, n, n_rounds, config.reward_scale, h[a:b], caps, q, *rows, table[a:b],
-                    widths, inv_sqrt, jump_rounds, units[a:b], successes[a:b], trace_len,
-                    picks[a:b], rewards[a:b], scores[a:b])
+                    widths, inv_sqrt, units[a:b], successes[a:b], trace_len, picks[a:b],
+                    rewards[a:b], scores[a:b])
         except BaseException as exc:  # raised in the caller once every thread ends
             errors[k] = exc
 

@@ -412,6 +412,8 @@ def stream_reward_realization(qualities, capacities, states, out) -> RewardReali
     entries past a row's drawn count are never read."""
     q = np.array(_check_qualities(qualities))
     states = np.ascontiguousarray(states, dtype=np.uint64)
+    if np.ndim(out) != 3:
+        raise ValueError(f"out must be a (tables, n, L) array, got shape {np.shape(out)}")
     tables, n, width = out.shape
     if n != len(q) or states.shape != (tables, 4):
         raise ValueError(f"expected {tables} streams of 4 state words and {len(q)} rows per "

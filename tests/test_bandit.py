@@ -810,10 +810,9 @@ def test_block_refusals_are_one_line(case):
 @given(data=st.data())
 def test_a_stack_runs_each_table_as_its_one_table_run(data):
     # One learner call on a stack of tables drawn to the same capacity
-    # prefixes: outcome t is table t's one-table run on row t of the draws.
-    # The one-table run is traced, so it takes the jump form; the cut puts
-    # the stack on either side of it.  Zero capacities skip the seeding
-    # pass; tied costs and tables tie the scores.
+    # prefixes: outcome t is table t's traced one-table run on row t of the
+    # draws.  Zero capacities skip the seeding pass; tied costs and tables tie
+    # the scores.
     n = data.draw(st.integers(1, 9), label="n")
     units = data.draw(st.integers(n, 80), label="units")
     caps = data.draw(st.lists(st.integers(0, 25) | st.integers(0, units), min_size=n,
@@ -827,17 +826,14 @@ def test_a_stack_runs_each_table_as_its_one_table_run(data):
     q = np.random.default_rng(seed).random(n)
     if data.draw(st.booleans(), label="tied-tables"):
         q[:] = q[0]
-    size = data.draw(st.integers(1, 9), label="tables")  # past two blocks of lanes
+    size = data.draw(st.integers(1, 9), label="tables")
     tables = [sample_reward_realization(q, units, [seed, t], caps) for t in range(size)]
     stack = RewardRealization(np.stack([t.table for t in tables]), tables[0].drawn)
     mu = data.draw(st.sampled_from([0.1, 0.6]), label="mu")
     rows = [seeded_draws(m, bids, mu, [seed, t]) for t in range(size)]
     alpha, beta = (np.array(side) for side in zip(*rows))
-    cut = data.draw(st.sampled_from([0, units, units + 1, 2**62]), label="cut")
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bandit, "_JUMP_ROUNDS", cut)
-        block = run_2d_ucb(m, bids, stack, mu, (alpha, beta), record_trace=False)
+    block = run_2d_ucb(m, bids, stack, mu, (alpha, beta), record_trace=False)
     assert len(block) == size
     for t, table in enumerate(tables):
         expected, _ = run_2d_ucb(m, bids, table, mu, (alpha[t], beta[t]))

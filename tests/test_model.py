@@ -377,6 +377,13 @@ class TestStreamedRealization:
             stream_reward_realization([0.4, 0.9], [3, 20], np.zeros((2, 3), np.uint64),
                                       np.zeros((2, 2, 6), dtype=bool))
 
+    @pytest.mark.parametrize("shape", [(2, 6), (1, 2, 2, 6)])
+    def test_an_out_that_is_not_3d_is_refused(self, shape):
+        states = stream_states([([8, 0], ())])
+        with pytest.raises(ValueError) as refused:
+            stream_reward_realization([0.4, 0.9], [3, 20], states, np.zeros(shape, dtype=bool))
+        assert str(refused.value) == f"out must be a (tables, n, L) array, got shape {shape}"
+
     @pytest.mark.parametrize("field, bad", [
         ("qualities", np.array([0.4, 0.9, 0.5])),
         ("states", np.zeros((2, 2, 3), np.uint64)),

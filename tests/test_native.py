@@ -17,18 +17,18 @@ def arguments(name):
     positions of its output arrays."""
     rng = np.random.default_rng(5)
     if name == "ucb_run":
-        # Two traced samples on undrawn rows: the traced call runs the jump
-        # form, which writes every output, and draws the rows it reads into
-        # the table, an input that a whole table passes read-only.
+        # Two traced samples on undrawn rows: the traced call writes every
+        # output, and draws the rows it reads into the table, an input that a
+        # whole table passes read-only.
         table = RewardRealization(rng.random((2, 3, 12)) < 0.7).table
         args = [2, 3, 12, 10.0, np.array([[0.2, 0.5, 0.9], [0.9, 0.2, 0.5]]),
                 np.full(3, 5, dtype=np.int64), np.array([0.3, 0.6, 0.9]),
                 np.arange(1, 25, dtype=np.uint64).reshape(2, 3, 4), np.zeros((2, 3), np.int64),
                 table, bandit._bonus_widths(12).copy(), bandit._inv_sqrt_counts(13).copy(),
-                bandit._JUMP_ROUNDS, np.full((2, 3), -7, dtype=np.int64),
-                np.full((2, 3), -7, dtype=np.int64), 9, np.full((2, 9), -7, dtype=np.int64),
-                np.full((2, 9), 7, dtype=np.uint8), np.full((2, 9), -7.0)]
-        outputs = {7, 8, 13, 14, 16, 17, 18}
+                np.full((2, 3), -7, dtype=np.int64), np.full((2, 3), -7, dtype=np.int64), 9,
+                np.full((2, 9), -7, dtype=np.int64), np.full((2, 9), 7, dtype=np.uint8),
+                np.full((2, 9), -7.0)]
+        outputs = {7, 8, 12, 13, 15, 16, 17}
     elif name == "row_streams":
         # Two tables of three rows, 12 uniforms each.
         args = [2, 3, 12, np.arange(1, 9, dtype=np.uint64).reshape(2, 4),

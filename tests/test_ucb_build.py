@@ -52,6 +52,19 @@ def test_cached_library_is_reused_without_the_compiler(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [built]
 
 
+def test_a_build_removes_the_caches_stale_builds(tmp_path, monkeypatch):
+    # A build of another source or command, an unrelated file and a
+    # concurrent build's temporary file sit in the cache: only the stale
+    # build goes.
+    for name in ("_ucb-0123456789abcdef.so", "notes.txt", "tmpk3x9q2.so"):
+        (tmp_path / name).write_bytes(b"")
+    monkeypatch.setattr(_native, "_CACHE", str(tmp_path))
+    monkeypatch.setattr(_native, "_LIB", None)
+    built = Path(_native._library()._name).name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [built, "notes.txt", "tmpk3x9q2.so"])
+
+
 def test_processes_building_into_one_cache_at_once_agree(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(HERE.parent / "src"), str(HERE)]))
     procs = [

@@ -4,11 +4,9 @@
 import itertools
 import math
 import os
-import re
 import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +29,6 @@ from procure2d import (
 from procure2d import _native, bandit, harness
 
 DIST = uniform_type_distribution(0.0, 1.0, 0, 20_000)
-
-# Auctions the C loop advances together in one block.
-LANES = int(re.search(r"^#define LANES (\d+)$", Path(_native._SOURCE).read_text(), re.M).group(1))
 
 
 def assert_matches_oracle(market, bids, table, draws, bonus_scale):
@@ -408,47 +403,39 @@ def virtual_costs(alphas, caps):
     return np.array([[DIST.virtual_cost(a, k) for a, k in zip(row, caps)] for row in alphas])
 
 
-# The cut ``ucb_run`` compares the budget with: the 40-round batches below
-# run the jump form at 0 and the select form past 40.
-FORMS = {"jump": 0, "select": 41}
-
-
 # ``ucb_run``'s qualities, row streams and drawn counts for whole tables.
 WHOLE = (None, None, None)
 
 
-@pytest.mark.parametrize("samples", sorted({1, LANES - 1, LANES, LANES + 1, 2 * LANES + 1} - {0}))
+@pytest.mark.parametrize("samples", [1, 3, 4, 5, 9])
 def test_batch_sizes_straddle_block_edges(samples):
-    # Every row equals the reference loop whatever block it falls in, in both
-    # forms, and a short last block writes no row past the batch: the inputs
-    # and outputs handed to the C loop are the leading rows of larger arrays
-    # whose trailing rows are guards.
-    caps = [8, 8, 1]
+    # Every row equals the reference loop, and a call writes no row past its
+    # samples: the inputs and outputs handed to the C loop are the leading
+    # rows of larger arrays whose trailing rows are guards.
+    caps, guards = [8, 8, 1], 4
     alphas, tables = mixed_stop_batch(samples)
-    pad = ((0, LANES), (0, 0))
+    pad = ((0, guards), (0, 0))
     h = np.pad(virtual_costs(alphas, caps), pad, constant_values=math.nan)
     table = np.pad(tables, pad + ((0, 0),), constant_values=1)
     assert_batch_matches_oracle(1.0, alphas, caps, tables)
     units_out, successes = batch_run(1.0, caps, tables, h[:samples])
-    for form, jump_rounds in FORMS.items():
-        counts = [np.full((samples + LANES, 3), -7, dtype=np.int64) for _ in range(2)]
-        empty = [np.empty((samples, 0), dtype) for dtype in (np.int64, np.uint8, float)]
-        _native._library().ucb_run(
-            samples, 3, 40, 1.0, h[:samples], np.array(caps, dtype=np.int64),
-            *WHOLE, table[:samples],
-            bandit._bonus_widths(40), bandit._inv_sqrt_counts(41), jump_rounds,
-            counts[0][:samples], counts[1][:samples], 0, *empty,
-        )
-        for guarded in counts:
-            assert (guarded[samples:] == -7).all(), form
-        assert np.array_equal(counts[0][:samples], units_out), form
-        assert np.array_equal(counts[1][:samples], successes), form
+    counts = [np.full((samples + guards, 3), -7, dtype=np.int64) for _ in range(2)]
+    empty = [np.empty((samples, 0), dtype) for dtype in (np.int64, np.uint8, float)]
+    _native._library().ucb_run(
+        samples, 3, 40, 1.0, h[:samples], np.array(caps, dtype=np.int64), *WHOLE, table[:samples],
+        bandit._bonus_widths(40), bandit._inv_sqrt_counts(41), counts[0][:samples],
+        counts[1][:samples], 0, *empty,
+    )
+    for guarded in counts:
+        assert (guarded[samples:] == -7).all()
+    assert np.array_equal(counts[0][:samples], units_out)
+    assert np.array_equal(counts[1][:samples], successes)
 
 
-def test_a_traced_call_below_the_cut_takes_the_jump_form():
-    # Only the jump form writes a trace: a traced call of samples far below
-    # the cut gives each sample's reference trace at its offset, ending at
-    # the score that stopped it, or -inf when every agent is full.
+def test_a_traced_call_writes_each_samples_trace_at_its_offset():
+    # A traced call of several samples gives each sample's reference trace
+    # at its offset, ending at the score that stopped it, or -inf when every
+    # agent is full.
     caps = [8, 8, 1]
     alphas, tables = mixed_stop_batch(6)
     market = MarketConfig(40, 1.0, (DIST,) * 3)
@@ -456,11 +443,9 @@ def test_a_traced_call_below_the_cut_takes_the_jump_form():
     picks = np.full((6, trace_len), -7, dtype=np.int64)
     rewards, scores = np.full((6, trace_len), 7, dtype=np.uint8), np.full((6, trace_len), -7.0)
     counts = [np.empty((6, 3), dtype=np.int64) for _ in range(2)]
-    assert 40 < bandit._JUMP_ROUNDS
     _native._library().ucb_run(
         6, 3, 40, 1.0, virtual_costs(alphas, caps), np.array(caps, dtype=np.int64),
-        *WHOLE, tables,
-        bandit._bonus_widths(40), bandit._inv_sqrt_counts(41), bandit._JUMP_ROUNDS, *counts,
+        *WHOLE, tables, bandit._bonus_widths(40), bandit._inv_sqrt_counts(41), *counts,
         trace_len, picks, rewards, scores,
     )
     ends = set()
@@ -491,7 +476,7 @@ def stop_of(trace, units):
 
 # The rows of one batch share capacities, so rows that never stop on a score
 # all run out of budget (capacities summing past the 40 rounds) or all fill
-# every agent (capacities summing to 17); each block puts them beside rows
+# every agent (capacities summing to 17); each batch puts them beside rows
 # that stop on a score at different rounds.
 @pytest.mark.parametrize("caps, other", [([30, 30, 1], "budget"), ([8, 8, 1], "full")],
                          ids=["budget", "full"])
@@ -502,9 +487,9 @@ def test_rows_ending_in_different_ways_share_a_block(caps, other):
                       key=lambda r: stops[r][1])
     ends = [r for r, (how, _) in enumerate(stops) if how == other]
     early, late = by_round[0], by_round[-1]
-    assert stops[early][1] < stops[late][1] and len(ends) >= LANES
-    # Lane 0 stops first; the lanes after it go on to later rounds.
-    block = ([early, ends[0], late] + ends[1:])[:max(LANES, 3)]
+    assert stops[early][1] < stops[late][1] and len(ends) >= 4
+    # Row 0 stops first; the rows after it go on to later rounds.
+    block = ([early, ends[0], late] + ends[1:])[:4]
     assert {stops[r][0] for r in block} == {"score", other}
     assert_batch_matches_oracle(1.0, alphas[block], caps, tables[block])
     h = virtual_costs(alphas[block], caps)
@@ -518,7 +503,7 @@ def test_rows_ending_in_different_ways_share_a_block(caps, other):
 
 def test_permuting_rows_permutes_the_outcome():
     caps = [8, 8, 1]
-    alphas, tables = mixed_stop_batch(3 * LANES + 1)
+    alphas, tables = mixed_stop_batch(13)
     h = virtual_costs(alphas, caps)
     units_out, successes = batch_run(1.0, caps, tables, h)
     rng = np.random.default_rng(9)
@@ -569,8 +554,7 @@ class _FailingLibrary:
         self.fail_at, self.finished = fail_at, []
 
     def ucb_run(self, samples, n, n_rounds, reward_scale, h, caps, quality, states, drawn, table,
-                widths, inv_sqrt, jump_rounds, units, successes, trace_len, picks, rewards,
-                scores):
+                widths, inv_sqrt, units, successes, trace_len, picks, rewards, scores):
         row = int(h[0, 0])
         if row in self.fail_at:
             raise MemoryError(f"chunk at row {row}")
