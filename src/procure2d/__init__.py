@@ -55,7 +55,6 @@ __all__ = [
     "run_2d_ucb",
     "run_eps_separated",
     "run_experiment",
-    "run_ucb_batch",
     "sample_reward_realization",
     "seeded_draws",
     "self_resample",

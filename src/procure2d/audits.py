@@ -13,7 +13,8 @@ record.
 
 Statistical audits use paired common random numbers: identical reward tables
 (one stack drawn by ``model._draw_tables``) and resampling draws across
-every deviation, so measured differences reflect the bid change alone.
+every deviation, so measured differences reflect the bid change alone.  The
+learner's audit runs ``run_2d_ucb`` on a stack and reads its payments.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bandit import run_ucb_batch
+from .bandit import run_2d_ucb
 from .model import (
     Bid, MarketConfig, RewardRealization, TypeDistribution, _check_qualities, _draw_tables,
 )
 from .optimal import run_2d_opt
-from .resample import child_states, generator_at, resample_batch, transform_premium
+from .resample import child_states, generator_at, resample_batch
 
 __all__ = [
     "AuditReport",
@@ -155,6 +156,12 @@ def make_opt_probe(
     return probe
 
 
+def run_ucb_batch(config, bids, realizations, mu, draws):
+    """``run_2d_ucb``'s allocation and payments on a stack, named for the benchmark's tracer."""
+    outcome, _ = run_2d_ucb(config, bids, realizations, mu, draws, record_trace=False)
+    return outcome.allocation, outcome.payments
+
+
 def make_ucb_batch_utility(
     config: MarketConfig,
     bids: Sequence[Bid],
@@ -168,16 +175,17 @@ def make_ucb_batch_utility(
     """Batched utility estimator for the learning auction.
 
     Returns a function (cost, capacity) -> per-sample utilities of ``agent``
-    with true cost ``true_cost``.  The truthful profile is admitted by
-    ``MarketConfig.check_bids`` up front and every deviated one by
-    ``run_ucb_batch``'s ``MarketConfig.check_run``, as the mechanisms admit
-    theirs, and ``true_qualities`` must pass the quality rule ``run_2d_opt``
-    applies.  Reward tables (one ``RewardRealization`` stack) and rival
-    resampling draws are drawn once and shared across calls; the deviating
-    agent's resampler is seeded identically for every cost, giving paired,
-    monotone-coupled samples across deviations.  Its draw depends on the cost
-    alone, so the function keeps one draw per distinct cost it is called with
-    and reuses it for every capacity.
+    with true cost ``true_cost``: the payment ``run_2d_ucb`` makes it on a
+    stack of ``samples`` runs, less ``true_cost`` times the units it buys.
+    The truthful profile is admitted by ``MarketConfig.check_bids`` up front
+    and every deviated one by ``run_2d_ucb``, and ``true_qualities`` must
+    pass the quality rule ``run_2d_opt`` applies.  Reward tables (one
+    ``RewardRealization`` stack) and rival resampling draws are drawn once
+    and shared across calls; the deviating agent's resampler is seeded
+    identically for every cost, giving paired, monotone-coupled samples
+    across deviations.  Its draw depends on the cost alone, so the function
+    keeps one draw per distinct cost it is called with and reuses it for
+    every capacity.
     """
     config.check_bids(bids)
     n = config.n_agents
@@ -189,19 +197,15 @@ def make_ucb_batch_utility(
     _draw_tables(states[:1], qualities, stack)
     realizations = RewardRealization(stack)
 
+    # The draws ``(alpha, beta)``, one row per agent: the rivals' drawn here,
+    # in index order on one stream; the deviating agent's row is set per call.
     rival_rng = generator_at(rival_state)
-    rival_h = np.empty((samples, n))
+    draws = np.empty((2, n, samples))
     for j in range(n):
-        if j == agent:
-            continue
-        dist = config.distributions[j]
-        alpha_j, _ = resample_batch(
-            bids[j].cost, dist.cost_bounds[1], mu, samples, rival_rng
-        )
-        rival_h[:, j] = dist.virtual_cost_array(alpha_j, bids[j].capacity)
-
-    dist_a = config.distributions[agent]
-    cost_hi = dist_a.cost_bounds[1]
+        if j != agent:
+            draws[:, j] = resample_batch(bids[j].cost, config.distributions[j].cost_bounds[1],
+                                         mu, samples, rival_rng)
+    cost_hi = config.distributions[agent].cost_bounds[1]
 
     @functools.cache
     def draw(cost: float) -> tuple[np.ndarray, np.ndarray]:
@@ -210,14 +214,9 @@ def make_ucb_batch_utility(
     def batch_utility(cost: float, capacity: int) -> np.ndarray:
         trial = list(bids)
         trial[agent] = Bid(cost, capacity)
-        alpha, beta = draw(cost)
-        h = rival_h.copy()
-        h[:, agent] = dist_a.virtual_cost_array(alpha, capacity)
-        units, _ = run_ucb_batch(config, trial, realizations, h)
-        mine = units[:, agent].astype(float)
-        utility = (cost - true_cost) * mine
-        utility += transform_premium(mine, mu, cost, cost_hi, beta)
-        return utility
+        draws[0, agent], draws[1, agent] = draw(cost)
+        units, payments = run_ucb_batch(config, trial, realizations, mu, draws.transpose(0, 2, 1))
+        return payments[:, agent] - true_cost * units[:, agent]
 
     return batch_utility
 

@@ -17,26 +17,26 @@ through one C entry, ``ucb_run``, from one place, ``_run_chunks``, which runs
 a stack of auctions in chunks, one per CPU, each on its own thread, and
 passes in the bonus widths and the ``1 / sqrt(n_i)`` table built here with
 ``math.log`` and ``math.sqrt``, so every score has the bits of the reference
-loop in the test suite.  ``run_2d_ucb`` runs one table or a stack of them,
-at the virtual costs ``a + b * alpha`` of its draws; ``run_ucb_batch`` runs
-the truthfulness audits' stacks at the virtual costs they build.  On a
-streamed realization (``model.stream_reward_realization``) the round loop
-draws each row's outcomes, a few dozen at a time, when a pick first reaches
-them.  ``_native`` builds, loads and declares the library, which also holds
-the C code of the outcome drawer and of ``resample``; a failed build raises
-``UcbBuildError``.
+loop in the test suite.  ``run_2d_ucb`` runs one table or a stack of them, at
+the virtual costs ``a + b * alpha`` of its draws, for the commands, the
+simulation blocks and the truthfulness audits alike; a stack's outcome is one
+``MechanismOutcome`` of arrays.  On a streamed realization
+(``model.stream_reward_realization``) the round loop draws each row's
+outcomes, a few dozen at a time, when a pick first reaches them.  ``_native``
+builds, loads and declares the library, which also holds the C code of the
+outcome drawer and of ``resample``; a failed build raises ``UcbBuildError``.
 
 ``run_eps_separated`` is the explore-then-commit baseline: a fixed number of
 round-robin exploration units, then one optimal auction, the array core of
 ``optimal``, on the frozen quality estimates and the residual capacities.
 Handed several exploration budgets, one call runs them all, on one table or
 on a stack of tables, admitting the bids, the tables and the draws once and
-committing every (table, budget) run in one call of the core, as a
-simulation cell does for each block of realizations.  A streamed block is
-drawn in two calls: through every row's exploration window before the
-estimates are counted, then through the units bought before the successes
-are.  Each count is one call of ``count_rows`` in ``_ucb.c`` over every
-(table, budget, agent) window.
+committing every (table, budget) run in one call of the core, as a simulation
+cell does for each block of realizations; its outcome's fields carry the
+(table, budget) axes.  A streamed block is drawn in two calls: through every
+row's exploration window before the estimates are counted, then through the
+units bought before the successes are.  Each count is one call of
+``count_rows`` in ``_ucb.c`` over every (table, budget, agent) window.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ __all__ = [
     "UcbBuildError",
     "seeded_draws",
     "run_2d_ucb",
-    "run_ucb_batch",
     "run_eps_separated",
 ]
 
@@ -249,6 +248,27 @@ def _run_chunks(config: MarketConfig, bids: Sequence[Bid], realization: RewardRe
     return units, successes, picks, rewards, scores
 
 
+def _row_sums(columns: np.ndarray) -> np.ndarray:
+    """Each column's sum of an agent-major ``(n, runs)`` array, added in the
+    order numpy sums a row of ``n`` (``rows.sum(axis=1)``): one by one below
+    8 terms; up to 128, eight running sums of every eighth term, added as a
+    tree, then the rest one by one; above, the first half (a multiple of 8)
+    and the rest apart.  Whole rows of runs are added at a time."""
+    n = len(columns)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sums(columns[:half]) + _row_sums(columns[half:])
+    summed = n - n % 8 if n >= 8 else 1  # the terms in the running sums
+    acc = columns[: min(summed, 8)].copy()
+    for i in range(8, summed, 8):
+        acc += columns[i : i + 8]
+    total = acc[0] if n < 8 else (((acc[0] + acc[1]) + (acc[2] + acc[3]))
+                                  + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
+    for column in columns[summed:]:
+        total += column
+    return total
+
+
 def run_2d_ucb(
     config: MarketConfig,
     bids: Sequence[Bid],
@@ -260,10 +280,12 @@ def run_2d_ucb(
 ):
     """One full learning auction over ``config.units`` rounds on the resampled
     bids ``draws``: ``(alpha, beta)``, one of each per bid (``seeded_draws``).
-    Returns its outcome and, with ``record_trace``, its trace.  Given a
-    ``(B, n, L)`` stack of tables, with draws of shape ``(B, n)`` and
-    ``record_trace=False``, returns a list of B outcomes, one per table.
-    Resampled costs must lie within their priors' bounds.
+    Returns its outcome and, with ``record_trace``, its trace, else None.
+    Given a ``(B, n, L)`` stack of tables, with draws of shape ``(B, n)`` and
+    ``record_trace=False``, returns one outcome of the B runs and None: its
+    allocation and payments are ``(B, n)``, its utilities ``(B,)``, row t
+    that of table t on row t of the draws.  Resampled costs must lie within
+    their priors' bounds.
 
     Requires ``units >= n_agents`` so the seeding pass is feasible.  The
     reported auctioneer utility is realized (reward scale times observed
@@ -291,22 +313,27 @@ def run_2d_ucb(
                          f"got shape {realization.table.shape}")
     if stack and record_trace:
         raise ValueError("run_2d_ucb records no trace on a stack: pass record_trace=False")
-    alpha, beta = _admit_draws(config, draws, *stack)
-    a, b, _, cost_highs = _priors(config.distributions)[:, 0]
+    # Each per-agent term is worked on agent-major, (n, runs), as one scalar
+    # over a row of runs; H and the payments are written back run-major.
+    alpha, beta = (side.reshape(-1, n).T for side in _admit_draws(config, draws, *stack))
+    a, b, _, cost_highs = _priors(config.distributions)[:, 0, :, None]
+    h, payments = np.empty((2, alpha.shape[1], n))
+    np.add(a, b * alpha, out=h.T)
     # Winner, reward and score of rounds n, n+1, ... when a trace is asked for.
     trace_len = n_rounds - n if record_trace else 0
-    units, succ, picks, rewards, scores = _run_chunks(
-        config, bids, realization, (a + b * alpha).reshape(-1, n), trace_len)
+    units, succ, picks, rewards, scores = _run_chunks(config, bids, realization, h, trace_len)
 
-    costs = np.array([bid.cost for bid in bids])
-    payments = costs * units + transform_premium(units, mu, costs, cost_highs,
-                                                 beta.reshape(-1, n))
-    utilities = config.reward_scale * succ.sum(axis=1) - payments.sum(axis=1)
-    outcomes = list(map(MechanismOutcome, units, payments, utilities.tolist()))
+    costs = np.array([[bid.cost] for bid in bids])
+    bought = np.ascontiguousarray(units.T, dtype=float)
+    premium = transform_premium(bought, mu, costs, cost_highs, beta)
+    np.add(np.multiply(costs, bought, out=bought), premium, out=payments.T)
+    # Each run's payments summed along its row, in numpy's order for a row.
+    utilities = config.reward_scale * _row_sums(succ.T) - _row_sums(payments.T)
     if stack:
-        return outcomes
+        return MechanismOutcome(units, payments, utilities), None
+    outcome = MechanismOutcome(units[0], payments[0], utilities.item())
     if not record_trace:
-        return outcomes[0], None
+        return outcome, None
 
     # Every round from n on buys one unit until the one that stops.
     seeded = [i for i, bid in enumerate(bids) if bid.capacity >= 1]
@@ -319,34 +346,7 @@ def run_2d_ucb(
     )
     if bought < trace_len and scores[0, bought] > -math.inf:
         trace.steps.append(TraceStep(n + bought, None, None, scores[0, bought].item()))
-    return outcomes[0], trace
-
-
-def run_ucb_batch(
-    config: MarketConfig,
-    bids: Sequence[Bid],
-    realizations: RewardRealization,
-    virtual_costs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``run_2d_ucb``'s allocation over stacked replications, admitted by the
-    same ``MarketConfig.check_run``: reward scale and budget from ``config``,
-    capacities from ``bids``.  ``realizations`` holds a (samples, n, units)
-    stack and ``virtual_costs`` the (samples, n) H values at each sample's
-    resampled costs.  Returns (units, successes), each (samples, n), from the
-    one round loop ``run_2d_ucb`` runs (``_run_chunks``), so the two make the
-    same decisions.
-    """
-    table = realizations.table
-    if len(config.check_run(bids, realizations)) != 1:
-        raise ValueError(f"run_ucb_batch takes a (samples, n, units) stack, got {table.shape}")
-    h = np.ascontiguousarray(virtual_costs, dtype=float)
-    if h.shape != table.shape[:2]:
-        raise ValueError(f"virtual costs must be {table.shape[0]}x{table.shape[1]}, got shape "
-                         f"{h.shape!r}")
-    if not np.isfinite(h).all():
-        raise ValueError("virtual costs must be finite")
-    units, successes, *_ = _run_chunks(config, bids, realizations, h)
-    return units, successes
+    return outcome, trace
 
 
 def _round_robin_split(caps: list[int], budget: int) -> list[int]:
@@ -403,12 +403,13 @@ def run_eps_separated(
 
     ``explore_rounds`` is one budget, with draws of shape ``(n,)``, giving
     one outcome; or a 1-D sequence of E budgets, with draws of shape
-    ``(E, n)``, giving a list of E outcomes, outcome e that of budget e on
-    row e of the draws.  With E budgets, ``realization`` may instead hold a
-    ``(B, n, L)`` stack of tables, with draws of shape ``(B, E, n)``, giving
-    B such lists, one per table.  Every run of a call is admitted once and
-    committed in one call of the core.  Resampled costs must lie within
-    their priors' bounds.
+    ``(E, n)``, giving one outcome with ``(E, n)`` allocation and payments
+    and ``(E,)`` utilities, row e that of budget e on row e of the draws.
+    With E budgets, ``realization`` may instead hold a ``(B, n, L)`` stack of
+    tables, with draws of shape ``(B, E, n)``, giving ``(B, E, n)`` and
+    ``(B, E)`` fields, row ``[t, e]`` that of table t at budget e.  Every run
+    of a call is admitted once and committed in one call of the core.
+    Resampled costs must lie within their priors' bounds.
     """
     n, n_rounds = config.n_agents, config.units
     stack = config.check_run(bids, realization)
@@ -460,10 +461,6 @@ def run_eps_separated(
     premium = transform_premium(explored, mu, costs, priors[3, 0], beta)
     payments = costs * explored + exploit_pay + premium
     utilities = config.reward_scale * successes - payments.sum(axis=2)
-    outcomes = list(map(MechanismOutcome, (explored + units).reshape(-1, n),
-                        payments.reshape(-1, n), utilities.ravel().tolist()))
-    if not shape:
-        return outcomes[0]
-    if not stack:
-        return outcomes
-    return [outcomes[t : t + len(explored)] for t in range(0, len(outcomes), len(explored))]
+    runs = (*stack, *shape)
+    return MechanismOutcome(stops.reshape(*runs, n), payments.reshape(*runs, n),
+                            utilities.reshape(runs) if runs else utilities.item())

@@ -9,10 +9,10 @@ byte-identical regardless of worker count or scheduling.  Each stream is
 the numpy stream of a ``SeedSequence`` on the key ``[master seed, tag,
 ...]``, or of its child ``(i,)`` for bid ``i``'s resampler; a cell runs its
 realizations in blocks, and for each derives the PCG64 states of the
-block's streams from arrays in one ``resample._block_states`` call and draws
-the block's resampled bids in one ``resample.resample_streams`` call (each
-run gets one row of the (runs, n) alpha and beta arrays).  A block's Python
-work is a fixed number of calls, whatever its realization count.  Its types
+block's streams from arrays in one ``resample._block_states`` call, draws
+its resampled bids in one ``resample.resample_streams`` call (one row of the
+(runs, n) alpha and beta arrays per run), and gets its runs' utilities back
+as arrays.  A block's Python work is a fixed number of calls.  Its types
 and capacities are drawn on one reused generator, from the two streams of
 one ``resample.stream_states`` call per cell; its reward tables are drawn
 on their own streams in C, each outcome when a run first reads it.
@@ -264,8 +264,10 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
     ``run_2d_ucb`` call runs every table of the block, drawing as it picks.
     Baselines: one ``run_eps_separated`` call runs the explore-then-commit
     baselines of every table and exploration budget of the block, drawing
-    what they count and counting it in C.  The types' and capacities'
-    streams come from one ``stream_states`` call before the first block.
+    what they count and counting it in C.  Each returns one outcome of
+    arrays, whose utilities are divided by the budget as they stand.  The
+    types' and capacities' streams come from one ``stream_states`` call
+    before the first block.
     """
     units = config.l_grid[l_index]
     n = config.n
@@ -311,13 +313,13 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
         alpha, beta = (side.reshape(size, runs, n) for side in resample_streams(
             np.tile(costs, size * runs), config.cost_hi, config.mu, states[size:]))
         tables = stream_reward_realization(qualities, capacities, states[:size], stack[:size])
-        ucb_outcomes = run_2d_ucb(market, bids, tables, config.mu, (alpha[:, 0], beta[:, 0]),
-                                  record_trace=False)
-        out["ucb"][start : start + size] = [o.auctioneer_utility / units for o in ucb_outcomes]
-        eps_outcomes = run_eps_separated(market, bids, tables, explore_grid, config.mu,
-                                         (alpha[:, 1:], beta[:, 1:]))
-        for label, column in zip(labels[2:], zip(*eps_outcomes)):
-            out[label][start : start + size] = [o.auctioneer_utility / units for o in column]
+        learner, _ = run_2d_ucb(market, bids, tables, config.mu, (alpha[:, 0], beta[:, 0]),
+                                record_trace=False)
+        out["ucb"][start : start + size] = learner.auctioneer_utility / units
+        baselines = run_eps_separated(market, bids, tables, explore_grid, config.mu,
+                                      (alpha[:, 1:], beta[:, 1:]))
+        for label, column in zip(labels[2:], baselines.auctioneer_utility.T):
+            out[label][start : start + size] = column / units
     return out
 
 

@@ -37,7 +37,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MechanismOutcome:
-    """Allocation vector, payment vector, and the buyer's utility."""
+    """Allocation vector, payment vector, and the buyer's utility; the outcome
+    of many runs carries their leading axes on every field."""
 
     allocation: np.ndarray
     payments: np.ndarray

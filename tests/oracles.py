@@ -148,9 +148,18 @@ def scalar_ucb_run(config, bids, realization, mu, draws, bonus_scale=0.5):
     return MechanismOutcome(np.array(counts, dtype=np.int64), payments, utility), trace
 
 
+def split_runs(outcome):
+    """The runs of an outcome whose fields carry leading run axes (a stack's
+    tables, a grid's budgets), as nested lists of one-run outcomes."""
+    if np.ndim(outcome.auctioneer_utility) == 0:
+        return outcome
+    return [split_runs(MechanismOutcome(*run)) for run in zip(
+        outcome.allocation, outcome.payments, outcome.auctioneer_utility)]
+
+
 @contextlib.contextmanager
 def patched_bonus_scale(c):
-    """Inside the block, ``run_2d_ucb`` and ``run_ucb_batch`` explore with the
+    """Inside the block, ``run_2d_ucb`` explores with the
     width ``sqrt(c ln t)``, as ``scalar_ucb_run`` does at ``bonus_scale=c``.
     Any ``c`` but the package's own gets a width table of its own, and both
     are restored on exit; the package's own keeps the shared table."""

@@ -31,7 +31,7 @@ from procure2d import (
     seeded_draws,
     uniform_type_distribution,
 )
-from procure2d import audits
+from procure2d import bandit
 from procure2d.cli import main as cli_main
 
 from oracles import (
@@ -343,7 +343,7 @@ def test_criterion_08_stochastic_bic_audit(monkeypatch):
     honest_ok = all(r.passed and not r.inconclusive for r in reports)
 
     # The premium-stripped variant pays the bid cost alone.
-    monkeypatch.setattr(audits, "transform_premium", lambda *args: 0.0)
+    monkeypatch.setattr(bandit, "transform_premium", lambda *args: 0.0)
     stripped_batch = make_ucb_batch_utility(
         market, bids, 0, types[0].cost, qualities, 0.1, samples, seed=[108, 0],
     )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procure2d import audits
+from procure2d import audits, bandit
 from procure2d import (
     AgentType,
     Bid,
@@ -275,14 +275,14 @@ class TestStochasticBic:
         assert report.passed, report.line()
 
     def test_cost_increasing_learner_fails_a_competing_market(self, monkeypatch):
-        honest = audits.run_ucb_batch
+        honest = bandit._run_chunks
 
-        def cost_increasing(config, bids, realizations, virtual_costs):
-            mutated = virtual_costs.copy()
+        def cost_increasing(config, bids, realization, h, *args):
+            mutated = h.copy()
             mutated[:, 0] = 2.0 - mutated[:, 0]
-            return honest(config, bids, realizations, mutated)
+            return honest(config, bids, realization, mutated, *args)
 
-        monkeypatch.setattr(audits, "run_ucb_batch", cost_increasing)
+        monkeypatch.setattr(bandit, "_run_chunks", cost_increasing)
         batch, agent, dist = self.make_batch(samples=100_000, units=8)
         grid = DeviationGrid(np.linspace(0.0, 1.0, 7), (2, 4))
         report = audit_stochastic_bic(batch, agent.cost, agent.capacity, grid)
@@ -290,7 +290,7 @@ class TestStochasticBic:
 
     def test_premium_stripped_mechanism_fails(self, monkeypatch):
         # The counterexample mechanism pays the bid cost alone.
-        monkeypatch.setattr(audits, "transform_premium", lambda *args: 0.0)
+        monkeypatch.setattr(bandit, "transform_premium", lambda *args: 0.0)
         batch, agent, dist = self.make_batch()
         grid = DeviationGrid(np.linspace(0.0, 1.0, 7), (4,))
         report = audit_stochastic_bic(batch, agent.cost, agent.capacity, grid)
@@ -358,18 +358,19 @@ class TestStochasticBic:
 
     @pytest.mark.parametrize("premium,cost,capacity,digest,total", [
         (True, 0.35, 12, "405bcbe756d12dd7ccdf0f1f88c91df9", 18167.5),
-        (True, 0.9, 15, "bc3d14ff3253fc07086f21a046a5ad92", 20737.3),
+        (True, 0.9, 15, "94f004938af160153c70630dfd1ed22d", 20737.300000000003),
         (True, 0.0, 1, "4512e128032b65bfc2876f679f745519", 1635.0),
-        (False, 0.9, 15, "3b876e599127f2990ef7f1ab6d693fd5", 17559.300000000003),
+        (False, 0.9, 15, "079c7e206833324f70bb6d9ba3e3b4f8", 17559.300000000003),
     ])
     def test_batch_utilities_are_pinned(self, monkeypatch, premium, cost, capacity, digest,
                                         total):
         # Exact per-sample utilities at 2,500 samples, not a whole number of
         # reward-table chunks.  Capacities (36) exceed the 30 units, so the
-        # agents compete and the units bought follow the reward draws.  The
-        # premium-stripped utilities pay the bid cost alone.
+        # agents compete and the units bought follow the reward draws.  Each
+        # utility is the learner's payment less the true cost of the units it
+        # buys; the premium-stripped learner pays the bid cost alone.
         if not premium:
-            monkeypatch.setattr(audits, "transform_premium", lambda *args: 0.0)
+            monkeypatch.setattr(bandit, "transform_premium", lambda *args: 0.0)
         types = [AgentType(0.35, 12, 0.8), AgentType(0.55, 10, 0.6), AgentType(0.5, 14, 0.7)]
         market = MarketConfig(30, 30.0, (uniform_type_distribution(0.0, 1.0, 1, 15),) * 3)
         batch = make_ucb_batch_utility(

@@ -17,7 +17,6 @@ from procure2d import (
     run_2d_opt,
     run_2d_ucb,
     run_eps_separated,
-    run_ucb_batch,
     sample_reward_realization,
     seeded_draws,
     self_resample,
@@ -29,7 +28,7 @@ from procure2d.bandit import _round_robin_split
 from procure2d.model import RowStreams
 from procure2d.resample import generator_at, stream_states
 
-from oracles import eps_reference, patched_bonus_scale, round_robin_explore
+from oracles import eps_reference, patched_bonus_scale, round_robin_explore, split_runs
 
 DIST = uniform_type_distribution(0.0, 1.0, 1, 50)
 
@@ -275,31 +274,47 @@ def test_batch_runner_matches_scalar_exactly():
     qualities = np.array([0.8, 0.6, 0.7])
     tables = (rng.random((samples, n, rounds)) < qualities[None, :, None]).astype(np.uint8)
     alphas = rng.uniform([b.cost for b in bids], 1.0, (samples, n))
-    h = 2.0 * alphas  # unit-interval uniform costs
-    units, successes = run_ucb_batch(m, bids, RewardRealization(tables), h)
+    betas = np.broadcast_to([b.cost for b in bids], (samples, n))
+    stack, _ = run_2d_ucb(m, bids, RewardRealization(tables), 0.1, (alphas, betas),
+                          record_trace=False)
     for s in range(samples):
-        draws = (alphas[s], [b.cost for b in bids])
         outcome, _ = run_2d_ucb(
-            m, bids, RewardRealization(tables[s]), 0.1, draws, record_trace=False,
+            m, bids, RewardRealization(tables[s]), 0.1, (alphas[s], betas[s]), record_trace=False,
         )
-        assert (outcome.allocation == units[s]).all()
-    assert (successes <= units).all()
+        assert (outcome.allocation == stack.allocation[s]).all()
+        assert (outcome.payments == stack.payments[s]).all()
+        assert outcome.auctioneer_utility == stack.auctioneer_utility[s]
+    # No run succeeds on more units than it buys.
+    assert (stack.auctioneer_utility
+            <= 30.0 * stack.allocation.sum(axis=1) - stack.payments.sum(axis=1)).all()
+
+
+@pytest.mark.parametrize("n", [*range(1, 18), 127, 128, 129, 136, 300, 1029])
+def test_row_sums_add_in_numpys_order_for_a_row(n):
+    # The learner sums each run's payments agent-major, down a column of the
+    # transpose; numpy sums a row of 8 or more in pairwise blocks, so the two
+    # must agree bit for bit, on the strided transpose the learner passes.
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((64, n)) * 10.0 ** rng.integers(-12, 12, (64, n))
+    assert np.array_equal(bandit._row_sums(rows.T), rows.sum(axis=1))
+    counts = rng.integers(0, 1000, (64, n))
+    assert np.array_equal(bandit._row_sums(counts.T), counts.sum(axis=1))
 
 
 def _bad_batch_input(case):
-    """Arguments of ``run_ucb_batch`` with one input the C loop would misread.
-    The virtual costs are the one input no type owns, so ``run_ucb_batch``
-    checks them itself; a ``MarketConfig`` refuses a NaN reward scale or no
-    agents, and a ``Bid`` a fractional or negative capacity, as they are
-    built."""
+    """Arguments of ``run_2d_ucb`` on a stack with one input the C loop would
+    misread.  The draws are admitted by their priors' cost bounds, which
+    refuse a NaN alpha and so a NaN virtual cost; a ``MarketConfig`` refuses a
+    NaN reward scale or no agents, and a ``Bid`` a fractional or negative
+    capacity, as they are built."""
     rng = np.random.default_rng(4)
     tables = (rng.random((6, 3, 20)) < 0.7).astype(np.uint8)
-    h = np.full((6, 3), 0.6)
+    alphas = np.full((6, 3), 0.3)
     caps = [5, 4, 4]
     reward_scale = 30.0
     dists = (DIST,) * 3
     if case == "nan-virtual-cost":
-        h[:, 0] = math.nan  # agent 0 would never be picked after seeding
+        alphas[:, 0] = math.nan  # agent 0 would never be picked after seeding
     elif case == "nan-reward-scale":
         reward_scale = math.nan  # every row would stop after seeding
     elif case == "fractional-capacity":
@@ -309,11 +324,12 @@ def _bad_batch_input(case):
     elif case == "zero-agents":
         dists = ()
     bids = [Bid(0.3, k) for k in caps]
-    return MarketConfig(20, reward_scale, dists), bids, RewardRealization(tables), h
+    return MarketConfig(20, reward_scale, dists), bids, RewardRealization(tables), 0.1, (
+        alphas, alphas)
 
 
 BAD_BATCH_INPUTS = {
-    "nan-virtual-cost": (ValueError, "virtual costs must be finite"),
+    "nan-virtual-cost": (ValueError, r"^agent 0 bid cost nan outside \[0\.0, 1\.0\]$"),
     "nan-reward-scale": (ValueError, "reward_scale must be finite"),
     "fractional-capacity": (TypeError, "capacity must be an integer, got 2.9"),
     "negative-capacity": (ValueError, "reported capacity must be >= 0, got -1"),
@@ -325,12 +341,12 @@ BAD_BATCH_INPUTS = {
 def test_batch_runner_refuses_input_it_would_misread(case):
     error, message = BAD_BATCH_INPUTS[case]
     with pytest.raises(error, match=message):
-        run_ucb_batch(*_bad_batch_input(case))
+        run_2d_ucb(*_bad_batch_input(case), record_trace=False)
 
 
 # A float table would be truncated by the uint8 cast, and a 2 would let
-# successes exceed units: ``RewardRealization`` refuses both, for the scalar
-# runner's (n, L) table and the batch runner's (samples, n, rounds) stack alike.
+# successes exceed units: ``RewardRealization`` refuses both, for one (n, L)
+# table and for a (samples, n, rounds) stack of them alike.
 @pytest.mark.parametrize("shape", [(3, 20), (6, 3, 20)], ids=["run_2d_ucb", "run_ucb_batch"])
 @pytest.mark.parametrize("bad, error, message", [
     (lambda t: t.astype(float), TypeError, "must hold 0/1 integers, got dtype float64"),
@@ -369,9 +385,10 @@ def test_capacity_above_the_prior_is_refused_by_every_mechanism(mechanism):
 
 
 # Three malformed learning runs.  ``MarketConfig.check_run`` admits the runs
-# of all three learning entry points, so each refuses each case with the same
-# message: explore-then-commit names the budget, not its exploration range,
-# and the batch runner sees the prior's capacity bound.
+# of both learning entry points, on one table and on a stack, so each refuses
+# each case with the same message: explore-then-commit names the budget, not
+# its exploration range, and the learner on a stack sees the prior's capacity
+# bound.
 MALFORMED_RUNS = {
     "units-below-agents": (
         MarketConfig(2, 30.0, (CAPPED,) * 3), [Bid(0.2, 3)] * 3, 2,
@@ -388,8 +405,9 @@ LEARNING_RUNS = {
         m, bids, RewardRealization(tables[0]), 0.1, pinned(bids)),
     "eps": lambda m, bids, tables: run_eps_separated(
         m, bids, RewardRealization(tables[0]), m.n_agents, 0.1, pinned(bids)),
-    "batch": lambda m, bids, tables: run_ucb_batch(
-        m, bids, RewardRealization(tables), np.zeros(tables.shape[:2])),
+    "batch": lambda m, bids, tables: run_2d_ucb(
+        m, bids, RewardRealization(tables), 0.1, (np.full(tables.shape[:2], 0.2),) * 2,
+        record_trace=False),
 }
 
 
@@ -465,14 +483,11 @@ def test_runs_on_capacity_drawn_tables_equal_runs_on_whole_tables(case):
 
 
 def test_runners_refuse_a_table_of_the_wrong_rank():
-    # The batch runner takes one stack of tables, one-budget explore-then-
-    # commit one table (the learner takes either: UCB_REFUSALS).
+    # One-budget explore-then-commit takes one table (the learner takes
+    # either: UCB_REFUSALS).
     m, bids = market(20, 3), [Bid(0.3, 5)] * 3
     table = sample_reward_realization([0.9, 0.4, 0.7], 20, 1)
     stack = RewardRealization(np.stack([table.table] * 2))
-    with pytest.raises(ValueError) as refused:
-        run_ucb_batch(m, bids, table, np.zeros((1, 3)))
-    assert str(refused.value) == "run_ucb_batch takes a (samples, n, units) stack, got (3, 20)"
     with pytest.raises(ValueError, match="^run_eps_separated takes one 3x20 table, got a stack$"):
         run_eps_separated(m, bids, stack, 3, 0.1, pinned(bids))
 
@@ -669,7 +684,8 @@ def test_budget_grid_equals_the_reference_and_one_budget_runs(data):
     grid, clipped = clipping_warnings(
         lambda: run_eps_separated(m, bids, table, budgets, mu, (alpha, beta)))
     assert clipped == sum(b > sum(caps) for b in budgets)
-    assert len(grid) == len(budgets)
+    assert grid.allocation.shape == grid.payments.shape == (len(budgets), n)
+    grid = split_runs(grid)
     for e, explore in enumerate(budgets):
         row = (alpha[e], beta[e])
         for run in (eps_reference, run_eps_separated):
@@ -740,7 +756,7 @@ def test_one_budget_refuses_an_alpha_outside_its_prior():
 @given(data=st.data())
 def test_a_block_runs_each_table_as_the_reference_does(data):
     # A stack of tables drawn to the same capacity prefixes, each run at every
-    # budget on its own row of draws: outcome [t][e] is the reference run of
+    # budget on its own row of draws: run [t, e] is the reference run of
     # table t at budget e.
     n = data.draw(st.integers(1, 9), label="n")
     units = data.draw(st.integers(n, 60), label="units")
@@ -763,7 +779,9 @@ def test_a_block_runs_each_table_as_the_reference_does(data):
     block, clipped = clipping_warnings(
         lambda: run_eps_separated(m, bids, stack, budgets, mu, (alpha, beta)))
     assert clipped == sum(b > sum(caps) for b in budgets)
-    assert [len(outcomes) for outcomes in block] == [len(budgets)] * len(tables)
+    assert block.allocation.shape == (len(tables), len(budgets), n)
+    assert block.auctioneer_utility.shape == (len(tables), len(budgets))
+    block = split_runs(block)
     for t, table in enumerate(tables):
         for e, explore in enumerate(budgets):
             expected, _ = clipping_warnings(lambda: eps_reference(
@@ -810,7 +828,7 @@ def test_block_refusals_are_one_line(case):
 @given(data=st.data())
 def test_a_stack_runs_each_table_as_its_one_table_run(data):
     # One learner call on a stack of tables drawn to the same capacity
-    # prefixes: outcome t is table t's traced one-table run on row t of the
+    # prefixes: run t is table t's traced one-table run on row t of the
     # draws.  Zero capacities skip the seeding pass; tied costs and tables tie
     # the scores.
     n = data.draw(st.integers(1, 9), label="n")
@@ -833,8 +851,11 @@ def test_a_stack_runs_each_table_as_its_one_table_run(data):
     rows = [seeded_draws(m, bids, mu, [seed, t]) for t in range(size)]
     alpha, beta = (np.array(side) for side in zip(*rows))
 
-    block = run_2d_ucb(m, bids, stack, mu, (alpha, beta), record_trace=False)
-    assert len(block) == size
+    block, none = run_2d_ucb(m, bids, stack, mu, (alpha, beta), record_trace=False)
+    assert none is None
+    assert block.allocation.shape == block.payments.shape == (size, n)
+    assert block.auctioneer_utility.shape == (size,)
+    block = split_runs(block)
     for t, table in enumerate(tables):
         expected, _ = run_2d_ucb(m, bids, table, mu, (alpha[t], beta[t]))
         assert np.array_equal(block[t].allocation, expected.allocation)
@@ -956,15 +977,15 @@ def learner_and_baselines(m, bids, realizations, draws, budgets):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # budgets past total capacity clip
         if isinstance(realizations, RewardRealization):
-            learner = run_2d_ucb(m, bids, realizations, 0.1, (alpha[:, 0], beta[:, 0]),
-                                 record_trace=False)
-            baselines = run_eps_separated(m, bids, realizations, budgets, 0.1,
-                                          (alpha[:, 1:], beta[:, 1:]))
+            learner = split_runs(run_2d_ucb(m, bids, realizations, 0.1,
+                                            (alpha[:, 0], beta[:, 0]), record_trace=False)[0])
+            baselines = split_runs(run_eps_separated(m, bids, realizations, budgets, 0.1,
+                                                     (alpha[:, 1:], beta[:, 1:])))
         else:
             learner = [run_2d_ucb(m, bids, table, 0.1, (alpha[t, 0], beta[t, 0]),
                                   record_trace=False)[0] for t, table in enumerate(realizations)]
-            baselines = [run_eps_separated(m, bids, table, budgets, 0.1,
-                                           (alpha[t, 1:], beta[t, 1:]))
+            baselines = [split_runs(run_eps_separated(m, bids, table, budgets, 0.1,
+                                                      (alpha[t, 1:], beta[t, 1:])))
                          for t, table in enumerate(realizations)]
     return learner, [o for row in baselines for o in row]
 

@@ -534,3 +534,16 @@ def test_verify_exits_1_when_an_audit_fails(capsys, monkeypatch, price):
     assert main(["verify", "--seed", "0"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert any(" status=fail " in line for line in lines)
+
+
+def test_verify_exits_1_when_the_learner_pays_no_premium(capsys, monkeypatch):
+    # A learner that pays its bid cost per unit and no premium is not
+    # truthful: in verify's market every agent sells its whole capacity, so
+    # over-bidding the cost gains (cost - true cost) per unit.  The audit
+    # reads the learner's own payments, so it must fail.
+    from procure2d import bandit
+
+    monkeypatch.setattr(bandit, "transform_premium", lambda *args: 0.0)
+    assert main(["verify", "--seed", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("ucb-stochastic-truthfulness status=fail ") for line in lines)

@@ -48,4 +48,16 @@ def test_grid_workload_passes_its_check(name, seed, tmp_path):
 def test_verify_workload_passes_its_check(tmp_path):
     problems, totals = traced_pass("verify", 0, tmp_path)
     assert problems == []
-    assert totals["bandit.run_ucb_batch"]["samples"] > 0
+    # ``replications_per_ref`` divides by the samples of the learner's
+    # batches: 172 calls of 20,000 runs each.
+    batches = totals["bandit.run_ucb_batch"]
+    assert (batches["calls"], batches["samples"]) == (172, 3_440_000)
+
+
+def test_trend_grid_counts_the_rounds_of_every_run(tmp_path):
+    # One learner call per cell runs its 20 realizations as one stack, and
+    # the tracer counts the rounds of every run of it, not of the first.
+    problems, totals = traced_pass("trend-grid", 0, tmp_path)
+    assert problems == []
+    learner = totals["bandit.run_2d_ucb"]
+    assert (learner["calls"], learner["rounds"], learner["units"]) == (3, 283_240, 14_162)

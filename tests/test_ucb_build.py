@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from procure2d import (
-    Bid, MarketConfig, RewardRealization, _native, run_ucb_batch, uniform_type_distribution,
+    Bid, MarketConfig, RewardRealization, _native, run_2d_ucb, uniform_type_distribution,
 )
 
 HERE = Path(__file__).parent
@@ -17,25 +17,29 @@ HERE = Path(__file__).parent
 # Runs one batch in a fresh interpreter against the cache in argv[1].
 BATCH_IN_CACHE = """
 import sys
-from procure2d import _native, bandit
-from test_ucb_build import batch_case
+from procure2d import _native
+from test_ucb_build import batch_run
 _native._CACHE = sys.argv[1]
-units, successes = bandit.run_ucb_batch(*batch_case())
-print(units.tolist(), successes.tolist())
+units, payments = batch_run()
+print(units.tolist(), payments.tolist())
 """
 
 
-def batch_case():
+def batch_run():
+    """The allocation and payments of 200 learning runs on one stack, at the
+    draws ``(alphas, alphas)``: virtual costs 0.2, 0.5 and 0.9."""
     rng = np.random.default_rng(3)
     tables = (rng.random((200, 3, 30)) < np.array([0.9, 0.7, 0.8])[None, :, None])
-    h = rng.choice([0.2, 0.5, 0.9], (200, 3))
+    alphas = rng.choice([0.1, 0.25, 0.45], (200, 3))
     market = MarketConfig(30, 30.0, (uniform_type_distribution(0.0, 1.0, 1, 12),) * 3)
     bids = [Bid(0.0, k) for k in (10, 12, 9)]
-    return market, bids, RewardRealization(tables), h
+    outcome, _ = run_2d_ucb(market, bids, RewardRealization(tables), 0.1, (alphas, alphas),
+                            record_trace=False)
+    return outcome.allocation, outcome.payments
 
 
 def test_cached_library_is_reused_without_the_compiler(tmp_path, monkeypatch):
-    expected = run_ucb_batch(*batch_case())
+    expected = batch_run()
     monkeypatch.setattr(_native, "_CACHE", str(tmp_path))
     monkeypatch.setattr(_native, "_LIB", None)
     _native._library()
@@ -46,9 +50,9 @@ def test_cached_library_is_reused_without_the_compiler(tmp_path, monkeypatch):
 
     monkeypatch.setattr(_native.subprocess, "run", no_compiler)
     monkeypatch.setattr(_native, "_LIB", None)
-    units, successes = run_ucb_batch(*batch_case())
+    units, payments = batch_run()
     assert units.tolist() == expected[0].tolist()
-    assert successes.tolist() == expected[1].tolist()
+    assert payments.tolist() == expected[1].tolist()
     assert list(tmp_path.iterdir()) == [built]
 
 
@@ -74,8 +78,8 @@ def test_processes_building_into_one_cache_at_once_agree(tmp_path):
     ]
     outputs = [proc.communicate(timeout=120) for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0], outputs
-    units, successes = run_ucb_batch(*batch_case())
-    expected = f"{units.tolist()} {successes.tolist()}\n"
+    units, payments = batch_run()
+    expected = f"{units.tolist()} {payments.tolist()}\n"
     assert [out for out, _ in outputs] == [expected, expected]
     # One library, and no half-written build left behind.
     assert [p.name for p in tmp_path.iterdir()] == [Path(_native._library()._name).name]

@@ -1,5 +1,5 @@
-"""``run_2d_ucb`` and ``run_ucb_batch`` against the reference round loop in
-``tests/oracles.py``."""
+"""``run_2d_ucb``, on one table and on a stack of them, against the reference
+round loop in ``tests/oracles.py``."""
 
 import itertools
 import math
@@ -18,11 +18,11 @@ from procure2d import (
     Bid,
     ExperimentConfig,
     MarketConfig,
+    MechanismOutcome,
     RewardRealization,
     audit_iia,
     run_2d_ucb,
     run_eps_separated,
-    run_ucb_batch,
     seeded_draws,
     uniform_type_distribution,
 )
@@ -289,30 +289,41 @@ def test_inverse_square_roots_match_math_sqrt(monkeypatch):
     assert bandit._inv_sqrt_counts(10) is table
 
 
-def batch_run(reward_scale, caps, tables, h):
-    """``run_ucb_batch`` on a market of ``DIST`` agents reporting ``caps``."""
+def batch_run(reward_scale, caps, tables, alphas):
+    """``run_2d_ucb`` on a stack of tables, in a market of ``DIST`` agents
+    bidding cost 0 and reporting ``caps``, at the draws ``(alphas, alphas)``:
+    every bid whose alpha moved above 0 is paid the premium."""
     market = MarketConfig(tables.shape[-1], reward_scale, (DIST,) * len(caps))
-    return run_ucb_batch(market, [Bid(0.0, k) for k in caps], RewardRealization(tables), h)
+    bids = [Bid(0.0, k) for k in caps]
+    outcome, none = run_2d_ucb(market, bids, RewardRealization(tables), 0.1, (alphas, alphas),
+                               record_trace=False)
+    assert none is None
+    return outcome
+
+
+def assert_same_runs(got, expected):
+    assert np.array_equal(got.allocation, expected.allocation)
+    assert np.array_equal(got.payments, expected.payments)
+    assert np.array_equal(got.auctioneer_utility, expected.auctioneer_utility)
 
 
 def assert_batch_matches_oracle(reward_scale, alphas, caps, tables):
-    """Runs ``run_ucb_batch`` on stacked tables and ``scalar_ucb_run`` on each
+    """Runs ``run_2d_ucb`` on stacked tables and ``scalar_ucb_run`` on each
     sample with the same draws; returns the oracle's traces."""
     samples, n, units = tables.shape
-    h = np.array([[DIST.virtual_cost(a, k) for a, k in zip(row, caps)] for row in alphas])
-    units_out, successes = batch_run(reward_scale, caps, tables, h)
-    assert units_out.shape == successes.shape == (samples, n)
-    assert units_out.dtype == successes.dtype == np.int64
+    outcome = batch_run(reward_scale, caps, tables, alphas)
+    assert outcome.allocation.shape == outcome.payments.shape == (samples, n)
+    assert outcome.allocation.dtype == np.int64
+    assert outcome.auctioneer_utility.shape == (samples,)
     market = MarketConfig(units, reward_scale, (DIST,) * n)
+    bids = [Bid(0.0, k) for k in caps]
     traces = []
     for s in range(samples):
-        bids = [Bid(float(a), k) for a, k in zip(alphas[s], caps)]
         draws = ([float(a) for a in alphas[s]],) * 2
         expected, trace = scalar_ucb_run(market, bids, RewardRealization(tables[s]), 0.1, draws)
-        assert units_out[s].tolist() == expected.allocation.tolist(), s
-        assert successes[s].tolist() == [
-            int(tables[s, j, : units_out[s, j]].sum()) for j in range(n)
-        ], s
+        assert outcome.allocation[s].tolist() == expected.allocation.tolist(), s
+        assert outcome.payments[s].tolist() == expected.payments.tolist(), s
+        assert outcome.auctioneer_utility[s] == expected.auctioneer_utility, s
         traces.append(trace)
     return traces
 
@@ -355,12 +366,12 @@ def test_batch_rows_stop_in_different_rounds_and_when_all_agents_are_full(block_
     tables = (rng.random((samples, 3, units)) < np.array([0.9, 0.7, 0.8])[None, :, None])
     alphas = rng.choice([0.2, 0.35, 0.5], (samples, 3))
     traces = assert_batch_matches_oracle(1.0, alphas, [8, 8, 1], tables.astype(np.uint8))
-    h = np.array([[DIST.virtual_cost(a, k) for a, k in zip(row, [8, 8, 1])] for row in alphas])
-    whole = batch_run(1.0, [8, 8, 1], tables, h)
-    blocks = [batch_run(1.0, [8, 8, 1], tables[i:i + block_rows], h[i:i + block_rows])
+    whole = batch_run(1.0, [8, 8, 1], tables, alphas)
+    blocks = [batch_run(1.0, [8, 8, 1], tables[i:i + block_rows], alphas[i:i + block_rows])
               for i in range(0, samples, block_rows)]
-    for out, part in zip(whole, zip(*blocks)):
-        assert np.array_equal(out, np.concatenate(part))
+    for field in ("allocation", "payments", "auctioneer_utility"):
+        parts = [getattr(block, field) for block in blocks]
+        assert np.array_equal(getattr(whole, field), np.concatenate(parts))
     stops = {t.steps[-1].round for t in traces if t.steps[-1].agent is None}
     assert len(stops) >= 5
     full = [t for t in traces if t.steps[-1].agent is not None]
@@ -418,7 +429,9 @@ def test_batch_sizes_straddle_block_edges(samples):
     h = np.pad(virtual_costs(alphas, caps), pad, constant_values=math.nan)
     table = np.pad(tables, pad + ((0, 0),), constant_values=1)
     assert_batch_matches_oracle(1.0, alphas, caps, tables)
-    units_out, successes = batch_run(1.0, caps, tables, h[:samples])
+    units_out = batch_run(1.0, caps, tables, alphas).allocation
+    successes = [[int(tables[s, j, : units_out[s, j]].sum()) for j in range(3)]
+                 for s in range(samples)]
     counts = [np.full((samples + guards, 3), -7, dtype=np.int64) for _ in range(2)]
     empty = [np.empty((samples, 0), dtype) for dtype in (np.int64, np.uint8, float)]
     _native._library().ucb_run(
@@ -429,7 +442,7 @@ def test_batch_sizes_straddle_block_edges(samples):
     for guarded in counts:
         assert (guarded[samples:] == -7).all()
     assert np.array_equal(counts[0][:samples], units_out)
-    assert np.array_equal(counts[1][:samples], successes)
+    assert counts[1][:samples].tolist() == successes
 
 
 def test_a_traced_call_writes_each_samples_trace_at_its_offset():
@@ -492,34 +505,31 @@ def test_rows_ending_in_different_ways_share_a_block(caps, other):
     block = ([early, ends[0], late] + ends[1:])[:4]
     assert {stops[r][0] for r in block} == {"score", other}
     assert_batch_matches_oracle(1.0, alphas[block], caps, tables[block])
-    h = virtual_costs(alphas[block], caps)
-    units_out, successes = batch_run(1.0, caps, tables[block], h)
+    outcome = batch_run(1.0, caps, tables[block], alphas[block])
     for perm in itertools.islice(itertools.permutations(range(len(block))), 24):
         perm = list(perm)
-        permuted = batch_run(1.0, caps, tables[block][perm], h[perm])
-        assert np.array_equal(permuted[0], units_out[perm])
-        assert np.array_equal(permuted[1], successes[perm])
+        permuted = batch_run(1.0, caps, tables[block][perm], alphas[block][perm])
+        assert_same_runs(permuted, MechanismOutcome(
+            outcome.allocation[perm], outcome.payments[perm], outcome.auctioneer_utility[perm]))
 
 
 def test_permuting_rows_permutes_the_outcome():
     caps = [8, 8, 1]
     alphas, tables = mixed_stop_batch(13)
-    h = virtual_costs(alphas, caps)
-    units_out, successes = batch_run(1.0, caps, tables, h)
+    outcome = batch_run(1.0, caps, tables, alphas)
     rng = np.random.default_rng(9)
     for _ in range(10):
-        perm = rng.permutation(len(h))
-        permuted = batch_run(1.0, caps, tables[perm], h[perm])
-        assert np.array_equal(permuted[0], units_out[perm])
-        assert np.array_equal(permuted[1], successes[perm])
+        perm = rng.permutation(len(alphas))
+        permuted = batch_run(1.0, caps, tables[perm], alphas[perm])
+        assert_same_runs(permuted, MechanismOutcome(
+            outcome.allocation[perm], outcome.payments[perm], outcome.auctioneer_utility[perm]))
 
 
 @pytest.fixture(scope="module")
 def split_batch():
-    """The ``mixed_stop_batch`` of 4,097 rows and its virtual costs."""
-    caps = [8, 8, 1]
+    """The ``mixed_stop_batch`` of 4,097 rows and its capacities."""
     alphas, tables = mixed_stop_batch(4097)
-    return caps, tables, virtual_costs(alphas, caps)
+    return [8, 8, 1], tables, alphas
 
 
 @pytest.mark.parametrize("chunks", [2, 3, 5])
@@ -529,10 +539,10 @@ def test_splitting_a_batch_leaves_every_row_as_it_was(monkeypatch, split_batch, 
     # batch holds fewer samples than there are chunks; every row still comes
     # out as from one chunk, and no thread outlives the call.  The threads
     # switch as often as the interpreter lets them.
-    caps, tables, h = split_batch
-    args = 1.0, caps, tables[:samples], h[:samples]
+    caps, tables, alphas = split_batch
+    args = 1.0, caps, tables[:samples], alphas[:samples]
     monkeypatch.setattr(bandit, "_workers", lambda _: 1)
-    units_out, successes = batch_run(*args)
+    whole = batch_run(*args)
     monkeypatch.setattr(bandit, "_workers", lambda _: chunks)
     threads, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -541,21 +551,21 @@ def test_splitting_a_batch_leaves_every_row_as_it_was(monkeypatch, split_batch, 
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads
-    assert np.array_equal(split[0], units_out) and np.array_equal(split[1], successes)
+    assert_same_runs(split, whole)
 
 
 class _FailingLibrary:
     """A library whose ``ucb_run`` raises on the chunks starting at the rows
-    in ``fail_at``, each with an exception naming its row, and otherwise
-    waits a little before it writes its rows, so that a chunk that raises
-    early is not the last one running."""
+    in ``fail_at``, each with an exception naming its row (8 times its first
+    virtual cost), and otherwise waits a little before it writes its rows, so
+    that a chunk that raises early is not the last one running."""
 
     def __init__(self, fail_at):
         self.fail_at, self.finished = fail_at, []
 
     def ucb_run(self, samples, n, n_rounds, reward_scale, h, caps, quality, states, drawn, table,
                 widths, inv_sqrt, units, successes, trace_len, picks, rewards, scores):
-        row = int(h[0, 0])
+        row = int(h[0, 0] * 8)
         if row in self.fail_at:
             raise MemoryError(f"chunk at row {row}")
         time.sleep(0.05)
@@ -567,16 +577,17 @@ class _FailingLibrary:
                          ids=["calling-thread", "middle", "last", "two"])
 def test_a_chunk_that_raises_reaches_the_caller_after_every_thread_ends(
         monkeypatch, fail_at, raised):
-    # Three chunks of four rows; row r's virtual costs are r, so each chunk's
-    # first row names it.  The first failing chunk's exception is raised,
-    # and only once every other chunk has finished and every thread is gone.
+    # Three chunks of four rows; row r's alphas are r / 16, and so its virtual
+    # costs r / 8, so each chunk's first row names it.  The first failing
+    # chunk's exception is raised, and only once every other chunk has
+    # finished and every thread is gone.
     library = _FailingLibrary(fail_at)
     monkeypatch.setattr(bandit, "_library", lambda: library)
     monkeypatch.setattr(bandit, "_workers", lambda _: 3)
-    h = np.repeat(np.arange(12.0)[:, None], 3, axis=1)
+    alphas = np.repeat(np.arange(12.0)[:, None] / 16, 3, axis=1)
     threads = threading.active_count()
     with pytest.raises(MemoryError, match=f"^chunk at row {raised}$"):
-        batch_run(1.0, [8, 8, 1], np.ones((12, 3, 40), dtype=np.uint8), h)
+        batch_run(1.0, [8, 8, 1], np.ones((12, 3, 40), dtype=np.uint8), alphas)
     assert threading.active_count() == threads
     assert sorted(library.finished) == sorted({0, 4, 8} - fail_at)
 
@@ -605,9 +616,8 @@ def test_worker_count_holds_every_chunk_to_the_minimum(monkeypatch):
 
 
 def test_one_cpu_runs_a_large_batch_on_the_calling_thread(monkeypatch, split_batch):
-    caps, tables, h = split_batch
-    expected = batch_run(1.0, caps, tables, h)
+    caps, tables, alphas = split_batch
+    expected = batch_run(1.0, caps, tables, alphas)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(threading.Thread, "start", _no_thread)
-    units_out, successes = batch_run(1.0, caps, tables, h)
-    assert np.array_equal(units_out, expected[0]) and np.array_equal(successes, expected[1])
+    assert_same_runs(batch_run(1.0, caps, tables, alphas), expected)
