@@ -158,7 +158,7 @@ def make_opt_probe(
 
 def run_ucb_batch(config, bids, realizations, mu, draws):
     """``run_2d_ucb``'s allocation and payments on a stack, named for the benchmark's tracer."""
-    outcome, _ = run_2d_ucb(config, bids, realizations, mu, draws, record_trace=False)
+    outcome, _ = run_2d_ucb(config, bids, realizations, mu, draws)
     return outcome.allocation, outcome.payments
 
 

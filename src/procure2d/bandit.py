@@ -136,7 +136,7 @@ _BONUS_SCALE = 0.5
 _WIDTHS = np.full(1, math.nan)
 
 # ``1 / sqrt(c)`` for every sample count ``c``, entry 0 being 0.0 (an agent
-# with no sample), shared by both UCB runners and grown on demand.
+# with no sample), shared by every run in the process and grown on demand.
 _INV_SQRT = np.zeros(1)
 
 
@@ -275,17 +275,14 @@ def run_2d_ucb(
     realization: RewardRealization,
     mu: float,
     draws,
-    *,
-    record_trace: bool = True,
 ):
     """One full learning auction over ``config.units`` rounds on the resampled
     bids ``draws``: ``(alpha, beta)``, one of each per bid (``seeded_draws``).
-    Returns its outcome and, with ``record_trace``, its trace, else None.
-    Given a ``(B, n, L)`` stack of tables, with draws of shape ``(B, n)`` and
-    ``record_trace=False``, returns one outcome of the B runs and None: its
-    allocation and payments are ``(B, n)``, its utilities ``(B,)``, row t
-    that of table t on row t of the draws.  Resampled costs must lie within
-    their priors' bounds.
+    Returns its outcome and its trace.  Given a ``(B, n, L)`` stack of
+    tables, with draws of shape ``(B, n)``, returns one outcome of the B runs
+    and None: its allocation and payments are ``(B, n)``, its utilities
+    ``(B,)``, row t that of table t on row t of the draws.  Resampled costs
+    must lie within their priors' bounds.
 
     Requires ``units >= n_agents`` so the seeding pass is feasible.  The
     reported auctioneer utility is realized (reward scale times observed
@@ -308,19 +305,14 @@ def run_2d_ucb(
     """
     n, n_rounds = config.n_agents, config.units
     stack = config.check_run(bids, realization)
-    if len(stack) > 1:
-        raise ValueError(f"run_2d_ucb takes one {n}x{n_rounds} table or one stack of them, "
-                         f"got shape {realization.table.shape}")
-    if stack and record_trace:
-        raise ValueError("run_2d_ucb records no trace on a stack: pass record_trace=False")
     # Each per-agent term is worked on agent-major, (n, runs), as one scalar
     # over a row of runs; H and the payments are written back run-major.
     alpha, beta = (side.reshape(-1, n).T for side in _admit_draws(config, draws, *stack))
     a, b, _, cost_highs = _priors(config.distributions)[:, 0, :, None]
     h, payments = np.empty((2, alpha.shape[1], n))
     np.add(a, b * alpha, out=h.T)
-    # Winner, reward and score of rounds n, n+1, ... when a trace is asked for.
-    trace_len = n_rounds - n if record_trace else 0
+    # Winner, reward and score of rounds n, n+1, ... of one table's run.
+    trace_len = 0 if stack else n_rounds - n
     units, succ, picks, rewards, scores = _run_chunks(config, bids, realization, h, trace_len)
 
     costs = np.array([[bid.cost] for bid in bids])
@@ -332,8 +324,6 @@ def run_2d_ucb(
     if stack:
         return MechanismOutcome(units, payments, utilities), None
     outcome = MechanismOutcome(units[0], payments[0], utilities.item())
-    if not record_trace:
-        return outcome, None
 
     # Every round from n on buys one unit until the one that stops.
     seeded = [i for i, bid in enumerate(bids) if bid.capacity >= 1]
@@ -419,9 +409,6 @@ def run_eps_separated(
                          f"budgets, got shape {shape}")
     if stack and not shape:
         raise ValueError(f"run_eps_separated takes one {n}x{n_rounds} table, got a stack")
-    if len(stack) > 1:
-        raise ValueError(f"run_eps_separated takes one {n}x{n_rounds} table or one stack of "
-                         f"them, got shape {realization.table.shape}")
     alpha, beta = _admit_draws(config, draws, *stack, budgets=shape[0] if shape else None)
 
     caps = [bid.capacity for bid in bids]

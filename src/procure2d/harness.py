@@ -312,9 +312,8 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
         states = _block_states(heads, start, start + size, n, len(config.eps_exponents))
         alpha, beta = (side.reshape(size, runs, n) for side in resample_streams(
             np.tile(costs, size * runs), config.cost_hi, config.mu, states[size:]))
-        tables = stream_reward_realization(qualities, capacities, states[:size], stack[:size])
-        learner, _ = run_2d_ucb(market, bids, tables, config.mu, (alpha[:, 0], beta[:, 0]),
-                                record_trace=False)
+        tables = stream_reward_realization(qualities, states[:size], stack[:size])
+        learner, _ = run_2d_ucb(market, bids, tables, config.mu, (alpha[:, 0], beta[:, 0]))
         out["ucb"][start : start + size] = learner.auctioneer_utility / units
         baselines = run_eps_separated(market, bids, tables, explore_grid, config.mu,
                                       (alpha[:, 1:], beta[:, 1:]))

@@ -10,14 +10,11 @@ The one drawer of outcomes is C code in ``_ucb.c``, which starts each row
 on its own stream, jumped to ``i * L``, so a row can be drawn in pieces and
 in any order.
 
-No mechanism buys more than ``min(k_i, L)`` units from an agent reporting
-capacity ``k_i``, so a simulation table need only hold row i's outcomes
-through that length: ``sample_reward_realization(..., capacities=)`` draws
-just those prefixes, bit for bit the outcomes of the whole table, and
-records them as ``RewardRealization.drawn``; ``MarketConfig.check_run``
-refuses a bid that would read past its row's drawn prefix.  A simulation
-draws less still: ``stream_reward_realization`` draws nothing up front, and
-the learner and the baselines draw each row as far as they read it.
+A table is whole (``sample_reward_realization``) or streamed
+(``stream_reward_realization``), which draws nothing up front: the learner
+and the baselines draw each row as far as they read it, never past
+``min(k_i, L)`` for an agent reporting capacity ``k_i``, the most any
+mechanism buys from it.
 
 ``TypeDistribution`` carries one agent's (cost, capacity) prior as the
 virtual cost driving the auctions: the information-rent-adjusted cost
@@ -29,7 +26,7 @@ closed-form inverse used to price threshold payments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -156,14 +153,6 @@ class TypeDistribution:
         a, b = self.linear_h
         return a + b * cost
 
-    def virtual_cost_array(self, costs: np.ndarray, capacity: int) -> np.ndarray:
-        costs = np.asarray(costs, dtype=float)
-        lo, hi = self.cost_bounds
-        if costs.size and not (lo <= costs.min() and costs.max() <= hi):
-            raise ValueError("cost array leaves the distribution bounds")
-        a, b = self.linear_h
-        return a + b * costs
-
     def g_score(self, quality: float, reward_scale: float, cost: float, capacity: int) -> float:
         """Per-unit virtual surplus G = R*q - H(c, k)."""
         return reward_scale * quality - self.virtual_cost(cost, capacity)
@@ -240,9 +229,8 @@ class MarketConfig:
     def check_run(self, bids, realization: RewardRealization) -> tuple[int, ...]:
         """The one rule for a learning run: ``units >= n_agents`` (the seeding
         pass buys one unit from each agent), bids that pass ``check_bids``,
-        ``n_agents x units`` tables, and on a table drawn only through row
-        prefixes, no bid that could buy past its row's prefix.  Returns the
-        tables' stacking shape."""
+        and one ``n_agents x units`` table or one stack of them.  Returns the
+        stacking shape, ``()`` or ``(B,)``."""
         n, units, shape = self.n_agents, self.units, realization.table.shape
         if units < n:
             raise ValueError(f"units ({units}) must be >= number of agents ({n})")
@@ -251,12 +239,9 @@ class MarketConfig:
             raise ValueError(
                 f"realization tables must be {n}x{units}, got {shape[-2]}x{shape[-1]}"
             )
-        for i, (bid, drawn) in enumerate(zip(bids, realization.drawn or ())):
-            if min(bid.capacity, units) > drawn:
-                raise ValueError(
-                    f"agent {i} bid capacity {bid.capacity} reads past the "
-                    f"{drawn} outcomes drawn for its row"
-                )
+        if len(shape) > 3:
+            raise ValueError(f"a run takes one {n}x{units} table or one stack of them, "
+                             f"got shape {shape}")
         return shape[:-2]
 
 
@@ -283,23 +268,15 @@ class RewardRealization:
     bool table holds 0 and 1 by construction, so it is viewed as uint8
     unchecked.
 
-    ``drawn`` is ``None`` for whole tables.  On tables drawn only through
-    row prefixes (``sample_reward_realization`` with ``capacities``), it
-    holds each row's prefix length, the same for every table of a stack; the
-    entries past it are 0 and stand for no outcome, and
-    ``MarketConfig.check_run`` refuses any run that could read them.
-
     A streamed realization (``stream_reward_realization``) also carries
-    ``streams``: its rows are drawn only as far as the runs have read them,
-    each at most through its ``drawn`` length.  Its tables are the caller's
-    writable buffer, viewed as uint8 and kept writable, and hold no outcome
-    past a row's drawn count; the runs draw as they read, and
-    ``draw_through`` draws ahead.  An outcome is the same whenever it is
-    drawn."""
+    ``streams``: its rows are drawn only as far as the runs have read them.
+    Its tables are the caller's writable buffer, viewed as uint8 and kept
+    writable, and hold no outcome past a row's drawn count; the runs draw as
+    they read, and ``draw_through`` draws ahead.  An outcome is the same
+    whenever it is drawn."""
 
     table: np.ndarray
-    drawn: tuple[int, ...] | None = None
-    streams: RowStreams | None = None
+    streams: RowStreams | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         table = np.asarray(self.table)
@@ -320,19 +297,10 @@ class RewardRealization:
             table = np.ascontiguousarray(table).view(np.uint8)
         else:
             table = np.ascontiguousarray(table, dtype=np.uint8).view()
+        object.__setattr__(self, "table", table)
         if self.streams is None:
             table.flags.writeable = False
-        object.__setattr__(self, "table", table)
-        if self.drawn is not None:
-            drawn = tuple(_check_int(k, "drawn length") for k in self.drawn)
-            n, width = table.shape[-2:]
-            if len(drawn) != n or not all(0 <= k <= width for k in drawn):
-                raise ValueError(
-                    f"drawn must give one prefix length in [0, {width}] per row of the "
-                    f"{n}x{width} tables, got {self.drawn!r}"
-                )
-            object.__setattr__(self, "drawn", drawn)
-        if self.streams is not None:
+        else:
             self._check_streams(table.shape)
 
     def _check_streams(self, shape) -> None:
@@ -343,20 +311,20 @@ class RewardRealization:
                     and a.flags.c_contiguous and (a.flags.writeable or not writable))
 
         s = self.streams
-        if not (self.drawn is not None and fits(s.qualities, np.float64, shape[-2:-1], False)
+        if not (fits(s.qualities, np.float64, shape[-2:-1], False)
                 and fits(s.states, np.uint64, shape[:-1] + (4,))
                 and fits(s.counts, np.int64, shape[:-1])):
-            raise ValueError(f"a streamed realization of {shape} tables needs its drawn lengths, "
-                             "n float64 qualities, and writable C-contiguous uint64 states "
-                             "(..., n, 4) and int64 drawn counts (..., n)")
-        if not ((s.counts >= 0) & (s.counts <= np.array(self.drawn))).all():
-            raise ValueError("a row's drawn count must lie in [0, its drawn length]")
+            raise ValueError(f"a streamed realization of {shape} tables needs n float64 "
+                             "qualities, and writable C-contiguous uint64 states (..., n, 4) "
+                             "and int64 drawn counts (..., n)")
+        if not ((s.counts >= 0) & (s.counts <= shape[-1])).all():
+            raise ValueError(f"a row's drawn count must lie in [0, L = {shape[-1]}]")
 
     def draw_through(self, lengths) -> None:
         """Draw every row of a streamed realization through at least
-        ``lengths`` outcomes, an int64 array broadcast to its ``(..., n)``
-        rows, each at most its row's ``drawn`` length.  A realization that is
-        not streamed holds all its outcomes already."""
+        ``lengths`` outcomes (at most L), an int64 array broadcast to its
+        ``(..., n)`` rows.  A realization that is not streamed holds all its
+        outcomes already."""
         streams = self.streams
         if streams is None:
             return
@@ -367,45 +335,35 @@ class RewardRealization:
                              streams.counts, to, self.table)
 
 
-def sample_reward_realization(qualities, n_units: int, seed, capacities=None) -> RewardRealization:
+def sample_reward_realization(qualities, n_units: int, seed) -> RewardRealization:
     """Draw the n x L outcome table, row i i.i.d. Bernoulli(q_i): outcome
     ``(i, j)`` is ``u < q_i`` for uniform ``i * L + j`` of the stream of
     ``np.random.default_rng(seed)``, as ``random((n, L)) < q`` would draw it.
 
     Deterministic given ``seed`` (int, SeedSequence, or Generator, which
-    must run on PCG64).  With ``capacities`` (one integer >= 0 per row), row
-    i is drawn only through ``min(capacities[i], L)``, the most units any
-    mechanism buys from an agent of that capacity; the rest are 0, and
-    ``drawn`` records the lengths.  A Generator passed in ends where the
-    whole table leaves it, its buffered 32-bit half-word kept.  The table is
-    drawn as bool, which the realization views as uint8 without a check.
+    must run on PCG64).  A Generator passed in ends where the table leaves
+    it, its buffered 32-bit half-word kept.  The table is drawn as bool,
+    which the realization views as uint8 without a check.
     """
     q = _check_qualities(qualities)
     n_units = _check_int(n_units, "n_units")
     if n_units < 0:
         raise ValueError(f"n_units must be >= 0, got {n_units}")
-    drawn = None
-    if capacities is not None:
-        caps = [_check_int(k, "capacity") for k in capacities]
-        if len(caps) != len(q) or min(caps, default=0) < 0:
-            raise ValueError(f"expected {len(q)} capacities >= 0, got {capacities!r}")
-        drawn = tuple(min(k, n_units) for k in caps)
     table = np.empty((len(q), n_units), dtype=bool)
     with generator_words(np.random.default_rng(seed), "drawing reward outcomes needs") as words:
-        _draw_tables(words, q, table, drawn)
-    for i, k in enumerate(drawn or ()):
-        table[i, k:] = False
-    return RewardRealization(table, drawn)
+        _draw_tables(words, q, table)
+    return RewardRealization(table)
 
 
-def stream_reward_realization(qualities, capacities, states, out) -> RewardRealization:
+def stream_reward_realization(qualities, states, out) -> RewardRealization:
     """A streamed realization of ``len(states)`` tables, drawn as the runs
-    read them: table t is ``sample_reward_realization(qualities, L, seed,
-    capacities)``'s table for the stream whose state words are row t of
-    ``states`` (``resample.stream_states`` rows, not spent).  ``out``, a
-    writable C-contiguous ``(len(states), n, L)`` bool array, holds the
-    tables; each row's outcomes are written into it when a run first reads
-    them, in chunks of a few dozen, never past ``min(capacities[i], L)``.
+    read them: table t is ``sample_reward_realization(qualities, L, seed)``'s
+    table for the stream whose state words are row t of ``states``
+    (``resample.stream_states`` rows, not spent).  ``out``, a writable
+    C-contiguous ``(len(states), n, L)`` bool array, holds the tables; each
+    row's outcomes are written into it when a run first reads them, in
+    chunks of a few dozen, never past the most the runs may buy from the
+    row's agent.
 
     Jumping each row's stream to its first outcome, in log time, is all the
     drawing done here: no outcome no run reads is drawn, and the table's
@@ -420,27 +378,20 @@ def stream_reward_realization(qualities, capacities, states, out) -> RewardReali
                          f"table, got states of shape {states.shape} and {n} rows")
     rows = np.empty((tables, n, 4), dtype=np.uint64)
     _library().row_streams(tables, n, width, states, rows)
-    drawn = tuple(min(_check_int(k, "capacity"), width) for k in capacities)
     streams = RowStreams(q, rows, np.zeros((tables, n), dtype=np.int64))
-    return RewardRealization(out, drawn, streams)
+    return RewardRealization(out, streams=streams)
 
 
-def _draw_tables(words: np.ndarray, qualities, out: np.ndarray, lengths=None) -> None:
+def _draw_tables(words: np.ndarray, qualities, out: np.ndarray) -> None:
     """Fill the writable C-contiguous bool or uint8 ``out`` of shape ``(..., n,
     L)`` on the one stream whose state words are ``words``: its row ``r`` (of
     every table in turn) is ``u < qualities[r % n]`` for uniforms ``r * L``
-    on, drawn through ``lengths[r % n]`` (default ``L``).  ``words`` is spent
-    in place to the end of the last table.
-
-    Each row starts on its own stream, jumped there by ``row_streams``, so
-    the rows past a short one need no skip."""
+    on.  ``words`` is spent in place to the end of the last table."""
     n, width = out.shape[-2:]
     m = math.prod(out.shape[:-1])
     rows = np.empty((m + 1, 4), dtype=np.uint64)  # the last, the stream's end
     lib = _library()
     lib.row_streams(1, m + 1, width, words, rows)
-    to = np.empty(out.shape[:-1], dtype=np.int64)
-    to[...] = width if lengths is None else lengths
     lib.draw_rows(m, n, width, np.array(qualities, dtype=float), rows, np.zeros(m, np.int64),
-                  to.reshape(m), out.reshape(m, width).view(np.uint8))
+                  np.full(m, width, dtype=np.int64), out.reshape(m, width).view(np.uint8))
     words[...] = rows[m]

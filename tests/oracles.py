@@ -388,8 +388,7 @@ def seed_sequence_cell(config, l_index, type_sample) -> dict[str, np.ndarray]:
     out["opt"][:] = run_2d_opt(market, qualities, bids).auctioneer_utility / units
     for r in range(reps):
         table = sample_reward_realization(qualities, units, rng(13, type_sample, l_index, r))
-        ucb, _ = run_2d_ucb(market, bids, table, config.mu, draws(14, type_sample, l_index, r),
-                            record_trace=False)
+        ucb, _ = run_2d_ucb(market, bids, table, config.mu, draws(14, type_sample, l_index, r))
         out["ucb"][r] = ucb.auctioneer_utility / units
         for v, exponent in enumerate(config.eps_exponents):
             explore = max(n, int(round(units ** exponent)))
@@ -418,41 +417,21 @@ def block_stream_rows(seed, type_sample, l_index, start, stop, n, runs) -> list:
 _DRAW_FLOATS = 1 << 17  # uniforms ``_draw_outcomes`` holds at once (at least one row)
 
 
-def _draw_outcomes(rng: np.random.Generator, qualities, out: np.ndarray, lengths=None) -> None:
+def _draw_outcomes(rng: np.random.Generator, qualities, out: np.ndarray) -> None:
     """Fill the C-contiguous bool or uint8 ``out`` of shape ``(..., n, L)`` with
     ``u < qualities[i]`` at ``[..., i, j]``, ``u`` the matching uniform of one
     ``rng.random(out.shape)`` call, drawn in blocks of whole rows through one
-    reused buffer and compared in place.
-
-    ``lengths`` (Python ints, one per row of one ``n x L`` table) draws row i
-    only through ``lengths[i]`` and zeroes the rest.  ``random()`` spends one
-    64-bit output per uniform, so row i starts at output ``i * L``: the gaps
-    are skipped by ``bit_generator.advance``, and the last one leaves ``rng``
-    at the whole table's end (advancing also drops PCG64's buffered 32-bit
-    half-word, which ``random()`` never reads)."""
-    if lengths is not None:
-        width, bits = out.shape[-1], rng.bit_generator
-        uniforms = np.empty(max(lengths, default=0))
-        at = 0  # outputs consumed so far
-        for i, (q, k) in enumerate(zip(qualities, lengths)):
-            if at != i * width:
-                bits.advance(i * width - at)
-            chunk = uniforms[:k]
-            rng.random(out=chunk)
-            np.less(chunk, q, out=out[i, :k])
-            out[i, k:] = 0
-            at = i * width + k
-        if at != out.size:
-            bits.advance(out.size - at)
-    elif out.size:
-        rows = out.reshape(-1, out.shape[-1])
-        q = np.tile(qualities, len(rows) // out.shape[-2])[:, None]  # one per stacked table
-        step = min(len(rows), max(1, _DRAW_FLOATS // rows.shape[1]))
-        uniforms = np.empty((step, rows.shape[1]))
-        for start in range(0, len(rows), step):
-            chunk = uniforms[: len(rows) - start]
-            rng.random(out=chunk)
-            np.less(chunk, q[start : start + step], out=rows[start : start + step])
+    reused buffer and compared in place."""
+    if not out.size:
+        return
+    rows = out.reshape(-1, out.shape[-1])
+    q = np.tile(qualities, len(rows) // out.shape[-2])[:, None]  # one per stacked table
+    step = min(len(rows), max(1, _DRAW_FLOATS // rows.shape[1]))
+    uniforms = np.empty((step, rows.shape[1]))
+    for start in range(0, len(rows), step):
+        chunk = uniforms[: len(rows) - start]
+        rng.random(out=chunk)
+        np.less(chunk, q[start : start + step], out=rows[start : start + step])
 
 
 # Two reference loops for the resampling law in ``_ucb.c``, which must

@@ -213,7 +213,7 @@ def test_criterion_04_individual_rationality():
                 [t.quality for t in types], 20, int(rng.integers(1 << 31))
             )
             draws = seeded_draws(market, bids, 0.1, int(rng.integers(1 << 31)))
-            outcome, _ = run_2d_ucb(market, bids, table, 0.1, draws, record_trace=False)
+            outcome, _ = run_2d_ucb(market, bids, table, 0.1, draws)
             surplus = outcome.payments - costs * outcome.allocation
             worst_ucb = min(worst_ucb, float(surplus.min()))
             runs += 1
@@ -309,7 +309,7 @@ def test_criterion_07_per_realization_cost_monotonicity():
         for cost in np.linspace(0.0, 1.0, 11):
             bids = [Bid(float(cost), capacity)] + rival_bids
             outcome, _ = run_2d_ucb(
-                market, bids, table, 0.1, seeded_draws(market, bids, 0.1, seed), record_trace=False
+                market, bids, table, 0.1, seeded_draws(market, bids, 0.1, seed)
             )
             if outcome.allocation[0] > previous:
                 violations += 1

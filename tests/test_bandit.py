@@ -275,12 +275,9 @@ def test_batch_runner_matches_scalar_exactly():
     tables = (rng.random((samples, n, rounds)) < qualities[None, :, None]).astype(np.uint8)
     alphas = rng.uniform([b.cost for b in bids], 1.0, (samples, n))
     betas = np.broadcast_to([b.cost for b in bids], (samples, n))
-    stack, _ = run_2d_ucb(m, bids, RewardRealization(tables), 0.1, (alphas, betas),
-                          record_trace=False)
+    stack, _ = run_2d_ucb(m, bids, RewardRealization(tables), 0.1, (alphas, betas))
     for s in range(samples):
-        outcome, _ = run_2d_ucb(
-            m, bids, RewardRealization(tables[s]), 0.1, (alphas[s], betas[s]), record_trace=False,
-        )
+        outcome, _ = run_2d_ucb(m, bids, RewardRealization(tables[s]), 0.1, (alphas[s], betas[s]))
         assert (outcome.allocation == stack.allocation[s]).all()
         assert (outcome.payments == stack.payments[s]).all()
         assert outcome.auctioneer_utility == stack.auctioneer_utility[s]
@@ -341,7 +338,7 @@ BAD_BATCH_INPUTS = {
 def test_batch_runner_refuses_input_it_would_misread(case):
     error, message = BAD_BATCH_INPUTS[case]
     with pytest.raises(error, match=message):
-        run_2d_ucb(*_bad_batch_input(case), record_trace=False)
+        run_2d_ucb(*_bad_batch_input(case))
 
 
 # A float table would be truncated by the uint8 cast, and a 2 would let
@@ -406,8 +403,7 @@ LEARNING_RUNS = {
     "eps": lambda m, bids, tables: run_eps_separated(
         m, bids, RewardRealization(tables[0]), m.n_agents, 0.1, pinned(bids)),
     "batch": lambda m, bids, tables: run_2d_ucb(
-        m, bids, RewardRealization(tables), 0.1, (np.full(tables.shape[:2], 0.2),) * 2,
-        record_trace=False),
+        m, bids, RewardRealization(tables), 0.1, (np.full(tables.shape[:2], 0.2),) * 2),
 }
 
 
@@ -421,38 +417,21 @@ def test_malformed_runs_are_refused_by_one_rule(case, runner):
     assert str(refused.value) == message
 
 
-# A table drawn only through capacity prefixes (``sample_reward_realization``
-# with ``capacities``) holds 0 past each row's prefix, where no outcome was
-# drawn.  ``MarketConfig.check_run`` refuses a bid that could buy past its
-# row's prefix, so both scalar learning runs refuse it with the same message;
-# a capacity above the budget needs only a row drawn through the budget.
-PREFIX_RUNS = {
+# A whole table holds every outcome of every row, so both scalar learning
+# runs admit any capacity on it, even one past the budget.
+SCALAR_RUNS = {
     "ucb": lambda m, bids, table: run_2d_ucb(m, bids, table, 0.1, pinned(bids)),
     "eps": lambda m, bids, table: run_eps_separated(
         m, bids, table, m.n_agents, 0.1, pinned(bids)),
 }
 
 
-@pytest.mark.parametrize("runner", list(PREFIX_RUNS))
-def test_bid_past_its_drawn_prefix_is_refused_by_one_rule(runner):
-    m = market(10, 2)
-    table = sample_reward_realization([0.9, 0.4], 10, 1, capacities=[4, 12])
-    assert table.drawn == (4, 10)
-    with pytest.raises(ValueError) as refused:
-        PREFIX_RUNS[runner](m, [Bid(0.2, 5), Bid(0.6, 3)], table)
-    message = "agent 0 bid capacity 5 reads past the 4 outcomes drawn for its row"
-    assert str(refused.value) == message
-    PREFIX_RUNS[runner](m, [Bid(0.2, 4), Bid(0.6, 40)], table)
-
-
-@pytest.mark.parametrize("runner", list(PREFIX_RUNS))
+@pytest.mark.parametrize("runner", list(SCALAR_RUNS))
 def test_whole_tables_admit_every_capacity_as_before(runner):
-    # A table with no ``drawn``, or with every row drawn through the budget.
     m = market(10, 2)
-    for table in (sample_reward_realization([0.9, 0.4], 10, 1),
-                  sample_reward_realization([0.9, 0.4], 10, 1, capacities=[50, 10])):
-        for bids in ([Bid(0.2, 50), Bid(0.6, 0)], [Bid(0.2, 50), Bid(0.6, 3)]):
-            PREFIX_RUNS[runner](m, bids, table)
+    table = sample_reward_realization([0.9, 0.4], 10, 1)
+    for bids in ([Bid(0.2, 50), Bid(0.6, 0)], [Bid(0.2, 50), Bid(0.6, 3)]):
+        SCALAR_RUNS[runner](m, bids, table)
 
 
 WIDE = uniform_type_distribution(0.0, 1.0, 1, 400)
@@ -460,6 +439,8 @@ WIDE = uniform_type_distribution(0.0, 1.0, 1, 400)
 
 @pytest.mark.parametrize("case", range(8))
 def test_runs_on_capacity_drawn_tables_equal_runs_on_whole_tables(case):
+    # One table of a streamed block, drawn only as far as each scalar run
+    # reads it and never past min(k_i, L), against the same table drawn whole.
     pick = np.random.default_rng(case)
     n = int(pick.integers(2, 5))
     units = int(pick.integers(n, 300))
@@ -470,16 +451,15 @@ def test_runs_on_capacity_drawn_tables_equal_runs_on_whole_tables(case):
     q = pick.random(n)
     bids = [Bid(float(c), int(k)) for c, k in zip(pick.random(n), caps)]
     explore = int(pick.integers(n, min(units, caps.sum()) + 1))
-    whole = sample_reward_realization(q, units, 50 + case)
-    drawn = sample_reward_realization(q, units, 50 + case, caps)
-    assert min(drawn.drawn) < units  # some row is cut short
     draws = seeded_draws(m, bids, 0.1, case)
     for run in (lambda table: run_2d_ucb(m, bids, table, 0.1, draws)[0],
                 lambda table: run_eps_separated(m, bids, table, explore, 0.1, draws)):
-        expected, got = run(whole), run(drawn)
-        assert np.array_equal(got.allocation, expected.allocation)
-        assert np.array_equal(got.payments, expected.payments)
-        assert got.auctioneer_utility == expected.auctioneer_utility
+        block, (whole,) = streamed_block(q, units, 1, 50 + case)
+        streams = block.streams
+        drawn = RewardRealization(block.table[0], streams=RowStreams(q, streams.states[0],
+                                                                     streams.counts[0]))
+        assert_same_outcomes([run(drawn)], [run(whole)])
+        assert_drawn_within_capacity(block, caps)
 
 
 def test_runners_refuse_a_table_of_the_wrong_rank():
@@ -665,10 +645,10 @@ def test_budget_grid_equals_the_reference_and_one_budget_runs(data):
     m = MarketConfig(units, 30.0, (uniform_type_distribution(0.0, 1.0, 1, 25),) * n)
     bids = [Bid(c, k) for c, k in zip(costs, caps)]
     seed = data.draw(st.integers(0, 2**32), label="seed")
-    table_kind = data.draw(st.sampled_from(["drawn", "prefixes", "ones", "same-rows"]))
-    if table_kind in ("drawn", "prefixes"):
+    table_kind = data.draw(st.sampled_from(["drawn", "ones", "same-rows"]))
+    if table_kind == "drawn":
         q = np.random.default_rng(seed).random(n)
-        table = sample_reward_realization(q, units, seed, caps if table_kind == "prefixes" else None)
+        table = sample_reward_realization(q, units, seed)
     else:
         row = np.random.default_rng(seed).random(units) < 0.6 if table_kind == "same-rows" else 1
         table = RewardRealization(np.broadcast_to(row, (n, units)).astype(np.uint8))
@@ -755,9 +735,8 @@ def test_one_budget_refuses_an_alpha_outside_its_prior():
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_a_block_runs_each_table_as_the_reference_does(data):
-    # A stack of tables drawn to the same capacity prefixes, each run at every
-    # budget on its own row of draws: run [t, e] is the reference run of
-    # table t at budget e.
+    # A stack of tables, each run at every budget on its own row of draws:
+    # run [t, e] is the reference run of table t at budget e.
     n = data.draw(st.integers(1, 9), label="n")
     units = data.draw(st.integers(n, 60), label="units")
     caps = data.draw(st.lists(st.integers(0, 25), min_size=n, max_size=n), label="caps")
@@ -767,9 +746,9 @@ def test_a_block_runs_each_table_as_the_reference_does(data):
     bids = [Bid(c, k) for c, k in zip(costs, caps)]
     seed = data.draw(st.integers(0, 2**32), label="seed")
     q = np.random.default_rng(seed).random(n)
-    tables = [sample_reward_realization(q, units, [seed, t], caps)
+    tables = [sample_reward_realization(q, units, [seed, t])
               for t in range(data.draw(st.integers(1, 4), label="tables"))]
-    stack = RewardRealization(np.stack([t.table for t in tables]), tables[0].drawn)
+    stack = RewardRealization(np.stack([t.table for t in tables]))
     budgets = data.draw(st.lists(st.integers(n, units), min_size=1, max_size=4), label="budgets")
     mu = data.draw(st.sampled_from([0.1, 0.6]), label="mu")
     rows = [[seeded_draws(m, bids, mu, [seed, t, e]) for e in range(len(budgets))]
@@ -809,8 +788,7 @@ BLOCK_REFUSALS = {
         "bids, got alpha of shape (2, 2, 3) and beta of shape (3, 2, 3)"),
     "stack-of-stacks": (
         (1, 2, 3, 20), ([[[[0.3] * 3] * 2] * 2], [[[[0.3] * 3] * 2] * 2]),
-        "run_eps_separated takes one 3x20 table or one stack of them, got shape "
-        "(1, 2, 3, 20)"),
+        "a run takes one 3x20 table or one stack of them, got shape (1, 2, 3, 20)"),
 }
 
 
@@ -827,10 +805,9 @@ def test_block_refusals_are_one_line(case):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_a_stack_runs_each_table_as_its_one_table_run(data):
-    # One learner call on a stack of tables drawn to the same capacity
-    # prefixes: run t is table t's traced one-table run on row t of the
-    # draws.  Zero capacities skip the seeding pass; tied costs and tables tie
-    # the scores.
+    # One learner call on a stack of tables: run t is table t's traced
+    # one-table run on row t of the draws.  Zero capacities skip the seeding
+    # pass; tied costs and tables tie the scores.
     n = data.draw(st.integers(1, 9), label="n")
     units = data.draw(st.integers(n, 80), label="units")
     caps = data.draw(st.lists(st.integers(0, 25) | st.integers(0, units), min_size=n,
@@ -845,13 +822,13 @@ def test_a_stack_runs_each_table_as_its_one_table_run(data):
     if data.draw(st.booleans(), label="tied-tables"):
         q[:] = q[0]
     size = data.draw(st.integers(1, 9), label="tables")
-    tables = [sample_reward_realization(q, units, [seed, t], caps) for t in range(size)]
-    stack = RewardRealization(np.stack([t.table for t in tables]), tables[0].drawn)
+    tables = [sample_reward_realization(q, units, [seed, t]) for t in range(size)]
+    stack = RewardRealization(np.stack([t.table for t in tables]))
     mu = data.draw(st.sampled_from([0.1, 0.6]), label="mu")
     rows = [seeded_draws(m, bids, mu, [seed, t]) for t in range(size)]
     alpha, beta = (np.array(side) for side in zip(*rows))
 
-    block, none = run_2d_ucb(m, bids, stack, mu, (alpha, beta), record_trace=False)
+    block, none = run_2d_ucb(m, bids, stack, mu, (alpha, beta))
     assert none is None
     assert block.allocation.shape == block.payments.shape == (size, n)
     assert block.auctioneer_utility.shape == (size,)
@@ -867,35 +844,32 @@ def test_a_stack_runs_each_table_as_its_one_table_run(data):
 # (3,), a stack of two of them draws of shape (2, 3).
 UCB_REFUSALS = {
     "draws-of-one-table": (
-        (2, 3, 20), ([0.3] * 3, [0.3] * 3), {"record_trace": False},
+        (2, 3, 20), ([0.3] * 3, [0.3] * 3),
         "need one alpha and one beta per bid and table: 2 tables of 3 bids, got alpha of "
         "shape (3,) and beta of shape (3,)"),
     "draws-of-too-few-tables": (
-        (2, 3, 20), ([[0.3] * 3], [[0.3] * 3]), {"record_trace": False},
+        (2, 3, 20), ([[0.3] * 3], [[0.3] * 3]),
         "need one alpha and one beta per bid and table: 2 tables of 3 bids, got alpha of "
         "shape (1, 3) and beta of shape (1, 3)"),
     "stack-alpha-above-its-prior": (
-        (2, 3, 20), ([[0.3] * 3, [0.3, 0.3, 1.5]], [[0.3] * 3] * 2), {"record_trace": False},
+        (2, 3, 20), ([[0.3] * 3, [0.3, 0.3, 1.5]], [[0.3] * 3] * 2),
         "agent 2 bid cost 1.5 outside [0.0, 1.0]"),
     "one-table-alpha-above-its-prior": (
-        (3, 20), ([0.3, 1.25, 0.3], [0.3] * 3), {},
+        (3, 20), ([0.3, 1.25, 0.3], [0.3] * 3),
         "agent 1 bid cost 1.25 outside [0.0, 1.0]"),
     "stack-of-stacks": (
-        (1, 2, 3, 20), ([[[0.3] * 3] * 2], [[[0.3] * 3] * 2]), {"record_trace": False},
-        "run_2d_ucb takes one 3x20 table or one stack of them, got shape (1, 2, 3, 20)"),
-    "traced-stack": (
-        (2, 3, 20), ([[0.3] * 3] * 2, [[0.3] * 3] * 2), {},
-        "run_2d_ucb records no trace on a stack: pass record_trace=False"),
+        (1, 2, 3, 20), ([[[0.3] * 3] * 2], [[[0.3] * 3] * 2]),
+        "a run takes one 3x20 table or one stack of them, got shape (1, 2, 3, 20)"),
 }
 
 
 @pytest.mark.parametrize("case", list(UCB_REFUSALS))
 def test_learner_refusals_are_one_line(case):
     m, bids = market(20, 3), [Bid(0.3, 5)] * 3
-    shape, draws, kwargs, message = UCB_REFUSALS[case]
+    shape, draws, message = UCB_REFUSALS[case]
     tables = RewardRealization(np.ones(shape, dtype=np.uint8))
     with pytest.raises(ValueError) as refused:
-        run_2d_ucb(m, bids, tables, 0.1, draws, **kwargs)
+        run_2d_ucb(m, bids, tables, 0.1, draws)
     assert str(refused.value) == message
 
 
@@ -932,12 +906,12 @@ STREAM_CAPS = {
 }
 
 
-def streamed_block(q, caps, units, tables, seed):
+def streamed_block(q, units, tables, seed):
     """A streamed realization of ``tables`` tables on a stack of 2s, and the
     same tables drawn whole, one realization each."""
     roots = stream_states([([seed, t], ()) for t in range(tables)])
     stack = np.full((tables, len(q), units), 2, dtype=np.uint8)
-    block = stream_reward_realization(q, caps, roots, stack)
+    block = stream_reward_realization(q, roots, stack)
     return block, [sample_reward_realization(q, units, generator_at(root)) for root in roots]
 
 
@@ -978,12 +952,12 @@ def learner_and_baselines(m, bids, realizations, draws, budgets):
         warnings.simplefilter("ignore")  # budgets past total capacity clip
         if isinstance(realizations, RewardRealization):
             learner = split_runs(run_2d_ucb(m, bids, realizations, 0.1,
-                                            (alpha[:, 0], beta[:, 0]), record_trace=False)[0])
+                                            (alpha[:, 0], beta[:, 0]))[0])
             baselines = split_runs(run_eps_separated(m, bids, realizations, budgets, 0.1,
                                                      (alpha[:, 1:], beta[:, 1:])))
         else:
-            learner = [run_2d_ucb(m, bids, table, 0.1, (alpha[t, 0], beta[t, 0]),
-                                  record_trace=False)[0] for t, table in enumerate(realizations)]
+            learner = [run_2d_ucb(m, bids, table, 0.1, (alpha[t, 0], beta[t, 0]))[0]
+                       for t, table in enumerate(realizations)]
             baselines = [split_runs(run_eps_separated(m, bids, table, budgets, 0.1,
                                                       (alpha[t, 1:], beta[t, 1:])))
                          for t, table in enumerate(realizations)]
@@ -997,7 +971,7 @@ def test_streamed_block_runs_equal_whole_table_runs(kind, order):
     m, q, bids = stream_market(caps, units, 3)
     budgets = [m.n_agents, CHUNK - 1, CHUNK + 5, units]
     draws = block_draws(m, bids, 3, 1 + len(budgets), 4)
-    block, whole = streamed_block(q, caps, units, 3, 5)
+    block, whole = streamed_block(q, units, 3, 5)
     assert not block.streams.counts.any()
     if order == "baselines-first":  # the learner then reads rows drawn ahead of it
         alpha, beta = draws
@@ -1022,11 +996,11 @@ def test_a_streamed_table_traces_as_the_whole_table(tmp_path, kind):
     # trace file and the outcome are the whole table's byte for byte.
     caps, units = STREAM_CAPS[kind], STREAM_UNITS
     m, q, bids = stream_market(caps, units, 6)
-    block, whole = streamed_block(q, caps, units, 2, 7)
+    block, whole = streamed_block(q, units, 2, 7)
     for t, table in enumerate(whole):
         streams = block.streams
-        one = RewardRealization(block.table[t], block.drawn,
-                                RowStreams(q, streams.states[t], streams.counts[t]))
+        one = RewardRealization(block.table[t],
+                                streams=RowStreams(q, streams.states[t], streams.counts[t]))
         draws, outcomes = seeded_draws(m, bids, 0.1, t), {}
         for name, realization in (("streamed", one), ("whole", table)):
             outcomes[name], trace = run_2d_ucb(m, bids, realization, 0.1, draws)
@@ -1047,7 +1021,7 @@ def test_streamed_blocks_equal_whole_tables_on_random_markets(data):
     m, q, bids = stream_market(caps, units, seed)
     budgets = data.draw(st.lists(st.integers(n, units), min_size=1, max_size=4), label="budgets")
     draws = block_draws(m, bids, tables, 1 + len(budgets), seed)
-    block, whole = streamed_block(q, caps, units, tables, seed)
+    block, whole = streamed_block(q, units, tables, seed)
     got, expected = (learner_and_baselines(m, bids, r, draws, budgets) for r in (block, whole))
     assert_same_outcomes(got[0], expected[0])
     assert_same_outcomes(got[1], expected[1])

@@ -116,10 +116,17 @@ class TestConfig:
             ExperimentConfig(eps_exponents=exponents)
 
     def test_write_then_parse_round_trips(self, tmp_path):
-        config = ExperimentConfig(n=3, mu=0.2, l_grid=(50, 100), eps_exponents=(0.25, 0.5))
         path = tmp_path / "conf.ini"
-        write_config(config, path)
-        assert parse_config(path) == config
+        for config in (
+            ExperimentConfig(n=3, mu=0.2, l_grid=(50, 100), eps_exponents=(0.25, 0.5)),
+            ExperimentConfig(),
+            # A negative cost bound, an exponent whose repr runs to 16 digits
+            # and a master seed past 64 bits.
+            ExperimentConfig(n=3, l_grid=(7, 9), eps_exponents=(0.25, 1 / 3), cost_lo=-1.5,
+                             master_seed=2**70),
+        ):
+            write_config(config, path)
+            assert parse_config(path) == config
 
     def test_capacity_bounds_rule(self):
         config = ExperimentConfig()

@@ -57,12 +57,9 @@ class TestVirtualCost:
         with pytest.raises(ValueError):
             unit_uniform.virtual_cost(1.5, 1)
 
-    def test_nan_cost_rejected_by_scalar_and_array_forms(self, unit_uniform):
+    def test_nan_cost_rejected(self, unit_uniform):
         with pytest.raises(ValueError, match="outside bounds"):
             unit_uniform.virtual_cost(np.nan, 1)
-        for costs in ([np.nan, 0.5], [0.5, np.nan], [np.nan]):
-            with pytest.raises(ValueError, match="leaves the distribution bounds"):
-                unit_uniform.virtual_cost_array(np.array(costs), 1)
 
 
 class TestScores:
@@ -174,6 +171,18 @@ class TestRewardRealization:
             with pytest.raises(ValueError):
                 RewardRealization(np.array([[0, 1, bad]], dtype=np.int16))
 
+    def test_generator_must_skip_on_pcg64(self):
+        mt = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(TypeError, match="needs a PCG64 generator, got MT19937$"):
+            sample_reward_realization([0.5, 0.5], 4, mt)
+
+    def test_a_bool_table_is_viewed_not_copied(self):
+        table = np.array([[True, False, True], [False, False, True]])
+        realization = RewardRealization(table)
+        assert realization.table.dtype == np.uint8 and np.shares_memory(realization.table, table)
+        assert realization.table.tolist() == [[1, 0, 1], [0, 0, 1]]
+        assert not realization.table.flags.writeable
+
 
 class TestDrawOutcomes:
     """The chunked drawer against the one-shot ``rng.random(shape) < q`` path."""
@@ -202,95 +211,6 @@ class TestDrawOutcomes:
         assert passed.random() == one_shot.random()
 
 
-class TestCapacityPrefixes:
-    """``sample_reward_realization(..., capacities=)`` against the same seed's
-    whole table: row i drawn through ``min(capacities[i], L)``, bit for bit."""
-
-    @staticmethod
-    def market(case):
-        pick = np.random.default_rng(case)
-        n = int(pick.integers(2, 6))
-        units = _DRAW_FLOATS + 9 if case == 0 else int(pick.integers(0, 3000))
-        caps = pick.integers(0, units + 4, n)  # an int64 array, as ``_run_cell`` passes
-        caps[0], caps[1] = units + int(pick.integers(0, 3)), 0  # whole and undrawn rows
-        return pick.random(n), units, caps
-
-    @pytest.mark.parametrize("case", range(10))
-    def test_prefixes_equal_the_whole_table(self, case):
-        q, units, caps = self.market(case)
-        passed, whole = np.random.default_rng(case), np.random.default_rng(case)
-        realization = sample_reward_realization(q, units, passed, caps)
-        full = sample_reward_realization(q, units, whole).table
-        lengths = np.minimum(caps, units).tolist()
-        assert realization.drawn == tuple(lengths)
-        for i, k in enumerate(lengths):
-            assert np.array_equal(realization.table[i, :k], full[i, :k])
-            assert not realization.table[i, k:].any()
-        assert passed.random() == whole.random()
-
-    def test_short_tails_equal_the_whole_table(self):
-        # At 1,000 units: an undrawn row, a whole row, and tails of 1 to 999
-        # outputs, each skipped by ``advance``.
-        caps = [0, 1000, 999, 1, 500]
-        q = np.random.default_rng(7).random(5)
-        passed, whole = np.random.default_rng(8), np.random.default_rng(8)
-        realization = sample_reward_realization(q, 1000, passed, caps)
-        expected = sample_reward_realization(q, 1000, whole).table.copy()
-        for i, k in enumerate(caps):
-            expected[i, k:] = 0
-        assert realization.table.tobytes() == expected.tobytes()
-        assert realization.drawn == tuple(caps)
-        assert passed.bit_generator.state == whole.bit_generator.state
-
-    def test_capacities_as_a_list_and_seeds_as_ints(self):
-        q, units, caps = self.market(3)
-        from_array = sample_reward_realization(q, units, 5, caps)
-        from_list = sample_reward_realization(q, units, 5, caps.tolist())
-        assert np.array_equal(from_array.table, from_list.table)
-        assert from_array.drawn == from_list.drawn
-
-    def test_generator_must_skip_on_pcg64(self):
-        mt = np.random.Generator(np.random.MT19937(0))
-        with pytest.raises(TypeError, match="needs a PCG64 generator, got MT19937$"):
-            sample_reward_realization([0.5, 0.5], 4, mt, [1, 2])
-
-    def test_whole_table_and_stack_record_no_prefix(self):
-        assert sample_reward_realization([0.5, 0.5], 4, 0).drawn is None
-        assert RewardRealization(np.zeros((3, 2, 4), dtype=np.uint8)).drawn is None
-
-    @pytest.mark.parametrize("capacities, error", [
-        ([1, 2, 3], ValueError), ([1, -1], ValueError), ([1, 2.0], TypeError),
-    ], ids=["wrong-count", "negative", "float"])
-    def test_bad_capacities_refused(self, capacities, error):
-        with pytest.raises(error):
-            sample_reward_realization([0.5, 0.5], 4, 0, capacities)
-
-    @pytest.mark.parametrize("table, drawn", [
-        (np.zeros((2, 4), dtype=np.uint8), (1,)),
-        (np.zeros((2, 4), dtype=np.uint8), (1, 5)),
-        (np.zeros((2, 4), dtype=np.uint8), (-1, 2)),
-        (np.zeros((3, 2, 4), dtype=np.uint8), (1,)),
-        (np.zeros((3, 2, 4), dtype=np.uint8), (1, 5)),
-    ], ids=["one-short", "past-the-row", "negative", "stack-one-short", "stack-past-the-row"])
-    def test_drawn_lengths_must_fit_one_table(self, table, drawn):
-        with pytest.raises(ValueError) as refused:
-            RewardRealization(table, drawn)
-        assert str(refused.value) == (
-            f"drawn must give one prefix length in [0, 4] per row of the 2x4 tables, "
-            f"got {drawn!r}")
-
-    def test_a_stack_shares_one_prefix_length_per_row(self):
-        stack = RewardRealization(np.zeros((3, 2, 4), dtype=np.uint8), (1, 4))
-        assert stack.drawn == (1, 4)
-
-    def test_a_bool_table_is_viewed_not_copied(self):
-        table = np.array([[True, False, True], [False, False, True]])
-        realization = RewardRealization(table)
-        assert realization.table.dtype == np.uint8 and np.shares_memory(realization.table, table)
-        assert realization.table.tolist() == [[1, 0, 1], [0, 0, 1]]
-        assert not realization.table.flags.writeable
-
-
 # Qualities at which ``u < q`` turns on the last bit of a uniform: the drawer
 # must compare the double ``(x >> 11) * 2**-53`` exactly as numpy does.
 EDGE_QUALITIES = [0.0, 1.0, 0.5, 2.0**-53, 1.0 - 2.0**-53]
@@ -298,46 +218,38 @@ EDGE_QUALITIES = [0.0, 1.0, 0.5, 2.0**-53, 1.0 - 2.0**-53]
 
 class TestOutcomeDrawer:
     """The C drawer of ``_ucb.c`` against the numpy reference
-    ``oracles._draw_outcomes``: outcomes, tails and end states."""
+    ``oracles._draw_outcomes``: outcomes and end states."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_tables_stacks_and_prefixes_equal_the_reference(self, data):
+    def test_tables_and_stacks_equal_the_reference(self, data):
         n = data.draw(st.integers(1, 5), label="n")
         width = data.draw(st.integers(0, 150), label="L")
         quality = st.sampled_from(EDGE_QUALITIES) | st.floats(0.0, 1.0)
         q = data.draw(st.lists(quality, min_size=n, max_size=n), label="q")
         seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
-        # A stack of tables is drawn whole; one table may stop each row short.
-        stacked = data.draw(st.integers(0, 3), label="stacked tables")
-        lengths = None if stacked else data.draw(
-            st.none() | st.lists(st.integers(0, width), min_size=n, max_size=n), label="lengths")
+        stacked = data.draw(st.integers(0, 3), label="stacked tables")  # 0: one table
         shape = (stacked, n, width) if stacked else (n, width)
         words = stream_states([(seed, ())])
         reference = generator_at(words[0])
         got, expected = np.full(shape, 7, np.uint8), np.full(shape, 7, np.uint8)
-        _draw_tables(words, q, got, lengths)
-        _draw_outcomes(reference, q, expected, lengths)
-        for i, k in enumerate(lengths or [width] * n):
-            assert np.array_equal(got[..., i, :k], expected[..., i, :k])
-            assert (got[..., i, k:] == 7).all()  # no entry past a prefix is written
+        _draw_tables(words, q, got)
+        _draw_outcomes(reference, q, expected)
+        assert np.array_equal(got, expected)
         end = reference.bit_generator.state["state"]
         assert words[0].tolist() == [end["state"] >> 64, end["state"] & (2**64 - 1),
                                      end["inc"] >> 64, end["inc"] & (2**64 - 1)]
 
-    @pytest.mark.parametrize("capacities", [None, [3, 0, 50]], ids=["whole", "prefixes"])
-    def test_a_generator_ends_where_the_whole_table_leaves_it(self, capacities):
-        # Three uint32 draws leave PCG64's buffered 32-bit half-word full; both
-        # paths keep it, as numpy's own random((n, L)) does.
+    def test_a_generator_ends_where_the_whole_table_leaves_it(self):
+        # Three uint32 draws leave PCG64's buffered 32-bit half-word full; the
+        # drawer keeps it, as numpy's own random((n, L)) does.
         q = [0.2, 0.9, 0.5]
         passed, whole = np.random.default_rng(9), np.random.default_rng(9)
         for rng in (passed, whole):
             rng.integers(0, 10, 3, dtype=np.uint32)
             assert rng.bit_generator.state["has_uint32"] == 1
-        table = sample_reward_realization(q, 20, passed, capacities).table
-        expected = whole.random((3, 20)) < np.array(q)[:, None]
-        for i, k in enumerate(capacities or [20] * 3):
-            assert np.array_equal(table[i, :k], expected[i, :k]) and not table[i, k:].any()
+        table = sample_reward_realization(q, 20, passed).table
+        assert np.array_equal(table, whole.random((3, 20)) < np.array(q)[:, None])
         assert passed.bit_generator.state == whole.bit_generator.state
         assert passed.integers(0, 2**32, dtype=np.uint32) == whole.integers(0, 2**32,
                                                                              dtype=np.uint32)
@@ -363,25 +275,24 @@ class TestStreamedRealization:
     and its drawn counts for where it writes, so both are checked once."""
 
     def block(self, tables=2):
-        q, caps = [0.4, 0.9], [3, 20]
         states = stream_states([([8, t], ()) for t in range(tables)])
-        return stream_reward_realization(q, caps, states, np.zeros((tables, 2, 6), dtype=bool))
+        return stream_reward_realization([0.4, 0.9], states, np.zeros((tables, 2, 6), dtype=bool))
 
-    def test_a_block_starts_undrawn_with_capacity_limits(self):
+    def test_a_block_starts_undrawn(self):
         block = self.block()
-        assert block.drawn == (3, 6) and not block.streams.counts.any()
+        assert not block.streams.counts.any()
         assert block.table.flags.writeable and block.table.dtype == np.uint8
 
     def test_states_of_the_wrong_shape_are_refused(self):
         with pytest.raises(ValueError, match="4 state words"):
-            stream_reward_realization([0.4, 0.9], [3, 20], np.zeros((2, 3), np.uint64),
+            stream_reward_realization([0.4, 0.9], np.zeros((2, 3), np.uint64),
                                       np.zeros((2, 2, 6), dtype=bool))
 
     @pytest.mark.parametrize("shape", [(2, 6), (1, 2, 2, 6)])
     def test_an_out_that_is_not_3d_is_refused(self, shape):
         states = stream_states([([8, 0], ())])
         with pytest.raises(ValueError) as refused:
-            stream_reward_realization([0.4, 0.9], [3, 20], states, np.zeros(shape, dtype=bool))
+            stream_reward_realization([0.4, 0.9], states, np.zeros(shape, dtype=bool))
         assert str(refused.value) == f"out must be a (tables, n, L) array, got shape {shape}"
 
     @pytest.mark.parametrize("field, bad", [
@@ -394,13 +305,20 @@ class TestStreamedRealization:
         block = self.block()
         streams = RowStreams(**{**vars(block.streams), field: bad})
         with pytest.raises(ValueError, match="streamed realization"):
-            RewardRealization(block.table, block.drawn, streams)
+            RewardRealization(block.table, streams=streams)
 
-    @pytest.mark.parametrize("count", [-1, 4])
-    def test_a_drawn_count_outside_its_row_is_refused(self, count):
+    def with_count(self, count):
+        """A block whose table 1 has ``count`` outcomes drawn in row 0."""
         block = self.block()
         counts = block.streams.counts.copy()
-        counts[1, 0] = count  # row 0 holds at most 3 outcomes
+        counts[1, 0] = count
         streams = RowStreams(block.streams.qualities, block.streams.states, counts)
-        with pytest.raises(ValueError, match="drawn count"):
-            RewardRealization(block.table, block.drawn, streams)
+        return RewardRealization(block.table, streams=streams)
+
+    @pytest.mark.parametrize("count", [-1, 7])
+    def test_a_drawn_count_outside_its_row_is_refused(self, count):
+        with pytest.raises(ValueError, match=r"^a row's drawn count must lie in \[0, L = 6\]$"):
+            self.with_count(count)  # a row holds at most 6 outcomes
+
+    def test_a_drawn_count_of_the_whole_row_is_admitted(self):
+        assert self.with_count(6).streams.counts[1, 0] == 6

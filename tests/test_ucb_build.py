@@ -33,8 +33,7 @@ def batch_run():
     alphas = rng.choice([0.1, 0.25, 0.45], (200, 3))
     market = MarketConfig(30, 30.0, (uniform_type_distribution(0.0, 1.0, 1, 12),) * 3)
     bids = [Bid(0.0, k) for k in (10, 12, 9)]
-    outcome, _ = run_2d_ucb(market, bids, RewardRealization(tables), 0.1, (alphas, alphas),
-                            record_trace=False)
+    outcome, _ = run_2d_ucb(market, bids, RewardRealization(tables), 0.1, (alphas, alphas))
     return outcome.allocation, outcome.payments
 
 

@@ -35,7 +35,9 @@ def assert_matches_oracle(market, bids, table, draws, bonus_scale):
     mu = 0.1
     with patched_bonus_scale(bonus_scale):
         outcome, trace = run_2d_ucb(market, bids, table, mu, draws)
-        untraced, none = run_2d_ucb(market, bids, table, mu, draws, record_trace=False)
+        # The same run as the one table of a stack, which records no trace.
+        untraced, none = run_2d_ucb(market, bids, RewardRealization(table.table[None]), mu,
+                                    tuple(np.asarray(side)[None] for side in draws))
     expected, expected_trace = scalar_ucb_run(market, bids, table, mu, draws, bonus_scale)
     assert outcome.allocation.tolist() == expected.allocation.tolist()
     assert outcome.payments.tolist() == expected.payments.tolist()
@@ -46,7 +48,9 @@ def assert_matches_oracle(market, bids, table, draws, bonus_scale):
         assert step.reward is None or type(step.reward) is int
         assert step.g_hat is None or type(step.g_hat) is float
     assert none is None
-    assert untraced.allocation.tolist() == expected.allocation.tolist()
+    assert untraced.allocation[0].tolist() == expected.allocation.tolist()
+    assert untraced.payments[0].tolist() == expected.payments.tolist()
+    assert untraced.auctioneer_utility[0] == expected.auctioneer_utility
     return trace
 
 
@@ -137,11 +141,6 @@ def test_leader_changes_on_most_rounds(caps, rival_cost, bonus_scale):
     agents = trace.agents()
     assert len(agents) == units and agents.count(0) == min(caps[0], units // 2)
     assert sum(a != b for a, b in zip(agents, agents[1:])) > units // 2
-    with patched_bonus_scale(bonus_scale):
-        untraced, _ = run_2d_ucb(market, bids, table, 0.1, draws, record_trace=False)
-    expected, _ = scalar_ucb_run(market, bids, table, 0.1, draws, bonus_scale)
-    assert untraced.payments.tolist() == expected.payments.tolist()
-    assert untraced.auctioneer_utility == expected.auctioneer_utility
 
 
 @pytest.mark.parametrize("master_seed", [0, 1, 2])
@@ -160,7 +159,7 @@ def test_harness_instances_match_scalar_loop(monkeypatch, master_seed):
                               master_seed=master_seed)
     harness._run_cell(config, 0, 0)
     ((market, bids, block, (alpha, beta)),) = calls
-    realization = RewardRealization(block.table[0], block.drawn)
+    realization = RewardRealization(block.table[0])
     draws = alpha[0], beta[0]
     for bonus_scale in (0.5, 2.0):
         trace = assert_matches_oracle(market, bids, realization, draws, bonus_scale)
@@ -295,8 +294,7 @@ def batch_run(reward_scale, caps, tables, alphas):
     every bid whose alpha moved above 0 is paid the premium."""
     market = MarketConfig(tables.shape[-1], reward_scale, (DIST,) * len(caps))
     bids = [Bid(0.0, k) for k in caps]
-    outcome, none = run_2d_ucb(market, bids, RewardRealization(tables), 0.1, (alphas, alphas),
-                               record_trace=False)
+    outcome, none = run_2d_ucb(market, bids, RewardRealization(tables), 0.1, (alphas, alphas))
     assert none is None
     return outcome
 
