@@ -18,6 +18,7 @@ from procure2d import (
     DeviationGrid,
     ExperimentConfig,
     MarketConfig,
+    RewardRealization,
     alloc_greedy,
     audit_resampler,
     audit_stochastic_bic,
@@ -208,15 +209,18 @@ def test_criterion_04_individual_rationality():
         ]
         costs = np.array([t.cost for t in types])
         bids = [t.truthful_bid() for t in types]
+        # The market's 100 runs, each on its own table and draws, as one stack.
+        tables, draws = [], []
         for _ in range(100):
-            table = sample_reward_realization(
+            tables.append(sample_reward_realization(
                 [t.quality for t in types], 20, int(rng.integers(1 << 31))
-            )
-            draws = seeded_draws(market, bids, 0.1, int(rng.integers(1 << 31)))
-            outcome, _ = run_2d_ucb(market, bids, table, 0.1, draws)
-            surplus = outcome.payments - costs * outcome.allocation
-            worst_ucb = min(worst_ucb, float(surplus.min()))
-            runs += 1
+            ).table)
+            draws.append(seeded_draws(market, bids, 0.1, int(rng.integers(1 << 31))))
+        outcome, _ = run_2d_ucb(market, bids, RewardRealization(np.stack(tables)), 0.1,
+                                tuple(np.stack(side) for side in zip(*draws)))
+        surplus = outcome.payments - costs * outcome.allocation
+        worst_ucb = min(worst_ucb, float(surplus.min()))
+        runs += len(surplus)
     criterion(4, worst_opt >= -1e-9 and worst_ucb >= -1e-12 and runs == 10_000,
               f"truthful surplus never negative: optimal auction worst "
               f"{worst_opt:.2e}, learner worst {worst_ucb:.2e} over {runs} runs")

@@ -173,10 +173,18 @@ class TestRunExperiment:
         emit_results(rows_parallel, b, tmp_path / "b.svg")
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize(
-        "threads, cpus, workers", [(64, 8, 4), (3, 8, 3), (64, 2, 2), (2, 1, None)]
-    )
-    def test_worker_count_clamped_to_cells_and_cpus(self, monkeypatch, threads, cpus, workers):
+    # Without an affinity set the CPU count stands in for it, and an unknown
+    # count for one CPU.
+    @pytest.mark.parametrize("threads, cpus, affinity, workers", [
+        pytest.param(64, 8, True, 4, id="64-8-4"),
+        pytest.param(3, 8, True, 3, id="3-8-3"),
+        pytest.param(64, 2, True, 2, id="64-2-2"),
+        pytest.param(2, 1, True, None, id="2-1-None"),
+        pytest.param(64, 3, False, 3, id="64-count-3-3"),
+        pytest.param(64, None, False, None, id="64-count-None-None"),
+    ])
+    def test_worker_count_clamped_to_cells_and_cpus(self, monkeypatch, threads, cpus, affinity,
+                                                    workers):
         started = []
 
         class InlinePool:
@@ -193,15 +201,19 @@ class TestRunExperiment:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         rows = run_experiment(TINY, threads=threads)  # TINY has 4 cells
         assert started == ([] if workers is None else [workers])
         assert rows == run_experiment(TINY, threads=1)
 
     def test_one_allowed_cpu_starts_no_pool(self, monkeypatch):
-        # The pool is capped by the CPUs the process may run on, as
-        # run_ucb_batch's threads are, not by the CPUs the host has.
+        # The pool is capped by the CPUs the process may run on, not by the
+        # CPUs the host has.
         expected = run_experiment(TINY, threads=1)
 
         def no_pool(*args, **kwargs):
