@@ -13,9 +13,9 @@ the agent's beta moved (``resample.transform_premium``, the rule every
 mechanism here pays by).
 
 The rule has one implementation, the round loop in ``_ucb.c``, reached
-through one C entry, ``ucb_run``, from one place, ``_run_rounds``, which runs
-a whole stack of auctions in one call on the calling thread, and passes in
-the bonus widths and the ``1 / sqrt(n_i)`` table built here with
+through one C entry, ``ucb_run``, from one place, ``_run_chunks``, which runs
+a stack of auctions in chunks, one per CPU, each on its own thread, and
+passes in the bonus widths and the ``1 / sqrt(n_i)`` table built here with
 ``math.log`` and ``math.sqrt``, so every score has the bits of the reference
 loop in the test suite.  ``run_2d_ucb`` runs one table or a stack of them, at
 the virtual costs ``a + b * alpha`` of its draws, for the commands, the
@@ -42,6 +42,8 @@ units bought before the successes are.  Each count is one call of
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -127,53 +129,122 @@ def _admit_draws(config: MarketConfig, draws, tables=None, budgets=None):
     return alpha, beta
 
 
-# The bonus scale ``c`` of the widths ``sqrt(c ln t)``.
+# The bonus scale ``c``, and the widths ``sqrt(c ln t)``, shared by every run
+# in the process and grown on demand to the largest budget seen (entry 0 is
+# unused).
 _BONUS_SCALE = 0.5
+_WIDTHS = np.full(1, math.nan)
 
-# Tables shared by every run in the process, grown on demand to the largest
-# budget seen, each entry always built by its own expression with ``math.log``
-# and ``math.sqrt`` so that every caller sees the same bits whatever its
-# budget: the widths ``sqrt(c ln t)`` of every round ``t`` (entry 0 unused),
-# and ``1 / sqrt(k)`` for every sample count ``k``, entry 0 being 0.0 (an
-# agent with no sample).
-_TABLES = {"widths": np.full(1, math.nan), "inv_sqrt": np.zeros(1)}
-_ENTRIES = {"widths": lambda t: math.sqrt(_BONUS_SCALE * math.log(t)),
-            "inv_sqrt": lambda k: 1.0 / math.sqrt(k)}
+# ``1 / sqrt(c)`` for every sample count ``c``, entry 0 being 0.0 (an agent
+# with no sample), shared by every run in the process and grown on demand.
+_INV_SQRT = np.zeros(1)
 
 
-def _shared_table(name: str, length: int) -> np.ndarray:
-    """The shared table ``name``, grown to at least ``length`` entries."""
-    table = _TABLES[name]
-    if len(table) < length:
-        grown = np.fromiter(map(_ENTRIES[name], range(len(table), length)), float)
-        table = _TABLES[name] = np.concatenate([table, grown])
+def _grown(table: np.ndarray, length: int, entry) -> np.ndarray:
+    """``table`` extended to ``length`` entries by ``entry(i)`` at each new
+    index ``i``, or ``table`` itself if it is long enough."""
+    if len(table) >= length:
+        return table
+    return np.concatenate([table, np.fromiter(map(entry, range(len(table), length)), float)])
+
+
+def _bonus_widths(n_rounds: int) -> np.ndarray:
+    """Widths ``sqrt(_BONUS_SCALE * ln t)`` for every round ``t < n_rounds``,
+    always built with ``math.log`` and ``math.sqrt`` so that every caller sees
+    the same bits whatever its budget."""
+    global _WIDTHS
+    widths = _WIDTHS = _grown(_WIDTHS, n_rounds, lambda t: math.sqrt(_BONUS_SCALE * math.log(t)))
+    return widths
+
+
+def _inv_sqrt_counts(n_counts: int) -> np.ndarray:
+    """``1.0 / math.sqrt(c)`` for every count ``c < n_counts``, 0.0 at 0."""
+    global _INV_SQRT
+    table = _INV_SQRT = _grown(_INV_SQRT, n_counts, lambda c: 1.0 / math.sqrt(c))
     return table
 
 
-def _run_rounds(config: MarketConfig, bids: Sequence[Bid], realization: RewardRealization,
+# Fewest samples worth a thread of their own in ``_run_chunks``.
+_MIN_CHUNK = 2048
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on: its affinity set where the
+    platform has one, else the CPU count.  Caps the threads of
+    ``_run_chunks`` and the worker processes of ``run_experiment``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _workers(samples: int) -> int:
+    """How many chunks ``_run_chunks`` splits ``samples`` into: one per CPU
+    this process may run on, each of at least ``_MIN_CHUNK`` samples."""
+    return max(1, min(_cpus(), samples // _MIN_CHUNK))
+
+
+def _run_chunks(config: MarketConfig, bids: Sequence[Bid], realization: RewardRealization,
                 h: np.ndarray, trace_len: int = 0):
     """``ucb_run`` on an admitted realization's ``(samples, n, units)``
     stack at the ``(samples, n)`` virtual costs ``h``: units and successes,
     ``(samples, n)``, and the winner, reward and score of each sample's first
     ``trace_len`` rounds after seeding (a stopping round's score alone).  On
     a streamed realization the loop draws each row as it reads it; a whole
-    one passes no row streams, and the loop never draws."""
+    one passes no row streams, and the loop never draws.
+
+    The samples are split into contiguous chunks, one per CPU this process
+    may run on but none under ``_MIN_CHUNK`` samples.  The calling thread
+    runs the first chunk and a new thread each other one, all in C without
+    the interpreter lock; every thread has ended when the call returns or
+    raises.  A batch too small for two chunks, or a one-CPU process, runs as
+    one chunk on the calling thread.  Each sample's result depends on its
+    own row alone, so the outputs are the same however the batch is split.
+    """
     n, n_rounds = realization.table.shape[-2:]
     table = realization.table.reshape(-1, n, n_rounds)
     samples, streams = len(table), realization.streams
-    stream_args = (None, None, None)  # a whole table: nothing to draw
+    q = states = drawn = None  # a whole table: nothing to draw
     if streams is not None:
-        stream_args = (streams.qualities, streams.states.reshape(-1, n, 4),
-                       streams.counts.reshape(-1, n))
+        q, states = streams.qualities, streams.states.reshape(-1, n, 4)
+        drawn = streams.counts.reshape(-1, n)
     # No run buys more than the budget from one agent.
     caps = np.array([min(bid.capacity, n_rounds) for bid in bids], dtype=np.int64)
     units, successes = (np.empty((samples, n), dtype=np.int64) for _ in range(2))
     picks = np.empty((samples, trace_len), dtype=np.int64)
     rewards = np.empty((samples, trace_len), dtype=np.uint8)
     scores = np.empty((samples, trace_len))
-    _library().ucb_run(samples, n, n_rounds, config.reward_scale, h, caps, *stream_args, table,
-                       _shared_table("widths", n_rounds), _shared_table("inv_sqrt", n_rounds + 1),
-                       units, successes, trace_len, picks, rewards, scores)
+    # Resolved before any thread starts, so that no thread builds the library
+    # or grows the shared tables.
+    ucb_run = _library().ucb_run
+    widths, inv_sqrt = _bonus_widths(n_rounds), _inv_sqrt_counts(n_rounds + 1)
+    chunks = _workers(samples)
+    edges = [samples * k // chunks for k in range(chunks + 1)]
+    errors = [None] * chunks
+
+    def run(k):
+        a, b = edges[k], edges[k + 1]
+        rows = (None, None) if streams is None else (states[a:b], drawn[a:b])
+        try:
+            ucb_run(b - a, n, n_rounds, config.reward_scale, h[a:b], caps, q, *rows, table[a:b],
+                    widths, inv_sqrt, units[a:b], successes[a:b], trace_len, picks[a:b],
+                    rewards[a:b], scores[a:b])
+        except BaseException as exc:  # raised in the caller once every thread ends
+            errors[k] = exc
+
+    started = []
+    try:
+        for k in range(1, chunks):
+            thread = threading.Thread(target=run, args=(k,))
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return units, successes, picks, rewards, scores
 
 
@@ -242,7 +313,7 @@ def run_2d_ucb(
     np.add(a, b * alpha, out=h.T)
     # Winner, reward and score of rounds n, n+1, ... of one table's run.
     trace_len = 0 if stack else n_rounds - n
-    units, succ, picks, rewards, scores = _run_rounds(config, bids, realization, h, trace_len)
+    units, succ, picks, rewards, scores = _run_chunks(config, bids, realization, h, trace_len)
 
     costs = np.array([[bid.cost] for bid in bids])
     bought = np.ascontiguousarray(units.T, dtype=float)

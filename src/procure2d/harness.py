@@ -31,7 +31,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .bandit import run_2d_ucb, run_eps_separated
+from .bandit import _cpus, run_2d_ucb, run_eps_separated
 from .model import Bid, MarketConfig, stream_reward_realization, uniform_type_distribution
 # Only so that the attribute perfbench's tracer wraps exists
 # (tests/test_exports.py): a cell's tables are streamed, so its layer reads 0.
@@ -320,16 +320,6 @@ def _run_cell(config: ExperimentConfig, l_index: int, type_sample: int) -> dict[
         for label, column in zip(labels[2:], baselines.auctioneer_utility.T):
             out[label][start : start + size] = column / units
     return out
-
-
-def _cpus() -> int:
-    """How many CPUs this process may run on: its affinity set where the
-    platform has one, else the CPU count.  Caps the worker processes of
-    ``run_experiment``."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:

@@ -166,7 +166,7 @@ def patched_bonus_scale(c):
     with pytest.MonkeyPatch.context() as patch:
         if c != bandit._BONUS_SCALE:
             patch.setattr(bandit, "_BONUS_SCALE", c)
-            patch.setitem(bandit._TABLES, "widths", np.full(1, math.nan))
+            patch.setattr(bandit, "_WIDTHS", np.full(1, math.nan))
         yield
 
 

@@ -275,14 +275,14 @@ class TestStochasticBic:
         assert report.passed, report.line()
 
     def test_cost_increasing_learner_fails_a_competing_market(self, monkeypatch):
-        honest = bandit._run_rounds
+        honest = bandit._run_chunks
 
         def cost_increasing(config, bids, realization, h, *args):
             mutated = h.copy()
             mutated[:, 0] = 2.0 - mutated[:, 0]
             return honest(config, bids, realization, mutated, *args)
 
-        monkeypatch.setattr(bandit, "_run_rounds", cost_increasing)
+        monkeypatch.setattr(bandit, "_run_chunks", cost_increasing)
         batch, agent, dist = self.make_batch(samples=100_000, units=8)
         grid = DeviationGrid(np.linspace(0.0, 1.0, 7), (2, 4))
         report = audit_stochastic_bic(batch, agent.cost, agent.capacity, grid)

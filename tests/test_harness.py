@@ -212,8 +212,9 @@ class TestRunExperiment:
         assert rows == run_experiment(TINY, threads=1)
 
     def test_one_allowed_cpu_starts_no_pool(self, monkeypatch):
-        # The pool is capped by the CPUs the process may run on, not by the
-        # CPUs the host has.
+        # The pool is capped by the CPUs the process may run on, as the
+        # learner's chunk threads are (bandit._cpus), not by the CPUs the
+        # host has.
         expected = run_experiment(TINY, threads=1)
 
         def no_pool(*args, **kwargs):

@@ -24,8 +24,7 @@ def arguments(name):
         args = [2, 3, 12, 10.0, np.array([[0.2, 0.5, 0.9], [0.9, 0.2, 0.5]]),
                 np.full(3, 5, dtype=np.int64), np.array([0.3, 0.6, 0.9]),
                 np.arange(1, 25, dtype=np.uint64).reshape(2, 3, 4), np.zeros((2, 3), np.int64),
-                table, bandit._shared_table("widths", 12).copy(),
-                bandit._shared_table("inv_sqrt", 13).copy(),
+                table, bandit._bonus_widths(12).copy(), bandit._inv_sqrt_counts(13).copy(),
                 np.full((2, 3), -7, dtype=np.int64), np.full((2, 3), -7, dtype=np.int64), 9,
                 np.full((2, 9), -7, dtype=np.int64), np.full((2, 9), 7, dtype=np.uint8),
                 np.full((2, 9), -7.0)]

@@ -3,7 +3,10 @@ round loop in ``tests/oracles.py``."""
 
 import itertools
 import math
+import os
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -196,8 +199,8 @@ def test_only_live_agent_stops_on_non_positive_score():
 def test_bonus_widths_never_shrink(monkeypatch, bonus_scale):
     # The table is grown from scratch, as a fresh process grows it.
     monkeypatch.setattr(bandit, "_BONUS_SCALE", bonus_scale)
-    monkeypatch.setitem(bandit._TABLES, "widths", np.full(1, math.nan))
-    widths = bandit._shared_table("widths", 100_001)
+    monkeypatch.setattr(bandit, "_WIDTHS", np.full(1, math.nan))
+    widths = bandit._bonus_widths(100_001)
     assert len(widths) == 100_001
     assert (np.diff(widths[1:]) >= 0.0).all()
 
@@ -276,13 +279,13 @@ def test_iia_fails_when_first_divergence_excludes_the_changed_agent():
 
 def test_inverse_square_roots_match_math_sqrt(monkeypatch):
     # Entry 0 stays 0.0, the value a zero-capacity agent keeps; the table is
-    # grown from scratch, in two steps, as runs of two budgets grow it.
-    monkeypatch.setitem(bandit._TABLES, "inv_sqrt", np.zeros(1))
-    bandit._shared_table("inv_sqrt", 1000)
-    table = bandit._shared_table("inv_sqrt", 100_001)
+    # grown from scratch, in two steps, as both runners grow it.
+    monkeypatch.setattr(bandit, "_INV_SQRT", np.zeros(1))
+    bandit._inv_sqrt_counts(1000)
+    table = bandit._inv_sqrt_counts(100_001)
     expected = [0.0] + [1.0 / math.sqrt(c) for c in range(1, 100_001)]
     assert table.tolist() == expected
-    assert bandit._shared_table("inv_sqrt", 10) is table
+    assert bandit._inv_sqrt_counts(10) is table
 
 
 def batch_run(reward_scale, caps, tables, alphas):
@@ -406,15 +409,14 @@ def mixed_stop_batch(samples=300, units=40):
 
 
 def virtual_costs(alphas, caps):
-    h = [[DIST.virtual_cost(a, k) for a, k in zip(row, caps)] for row in alphas]
-    return np.array(h).reshape(len(alphas), len(caps))
+    return np.array([[DIST.virtual_cost(a, k) for a, k in zip(row, caps)] for row in alphas])
 
 
 # ``ucb_run``'s qualities, row streams and drawn counts for whole tables.
 WHOLE = (None, None, None)
 
 
-@pytest.mark.parametrize("samples", [0, 1, 3, 4, 5, 9])
+@pytest.mark.parametrize("samples", [1, 3, 4, 5, 9])
 def test_batch_sizes_straddle_block_edges(samples):
     # Every row equals the reference loop, and a call writes no row past its
     # samples: the inputs and outputs handed to the C loop are the leading
@@ -432,8 +434,8 @@ def test_batch_sizes_straddle_block_edges(samples):
     empty = [np.empty((samples, 0), dtype) for dtype in (np.int64, np.uint8, float)]
     _native._library().ucb_run(
         samples, 3, 40, 1.0, h[:samples], np.array(caps, dtype=np.int64), *WHOLE, table[:samples],
-        bandit._shared_table("widths", 40), bandit._shared_table("inv_sqrt", 41),
-        counts[0][:samples], counts[1][:samples], 0, *empty,
+        bandit._bonus_widths(40), bandit._inv_sqrt_counts(41), counts[0][:samples],
+        counts[1][:samples], 0, *empty,
     )
     for guarded in counts:
         assert (guarded[samples:] == -7).all()
@@ -454,8 +456,8 @@ def test_a_traced_call_writes_each_samples_trace_at_its_offset():
     counts = [np.empty((6, 3), dtype=np.int64) for _ in range(2)]
     _native._library().ucb_run(
         6, 3, 40, 1.0, virtual_costs(alphas, caps), np.array(caps, dtype=np.int64),
-        *WHOLE, tables, bandit._shared_table("widths", 40), bandit._shared_table("inv_sqrt", 41),
-        *counts, trace_len, picks, rewards, scores,
+        *WHOLE, tables, bandit._bonus_widths(40), bandit._inv_sqrt_counts(41), *counts,
+        trace_len, picks, rewards, scores,
     )
     ends = set()
     for s in range(6):
@@ -521,13 +523,99 @@ def test_permuting_rows_permutes_the_outcome():
             outcome.allocation[perm], outcome.payments[perm], outcome.auctioneer_utility[perm]))
 
 
+@pytest.fixture(scope="module")
+def split_batch():
+    """The ``mixed_stop_batch`` of 4,097 rows and its capacities."""
+    alphas, tables = mixed_stop_batch(4097)
+    return [8, 8, 1], tables, alphas
+
+
+@pytest.mark.parametrize("chunks", [2, 3, 5])
+@pytest.mark.parametrize("samples", [0, 1, 3, 4, 5, 9, 4097])
+def test_splitting_a_batch_leaves_every_row_as_it_was(monkeypatch, split_batch, chunks, samples):
+    # Chunk edges fall at uneven rows, and some chunks are empty when the
+    # batch holds fewer samples than there are chunks; every row still comes
+    # out as from one chunk, and no thread outlives the call.  The threads
+    # switch as often as the interpreter lets them.
+    caps, tables, alphas = split_batch
+    args = 1.0, caps, tables[:samples], alphas[:samples]
+    monkeypatch.setattr(bandit, "_workers", lambda _: 1)
+    whole = batch_run(*args)
+    monkeypatch.setattr(bandit, "_workers", lambda _: chunks)
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = batch_run(*args)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert_same_runs(split, whole)
+
+
+class _FailingLibrary:
+    """A library whose ``ucb_run`` raises on the chunks starting at the rows
+    in ``fail_at``, each with an exception naming its row (8 times its first
+    virtual cost), and otherwise waits a little before it writes its rows, so
+    that a chunk that raises early is not the last one running."""
+
+    def __init__(self, fail_at):
+        self.fail_at, self.finished = fail_at, []
+
+    def ucb_run(self, samples, n, n_rounds, reward_scale, h, caps, quality, states, drawn, table,
+                widths, inv_sqrt, units, successes, trace_len, picks, rewards, scores):
+        row = int(h[0, 0] * 8)
+        if row in self.fail_at:
+            raise MemoryError(f"chunk at row {row}")
+        time.sleep(0.05)
+        units[...], successes[...] = 1, 0
+        self.finished.append(row)
+
+
+@pytest.mark.parametrize("fail_at, raised", [({0}, 0), ({4}, 4), ({8}, 8), ({4, 8}, 4)],
+                         ids=["calling-thread", "middle", "last", "two"])
+def test_a_chunk_that_raises_reaches_the_caller_after_every_thread_ends(
+        monkeypatch, fail_at, raised):
+    # Three chunks of four rows; row r's alphas are r / 16, and so its virtual
+    # costs r / 8, so each chunk's first row names it.  The first failing
+    # chunk's exception is raised, and only once every other chunk has
+    # finished and every thread is gone.
+    library = _FailingLibrary(fail_at)
+    monkeypatch.setattr(bandit, "_library", lambda: library)
+    monkeypatch.setattr(bandit, "_workers", lambda _: 3)
+    alphas = np.repeat(np.arange(12.0)[:, None] / 16, 3, axis=1)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match=f"^chunk at row {raised}$"):
+        batch_run(1.0, [8, 8, 1], np.ones((12, 3, 40), dtype=np.uint8), alphas)
+    assert threading.active_count() == threads
+    assert sorted(library.finished) == sorted({0, 4, 8} - fail_at)
+
+
 def _no_thread(self):
     raise AssertionError("a thread was started")
 
 
-def test_a_large_batch_runs_on_the_calling_thread(monkeypatch):
-    # A stack of 4,097 runs starts no thread, whatever CPUs the host has.
-    alphas, tables = mixed_stop_batch(4097)
+def test_worker_count_holds_every_chunk_to_the_minimum(monkeypatch):
+    # On a host of 10,000 CPUs every chunk still holds _MIN_CHUNK samples or
+    # more; small batches and one-CPU processes make one chunk.  Asking
+    # starts no thread.
     monkeypatch.setattr(threading.Thread, "start", _no_thread)
-    outcome = batch_run(1.0, [8, 8, 1], tables, alphas)
-    assert outcome.allocation.shape == (4097, 3)
+    least = bandit._MIN_CHUNK
+    sizes = [0, 1, least - 1, least, 2 * least - 1, 2 * least, 20_000, 10**9]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(10_000)), raising=False)
+    assert [bandit._workers(s) for s in sizes] == [1, 1, 1, 1, 1, 2, 20_000 // least, 10_000]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert [bandit._workers(s) for s in sizes] == [1] * len(sizes)
+    # Where affinity is not available, the CPU count stands in for it.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert [bandit._workers(s) for s in sizes] == [1, 1, 1, 1, 1, 2, 3, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert [bandit._workers(s) for s in sizes] == [1] * len(sizes)
+
+
+def test_one_cpu_runs_a_large_batch_on_the_calling_thread(monkeypatch, split_batch):
+    caps, tables, alphas = split_batch
+    expected = batch_run(1.0, caps, tables, alphas)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
+    assert_same_runs(batch_run(1.0, caps, tables, alphas), expected)
