@@ -1,10 +1,10 @@
 /* The random streams and the 2D-UCB allocation rule of procure2d: first
  * numpy's PCG64 arithmetic, the one drawer of reward outcomes and the
  * counter of drawn outcomes that the explore-then-commit baselines read
- * (count_rows), then the only UCB round loop, which draws a table's
- * outcomes when it first reads them, and at the end of the file numpy's
- * stream seeding (SeedSequence's hash, then PCG64's seeding step) and the
- * self-resampling law on the seeded streams.
+ * (count_rows), then the UCB round loop, which draws a table's outcomes when
+ * it first reads them, and at the end of the file numpy's stream seeding
+ * (SeedSequence's hash, then PCG64's seeding step) and the self-resampling
+ * law on the seeded streams.
  *
  * _native.py compiles this file on first use with -ffp-contract=off, so that
  * no multiply and add are fused and every score is rounded as Python's float
@@ -13,8 +13,14 @@
  * with math.log and math.sqrt, so the scores carry the same bits as those of
  * the reference loop in tests/oracles.py.
  *
- * ucb_run, the loop's one entry, runs stacked auctions one at a time, and
- * the scan of a round takes a new best through a conditional jump.  In a
+ * ucb_run, the loop's one entry, runs stacked auctions one at a time, each
+ * on one of two routines that make the same decisions with the same bits:
+ * ucb_auction scores every agent every round, and ucb_leader_auction, which
+ * runs the auctions of at least LEADER_ROUNDS rounds, scores only the leader
+ * between full scans while no rival can overtake it (the comment above it
+ * says why that decides every round as the full scan would, and the one
+ * above LEADER_ROUNDS why the short auctions keep the full scan).
+ * The scan of a round takes a new best through a conditional jump.  In a
  * long auction the same leader wins almost every round, so the CPU predicts
  * the scan's outcome and starts the next round's table load and divide
  * before the compares resolve.  Replaying the 100 auctions of a
@@ -92,7 +98,7 @@ static void pcg64_jump(int64_t k, u128 *mult, u128 *plus)
  * can be drawn on its own stream, jumped to i * L, in any number of pieces.
  * A row's stream stands at its next undrawn outcome, and its drawn count
  * says how many it holds.  draw_row is the one drawer: row_streams jumps the
- * rows' streams, draw_rows extends rows, and ucb_auction extends a row in
+ * rows' streams, draw_rows extends rows, and the round loop extends a row in
  * chunks of DRAW_CHUNK when a pick reaches its drawn count.
  *
  * Draws row[*drawn] to row[to - 1] with quality q on the stream at w, and
@@ -106,13 +112,66 @@ static inline void draw_row(uint64_t *w, double q, uint8_t *row, int64_t *drawn,
     *drawn = to > *drawn ? to : *drawn;
 }
 
-/* The outcomes ucb_auction draws at once, from a pick that reaches its row's
+/* The outcomes the round loop draws at once, from a pick that reaches its row's
  * drawn count, never past the row's capacity.  On the cells of the
  * benchmark's trend-grid workload (master seeds 0-7), where the learner and
  * the baselines read 60.5% of the capacity prefixes, chunks of 64 drew 0.5%
  * more than one at a time, chunks of 256 3.4% and of 1,024 17%; a chunk
  * costs a few loads and stores besides its outcomes. */
 #define DRAW_CHUNK 64
+
+/* The optimistic score of an agent with estimate q_hat and inv_sqrt =
+ * 1 / sqrt(its count) at bonus width width: the one expression both round
+ * loops below compute, so that they give every score the same bits.  For
+ * reward_scale > 0 and inv_sqrt >= 0 it is non-decreasing in width: every
+ * step rounds a non-decreasing operation to nearest. */
+static inline double ucb_score(double reward_scale, double q_hat, double width, double inv_sqrt,
+                               double h)
+{
+    return reward_scale * (q_hat + width * inv_sqrt) - h;
+}
+
+/* The seeding pass of an auction (the arguments are ucb_auction's): buys
+ * one unit from every agent with capacity. */
+static inline void ucb_seed(int stream, int64_t n, int64_t n_rounds, const int64_t *caps,
+                            const double *quality, uint64_t *states, int64_t *drawn,
+                            uint8_t *table, int64_t *counts, int64_t *succ, double *q_hat)
+{
+    for (int64_t i = 0; i < n; i++) {
+        counts[i] = caps[i] >= 1;
+        if (stream && counts[i] && drawn[i] == 0)
+            draw_row(states + 4 * i, quality[i], table + i * n_rounds, drawn + i,
+                     DRAW_CHUNK < caps[i] ? DRAW_CHUNK : caps[i]);
+        succ[i] = counts[i] ? table[i * n_rounds] : 0;
+        q_hat[i] = (double)succ[i];
+    }
+}
+
+/* The full scan of a round at bonus width width (the other arguments are
+ * ucb_auction's): returns the agent below capacity with the largest score,
+ * the lowest index on a tie, or -1 when every agent is at its capacity, and
+ * writes that score, or -inf, to best_out.
+ *
+ * The scan takes a new best through a jump (the top of the file).  An empty
+ * asm statement in the jump's body keeps it a jump: with a plain if, or
+ * __builtin_expect, gcc -O2 turns it into conditional moves. */
+static inline int64_t ucb_scan(int64_t n, double reward_scale, const double *h,
+                               const int64_t *caps, double width, const double *inv_sqrt,
+                               const int64_t *counts, const double *q_hat, double *best_out)
+{
+    double best = -INFINITY;
+    int64_t pick = -1;
+    for (int64_t j = 0; j < n; j++) {
+        double s = ucb_score(reward_scale, q_hat[j], width, inv_sqrt[counts[j]], h[j]);
+        if (counts[j] < caps[j] && s > best) {
+            __asm__ volatile("" ::: "memory");
+            best = s;
+            pick = j;
+        }
+    }
+    *best_out = best;
+    return pick;
+}
 
 /* The streams of m tables of n rows, each row width uniforms long: row i of
  * table t starts at uniform i * width of the stream whose words are at
@@ -188,40 +247,28 @@ int count_rows(int64_t m, int64_t width, const uint8_t *table, const int64_t *ro
  * t - n < trace_len; a round t that stops the auction writes only its score:
  * the non-positive best score, or -inf when every agent was at its capacity.
  *
- * The scan takes a new best through a jump (the top of the file).  An empty
- * asm statement in the jump's body keeps it a jump: with a plain if, or
- * __builtin_expect, gcc -O2 turns it into conditional moves.
- *
+ * ucb_run runs the auctions shorter than LEADER_ROUNDS here, and the longer
+ * ones on ucb_leader_auction, which decides every round as this loop does.
  * Kept out of line: inlined into ucb_run, gcc 12 laid the loop out so that
  * replays of the benchmark's grid auctions ran about 6% slower, and of the
- * batches of procure2d verify about 9% slower.
+ * batches of procure2d verify about 9% slower.  Marked hot, which puts it in
+ * .text.hot at the start of the library's code, where its scan loop starts
+ * 16 bytes into a 64-byte line, as before ucb_leader_auction existed:
+ * emitted after that routine, the loop started 48 bytes in, and the verify
+ * replay ran 6% slower.
  */
-static __attribute__((noinline)) void
+static __attribute__((noinline, hot)) void
 ucb_auction(int stream, int64_t n, int64_t n_rounds, double reward_scale, const double *h,
             const int64_t *caps, const double *quality, uint64_t *states, int64_t *drawn,
             uint8_t *table, const double *widths, const double *inv_sqrt, int64_t *counts,
             int64_t *succ, double *q_hat, int64_t trace_len, int64_t *picks, uint8_t *rewards,
             double *scores)
 {
-    for (int64_t i = 0; i < n; i++) {
-        counts[i] = caps[i] >= 1;
-        if (stream && counts[i] && drawn[i] == 0)
-            draw_row(states + 4 * i, quality[i], table + i * n_rounds, drawn + i,
-                     DRAW_CHUNK < caps[i] ? DRAW_CHUNK : caps[i]);
-        succ[i] = counts[i] ? table[i * n_rounds] : 0;
-        q_hat[i] = (double)succ[i];
-    }
+    ucb_seed(stream, n, n_rounds, caps, quality, states, drawn, table, counts, succ, q_hat);
     for (int64_t t = n; t < n_rounds; t++) {
-        double width = widths[t], best = -INFINITY;
-        int64_t pick = -1;
-        for (int64_t j = 0; j < n; j++) {
-            double s = reward_scale * (q_hat[j] + width * inv_sqrt[counts[j]]) - h[j];
-            if (counts[j] < caps[j] && s > best) {
-                __asm__ volatile("" ::: "memory");
-                best = s;
-                pick = j;
-            }
-        }
+        double best;
+        int64_t pick =
+            ucb_scan(n, reward_scale, h, caps, widths[t], inv_sqrt, counts, q_hat, &best);
         if (pick < 0 || best <= 0.0) {
             /* every agent at reported capacity, or no future units for anyone */
             if (t - n < trace_len)
@@ -245,6 +292,100 @@ ucb_auction(int stream, int64_t n, int64_t n_rounds, double reward_scale, const 
     }
 }
 
+/* The rounds a full scan and the leader run after it cover at most: with 64,
+ * about 3-4% of the rounds of the benchmark's default-column auctions are
+ * full scans. */
+#define LEADER_SPAN 64
+
+/* Auctions of at least LEADER_ROUNDS rounds run on ucb_leader_auction, the
+ * shorter ones (the audits' batches of 30 to 50 rounds) on ucb_auction.  On
+ * the 3-agent, 30-round auctions of procure2d verify, 64% of the buying
+ * rounds are full scans, each with the bound's second pass after it: run
+ * there, ucb_leader_auction made a single-threaded replay of verify's
+ * batches 35% slower (2-core Xeon, gcc 12; 0 of 30 alternated rounds
+ * faster).  The value 256 was not tuned: the benchmark's auctions have 30
+ * rounds or fewer (verify, the opt audits) or 1,000 and more (the grids), so
+ * any value from 31 to 1,000 runs them alike. */
+#define LEADER_ROUNDS 256
+
+/* Runs one auction as ucb_auction does, with the same arguments, outputs and
+ * decisions, but scores only the leader between full scans.
+ *
+ * After a full scan at round t picks the leader, every rival keeps its count
+ * and estimate until the leader loses a round, so a rival's score can rise
+ * only through the bonus width.  The leader run covers rounds t + 1 to last,
+ * last = min(t + LEADER_SPAN - 1, n_rounds - 1, the round that fills the
+ * leader's capacity), and bound is the larger of 0 and every live rival's
+ * score at widths[last].  The widths never shrink (bandit._bonus_widths
+ * refuses a table that does), so by ucb_score's monotonicity no rival scores
+ * above bound in any round up to last.  A leader whose score, the bits the
+ * scan would compute, is above bound is then the scan's strict best, and
+ * positive, whatever the order of ties: it buys the round.  The first round
+ * where it is not goes back to the full scan, which also decides stops.
+ */
+static __attribute__((noinline)) void
+ucb_leader_auction(int stream, int64_t n, int64_t n_rounds, double reward_scale,
+                   const double *h, const int64_t *caps, const double *quality, uint64_t *states,
+                   int64_t *drawn, uint8_t *table, const double *widths, const double *inv_sqrt,
+                   int64_t *counts, int64_t *succ, double *q_hat, int64_t trace_len,
+                   int64_t *picks, uint8_t *rewards, double *scores)
+{
+    ucb_seed(stream, n, n_rounds, caps, quality, states, drawn, table, counts, succ, q_hat);
+    for (int64_t t = n; t < n_rounds; t++) {
+        double best;
+        int64_t pick =
+            ucb_scan(n, reward_scale, h, caps, widths[t], inv_sqrt, counts, q_hat, &best);
+        if (pick < 0 || best <= 0.0) {
+            /* every agent at reported capacity, or no future units for anyone */
+            if (t - n < trace_len)
+                scores[t - n] = best;
+            return;
+        }
+        int64_t last = t + LEADER_SPAN - 1, full = t + caps[pick] - counts[pick] - 1;
+        last = last < n_rounds - 1 ? last : n_rounds - 1;
+        last = last < full ? last : full;
+        double bound = 0.0;
+        for (int64_t j = 0; j < n; j++) {
+            double s = ucb_score(reward_scale, q_hat[j], widths[last], inv_sqrt[counts[j]], h[j]);
+            if (j != pick && counts[j] < caps[j] && s > bound)
+                bound = s;
+        }
+        /* The leader's state stays in locals through its run, which the
+         * trace's stores could otherwise alias; a whole row's drawn count
+         * stands at n_rounds, which count never reaches. */
+        uint8_t *row = table + pick * n_rounds;
+        int64_t count = counts[pick], ones = succ[pick];
+        int64_t avail = stream ? drawn[pick] : n_rounds;
+        double q = q_hat[pick], score = best, cost = h[pick];
+        for (;;) {
+            if (count == avail) {
+                int64_t to = count + DRAW_CHUNK;
+                draw_row(states + 4 * pick, quality[pick], row, drawn + pick,
+                         to < caps[pick] ? to : caps[pick]);
+                avail = drawn[pick];
+            }
+            uint8_t r = row[count];
+            ones += r;
+            count += 1;
+            q = (double)ones / (double)count;
+            if (t - n < trace_len) {
+                picks[t - n] = pick;
+                rewards[t - n] = r;
+                scores[t - n] = score;
+            }
+            if (t == last)
+                break;
+            score = ucb_score(reward_scale, q, widths[t + 1], inv_sqrt[count], cost);
+            if (!(score > bound))
+                break;
+            t++;
+        }
+        counts[pick] = count;
+        succ[pick] = ones;
+        q_hat[pick] = q;
+    }
+}
+
 /* p + off, or NULL for a NULL p. */
 #define OFFSET(p, off) ((p) ? (p) + (off) : NULL)
 
@@ -264,10 +405,11 @@ int ucb_run(int64_t samples, int64_t n, int64_t n_rounds, double reward_scale,
     if (q_hat == NULL)
         return -1;
     for (int64_t s = 0; s < samples; s++)
-        ucb_auction(drawn != NULL, n, n_rounds, reward_scale, h + s * n, caps, quality,
-                    OFFSET(states, 4 * s * n), OFFSET(drawn, s * n), table + s * n * n_rounds,
-                    widths, inv_sqrt, counts + s * n, succ + s * n, q_hat, trace_len,
-                    picks + s * trace_len, rewards + s * trace_len, scores + s * trace_len);
+        (n_rounds >= LEADER_ROUNDS ? ucb_leader_auction : ucb_auction)(
+            drawn != NULL, n, n_rounds, reward_scale, h + s * n, caps, quality,
+            OFFSET(states, 4 * s * n), OFFSET(drawn, s * n), table + s * n * n_rounds, widths,
+            inv_sqrt, counts + s * n, succ + s * n, q_hat, trace_len, picks + s * trace_len,
+            rewards + s * trace_len, scores + s * trace_len);
     free(q_hat);
     return 0;
 }

@@ -17,7 +17,13 @@ through one C entry, ``ucb_run``, from one place, ``_run_chunks``, which runs
 a stack of auctions in chunks, one per CPU, each on its own thread, and
 passes in the bonus widths and the ``1 / sqrt(n_i)`` table built here with
 ``math.log`` and ``math.sqrt``, so every score has the bits of the reference
-loop in the test suite.  ``run_2d_ucb`` runs one table or a stack of them, at
+loop in the test suite.  On auctions of at least 256 rounds the loop scores
+only the leader between full scans, with the same decisions: while the
+leader alone is bought, every rival keeps its estimate and count, so its
+score can rise only with the bonus width, and a leader scoring above every
+rival's score at the last width of its run, and above 0, is the strict best
+of each round up to it.  That needs widths that never shrink, which
+``_bonus_widths`` checks.  ``run_2d_ucb`` runs one table or a stack of them, at
 the virtual costs ``a + b * alpha`` of its draws, for the commands, the
 simulation blocks and the truthfulness audits alike; a stack's outcome is one
 ``MechanismOutcome`` of arrays.  On a streamed realization
@@ -151,9 +157,18 @@ def _grown(table: np.ndarray, length: int, entry) -> np.ndarray:
 def _bonus_widths(n_rounds: int) -> np.ndarray:
     """Widths ``sqrt(_BONUS_SCALE * ln t)`` for every round ``t < n_rounds``,
     always built with ``math.log`` and ``math.sqrt`` so that every caller sees
-    the same bits whatever its budget."""
+    the same bits whatever its budget.
+
+    Raises ``RuntimeError``, keeping the old table, when a grown table
+    shrinks anywhere from entry 1 on: the C round loop's leader runs bound a
+    rival's score over a run by its score at the run's last width, which
+    holds only while the widths never shrink."""
     global _WIDTHS
-    widths = _WIDTHS = _grown(_WIDTHS, n_rounds, lambda t: math.sqrt(_BONUS_SCALE * math.log(t)))
+    widths = _grown(_WIDTHS, n_rounds, lambda t: math.sqrt(_BONUS_SCALE * math.log(t)))
+    if widths is not _WIDTHS and not (np.diff(widths[1:]) >= 0.0).all():
+        raise RuntimeError("the bonus widths shrink between two rounds; the C round loop's "
+                           "leader runs need them non-decreasing")
+    _WIDTHS = widths
     return widths
 
 
@@ -295,9 +310,14 @@ def run_2d_ucb(
     bonus keeps the logarithmic exploration schedule and lets the learner
     approach the omniscient benchmark faster than every baseline.
 
-    Optimistic scores are recomputed for every agent at every round: a score
-    must be a function of (estimate, samples, round) alone, never of when the
-    agent was last procured, or the allocation loses its cost-monotonicity.
+    The rule scores every agent at every round: a score must be a function
+    of (estimate, samples, round) alone, never of when the agent was last
+    procured, or the allocation loses its cost-monotonicity.  On auctions of
+    at least 256 rounds the C loop leaves the rivals unscored while the
+    leader keeps winning, and every decision is still the rule's: a rival's
+    estimate and count do not move until it wins, so its score, rising only
+    with the bonus width, stays at most its score at the last width of the
+    leader's run, the bound the leader's own score must beat.
 
     Deviation from the paper: an agent reporting capacity 0 is skipped in
     the seeding pass, but the round loop still starts at round ``n``, so a

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -1008,6 +1009,25 @@ def test_a_streamed_table_traces_as_the_whole_table(tmp_path, kind):
         assert_same_outcomes([outcomes["streamed"]], [outcomes["whole"]])
         assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
     assert_drawn_within_capacity(block, caps)
+
+
+def test_a_long_streamed_stack_equals_whole_tables():
+    # A (3, 5, 3000) stack runs on the C loop's leader routine, where a
+    # leader buys many DRAW_CHUNKs of its row in one streak, each drawn when
+    # the streak reaches it.
+    caps, units, tables = [3000, 3000, 2000, 900, 3000], 3000, 3
+    m, q, bids = stream_market(caps, units, 21)
+    alpha, beta = block_draws(m, bids, tables, 1, 22)
+    block, whole = streamed_block(q, units, tables, 23)
+    got = split_runs(run_2d_ucb(m, bids, block, 0.1, (alpha[:, 0], beta[:, 0]))[0])
+    expected, streaks = [], []
+    for t, table in enumerate(whole):
+        outcome, trace = run_2d_ucb(m, bids, table, 0.1, (alpha[t, 0], beta[t, 0]))
+        expected.append(outcome)
+        streaks.append(max(len(list(run)) for _, run in itertools.groupby(trace.agents())))
+    assert_same_outcomes(got, expected)
+    assert_drawn_within_capacity(block, caps)
+    assert min(streaks) > 4 * CHUNK
 
 
 @settings(max_examples=80, deadline=None)

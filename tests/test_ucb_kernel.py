@@ -4,9 +4,12 @@ round loop in ``tests/oracles.py``."""
 import itertools
 import math
 import os
+import re
 import sys
 import threading
 import time
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,11 @@ from procure2d import (
 from procure2d import _native, bandit, harness
 
 DIST = uniform_type_distribution(0.0, 1.0, 0, 20_000)
+
+# Auctions of at least LEADER_ROUNDS rounds run on ucb_run's leader routine,
+# the shorter ones on its plain scan.
+LEADER_ROUNDS = int(re.search(r"^#define LEADER_ROUNDS (\d+)$",
+                              Path(_native._SOURCE).read_text(), re.M).group(1))
 
 
 def assert_matches_oracle(market, bids, table, draws, bonus_scale):
@@ -57,7 +65,8 @@ def assert_matches_oracle(market, bids, table, draws, bonus_scale):
 @st.composite
 def instances(draw):
     n = draw(st.integers(1, 4))
-    units = draw(st.one_of(st.integers(n, 200), st.integers(1000, 5000)))
+    units = draw(st.one_of(st.integers(n, 200), st.integers(1000, 5000),
+                           st.integers(LEADER_ROUNDS - 2, LEADER_ROUNDS + 2)))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     qualities = rng.uniform(0.0, 1.0, n)
@@ -203,6 +212,21 @@ def test_bonus_widths_never_shrink(monkeypatch, bonus_scale):
     widths = bandit._bonus_widths(100_001)
     assert len(widths) == 100_001
     assert (np.diff(widths[1:]) >= 0.0).all()
+
+
+def test_shrinking_bonus_widths_are_refused(monkeypatch):
+    # A log that falls back at t = 300: the widths of rounds 299 and 300
+    # shrink, and the leader runs' bound would no longer hold.  The table is
+    # refused, and the one before it kept.
+    shrinking = types.SimpleNamespace(
+        log=lambda t: math.log(t) - (t >= 300), sqrt=math.sqrt, inf=math.inf)
+    monkeypatch.setattr(bandit, "_WIDTHS", np.full(1, math.nan))
+    short = bandit._bonus_widths(300)
+    monkeypatch.setattr(bandit, "math", shrinking)
+    with pytest.raises(RuntimeError, match="shrink"):
+        bandit._bonus_widths(400)
+    assert bandit._WIDTHS is short
+    assert bandit._bonus_widths(300) is short
 
 
 def test_leader_capacity_binds_mid_run():
